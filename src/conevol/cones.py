@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConeSpecError, DimensionMismatchError, UnsupportedConeError
-from .linalg import jacobi_eigh_batch, nnls_solve, symmetric_eigen
+from .linalg import nnls_solve
 
 MAX_AMBIENT_DIM = 10_000
 
@@ -271,7 +271,7 @@ def _project_vector(cone, x):
     if isinstance(cone, Psd):
         s = vec_to_sym(x, cone.n)
         s = 0.5 * (s + s.T)
-        vals, vecs = symmetric_eigen(s)
+        vals, vecs = np.linalg.eigh(s)
         pos = np.maximum(vals, 0.0)
         proj = (vecs * pos) @ vecs.T
         return sym_to_vec(proj), None
@@ -313,45 +313,10 @@ def _generator_face_dim(cone, x, tau):
     active = cone.matrix[tau > _zero_threshold(nx)]
     if active.shape[0] == 0:
         return 0
-    gram = active @ active.T
-    vals = jacobi_eigh_batch(gram[None])[0]
-    top = float(vals[0])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(vals > 1e-20 * top))
-
-
-def face_dimension(cone, outcome):
-    """Dimension of the face of the cone whose relative interior holds the
-    projection recorded in ``outcome``.  Defined for polyhedral variants.
-    """
-    if isinstance(cone, Subspace):
-        return cone.dim
-    if isinstance(cone, Trivial):
-        return 0
-    if isinstance(cone, Orthant):
-        nx = math.sqrt(outcome.sq_norm_proj + outcome.sq_norm_residual)
-        return int(np.count_nonzero(outcome.projection > _zero_threshold(nx)))
-    if isinstance(cone, Generators):
-        x = outcome.projection + outcome.residual
-        tau = nnls_solve(cone.matrix, x)
-        return _generator_face_dim(cone, x, tau)
-    if isinstance(cone, Product):
-        dl = ambient_dim(cone.left)
-        left = ProjectionOutcome(
-            projection=outcome.projection[:dl],
-            residual=outcome.residual[:dl],
-            sq_norm_proj=float(outcome.projection[:dl] @ outcome.projection[:dl]),
-            sq_norm_residual=float(outcome.residual[:dl] @ outcome.residual[:dl]),
-        )
-        right = ProjectionOutcome(
-            projection=outcome.projection[dl:],
-            residual=outcome.residual[dl:],
-            sq_norm_proj=float(outcome.projection[dl:] @ outcome.projection[dl:]),
-            sq_norm_residual=float(outcome.residual[dl:] @ outcome.residual[dl:]),
-        )
-        return face_dimension(cone.left, left) + face_dimension(cone.right, right)
-    raise UnsupportedConeError(f"face dimensions are not defined for {type(cone).__name__}")
+    # rank of the active generators: singular values above 1e-10 of the
+    # largest, i.e. Gram eigenvalues above 1e-20 of the largest
+    sv = np.linalg.svd(active, compute_uv=False)
+    return int(np.count_nonzero(sv > 1e-10 * sv[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +365,7 @@ def _norms_block(cone, X):
         return s, sq - s, None
     if isinstance(cone, Psd):
         mats = _vec_to_sym_block(X, cone.n)
-        vals = jacobi_eigh_batch(mats)
+        vals = np.linalg.eigvalsh(mats)
         pos = np.maximum(vals, 0.0)
         neg = vals - pos
         return np.einsum("ij,ij->i", pos, pos), np.einsum("ij,ij->i", neg, neg), None

@@ -1,87 +1,19 @@
-"""Dense linear algebra kernels used by the cone projectors.
+"""Dense linear algebra kernels used by the cone projectors and estimators.
 
-Small and self-contained on purpose: an active-set nonnegative least
-squares solver, a cyclic Jacobi eigensolver for symmetric matrices (with
-a batched eigenvalue-only variant for the Monte Carlo hot path), a
-Cholesky solve, and a compensated matrix product for one step of
-iterative refinement on ill-conditioned Gram systems.
+Two pieces: an active-set nonnegative least squares solver for
+generator cones, and vectorized double-double arithmetic for the
+biorthogonal coefficients.  Dense factorizations come from numpy's
+LAPACK bindings: the solver's subproblems use np.linalg.lstsq, and the
+cone projectors take eigenvalues and ranks from np.linalg directly.
 """
 
 import math
 
 import numpy as np
 
-from .exceptions import ConditioningError, NonConvergenceError
+from .exceptions import NonConvergenceError
 
-_SMALLEST = 1e-300
-
-
-def cholesky_factor(a):
-    """Lower-triangular L with L L^T = a, for symmetric positive definite a."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - np.dot(L[j, :j], L[j, :j])
-        if d <= 0.0:
-            raise ConditioningError(f"matrix not positive definite at pivot {j}")
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def cholesky_solve(L, b):
-    """Solve (L L^T) x = b given the factor from cholesky_factor."""
-    n = L.shape[0]
-    b = np.asarray(b, dtype=float)
-    y = np.zeros(b.shape, dtype=float)
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.zeros_like(y)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x
-
-
-def solve_spd(a, b):
-    L = cholesky_factor(a)
-    return cholesky_solve(L, b)
-
-
-def _two_product(a, b):
-    # Dekker/Veltkamp exact product: a*b = hi + lo in doubles.
-    hi = a * b
-    split = 134217729.0  # 2**27 + 1
-    a1 = a * split
-    ah = a1 - (a1 - a)
-    al = a - ah
-    b1 = b * split
-    bh = b1 - (b1 - b)
-    bl = b - bh
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    return hi, lo
-
-
-def residual_identity(a, c):
-    """I - a @ c evaluated with compensated dot products.
-
-    Products are split exactly (Dekker two-product) and summed with
-    math.fsum, so the residual is accurate even when a @ c suffers
-    catastrophic cancellation.  Intended for n up to a few dozen.
-    """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n, m = a.shape[0], c.shape[1]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            hi, lo = _two_product(a[i], c[:, j])
-            terms = hi.tolist() + lo.tolist()
-            if i == j:
-                terms.append(-1.0)
-            out[i, j] = -math.fsum(terms)
-    return out
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +33,17 @@ def two_sum(a, b):
 
 
 def two_product(a, b):
-    """Vectorized Dekker split product: returns (hi, lo) with hi+lo = a*b."""
-    return _two_product(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Dekker/Veltkamp exact product: returns (hi, lo) with hi+lo = a*b."""
+    hi = a * b
+    split = 134217729.0  # 2**27 + 1
+    a1 = a * split
+    ah = a1 - (a1 - a)
+    al = a - ah
+    b1 = b * split
+    bh = b1 - (b1 - b)
+    bl = b - bh
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi, lo
 
 
 def dd_add(xh, xl, yh, yl):
@@ -113,7 +54,7 @@ def dd_add(xh, xl, yh, yl):
 
 
 def dd_mul(xh, xl, yh, yl):
-    ph, pe = _two_product(xh, yh)
+    ph, pe = two_product(xh, yh)
     pe = pe + (xh * yl + xl * yh)
     rh = ph + pe
     return rh, pe - (rh - ph)
@@ -123,34 +64,44 @@ def dd_sqrt(x):
     """Double-double square root of a nonnegative float64 array."""
     x = np.asarray(x, dtype=float)
     r = np.sqrt(x)
-    ph, pe = _two_product(r, r)
+    ph, pe = two_product(r, r)
     with np.errstate(invalid="ignore", divide="ignore"):
         e = np.where(r > 0.0, ((x - ph) - pe) / (2.0 * r), 0.0)
     return r, e
 
 
-def nnls_solve(a, b, max_iter=None):
+# ---------------------------------------------------------------------------
+# nonnegative least squares
+# ---------------------------------------------------------------------------
+
+def nnls_solve(a, b):
     """Nonnegative least squares over generator combinations.
 
     Given generators as the rows of ``a`` (m x d) and a target b in R^d,
     finds tau >= 0 minimizing ||a.T @ tau - b||.  Lawson-Hanson active
-    set iteration; the passive-set subproblems are solved through the
-    normal equations with a Cholesky factorization.
+    set iteration on unit-norm generators; each passive-set subproblem
+    is a least squares solve (np.linalg.lstsq), which stays defined when
+    the passive generators are linearly dependent, as they must be once
+    m > d.
 
     Returns the coefficient vector tau (length m).  Raises
-    NonConvergenceError if the iteration cap (3m by default) is hit.
+    NonConvergenceError if the outer iteration cap (3m, at least 12) is
+    hit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
     m = a.shape[0]
+    # the optimum is invariant under positive rescaling of a generator;
+    # unit norms keep lstsq's rank cutoff from discarding short generators
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    a = a / scale[:, None]
     design = a.T  # d x m, columns are generators
     tau = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
-    col_max = max(1e-300, float(np.sqrt(np.sum(design * design, axis=0)).max(initial=0.0)))
-    if max_iter is None:
-        max_iter = max(3 * m, 12)
+    max_outer = max(3 * m, 12)
     resid = b - design @ tau
     w = a @ resid
     outer = 0
@@ -162,7 +113,7 @@ def nnls_solve(a, b, max_iter=None):
         # current gradient, so progress continues even when the residual
         # is orders of magnitude below the data scale
         rnorm = math.sqrt(float(resid @ resid))
-        tol = 64.0 * np.finfo(float).eps * col_max * rnorm
+        tol = 64.0 * np.finfo(float).eps * rnorm
         if rnorm < best_rnorm * (1.0 - 1e-12):
             best_rnorm = rnorm
             best_tau = tau
@@ -172,140 +123,37 @@ def nnls_solve(a, b, max_iter=None):
             # rounding noise around an optimum
             stalls += 1
             if stalls >= 2:
-                return best_tau
+                return best_tau / scale
         candidates = np.where(~passive & (w > tol))[0]
         if candidates.size == 0:
-            return tau
+            return tau / scale
         outer += 1
-        if outer > max_iter:
+        if outer > max_outer:
             raise NonConvergenceError("nnls active-set iteration cap exceeded", outer)
         passive[candidates[np.argmax(w[candidates])]] = True
-        while True:
+        # every pass that does not accept z drops at least one passive
+        # index, so the passive-set size bounds the number of passes
+        for _ in range(np.count_nonzero(passive) + 1):
             idx = np.where(passive)[0]
-            sub = design[:, idx]
-            try:
-                gram = sub.T @ sub
-                L = cholesky_factor(gram)
-                z = cholesky_solve(L, sub.T @ b)
-                # one refinement pass keeps the subproblem usable well past
-                # the conditioning where bare normal equations degrade
-                z = z + cholesky_solve(L, sub.T @ (b - sub @ z))
-            except ConditioningError:
-                # degenerate passive set: drop the weakest member and retry
-                z = None
-            if z is None:
-                passive[idx[-1]] = False
-                continue
+            z = np.linalg.lstsq(design[:, idx], b, rcond=None)[0]
             if np.all(z > 0.0):
-                tau = np.zeros(m)
-                tau[idx] = z
                 break
-            # step toward z until the first passive coefficient hits zero
+            # step toward z until the first passive coefficient hits zero;
+            # that blocking index leaves the passive set even when rounding
+            # keeps its coefficient a hair above zero
             cur = tau[idx]
-            mask = z <= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(mask, cur / (cur - z), np.inf)
-            step = float(np.min(ratios))
+            blocked = z <= 0.0
+            ratios = np.full(idx.size, np.inf)
+            ratios[blocked] = cur[blocked] / np.maximum(cur[blocked] - z[blocked], _TINY)
+            hit = int(np.argmin(ratios))
             tau = np.zeros(m)
-            tau[idx] = np.maximum(cur + step * (z - cur), 0.0)
+            tau[idx] = np.maximum(cur + ratios[hit] * (z - cur), 0.0)
+            passive[idx[hit]] = False
             passive[idx[tau[idx] <= 0.0]] = False
             tau[~passive] = 0.0
+        else:
+            raise NonConvergenceError("nnls passive-set solve did not settle", outer)
+        tau = np.zeros(m)
+        tau[idx] = z
         resid = b - design @ tau
         w = a @ resid
-
-
-def kkt_residual(a, b, tau):
-    """Max violation of the NNLS optimality conditions at tau.
-
-    With w = a @ (b - a.T @ tau): stationarity needs w = 0 on the
-    support of tau, dual feasibility needs w <= 0 elsewhere.
-    """
-    a = np.asarray(a, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    w = a @ (b - a.T @ tau)
-    on = tau > 0.0
-    r_on = float(np.max(np.abs(w[on]), initial=0.0))
-    r_off = float(np.max(w[~on], initial=0.0))
-    return max(r_on, r_off, 0.0)
-
-
-def jacobi_eigh_batch(mats, eigvals_only=True, max_sweeps=50, tol=1e-13):
-    """Cyclic Jacobi diagonalization of a batch of symmetric matrices.
-
-    mats has shape (B, n, n); every matrix is processed with the same
-    (p, q) rotation schedule but its own rotation angles, which keeps the
-    whole sweep vectorized over the batch.  Returns eigenvalues sorted
-    descending, shape (B, n); with eigvals_only=False also returns the
-    orthogonal factors, shape (B, n, n), columns matching the eigenvalue
-    order.
-    """
-    A = np.array(mats, dtype=float, copy=True)
-    if A.ndim == 2:
-        A = A[None, :, :]
-    B, n, _ = A.shape
-    V = None
-    if not eigvals_only:
-        V = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-    scale = np.sqrt(np.sum(A * A, axis=(1, 2)))
-    thresh = tol * np.maximum(scale, _SMALLEST)
-    for sweep in range(max_sweeps):
-        iu = np.triu_indices(n, k=1)
-        off = np.max(np.abs(A[:, iu[0], iu[1]]), axis=1) if n > 1 else np.zeros(B)
-        if np.all(off <= thresh):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                act = np.abs(apq) > 0.1 * thresh
-                if not np.any(act):
-                    continue
-                app = A[:, p, p]
-                aqq = A[:, q, q]
-                # per-matrix rotation: tan(2 theta) = 2 apq / (app - aqq)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    theta = 0.5 * (aqq - app) / apq
-                    t = np.sign(theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-                t = np.where(np.abs(apq) > _SMALLEST, t, 0.0)
-                t = np.where(act, np.where(np.isfinite(t), t, 0.0), 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cB = c[:, None]
-                sB = s[:, None]
-                rp = A[:, p, :].copy()
-                rq = A[:, q, :].copy()
-                A[:, p, :] = cB * rp - sB * rq
-                A[:, q, :] = sB * rp + cB * rq
-                cp = A[:, :, p].copy()
-                cq = A[:, :, q].copy()
-                A[:, :, p] = cB * cp - sB * cq
-                A[:, :, q] = sB * cp + cB * cq
-                if V is not None:
-                    vp = V[:, :, p].copy()
-                    vq = V[:, :, q].copy()
-                    V[:, :, p] = cB * vp - sB * vq
-                    V[:, :, q] = sB * vp + cB * vq
-    else:
-        raise NonConvergenceError("Jacobi sweep cap exceeded", max_sweeps)
-    vals = np.einsum("bii->bi", A).copy()
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    if eigvals_only:
-        return vals
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    return vals, V
-
-
-def symmetric_eigen(w):
-    """Eigendecomposition of one symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues descending, orthogonal matrix with matching
-    columns).  The reconstruction Q diag(vals) Q^T agrees with the input
-    to about 1e-10 * ||w||.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    if not np.allclose(w, w.T, atol=1e-12 * (1.0 + np.max(np.abs(w)))):
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = jacobi_eigh_batch(w[None], eigvals_only=False)
-    return vals[0], vecs[0]

@@ -164,23 +164,6 @@ def intrinsic_variance(summary):
 # biorthogonal system in the squared projection norm
 # ---------------------------------------------------------------------------
 
-def chi_density(k, s):
-    """rho_k(s) = s^(k/2) e^(-s/2) / (2^(k/2) Gamma(k/2)); s * chi-square
-    density with k degrees of freedom."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    sp = s[pos]
-    out[pos] = np.exp(0.5 * k * (np.log(sp) - _LN2) - 0.5 * sp - math.lgamma(0.5 * k))
-    return out
-
-
-def gram_entry(k, l):
-    """Inner product of rho_k and rho_l under integral f(s) g(s) ds / s."""
-    return math.exp(math.lgamma(0.5 * (k + l)) - 0.5 * (k + l) * _LN2
-                    - math.lgamma(0.5 * k) - math.lgamma(0.5 * l))
-
-
 def _atan_recip(x, terms):
     # arctan(1/x) partial sum; terms chosen so the tail is < 1e-75
     total = Fraction(0)
@@ -265,21 +248,19 @@ def _to_dd(x):
 class BiorthogonalSystem:
     """Functions f_1..f_d with E[f_j(X_k)] = delta_jk for X_k chi-square(k).
 
-    f_j(s) = sum_k coeffs[j-1, k-1] * rho_k(s).  The coefficient matrix
-    is the inverse of the moment matrix, which is ill-conditioned enough
-    (condition ~1e8 already at d = 8) that coefficients are stored as
-    double-double pairs and f_j is evaluated with compensated arithmetic:
-    f_j(s) = exp(-s/2) * P_j(u) with u = sqrt(s/2) and P_j the polynomial
-    with coefficients coeffs[j,k]/Gamma(k/2).
+    f_j(s) = sum_k c[j-1, k-1] * rho_k(s) with rho_k(s) = s^(k/2)
+    e^(-s/2) / (2^(k/2) Gamma(k/2)), the chi-square(k) density times s.
+    The coefficient matrix c is the inverse of the moment matrix, which
+    is ill-conditioned enough (condition ~1e8 already at d = 8) that f_j
+    is evaluated with compensated arithmetic: f_j(s) = exp(-s/2) * P_j(u)
+    with u = sqrt(s/2) and P_j the polynomial with coefficients
+    c[j,k]/Gamma(k/2), stored as double-double pairs (poly_hi, poly_lo).
 
-    residual is the verified max-norm of gram @ coeffs - I, computed in
-    exact rational arithmetic against the coefficient pairs; condition
-    is the max-norm condition estimate of the moment matrix.
+    residual is the verified max-norm of (moment matrix) @ c - I for the
+    double-double rounding of c, computed in exact rational arithmetic;
+    condition is the max-norm condition estimate of the moment matrix.
     """
     d: int
-    gram: np.ndarray
-    coeffs: np.ndarray
-    coeffs_low: np.ndarray
     poly_hi: np.ndarray
     poly_lo: np.ndarray
     condition: float
@@ -328,7 +309,8 @@ def build_biorthogonal(d):
     the best representable inverse already leaves a residual above 1e-5,
     and the moment matrix stops being numerically positive definite at
     d = 16.  The exact route keeps the verified residual below 1e-8
-    through d = 20, where the condition estimate passes 1e10.
+    through d = 20: there the max-norm condition estimate is 7.3e21 and
+    the residual 4.5e-13 (1.6e8 and 1.6e-26 at d = 8).
     """
     if not 1 <= d <= BIORTHOGONAL_MAX_DIM:
         raise ConditioningError(
@@ -338,7 +320,6 @@ def build_biorthogonal(d):
     gram_exact = [[_gram_fraction(k, l) for l in ks] for k in ks]
     inv_exact = _fraction_ldlt_inverse(gram_exact)
 
-    gram = np.array([[gram_entry(k, l) for l in ks] for k in ks])
     coeffs = np.empty((d, d))
     coeffs_low = np.empty((d, d))
     for i in range(d):
@@ -370,10 +351,9 @@ def build_biorthogonal(d):
             scale = rk * _SQRT_PI_FRAC if pk else rk
             poly_hi[j, k - 1], poly_lo[j, k - 1] = _to_dd(inv_exact[j][k - 1] / scale)
 
-    for arr in (gram, coeffs, coeffs_low, poly_hi, poly_lo):
+    for arr in (poly_hi, poly_lo):
         arr.setflags(write=False)
-    return BiorthogonalSystem(d=d, gram=gram, coeffs=coeffs, coeffs_low=coeffs_low,
-                              poly_hi=poly_hi, poly_lo=poly_lo,
+    return BiorthogonalSystem(d=d, poly_hi=poly_hi, poly_lo=poly_lo,
                               condition=condition, residual=final)
 
 

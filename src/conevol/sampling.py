@@ -56,8 +56,8 @@ def gaussian_block(seed, chunk_index, count, dim, chunk_size, slot_offset=0):
 
     Polar Box-Muller: each coordinate pair repeatedly draws a point of
     the square [-1, 1)^2 from its own counter slot until it lands inside
-    the unit disk.  slot_offset shifts the slot numbering and exists only
-    so degenerate samples can be redrawn deterministically.
+    the unit disk.  slot_offset shifts the slot numbering, so the same
+    sample can draw fresh values from later counter slots.
     """
     n_pairs = (dim + 1) // 2
     if ((slot_offset + n_pairs) << PAIR_SLOT_BITS) > (1 << SAMPLE_BLOCK_BITS):
@@ -90,38 +90,6 @@ def gaussian_block(seed, chunk_index, count, dim, chunk_size, slot_offset=0):
     out[:, 0::2] = out_x.reshape(count, n_pairs)
     out[:, 1::2] = out_y.reshape(count, n_pairs)
     return out[:, :dim]
-
-
-_UNDERFLOW_NORM = 1e-300
-
-
-def sphere_block(seed, chunk_index, count, dim, chunk_size):
-    """Uniform points on the unit sphere (normalized Gaussian block).
-
-    A row whose norm underflows (probability is zero for all practical
-    purposes) is redrawn from later counter slots of the same sample.
-    """
-    g = gaussian_block(seed, chunk_index, count, dim, chunk_size)
-    n_pairs = (dim + 1) // 2
-    for redraw in range(1, 8):
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        bad = norms < _UNDERFLOW_NORM
-        if not bad.any():
-            return g / norms[:, None]
-        rows = np.where(bad)[0]
-        fresh = gaussian_block(seed, chunk_index, count, dim, chunk_size,
-                               slot_offset=redraw * n_pairs)
-        g[rows] = fresh[rows]
-    raise RuntimeError("sphere sample underflow persisted across redraws")
-
-
-def sphere_sample(g):
-    """Normalize one vector to the unit sphere."""
-    g = np.asarray(g, dtype=float)
-    norm = math.sqrt(float(g @ g))
-    if norm < _UNDERFLOW_NORM:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return g / norm
 
 
 @dataclass(frozen=True)
@@ -308,9 +276,3 @@ def run_summary(cone, config, workers=None):
         seed=config.seed,
         chunk_size=config.chunk_size,
     )
-
-
-def iter_gaussian_chunks(config, dim):
-    """Yield (chunk_index, block) pairs for custom streaming reductions."""
-    for index, count in config.chunks():
-        yield index, gaussian_block(config.seed, index, count, dim, config.chunk_size)

@@ -209,9 +209,6 @@ class QuadratureRule:
         self.kind = kind
         self.alpha = alpha
 
-    def integrate(self, fn):
-        return float(np.dot(self.weights, fn(self.nodes)))
-
 
 def gauss_legendre(n, a=-1.0, b=1.0):
     """Gauss-Legendre rule with n nodes on [a, b].
@@ -331,16 +328,6 @@ def gauss_laguerre(n, alpha=0.0):
                  - math.lgamma(alpha + 1.0))
     w = np.exp(log_front - np.log(x) - 2.0 * (np.log(np.abs(dp)) + logscale))
     return QuadratureRule(x, w, "laguerre", alpha=alpha)
-
-
-def chi_square_expectation_rule(dof, n=96):
-    """Nodes/weights (x_i, w_i) so that E[f(X)] = sum(w_i f(x_i)) for
-    X ~ chi-square(dof).  dof = 0 returns the single node 0 with weight 1.
-    """
-    if dof == 0:
-        return np.array([0.0]), np.array([1.0])
-    rule = gauss_laguerre(n, alpha=0.5 * dof - 1.0)
-    return 2.0 * rule.nodes, rule.weights.copy()
 
 
 def tanh_sinh_rule(a, b, step=0.01):

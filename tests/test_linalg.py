@@ -9,59 +9,42 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conevol.exceptions import ConditioningError
+import conevol.linalg
+from conevol.cones import Orthant
 from conevol.linalg import (
-    cholesky_factor,
-    cholesky_solve,
     dd_add,
     dd_mul,
     dd_sqrt,
-    jacobi_eigh_batch,
-    kkt_residual,
     nnls_solve,
-    residual_identity,
-    solve_spd,
-    symmetric_eigen,
     two_product,
     two_sum,
 )
-
-# ---------------------------------------------------------------------------
-# Cholesky
-# ---------------------------------------------------------------------------
-
-def _random_spd(rng, n):
-    m = rng.standard_normal((n, n))
-    return m @ m.T + n * np.eye(n)
-
-
-def test_cholesky_factor_reconstructs():
-    rng = np.random.default_rng(10)
-    for n in (1, 3, 7):
-        a = _random_spd(rng, n)
-        L = cholesky_factor(a)
-        assert np.allclose(L @ L.T, a, atol=1e-10 * n)
-        assert np.allclose(np.triu(L, 1), 0.0)
-
-
-def test_cholesky_solve_matches_direct_solve():
-    rng = np.random.default_rng(11)
-    a = _random_spd(rng, 6)
-    b = rng.standard_normal(6)
-    x = solve_spd(a, b)
-    assert np.allclose(a @ x, b, atol=1e-9)
-    L = cholesky_factor(a)
-    assert np.allclose(cholesky_solve(L, b), x)
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(ConditioningError):
-        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
+from conevol.profiles import estimate_profile_mixture
+from conevol.sampling import MonteCarloConfig
 
 # ---------------------------------------------------------------------------
 # Nonnegative least squares
 # ---------------------------------------------------------------------------
+
+def kkt_residual(a, b, tau):
+    """Max violation of the NNLS optimality conditions at tau.
+
+    With w = a @ (b - a.T @ tau): stationarity needs w = 0 on the
+    support of tau, dual feasibility needs w <= 0 elsewhere.
+    """
+    w = a @ (b - a.T @ tau)
+    on = tau > 0.0
+    r_on = float(np.max(np.abs(w[on]), initial=0.0))
+    r_off = float(np.max(w[~on], initial=0.0))
+    return max(r_on, r_off, 0.0)
+
+
+def _assert_kkt(a, b, tau):
+    assert np.all(tau >= 0.0)
+    rnorm = float(np.linalg.norm(b - a.T @ tau))
+    assert kkt_residual(a, b, tau) <= 1e-8 * (1.0 + rnorm)
+    return rnorm
+
 
 def _brute_force_nnls(a, b):
     """Exhaustive active-set search; exact reference for small m."""
@@ -80,14 +63,51 @@ def _brute_force_nnls(a, b):
 @pytest.mark.parametrize("seed", range(8))
 def test_nnls_matches_brute_force(seed):
     rng = np.random.default_rng(100 + seed)
-    m, d = 6, 4
-    a = rng.standard_normal((m, d))
-    b = rng.standard_normal(d)
-    tau = nnls_solve(a, b)
-    assert np.all(tau >= 0.0)
-    rnorm = float(np.linalg.norm(b - a.T @ tau))
-    assert rnorm <= _brute_force_nnls(a, b) + 1e-9
-    assert kkt_residual(a, b, tau) <= 1e-8 * (1.0 + rnorm)
+    # m > d makes the generators linearly dependent
+    for m, d in ((6, 4), (8, 4)):
+        a = rng.standard_normal((m, d))
+        b = rng.standard_normal(d)
+        tau = nnls_solve(a, b)
+        rnorm = _assert_kkt(a, b, tau)
+        assert rnorm <= _brute_force_nnls(a, b) + 1e-9
+
+
+def test_nnls_terminates_on_dependent_passive_set():
+    # eight generators in R^4: the passive set can outgrow the dimension,
+    # which once made a singular normal-equation step loop forever
+    a = np.random.default_rng(0).standard_normal((8, 4))
+    for b in np.random.default_rng(1).standard_normal((256, 4)):
+        _assert_kkt(a, b, nnls_solve(a, b))
+
+
+def test_nnls_fit_ignores_generator_lengths():
+    # rescaling a generator does not move the projection; lengths over
+    # twelve orders of magnitude must not cost accuracy
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 4))
+    scaled = a * np.logspace(-6, 6, 8)[:, None]
+    for b in rng.standard_normal((64, 4)):
+        fit = a.T @ nnls_solve(a, b)
+        assert np.allclose(scaled.T @ nnls_solve(scaled, b), fit, rtol=0.0, atol=1e-9)
+
+
+def test_nnls_terminates_on_denormal_coefficient(monkeypatch):
+    # this mixture fit once stepped by 0.0 onto a 4.9e-324 coefficient
+    # that a strict `<= 0` test never dropped from the passive set
+    calls = []
+    solve = conevol.linalg.nnls_solve
+
+    def recording_solve(a, b):
+        tau = solve(a, b)
+        calls.append((a, b, tau))
+        return tau
+
+    monkeypatch.setattr(conevol.linalg, "nnls_solve", recording_solve)
+    config = MonteCarloConfig(seed=945278322613, total_samples=16384,
+                              chunk_size=16384, reservoir_cap=16384)
+    estimate_profile_mixture(Orthant(16), config)
+    assert len(calls) == 1
+    _assert_kkt(*calls[0])
 
 
 def test_nnls_recovers_interior_combination():
@@ -116,31 +136,6 @@ def test_nnls_zero_fit_for_polar_point():
 def test_nnls_shape_validation():
     with pytest.raises(ValueError):
         nnls_solve(np.zeros((3, 2)), np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
-# Compensated residual
-# ---------------------------------------------------------------------------
-
-def test_residual_identity_detects_exact_inverse():
-    a = np.array([[2.0, 1.0], [1.0, 1.0]])
-    # exact inverse over the rationals
-    af = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    det = af[0][0] * af[1][1] - af[0][1] * af[1][0]
-    inv = np.array([
-        [float(af[1][1] / det), float(-af[0][1] / det)],
-        [float(-af[1][0] / det), float(af[0][0] / det)],
-    ])
-    r = residual_identity(a, inv)
-    assert np.max(np.abs(r)) < 1e-15
-
-
-def test_residual_identity_sees_past_cancellation():
-    # ill-conditioned 1x1: naive 1 - a*c rounds to 0, compensated does not
-    a = np.array([[1.0 + 2.0**-40]])
-    c = np.array([[1.0 - 2.0**-40]])
-    r = residual_identity(a, c)
-    assert r[0, 0] == pytest.approx(2.0**-80, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,40 +205,3 @@ def test_dd_sqrt_squares_back(x):
 def test_dd_sqrt_zero():
     r, e = dd_sqrt(np.array([0.0]))
     assert r[0] == 0.0 and e[0] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-def test_jacobi_eigenvalues_match_numpy():
-    rng = np.random.default_rng(3)
-    mats = rng.standard_normal((5, 6, 6))
-    mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
-    vals = jacobi_eigh_batch(mats)
-    for i in range(5):
-        ref = np.sort(np.linalg.eigvalsh(mats[i]))[::-1]
-        assert np.allclose(vals[i], ref, atol=1e-10)
-
-
-def test_jacobi_vectors_reconstruct():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((4, 4))
-    m = 0.5 * (m + m.T)
-    vals, vecs = symmetric_eigen(m)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-10)
-    assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
-    assert np.all(np.diff(vals) <= 1e-12)
-
-
-def test_jacobi_handles_diagonal_and_rank_one():
-    vals = jacobi_eigh_batch(np.diag([3.0, -1.0, 2.0])[None])
-    assert np.allclose(vals[0], [3.0, 2.0, -1.0])
-    u = np.array([1.0, 2.0, 2.0])
-    vals = jacobi_eigh_batch(np.outer(u, u)[None])
-    assert np.allclose(vals[0], [9.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_symmetric_eigen_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))

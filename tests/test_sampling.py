@@ -13,11 +13,8 @@ from conevol.sampling import (
     MonteCarloConfig,
     counter_uniforms,
     gaussian_block,
-    iter_gaussian_chunks,
     resolve_workers,
     run_summary,
-    sphere_block,
-    sphere_sample,
 )
 
 # ---------------------------------------------------------------------------
@@ -60,19 +57,6 @@ def test_gaussian_block_moments():
 def test_gaussian_block_rejects_oversized_dimension():
     with pytest.raises(ValueError):
         gaussian_block(0, 0, 1, (1 << 14) + 1, 1)
-
-
-def test_sphere_block_unit_norms():
-    x = sphere_block(3, 0, 500, 6, 500)
-    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
-    assert np.array_equal(x, sphere_block(3, 0, 500, 6, 500))
-
-
-def test_sphere_sample_normalizes_and_rejects_zero():
-    v = sphere_sample(np.array([3.0, 4.0]))
-    assert np.allclose(v, [0.6, 0.8])
-    with pytest.raises(ValueError):
-        sphere_sample(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +189,3 @@ def test_run_summary_smooth_cone_has_no_face_hist():
     summary = run_summary(Circular(5, 0.6), cfg)
     assert summary.face_hist is None
     assert summary.s_moments.n == 2_000
-
-
-def test_iter_gaussian_chunks_streams_every_sample():
-    cfg = MonteCarloConfig(seed=9, total_samples=5_000, chunk_size=2048)
-    seen = 0
-    for index, block in iter_gaussian_chunks(cfg, 3):
-        assert block.shape[1] == 3
-        seen += block.shape[0]
-    assert seen == 5_000

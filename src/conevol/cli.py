@@ -1,10 +1,6 @@
 """Command-line front end.
 
-Cone descriptions use a small grammar (whitespace-insensitive, angles in
-radians, "pi/6"-style fractions allowed in the angle token):
-
-    cone := orthant:D | subspace:K:D | circ:D:ALPHA | soc:D | psd:N
-          | trivial:D | gens:PATH | polar(cone) | prod(cone, cone)
+Cone descriptions use the grammar of conevol.cones.parse_cone_spec.
 
 Artifacts go to stdout, or to --out PATH; --format picks json or csv
 where a subcommand supports both.  All floats in CSV artifacts are
@@ -20,15 +16,13 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 
 import numpy as np
 
 from .bounds import TailBoundReport
-from .cones import (Circular, Generators, Orthant, Polar, Product, Psd,
-                    Subspace, Trivial, ambient_dim, load_generators,
-                    second_order_cone, supports_face_dim)
+from .cones import (Product, ambient_dim, cone_to_spec, parse_cone_spec,
+                    supports_face_dim)
 from .exceptions import (ConeSpecError, NumericalGuardError,
                          UnsupportedConeError)
 from .profiles import (estimate_profile_biorthogonal, estimate_profile_face,
@@ -40,146 +34,9 @@ from .steiner import (empirical_steiner_cdf, gaussian_steiner_cdf, master_phi,
                       phi_mc, preset_functionals, spherical_steiner_cdf,
                       wills_functional, wills_mc)
 
-_WORD = re.compile(r"[a-z-]+")
-_PI_FORM = re.compile(r"^(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$", re.IGNORECASE)
-
 
 def _fmt(x):
     return "%.17g" % float(x)
-
-
-class _ConeParser:
-    """Recursive-descent parser for the cone grammar above."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, msg):
-        raise ConeSpecError(f"cone spec error at byte {self.pos}: {msg}")
-
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch):
-        self.ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def token(self):
-        self.ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and not self.text[self.pos].isspace()
-               and self.text[self.pos] not in ",():"):
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a value")
-        return self.text[start:self.pos]
-
-    def integer(self):
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            self.fail(f"expected an integer, got {tok!r}")
-
-    def angle(self):
-        tok = self.token()
-        m = _PI_FORM.match(tok)
-        if m:
-            num = float(m.group(1)) if m.group(1) else 1.0
-            den = float(m.group(2)) if m.group(2) else 1.0
-            return num * math.pi / den
-        try:
-            return float(tok)
-        except ValueError:
-            self.fail(f"expected an angle in radians or a pi fraction, got {tok!r}")
-
-    def cone(self):
-        self.ws()
-        start = self.pos
-        m = _WORD.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a cone keyword")
-        head = m.group(0)
-        self.pos = m.end()
-        try:
-            if head == "polar":
-                self.expect("(")
-                inner = self.cone()
-                self.expect(")")
-                return Polar(inner)
-            if head == "prod":
-                self.expect("(")
-                left = self.cone()
-                self.expect(",")
-                right = self.cone()
-                self.expect(")")
-                return Product(left, right)
-            self.expect(":")
-            if head == "orthant":
-                return Orthant(self.integer())
-            if head == "subspace":
-                k = self.integer()
-                self.expect(":")
-                return Subspace(k, self.integer())
-            if head == "circ":
-                d = self.integer()
-                self.expect(":")
-                return Circular(d, self.angle())
-            if head == "soc":
-                return second_order_cone(self.integer())
-            if head == "psd":
-                return Psd(self.integer())
-            if head == "trivial":
-                return Trivial(self.integer())
-            if head == "gens":
-                return load_generators(self.token())
-        except ConeSpecError as e:
-            if "at byte" in str(e):
-                raise
-            # constructor-level complaint: annotate with the position
-            raise ConeSpecError(f"cone spec error at byte {start}: {e}") from None
-        self.pos = start
-        self.fail(f"unknown cone keyword {head!r}")
-
-
-def parse_cone_spec(text):
-    """Parse a cone description; raises ConeSpecError with a byte offset."""
-    if not isinstance(text, str) or not text.strip():
-        raise ConeSpecError("cone spec error at byte 0: empty cone description")
-    p = _ConeParser(text)
-    cone = p.cone()
-    p.ws()
-    if p.pos != len(p.text):
-        p.fail(f"trailing input {p.text[p.pos:]!r}")
-    return cone
-
-
-def cone_to_spec(cone):
-    """Print a cone descriptor so that parse_cone_spec round-trips it."""
-    if isinstance(cone, Orthant):
-        return f"orthant:{cone.d}"
-    if isinstance(cone, Subspace):
-        return f"subspace:{cone.dim}:{cone.ambient}"
-    if isinstance(cone, Circular):
-        return f"circ:{cone.d}:{_fmt(cone.alpha)}"
-    if isinstance(cone, Psd):
-        return f"psd:{cone.n}"
-    if isinstance(cone, Trivial):
-        return f"trivial:{cone.d}"
-    if isinstance(cone, Generators):
-        if cone.source:
-            return f"gens:{cone.source}"
-        raise UnsupportedConeError("generator cone was not loaded from a file")
-    if isinstance(cone, Product):
-        return f"prod({cone_to_spec(cone.left)},{cone_to_spec(cone.right)})"
-    if isinstance(cone, Polar):
-        return f"polar({cone_to_spec(cone.inner)})"
-    raise UnsupportedConeError(f"cannot print a {type(cone).__name__}")
 
 
 def _emit(text, out_path):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .cones import (Orthant, Polar, Product, Subspace, Trivial, ambient_dim,
                     supports_face_dim)
-from .exceptions import ConditioningError, UnsupportedConeError
+from .exceptions import (ConditioningError, DimensionMismatchError,
+                         UnsupportedConeError)
 from .linalg import dd_add, dd_mul, dd_sqrt
 from .sampling import MonteCarloConfig, run_summary
 from .special import binomial_pmf, gauss_legendre
@@ -377,14 +378,25 @@ def chi_expectation_quadrature(fn, k, nodes=400, upper=14.0):
 # profile estimators
 # ---------------------------------------------------------------------------
 
+def _summary_for(cone, config, workers, summary):
+    """The given summary, checked against the cone, else a fresh run."""
+    if summary is None:
+        return run_summary(cone, config, workers=workers)
+    if summary.dim != ambient_dim(cone):
+        raise DimensionMismatchError(
+            f"summary is of a cone in R^{summary.dim}, cone lives in R^{ambient_dim(cone)}")
+    return summary
+
+
 def estimate_profile_face(cone, config, workers=None, summary=None):
     """Profile from per-sample face dimensions (polyhedral cones only)."""
     if not supports_face_dim(cone):
         raise UnsupportedConeError(
             f"{type(cone).__name__} has no face-dimension sampler; "
             "use the biorthogonal or mixture estimator")
-    if summary is None:
-        summary = run_summary(cone, config, workers=workers)
+    summary = _summary_for(cone, config, workers, summary)
+    if summary.face_hist is None:
+        raise UnsupportedConeError("summary has no face-dimension histogram")
     n = summary.count
     v = summary.face_hist.astype(float) / n
     stderr = np.sqrt(v * (1.0 - v) / n)
@@ -401,8 +413,7 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     """
     d = ambient_dim(cone)
     system = build_biorthogonal(d)
-    if summary is None:
-        summary = run_summary(cone, config, workers=workers)
+    summary = _summary_for(cone, config, workers, summary)
     s = summary.reservoir_s
     t = summary.reservoir_t
     if s.size == 0:
@@ -435,8 +446,7 @@ def estimate_profile_mixture(cone, config, workers=None, summary=None):
     """
     from .linalg import nnls_solve
     d = ambient_dim(cone)
-    if summary is None:
-        summary = run_summary(cone, config, workers=workers)
+    summary = _summary_for(cone, config, workers, summary)
     s = np.sort(summary.reservoir_s)
     if s.size == 0:
         raise ValueError("summary has an empty reservoir")

@@ -10,9 +10,13 @@ therefore a pure function of (seed, i, j): results never depend on how
 many chunks are processed, in what order, or on how many worker threads
 ran them.
 
-Summaries accumulate count, mean and second/third/fourth central moment
-sums per chunk and combine chunks with the exact pairwise-merge update
-formulas, folding in a fixed chunk-index order, so the final summary is
+Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
+empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
+streams through one primitive, map_chunks: it draws and projects each
+chunk, on CONEVOL_THREADS worker threads unless a caller passes an
+explicit worker count, and returns the per-chunk results in chunk-index
+order.  Callers fold them left to right in that fixed order, moment sums
+with the exact pairwise-merge update formulas, so every result is
 bit-identical for any worker count.
 """
 
@@ -20,10 +24,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .cones import ambient_dim, norms_block, supports_face_dim
+from .exceptions import NonConvergenceError
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -51,20 +57,18 @@ def _sample_bases(chunk_index, count, chunk_size):
     return gidx << np.uint64(SAMPLE_BLOCK_BITS)
 
 
-def gaussian_block(seed, chunk_index, count, dim, chunk_size, slot_offset=0):
+def gaussian_block(seed, chunk_index, count, dim, chunk_size):
     """Standard normal block of shape (count, dim) for one chunk.
 
     Polar Box-Muller: each coordinate pair repeatedly draws a point of
     the square [-1, 1)^2 from its own counter slot until it lands inside
-    the unit disk.  slot_offset shifts the slot numbering, so the same
-    sample can draw fresh values from later counter slots.
+    the unit disk.
     """
     n_pairs = (dim + 1) // 2
-    if ((slot_offset + n_pairs) << PAIR_SLOT_BITS) > (1 << SAMPLE_BLOCK_BITS):
+    if (n_pairs << PAIR_SLOT_BITS) > (1 << SAMPLE_BLOCK_BITS):
         raise ValueError("dimension exceeds the per-sample counter budget")
     bases = _sample_bases(chunk_index, count, chunk_size)
-    slots = (np.arange(slot_offset, slot_offset + n_pairs, dtype=np.uint64)
-             << np.uint64(PAIR_SLOT_BITS))
+    slots = np.arange(n_pairs, dtype=np.uint64) << np.uint64(PAIR_SLOT_BITS)
     flat = (bases[:, None] + slots[None, :]).ravel()
     total = flat.shape[0]
     out_x = np.empty(total)
@@ -85,7 +89,7 @@ def gaussian_block(seed, chunk_index, count, dim, chunk_size, slot_offset=0):
         if pending.size == 0:
             break
     else:
-        raise RuntimeError("Box-Muller rejection cap exceeded")
+        raise NonConvergenceError("Box-Muller rejection cap exceeded", _MAX_PAIR_ATTEMPTS)
     out = np.empty((count, 2 * n_pairs))
     out[:, 0::2] = out_x.reshape(count, n_pairs)
     out[:, 1::2] = out_y.reshape(count, n_pairs)
@@ -215,18 +219,28 @@ def resolve_workers(workers=None):
     return 1
 
 
-def _chunk_summary(cone, config, chunk_index, count, want_faces, dim):
-    X = gaussian_block(config.seed, chunk_index, count, dim, config.chunk_size)
-    s, t, fd = norms_block(cone, X)
-    hist = None
-    if want_faces and fd is not None:
-        hist = np.bincount(fd, minlength=dim + 1).astype(np.int64)
-    stride = config.reservoir_stride
-    first = chunk_index * config.chunk_size
-    offset = (-first) % stride
-    keep = np.arange(offset, count, stride)
-    return (MomentAccumulator.from_values(s), MomentAccumulator.from_values(t),
-            hist, s[keep], t[keep])
+def map_chunks(cone, config, fn, workers=None):
+    """fn(index, s, t, face_dims) for every chunk of the projection stream.
+
+    Chunk i draws its Gaussian block and reduces it with norms_block;
+    the results come back as a list in chunk-index order, so a caller
+    that folds them left to right gets the same answer for any worker
+    count.  Chunks run on a thread pool when resolve_workers(workers)
+    asks for more than one thread and there is more than one chunk.
+    """
+    dim = ambient_dim(cone)
+    chunks = config.chunks()
+
+    def work(item):
+        index, count = item
+        X = gaussian_block(config.seed, index, count, dim, config.chunk_size)
+        return fn(index, *norms_block(cone, X))
+
+    nworkers = resolve_workers(workers)
+    if nworkers == 1 or len(chunks) == 1:
+        return [work(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        return list(pool.map(work, chunks))
 
 
 def run_summary(cone, config, workers=None):
@@ -239,39 +253,24 @@ def run_summary(cone, config, workers=None):
     """
     dim = ambient_dim(cone)
     want_faces = supports_face_dim(cone)
-    chunks = config.chunks()
-    nworkers = resolve_workers(workers)
+    stride = config.reservoir_stride
 
-    def work(item):
-        index, count = item
-        return _chunk_summary(cone, config, index, count, want_faces, dim)
+    def summarize(index, s, t, fd):
+        hist = np.bincount(fd, minlength=dim + 1).astype(np.int64) if want_faces else None
+        # keep every stride-th sample of the whole stream, by global index
+        keep = np.arange((-index * config.chunk_size) % stride, s.shape[0], stride)
+        return (MomentAccumulator.from_values(s), MomentAccumulator.from_values(t),
+                hist, s[keep], t[keep])
 
-    if nworkers == 1 or len(chunks) == 1:
-        results = [work(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(work, chunks))
-
-    s_acc = MomentAccumulator()
-    t_acc = MomentAccumulator()
-    hist = np.zeros(dim + 1, dtype=np.int64) if want_faces else None
-    res_s = []
-    res_t = []
-    for s_part, t_part, hist_part, rs, rt in results:
-        s_acc = s_acc.merge(s_part)
-        t_acc = t_acc.merge(t_part)
-        if hist is not None and hist_part is not None:
-            hist += hist_part
-        res_s.append(rs)
-        res_t.append(rt)
+    s_parts, t_parts, hists, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
     return SampleSummary(
         dim=dim,
         count=config.total_samples,
-        s_moments=s_acc,
-        t_moments=t_acc,
-        face_hist=hist,
-        reservoir_s=np.concatenate(res_s) if res_s else np.empty(0),
-        reservoir_t=np.concatenate(res_t) if res_t else np.empty(0),
+        s_moments=reduce(MomentAccumulator.merge, s_parts, MomentAccumulator()),
+        t_moments=reduce(MomentAccumulator.merge, t_parts, MomentAccumulator()),
+        face_hist=sum(hists) if want_faces else None,
+        reservoir_s=np.concatenate(res_s),
+        reservoir_t=np.concatenate(res_t),
         reservoir_stride=config.reservoir_stride,
         seed=config.seed,
         chunk_size=config.chunk_size,

@@ -194,20 +194,13 @@ def binomial_tail(n, p, k):
 # ---------------------------------------------------------------------------
 
 class QuadratureRule:
-    """Nodes and weights of a Gauss rule.
+    """Nodes and weights of a Gauss rule."""
 
-    kind is "legendre" (weights sum to the interval length) or "laguerre"
-    (generalized, with weight x^alpha e^-x / Gamma(alpha+1); weights sum
-    to 1 so rules stay finite for large alpha).
-    """
+    __slots__ = ("nodes", "weights")
 
-    __slots__ = ("nodes", "weights", "kind", "alpha")
-
-    def __init__(self, nodes, weights, kind, alpha=None):
+    def __init__(self, nodes, weights):
         self.nodes = np.asarray(nodes, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.kind = kind
-        self.alpha = alpha
 
 
 def gauss_legendre(n, a=-1.0, b=1.0):
@@ -244,7 +237,7 @@ def gauss_legendre(n, a=-1.0, b=1.0):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     order = np.argsort(x)
-    return QuadratureRule(mid + half * x[order], half * w[order], "legendre")
+    return QuadratureRule(mid + half * x[order], half * w[order])
 
 
 def _laguerre_value(n, alpha, x):
@@ -306,8 +299,9 @@ def gauss_laguerre(n, alpha=0.0):
     """Generalized Gauss-Laguerre rule, normalized to the gamma density.
 
     Integrates f against x^alpha e^-x / Gamma(alpha+1) on [0, inf):
-    sum(w * f(x)) with sum(w) = 1.  Nodes from Sturm bisection on the
-    recurrence's Jacobi matrix, polished by Newton steps.
+    sum(w * f(x)) with sum(w) = 1, so rules stay finite for large alpha.
+    Nodes from Sturm bisection on the recurrence's Jacobi matrix,
+    polished by Newton steps.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -327,7 +321,7 @@ def gauss_laguerre(n, alpha=0.0):
     log_front = (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
                  - math.lgamma(alpha + 1.0))
     w = np.exp(log_front - np.log(x) - 2.0 * (np.log(np.abs(dp)) + logscale))
-    return QuadratureRule(x, w, "laguerre", alpha=alpha)
+    return QuadratureRule(x, w)
 
 
 def tanh_sinh_rule(a, b, step=0.01):

@@ -11,13 +11,14 @@ identities.
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .cones import ambient_dim, norms_block
+from .cones import Subspace, ambient_dim
 from .exceptions import NonConvergenceError
 from .sampling import (MomentAccumulator, MonteCarloConfig, counter_uniforms,
-                       gaussian_block, SAMPLE_BLOCK_BITS)
+                       map_chunks, SAMPLE_BLOCK_BITS)
 from .special import beta_cdf, chi_square_cdf, gauss_laguerre
 
 GROWTH_TAGS = ("bounded", "poly", "exp")
@@ -136,13 +137,7 @@ def subspace_moment(f, k, d, config=None):
         config = _DEFAULT_MC
     if d == 0:
         return float(np.asarray(f(np.zeros(1), np.zeros(1)))[0]), 0.0
-    acc = MomentAccumulator()
-    for chunk_index, count in config.chunks():
-        g = gaussian_block(config.seed, chunk_index, count, d, config.chunk_size)
-        s = np.einsum("ij,ij->i", g[:, :k], g[:, :k])
-        t = np.einsum("ij,ij->i", g[:, k:], g[:, k:])
-        acc = acc.merge(MomentAccumulator.from_values(np.asarray(f(s, t), dtype=float)))
-    return acc.mean, acc.se_mean
+    return phi_mc(Subspace(k, d), f, config)
 
 
 def master_phi(f, profile, config=None):
@@ -168,12 +163,9 @@ def master_phi(f, profile, config=None):
 def phi_mc(cone, f, config):
     """Direct Monte Carlo (value, stderr) of E f(s, t) over the cone's
     Gaussian projection stream; the oracle side of the master identity."""
-    d = ambient_dim(cone)
-    acc = MomentAccumulator()
-    for chunk_index, count in config.chunks():
-        g = gaussian_block(config.seed, chunk_index, count, d, config.chunk_size)
-        s, t, _ = norms_block(cone, g)
-        acc = acc.merge(MomentAccumulator.from_values(np.asarray(f(s, t), dtype=float)))
+    parts = map_chunks(cone, config,
+                       lambda index, s, t, fd: MomentAccumulator.from_values(f(s, t)))
+    acc = reduce(MomentAccumulator.merge, parts, MomentAccumulator())
     return acc.mean, acc.se_mean
 
 
@@ -215,18 +207,13 @@ def empirical_steiner_cdf(cone, lam_grid, config, kind="gaussian"):
     if kind not in ("gaussian", "spherical"):
         raise ValueError(f"kind must be gaussian or spherical, got {kind!r}")
     lam_grid = np.asarray(lam_grid, dtype=float)
-    d = ambient_dim(cone)
-    counts = np.zeros(lam_grid.shape, dtype=np.int64)
-    n = 0
-    for chunk_index, count in config.chunks():
-        g = gaussian_block(config.seed, chunk_index, count, d, config.chunk_size)
-        s, t, _ = norms_block(cone, g)
-        if kind == "gaussian":
-            vals = t
-        else:
-            vals = t / (s + t)
-        counts += (vals[None, :] <= lam_grid[:, None]).sum(axis=1)
-        n += count
+
+    def count_below(index, s, t, fd):
+        vals = t if kind == "gaussian" else t / (s + t)
+        return (vals[None, :] <= lam_grid[:, None]).sum(axis=1)
+
+    counts = sum(map_chunks(cone, config, count_below))
+    n = config.total_samples
     p = counts / n
     return p, np.sqrt(p * (1.0 - p) / n)
 
@@ -332,16 +319,14 @@ def wills_mc(cone, lam, config):
         raise ValueError(f"lam must be > 0, got {lam}")
     d = ambient_dim(cone)
     xi = 0.5 * (1.0 - lam * lam)
-    acc = MomentAccumulator()
-    for chunk_index, count in config.chunks():
-        g = gaussian_block(config.seed, chunk_index, count, d, config.chunk_size)
-        s, t, _ = norms_block(cone, g)
-        if xi > 0.0:
-            # s^2 = 1/lam^2; projections are positively homogeneous, so the
-            # scaled draw's projection norm is s^2 * (standard draw's)
-            vals = np.exp(-xi * s / (lam * lam) - d * math.log(lam))
-        else:
-            vals = np.exp(xi * t)
-        acc = acc.merge(MomentAccumulator.from_values(vals))
+    if xi > 0.0:
+        # s^2 = 1/lam^2; projections are positively homogeneous, so the
+        # scaled draw's projection norm is s^2 * (standard draw's)
+        def integrand(s, t):
+            return np.exp(-xi * s / (lam * lam) - d * math.log(lam))
+    else:
+        def integrand(s, t):
+            return np.exp(xi * t)
+    mean, se = phi_mc(cone, integrand, config)
     scale = lam ** d
-    return scale * acc.mean, scale * acc.se_mean
+    return scale * mean, scale * se

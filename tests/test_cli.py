@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 # External libraries
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conevol import sampling
 from conevol.cli import build_parser, cone_to_spec, main, parse_cone_spec
 from conevol.cones import (
     Circular,
@@ -204,6 +209,26 @@ def test_bad_cone_spec_exits_2(capsys):
     code, _, err = _run(capsys, ["profile", "--cone", "orthant:-3"])
     assert code == 2
     assert "at byte" in err
+
+
+def test_sampler_rejection_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_PAIR_ATTEMPTS", 0)
+    code, _, err = _run(capsys, ["sdim", "--cone", "orthant:4", "--samples", "1000"])
+    assert code == 3
+    assert "numerical guard" in err
+
+
+def test_module_entry_point_runs_with_warnings_as_errors():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "conevol.cli", "sdim", "--cone",
+         "orthant:4", "--samples", "1000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["quantity"] == "statistical_dimension"
 
 
 def test_sdim_json_schema(capsys):

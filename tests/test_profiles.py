@@ -16,7 +16,11 @@ from conevol.cones import (
     Trivial,
     second_order_cone,
 )
-from conevol.exceptions import ConditioningError, UnsupportedConeError
+from conevol.exceptions import (
+    ConditioningError,
+    DimensionMismatchError,
+    UnsupportedConeError,
+)
 from conevol.profiles import (
     IntrinsicVolumeProfile,
     build_biorthogonal,
@@ -287,3 +291,19 @@ def test_estimators_can_share_a_summary():
     a = estimate_profile_face(Orthant(6), cfg, summary=summary)
     b = estimate_profile_face(Orthant(6), cfg)
     assert np.array_equal(a.v, b.v)
+
+
+def test_estimators_reject_a_summary_of_another_dimension():
+    cfg = MonteCarloConfig(seed=6, total_samples=2_000)
+    summary = run_summary(Orthant(5), cfg)
+    for estimate in (estimate_profile_face, estimate_profile_biorthogonal,
+                     estimate_profile_mixture):
+        with pytest.raises(DimensionMismatchError):
+            estimate(Orthant(6), cfg, summary=summary)
+
+
+def test_face_estimator_rejects_a_summary_without_face_counts():
+    cfg = MonteCarloConfig(seed=6, total_samples=2_000)
+    summary = run_summary(Circular(5, 0.6), cfg)
+    with pytest.raises(UnsupportedConeError):
+        estimate_profile_face(Orthant(5), cfg, summary=summary)

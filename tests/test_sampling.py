@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conevol.cones import Circular, Orthant
+from conevol.cones import Circular, Orthant, Product
 from conevol.sampling import (
     MomentAccumulator,
     MonteCarloConfig,
     counter_uniforms,
     gaussian_block,
+    map_chunks,
     resolve_workers,
     run_summary,
+)
+from conevol.steiner import (
+    empirical_steiner_cdf,
+    phi_mc,
+    preset_functionals,
+    subspace_moment,
+    wills_mc,
 )
 
 # ---------------------------------------------------------------------------
@@ -38,12 +46,6 @@ def test_gaussian_block_is_chunk_layout_invariant():
     whole = gaussian_block(7, 0, 12, 5, 12)
     parts = np.vstack([gaussian_block(7, i, 4, 5, 4) for i in range(3)])
     assert np.array_equal(whole, parts)
-
-
-def test_gaussian_block_slot_offset_changes_stream():
-    base = gaussian_block(7, 0, 8, 4, 8)
-    shifted = gaussian_block(7, 0, 8, 4, 8, slot_offset=2)
-    assert not np.allclose(base, shifted)
 
 
 def test_gaussian_block_moments():
@@ -166,6 +168,38 @@ def test_run_summary_identical_across_worker_counts():
     assert np.array_equal(a.face_hist, b.face_hist)
     assert np.array_equal(a.reservoir_s, b.reservoir_s)
     assert np.array_equal(a.reservoir_t, b.reservoir_t)
+
+
+def test_map_chunks_returns_results_in_chunk_order():
+    cfg = MonteCarloConfig(seed=1, total_samples=5_000, chunk_size=1024)
+    got = map_chunks(Orthant(3), cfg, lambda index, s, t, fd: (index, s.shape[0]),
+                     workers=3)
+    assert got == cfg.chunks()
+
+
+_CONE = Product(Orthant(3), Circular(4, 0.6))
+_MC_PATHS = {
+    "phi_mc": lambda cfg: phi_mc(_CONE, preset_functionals()["min_a_10"], cfg),
+    "wills_mc_0.5": lambda cfg: wills_mc(_CONE, 0.5, cfg),
+    "wills_mc_1.5": lambda cfg: wills_mc(_CONE, 1.5, cfg),
+    "steiner_cdf_gaussian": lambda cfg: empirical_steiner_cdf(
+        _CONE, [0.5, 2.0, 8.0], cfg, kind="gaussian"),
+    "steiner_cdf_spherical": lambda cfg: empirical_steiner_cdf(
+        _CONE, [0.25, 0.5, 0.75], cfg, kind="spherical"),
+    "subspace_moment": lambda cfg: subspace_moment(
+        preset_functionals()["min_a_10"], 3, 7, cfg),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_MC_PATHS))
+def test_monte_carlo_paths_identical_across_worker_counts(monkeypatch, path):
+    cfg = MonteCarloConfig(seed=4, total_samples=5_000, chunk_size=1024)
+    assert len(cfg.chunks()) >= 4
+    monkeypatch.setenv("CONEVOL_THREADS", "1")
+    single = _MC_PATHS[path](cfg)
+    monkeypatch.setenv("CONEVOL_THREADS", "4")
+    multi = _MC_PATHS[path](cfg)
+    assert np.array_equal(np.asarray(single), np.asarray(multi))
 
 
 def test_run_summary_contents():

@@ -183,7 +183,8 @@ def _cmd_steiner(args, parser):
         else:
             grid = [0.25, 0.5, 0.75, 1.0]
         mix_fn = gaussian_steiner_cdf if args.check == "gaussian" else spherical_steiner_cdf
-        emp, emp_se = empirical_steiner_cdf(cone, grid, config, kind=args.check)
+        emp, emp_se = empirical_steiner_cdf(cone, grid, config, kind=args.check,
+                                            workers=args.workers)
         d = prof.d
         for i, lam in enumerate(grid):
             mix = mix_fn(prof, lam)
@@ -199,8 +200,8 @@ def _cmd_steiner(args, parser):
         header = ["lambda", "mixture", "mc", "diff", "se"]
     else:
         for name, f in sorted(preset_functionals().items()):
-            mval, mse = master_phi(f, prof, config)
-            dval, dse = phi_mc(cone, f, config)
+            mval, mse = master_phi(f, prof, config, workers=args.workers)
+            dval, dse = phi_mc(cone, f, config, workers=args.workers)
             se = math.hypot(mse, dse)
             diff = abs(mval - dval)
             bad = bad or diff > 4.0 * se + 0.01
@@ -214,7 +215,7 @@ def _cmd_wills(args, parser):
     cone = parse_cone_spec(args.cone)
     prof = _profile_for(cone, args, seed_shift=1)
     poly = wills_functional(prof, args.lam)
-    mc, se = wills_mc(cone, args.lam, _mc_config(args))
+    mc, se = wills_mc(cone, args.lam, _mc_config(args), workers=args.workers)
     payload = {"cone": cone_to_spec(cone), "lambda": args.lam,
                "polynomial": float(poly), "mc": float(mc), "mc_se": float(se),
                "samples": args.samples, "seed": args.seed}

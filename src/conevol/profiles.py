@@ -22,7 +22,7 @@ from .cones import (Orthant, Polar, Product, Subspace, Trivial, ambient_dim,
 from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
 from .linalg import dd_add, dd_mul, dd_sqrt
-from .sampling import MonteCarloConfig, run_summary
+from .sampling import run_summary
 from .special import binomial_pmf, gauss_legendre
 
 _LN2 = math.log(2.0)
@@ -385,6 +385,8 @@ def _summary_for(cone, config, workers, summary):
     if summary.dim != ambient_dim(cone):
         raise DimensionMismatchError(
             f"summary is of a cone in R^{summary.dim}, cone lives in R^{ambient_dim(cone)}")
+    if summary.cone != cone:
+        raise UnsupportedConeError(f"summary is of {summary.cone!r}, not of {cone!r}")
     return summary
 
 
@@ -395,8 +397,6 @@ def estimate_profile_face(cone, config, workers=None, summary=None):
             f"{type(cone).__name__} has no face-dimension sampler; "
             "use the biorthogonal or mixture estimator")
     summary = _summary_for(cone, config, workers, summary)
-    if summary.face_hist is None:
-        raise UnsupportedConeError("summary has no face-dimension histogram")
     n = summary.count
     v = summary.face_hist.astype(float) / n
     stderr = np.sqrt(v * (1.0 - v) / n)

@@ -22,7 +22,7 @@ from .profiles import (build_biorthogonal, chi_expectation_quadrature,
                        estimate_profile_biorthogonal, estimate_profile_face,
                        exact_profile, intrinsic_variance,
                        statistical_dimension)
-from .sampling import MomentAccumulator, MonteCarloConfig, run_summary
+from .sampling import MonteCarloConfig, run_summary
 from .special import binomial_tail
 from .steiner import (chi_bar_squared, empirical_steiner_cdf,
                       gaussian_steiner_cdf, master_phi, phi_mc,
@@ -114,13 +114,13 @@ def _c06_steiner_cdfs(base, ns, workers, cache):
     prof = exact_profile(Orthant(8))
     grid_g = [0.5, 1.0, 2.0, 4.0, 8.0]
     emp_g, _ = empirical_steiner_cdf(Orthant(8), grid_g,
-                                     _config(base + 606, ns["c6"]))
+                                     _config(base + 606, ns["c6"]), workers=workers)
     worst_g = max(abs(gaussian_steiner_cdf(prof, lam) - float(emp_g[i]))
                   for i, lam in enumerate(grid_g))
     grid_s = [0.25, 0.5, 0.75, 1.0]
     emp_s, _ = empirical_steiner_cdf(Orthant(8), grid_s,
                                      _config(base + 607, ns["c6"]),
-                                     kind="spherical")
+                                     kind="spherical", workers=workers)
     worst_s = max(abs(spherical_steiner_cdf(prof, lam) - float(emp_s[i]))
                   for i, lam in enumerate(grid_s))
     passed = worst_g <= 0.01 and worst_s <= 0.01
@@ -134,8 +134,8 @@ def _c07_master_functionals(base, ns, workers, cache):
     worst_name, worst_z = "", 0.0
     for name in ("a", "a2", "exp_a4", "min_a_10"):
         f = presets[name]
-        mval, mse = master_phi(f, prof, _config(base + 707, ns["c7"]))
-        dval, dse = phi_mc(Orthant(8), f, _config(base + 708, ns["c7"]))
+        mval, mse = master_phi(f, prof, _config(base + 707, ns["c7"]), workers=workers)
+        dval, dse = phi_mc(Orthant(8), f, _config(base + 708, ns["c7"]), workers=workers)
         se = math.hypot(mse, dse)
         if se > 0.0:
             z = abs(mval - dval) / se
@@ -279,7 +279,7 @@ def _c13_wills(base, ns, workers, cache):
     prof = exact_profile(Orthant(8))
     poly = wills_functional(prof, 0.5)
     poly_err = abs(poly - 0.1001129150390625)
-    mc, se = wills_mc(Orthant(8), 0.5, _config(base + 1313, ns["c13"]))
+    mc, se = wills_mc(Orthant(8), 0.5, _config(base + 1313, ns["c13"]), workers=workers)
     mc_err = abs(mc - poly)
     passed = poly_err <= 1e-15 and mc_err <= 0.005
     return passed, (f"polynomial err {poly_err:.1e} (tol 1e-15); "
@@ -300,7 +300,7 @@ def _determinism_blob(seed, workers, n):
     law = chi_bar_squared(exact_profile(Orthant(8)))
     draws = law.sample(MonteCarloConfig(seed=seed, total_samples=min(n, 20_000)))
     parts.append("%.17g" % float(draws.mean()))
-    emp, _ = empirical_steiner_cdf(Orthant(8), [0.5, 2.0], config)
+    emp, _ = empirical_steiner_cdf(Orthant(8), [0.5, 2.0], config, workers=workers)
     parts.extend("%.17g" % float(x) for x in emp)
     return ",".join(parts)
 

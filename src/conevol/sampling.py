@@ -8,7 +8,8 @@ each Gaussian coordinate pair owns a 128-counter slot inside that block
 for its polar Box-Muller rejection attempts.  Draw j of chunk i is
 therefore a pure function of (seed, i, j): results never depend on how
 many chunks are processed, in what order, or on how many worker threads
-ran them.
+ran them.  For the same reason gaussian_block draws a block in
+cache-sized row tiles without changing a single value.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
@@ -40,15 +41,24 @@ _INV_2_53 = 2.0 ** -53
 SAMPLE_BLOCK_BITS = 20          # counters reserved per sample
 PAIR_SLOT_BITS = 7              # counters per Box-Muller coordinate pair
 _MAX_PAIR_ATTEMPTS = 64         # rejection cap; P(fail) < (1 - pi/4)**64
+_TILE_PAIRS = 1 << 15           # pairs per row tile: 256 KB per float64 temporary
 
 
 def counter_uniforms(seed, counters):
     """Uniform [0, 1) draws indexed by absolute counter values (uint64)."""
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + _U64_ONE) * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    # in place on one fresh array: uint64 arithmetic wraps mod 2**64
+    z = counters + _U64_ONE
+    z *= _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z ^= z >> np.uint64(30)
+    z *= _MIX_A
+    z ^= z >> np.uint64(27)
+    z *= _MIX_B
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def _sample_bases(chunk_index, count, chunk_size):
@@ -57,43 +67,67 @@ def _sample_bases(chunk_index, count, chunk_size):
     return gidx << np.uint64(SAMPLE_BLOCK_BITS)
 
 
+def _polar_attempt(seed, counters):
+    # one polar Box-Muller attempt per pair: (u, v, ssq, accepted)
+    u = counter_uniforms(seed, counters)
+    u *= 2.0
+    u -= 1.0
+    v = counter_uniforms(seed, counters + _U64_ONE)
+    v *= 2.0
+    v -= 1.0
+    ssq = u * u
+    ssq += v * v
+    return u, v, ssq, (ssq < 1.0) & (ssq > 0.0)
+
+
 def gaussian_block(seed, chunk_index, count, dim, chunk_size):
     """Standard normal block of shape (count, dim) for one chunk.
 
     Polar Box-Muller: each coordinate pair repeatedly draws a point of
     the square [-1, 1)^2 from its own counter slot until it lands inside
-    the unit disk.
+    the unit disk, at most _MAX_PAIR_ATTEMPTS times.
+
+    The block is drawn in row tiles of about _TILE_PAIRS pairs so that
+    the temporaries stay cache-sized.  Every value is a pure function of
+    its counters, so the tiling changes no value: a tile takes attempt 0
+    for all of its pairs at once and retries only the rejected ones.
     """
     n_pairs = (dim + 1) // 2
     if (n_pairs << PAIR_SLOT_BITS) > (1 << SAMPLE_BLOCK_BITS):
         raise ValueError("dimension exceeds the per-sample counter budget")
+    if _MAX_PAIR_ATTEMPTS < 1:
+        raise NonConvergenceError("Box-Muller rejection cap exceeded", _MAX_PAIR_ATTEMPTS)
     bases = _sample_bases(chunk_index, count, chunk_size)
     slots = np.arange(n_pairs, dtype=np.uint64) << np.uint64(PAIR_SLOT_BITS)
-    flat = (bases[:, None] + slots[None, :]).ravel()
-    total = flat.shape[0]
-    out_x = np.empty(total)
-    out_y = np.empty(total)
-    pending = np.arange(total)
-    for attempt in range(_MAX_PAIR_ATTEMPTS):
-        c0 = flat[pending] + np.uint64(2 * attempt)
-        u = 2.0 * counter_uniforms(seed, c0) - 1.0
-        v = 2.0 * counter_uniforms(seed, c0 + _U64_ONE) - 1.0
-        ssq = u * u + v * v
-        ok = (ssq < 1.0) & (ssq > 0.0)
-        if ok.any():
+    out = np.empty((count, n_pairs, 2))
+    rows = _TILE_PAIRS // max(1, n_pairs)   # n_pairs <= 2**13 by the budget above
+    for r0 in range(0, count, rows):
+        counters = bases[r0:r0 + rows, None] + slots[None, :]
+        tile = out[r0:r0 + rows]
+        u, v, ssq, ok = _polar_attempt(seed, counters)
+        # rejected pairs get NaN or inf here and are overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.log(ssq)
+            factor *= -2.0
+            factor /= ssq
+            np.sqrt(factor, out=factor)
+        np.multiply(u, factor, out=tile[..., 0])
+        np.multiply(v, factor, out=tile[..., 1])
+        pending = np.flatnonzero(~ok)
+        flat_counters, flat_tile = counters.ravel(), tile.reshape(-1, 2)
+        for attempt in range(1, _MAX_PAIR_ATTEMPTS):
+            if pending.size == 0:
+                break
+            u, v, ssq, ok = _polar_attempt(
+                seed, flat_counters[pending] + np.uint64(2 * attempt))
             factor = np.sqrt(-2.0 * np.log(ssq[ok]) / ssq[ok])
             hit = pending[ok]
-            out_x[hit] = u[ok] * factor
-            out_y[hit] = v[ok] * factor
+            flat_tile[hit, 0] = u[ok] * factor
+            flat_tile[hit, 1] = v[ok] * factor
             pending = pending[~ok]
-        if pending.size == 0:
-            break
-    else:
-        raise NonConvergenceError("Box-Muller rejection cap exceeded", _MAX_PAIR_ATTEMPTS)
-    out = np.empty((count, 2 * n_pairs))
-    out[:, 0::2] = out_x.reshape(count, n_pairs)
-    out[:, 1::2] = out_y.reshape(count, n_pairs)
-    return out[:, :dim]
+        if pending.size:
+            raise NonConvergenceError("Box-Muller rejection cap exceeded", _MAX_PAIR_ATTEMPTS)
+    return out.reshape(count, 2 * n_pairs)[:, :dim]
 
 
 @dataclass(frozen=True)
@@ -185,7 +219,12 @@ class MomentAccumulator:
 
 @dataclass
 class SampleSummary:
-    """Streaming summary of the squared projection / residual norms."""
+    """Streaming summary of the squared projection / residual norms.
+
+    cone is the cone that was sampled; estimators given a summary check
+    it against the cone they are asked about.
+    """
+    cone: object
     dim: int
     count: int
     s_moments: MomentAccumulator
@@ -264,6 +303,7 @@ def run_summary(cone, config, workers=None):
 
     s_parts, t_parts, hists, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
     return SampleSummary(
+        cone=cone,
         dim=dim,
         count=config.total_samples,
         s_moments=reduce(MomentAccumulator.merge, s_parts, MomentAccumulator()),

@@ -10,6 +10,8 @@ these results digit for digit.
 """
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,14 +195,17 @@ def binomial_tail(n, p, k):
 # Quadrature rules
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights of a Gauss rule."""
+    """Nodes and weights of a Gauss rule, held in read-only arrays."""
+    nodes: np.ndarray
+    weights: np.ndarray
 
-    __slots__ = ("nodes", "weights")
-
-    def __init__(self, nodes, weights):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def gauss_legendre(n, a=-1.0, b=1.0):
@@ -295,13 +300,15 @@ def _laguerre_nodes_bisect(n, alpha):
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=1024)
 def gauss_laguerre(n, alpha=0.0):
     """Generalized Gauss-Laguerre rule, normalized to the gamma density.
 
     Integrates f against x^alpha e^-x / Gamma(alpha+1) on [0, inf):
     sum(w * f(x)) with sum(w) = 1, so rules stay finite for large alpha.
     Nodes from Sturm bisection on the recurrence's Jacobi matrix,
-    polished by Newton steps.
+    polished by Newton steps.  Rules are memoized per (n, alpha); every
+    caller shares the one read-only rule.
     """
     if n < 1:
         raise ValueError("need at least one node")

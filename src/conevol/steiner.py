@@ -95,7 +95,7 @@ def _scaled_chi_rule(dof, xi, n=96):
     return s, mult, sigma ** (-0.5 * dof)
 
 
-def subspace_moment(f, k, d, config=None):
+def subspace_moment(f, k, d, config=None, workers=None):
     """(E[f(X_k, X'_{d-k})], stderr) with independent chi-square arguments.
 
     Smooth functionals integrate on a 96x96 tensorized Gauss-Laguerre
@@ -137,10 +137,10 @@ def subspace_moment(f, k, d, config=None):
         config = _DEFAULT_MC
     if d == 0:
         return float(np.asarray(f(np.zeros(1), np.zeros(1)))[0]), 0.0
-    return phi_mc(Subspace(k, d), f, config)
+    return phi_mc(Subspace(k, d), f, config, workers)
 
 
-def master_phi(f, profile, config=None):
+def master_phi(f, profile, config=None, workers=None):
     """(value, stderr) of the profile-weighted sum of subspace moments.
 
     The profile is treated as a vector of fixed weights; only Monte
@@ -154,17 +154,22 @@ def master_phi(f, profile, config=None):
         cfg_k = None
         if config is not None:
             cfg_k = replace(config, seed=config.seed + 7919 * k)
-        value, se = subspace_moment(f, k, d, config=cfg_k)
+        value, se = subspace_moment(f, k, d, config=cfg_k, workers=workers)
         total += profile.v[k] * value
         var += (profile.v[k] * se) ** 2
     return total, math.sqrt(var)
 
 
-def phi_mc(cone, f, config):
+def phi_mc(cone, f, config, workers=None):
     """Direct Monte Carlo (value, stderr) of E f(s, t) over the cone's
-    Gaussian projection stream; the oracle side of the master identity."""
+    Gaussian projection stream; the oracle side of the master identity.
+
+    workers is passed to map_chunks, as by every Monte Carlo function
+    here: it sets the thread count and never changes the result.
+    """
     parts = map_chunks(cone, config,
-                       lambda index, s, t, fd: MomentAccumulator.from_values(f(s, t)))
+                       lambda index, s, t, fd: MomentAccumulator.from_values(f(s, t)),
+                       workers)
     acc = reduce(MomentAccumulator.merge, parts, MomentAccumulator())
     return acc.mean, acc.se_mean
 
@@ -197,7 +202,7 @@ def spherical_steiner_cdf(profile, lam):
     return float(total)
 
 
-def empirical_steiner_cdf(cone, lam_grid, config, kind="gaussian"):
+def empirical_steiner_cdf(cone, lam_grid, config, kind="gaussian", workers=None):
     """Monte Carlo estimates of the expansion CDFs on a grid.
 
     gaussian: fraction of samples with dist^2(g, C) <= lam.
@@ -212,7 +217,7 @@ def empirical_steiner_cdf(cone, lam_grid, config, kind="gaussian"):
         vals = t if kind == "gaussian" else t / (s + t)
         return (vals[None, :] <= lam_grid[:, None]).sum(axis=1)
 
-    counts = sum(map_chunks(cone, config, count_below))
+    counts = sum(map_chunks(cone, config, count_below, workers))
     n = config.total_samples
     p = counts / n
     return p, np.sqrt(p * (1.0 - p) / n)
@@ -304,7 +309,7 @@ def wills_functional(profile, lam):
     return float(np.dot(powers, profile.v))
 
 
-def wills_mc(cone, lam, config):
+def wills_mc(cone, lam, config, workers=None):
     """(estimate, stderr) of the Wills functional by Monte Carlo.
 
     The target is lam^d * E exp(xi * dist^2(g, C)) with xi = (1-lam^2)/2.
@@ -327,6 +332,6 @@ def wills_mc(cone, lam, config):
     else:
         def integrand(s, t):
             return np.exp(xi * t)
-    mean, se = phi_mc(cone, integrand, config)
+    mean, se = phi_mc(cone, integrand, config, workers)
     scale = lam ** d
     return scale * mean, scale * se

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conevol import sampling
+from conevol import sampling, steiner
 from conevol.cli import build_parser, cone_to_spec, main, parse_cone_spec
 from conevol.cones import (
     Circular,
@@ -311,6 +311,26 @@ def test_steiner_master_check(capsys):
     assert rows[0][0] == "functional"
     names = [r[0] for r in rows[1:]]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize("argv", [
+    ["steiner", "--check", "gaussian"],
+    ["steiner", "--check", "master"],
+    ["wills", "--lambda", "0.5"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_steiner_and_wills_honour_workers(capsys, monkeypatch, argv):
+    seen = []
+    real = steiner.map_chunks
+
+    def spy(cone, config, fn, workers=None):
+        seen.append(workers)
+        return real(cone, config, fn, workers)
+    monkeypatch.setattr(steiner, "map_chunks", spy)
+    runs = [_run(capsys, argv + ["--cone", "orthant:4", "--samples", "40000",
+                                 "--workers", w]) for w in ("1", "3")]
+    assert runs[0][0] == 0
+    assert runs[0][:2] == runs[1][:2]
+    assert set(seen) == {1, 3}
 
 
 def test_product_check_agrees(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conevol.cones import (
     Circular,
+    Generators,
     Orthant,
     Polar,
     Product,
@@ -300,6 +301,32 @@ def test_estimators_reject_a_summary_of_another_dimension():
                      estimate_profile_mixture):
         with pytest.raises(DimensionMismatchError):
             estimate(Orthant(6), cfg, summary=summary)
+
+
+def test_estimators_reject_a_summary_of_another_cone():
+    cfg = MonteCarloConfig(seed=6, total_samples=2_000)
+    summary = run_summary(Subspace(2, 5), cfg)
+    for estimate in (estimate_profile_face, estimate_profile_biorthogonal,
+                     estimate_profile_mixture):
+        with pytest.raises(UnsupportedConeError, match="Subspace"):
+            estimate(Orthant(5), cfg, summary=summary)
+    circ = run_summary(Circular(5, 0.6), cfg)
+    with pytest.raises(UnsupportedConeError):
+        estimate_profile_biorthogonal(Polar(Circular(5, 0.6)), cfg, summary=circ)
+    with pytest.raises(UnsupportedConeError):
+        estimate_profile_biorthogonal(Circular(5, 0.7), cfg, summary=circ)
+
+
+def test_estimators_accept_a_summary_of_an_equal_cone():
+    cfg = MonteCarloConfig(seed=6, total_samples=2_000)
+    summary = run_summary(Circular(5, 0.6), cfg)
+    a = estimate_profile_biorthogonal(Circular(5, 0.6), cfg, summary=summary)
+    b = estimate_profile_biorthogonal(Circular(5, 0.6), cfg)
+    assert np.array_equal(a.v, b.v)
+    gens = np.eye(4)
+    summary = run_summary(Generators(gens), cfg)
+    a = estimate_profile_face(Generators(gens.copy()), cfg, summary=summary)
+    assert np.array_equal(a.v, estimate_profile_face(Orthant(4), cfg).v)
 
 
 def test_face_estimator_rejects_a_summary_without_face_counts():

@@ -1,4 +1,5 @@
 # Standard libraries
+import hashlib
 import math
 
 # External libraries
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conevol import sampling
 from conevol.cones import Circular, Orthant, Product
+from conevol.exceptions import NonConvergenceError
 from conevol.sampling import (
     MomentAccumulator,
     MonteCarloConfig,
@@ -39,6 +42,88 @@ def test_counter_uniforms_are_pure_functions_of_inputs():
     assert np.all((a >= 0.0) & (a < 1.0))
     # no collisions across distinct counters in a small window
     assert np.unique(a).size == a.size
+
+
+def _reference_gaussian_block(seed, chunk_index, count, dim, chunk_size):
+    """The untiled sampler, which gaussian_block must match bit for bit:
+    every attempt runs over all still-pending pairs of the whole block.
+    Also returns the number of attempts each pair took."""
+    n_pairs = (dim + 1) // 2
+    first = np.uint64(chunk_index) * np.uint64(chunk_size)
+    bases = (first + np.arange(count, dtype=np.uint64)) << np.uint64(
+        sampling.SAMPLE_BLOCK_BITS)
+    slots = np.arange(n_pairs, dtype=np.uint64) << np.uint64(sampling.PAIR_SLOT_BITS)
+    flat = (bases[:, None] + slots[None, :]).ravel()
+    out_x = np.empty(flat.shape[0])
+    out_y = np.empty(flat.shape[0])
+    attempts = np.zeros(flat.shape[0], dtype=int)
+    pending = np.arange(flat.shape[0])
+    for attempt in range(64):
+        c0 = flat[pending] + np.uint64(2 * attempt)
+        u = 2.0 * counter_uniforms(seed, c0) - 1.0
+        v = 2.0 * counter_uniforms(seed, c0 + np.uint64(1)) - 1.0
+        ssq = u * u + v * v
+        ok = (ssq < 1.0) & (ssq > 0.0)
+        if ok.any():
+            factor = np.sqrt(-2.0 * np.log(ssq[ok]) / ssq[ok])
+            hit = pending[ok]
+            out_x[hit] = u[ok] * factor
+            out_y[hit] = v[ok] * factor
+            attempts[hit] = attempt + 1
+            pending = pending[~ok]
+        if pending.size == 0:
+            break
+    out = np.empty((count, 2 * n_pairs))
+    out[:, 0::2] = out_x.reshape(count, n_pairs)
+    out[:, 1::2] = out_y.reshape(count, n_pairs)
+    return out[:, :dim], attempts
+
+
+# (seed, chunk_index, count, dim, chunk_size).  Row tiles hold about
+# 2**15 pairs: dim 400 gives 163-row tiles, the largest dim (16384, 8192
+# pairs) 4-row tiles; no count below is a multiple of its tile rows.
+_PINNED_CASES = [
+    (0, 0, 1, 1, 1),                  # count 1, a single coordinate
+    (7, 0, 1, 5, 1),                  # count 1, odd dim
+    (3, 2, 1000, 400, 1000),          # dim 400, chunk_index > 0, 7 tiles
+    (11, 1, 9, 16384, 9),             # largest dim, 3 tiles
+    (2**64 - 1, 5, 333, 31, 4096),    # largest seed, odd dim
+    (1, 0, 20000, 8, 20000),          # 80000 pairs; thousands need >= 3 attempts
+]
+# SHA-256 of the blocks above, computed with the untiled sampler
+_PINNED_SHA256 = "a90b48ed4b6513cfb704d24ef58f3f2aae0633417efd15d819115e65bbe81cc3"
+
+
+@pytest.mark.parametrize("case", _PINNED_CASES, ids=str)
+def test_gaussian_block_matches_untiled_reference(case):
+    got = gaussian_block(*case)
+    assert got.shape == (case[2], case[3])
+    assert np.array_equal(got, _reference_gaussian_block(*case)[0])
+
+
+def test_gaussian_block_digest_is_pinned():
+    digest = hashlib.sha256()
+    for case in _PINNED_CASES:
+        digest.update(np.ascontiguousarray(gaussian_block(*case)).tobytes())
+    assert digest.hexdigest() == _PINNED_SHA256
+
+
+def test_pinned_cases_exercise_repeated_rejection():
+    _, needed = _reference_gaussian_block(1, 0, 20000, 8, 20000)
+    assert np.count_nonzero(needed >= 3) > 1000
+    assert needed.max() >= 6
+
+
+def test_rejection_cap_counts_attempts(monkeypatch):
+    reference, attempts = _reference_gaussian_block(5, 0, 200, 8, 200)
+    needed = int(attempts.max())
+    assert needed >= 3
+    monkeypatch.setattr(sampling, "_MAX_PAIR_ATTEMPTS", needed)
+    assert np.array_equal(gaussian_block(5, 0, 200, 8, 200), reference)
+    for cap in (needed - 1, 1):
+        monkeypatch.setattr(sampling, "_MAX_PAIR_ATTEMPTS", cap)
+        with pytest.raises(NonConvergenceError):
+            gaussian_block(5, 0, 200, 8, 200)
 
 
 def test_gaussian_block_is_chunk_layout_invariant():

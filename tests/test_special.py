@@ -216,6 +216,24 @@ def test_gauss_laguerre_gamma_moments():
         assert float(rule.weights @ rule.nodes**m) == pytest.approx(expect, rel=1e-12)
 
 
+def test_gauss_laguerre_is_memoized_and_read_only():
+    rule = gauss_laguerre(96, 2.5)
+    assert gauss_laguerre(96, 2.5) is rule
+    fresh = gauss_laguerre.__wrapped__(96, 2.5)
+    assert fresh is not rule
+    assert np.array_equal(rule.nodes, fresh.nodes)
+    assert np.array_equal(rule.weights, fresh.weights)
+    with pytest.raises(ValueError, match="read-only"):
+        rule.nodes[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rule.weights *= 2.0
+    with pytest.raises(AttributeError):
+        rule.nodes = np.zeros(96)
+    again = gauss_laguerre(96, 2.5)
+    assert np.array_equal(again.nodes, fresh.nodes)
+    assert np.array_equal(again.weights, fresh.weights)
+
+
 def test_tanh_sinh_handles_endpoint_singularities():
     x, w = tanh_sinh_rule(0.0, 1.0)
     assert float(w @ np.log(x)) == pytest.approx(-1.0, abs=1e-12)

@@ -23,7 +23,7 @@ from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
 from .linalg import dd_add, dd_mul, dd_sqrt
 from .sampling import run_summary
-from .special import binomial_pmf, gauss_legendre
+from .special import gauss_legendre
 
 _LN2 = math.log(2.0)
 
@@ -110,20 +110,6 @@ def exact_profile(cone):
         return reverse_profile(exact_profile(cone.inner))
     raise UnsupportedConeError(
         f"no closed-form profile for {type(cone).__name__}; use an estimator")
-
-
-def circular_odd_profile(d, alpha):
-    """Odd-index intrinsic volumes of the circular cone Circ_d(alpha) for
-    even d = 2(n+1): returns an array h of length n+1 with
-    v_{2k+1} = h[k] = binomial_pmf(n, sin(alpha)^2, k) / 2.
-    """
-    if d % 2 != 0 or d < 2:
-        raise ValueError(f"closed form needs even d >= 2, got {d}")
-    if not 0.0 <= alpha <= math.pi / 2:
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
-    n = d // 2 - 1
-    q = math.sin(alpha) ** 2
-    return np.array([0.5 * binomial_pmf(n, q, k) for k in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +253,19 @@ class BiorthogonalSystem:
     condition: float
     residual: float
 
-    def evaluate(self, s):
-        """Matrix F with F[j-1, i] = f_j(s_i), shape (d, len(s))."""
+    def evaluate(self, s, rows=None):
+        """Matrix F with F[j-1, i] = f_j(s_i), shape (d, len(s)); given
+        rows (indices j-1), only those rows, in that order, are computed."""
         s = np.asarray(s, dtype=float).ravel()
-        out = np.empty((self.d, s.size))
+        rows = range(self.d) if rows is None else list(rows)
+        out = np.empty((len(rows), s.size))
         step = 1 << 16
         for start in range(0, s.size, step):
             block = s[start:start + step]
-            out[:, start:start + block.size] = self._evaluate_block(block)
+            out[:, start:start + block.size] = self._evaluate_block(block, rows)
         return out
 
-    def _evaluate_block(self, s):
+    def _evaluate_block(self, s, rows):
         d = self.d
         uh, ul = dd_sqrt(0.5 * s)
         pw_h = [np.ones_like(s)]
@@ -287,15 +275,15 @@ class BiorthogonalSystem:
             pw_h.append(h)
             pw_l.append(l)
         damp = np.exp(-0.5 * s)
-        out = np.empty((d, s.size))
-        for j in range(d):
+        out = np.empty((len(rows), s.size))
+        for i, j in enumerate(rows):
             acc_h = np.zeros_like(s)
             acc_l = np.zeros_like(s)
             for k in range(1, d + 1):
                 th, tl = dd_mul(pw_h[k], pw_l[k],
                                 self.poly_hi[j, k - 1], self.poly_lo[j, k - 1])
                 acc_h, acc_l = dd_add(acc_h, acc_l, th, tl)
-            out[j] = damp * (acc_h + acc_l)
+            out[i] = damp * (acc_h + acc_l)
         return out
 
 
@@ -424,7 +412,7 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     stderr = np.empty(d + 1)
     raw[1:] = fs.mean(axis=1)
     stderr[1:] = fs.std(axis=1, ddof=1) / math.sqrt(n)
-    ft = system.evaluate(t)[d - 1]
+    ft = system.evaluate(t, rows=[d - 1])[0]
     raw[0] = ft.mean()
     stderr[0] = ft.std(ddof=1) / math.sqrt(n)
     return profile_from_raw(d, raw, stderr, "mc_biorthogonal")

@@ -153,7 +153,7 @@ def _c08_biorthogonal(base, ns, workers, cache):
         for j in range(1, d + 1):
             for k in range(1, d + 1):
                 val = chi_expectation_quadrature(
-                    lambda s, j=j: system.evaluate(s)[j - 1], k)
+                    lambda s, j=j: system.evaluate(s, rows=[j - 1])[0], k)
                 worst_pair = max(worst_pair, abs(val - float(j == k)))
     config = _config(base + 808, ns["c8"], cap=ns["c8"])
     prof = estimate_profile_biorthogonal(Orthant(8), config, workers=workers)

@@ -208,12 +208,14 @@ class QuadratureRule:
             object.__setattr__(self, name, values)
 
 
+@lru_cache(maxsize=1024)
 def gauss_legendre(n, a=-1.0, b=1.0):
     """Gauss-Legendre rule with n nodes on [a, b].
 
     Newton iteration on the three-term recurrence, started from the
     classical Chebyshev-based guesses; converges in a handful of steps
-    for any practical n.
+    for any practical n.  Rules are memoized per (n, a, b); every caller
+    shares the one read-only rule.
     """
     if n < 1:
         raise ValueError("need at least one node")

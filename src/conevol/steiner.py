@@ -11,7 +11,7 @@ identities.
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -78,21 +78,27 @@ def preset_functionals():
     }
 
 
+@lru_cache(maxsize=1024)
 def _scaled_chi_rule(dof, xi, n=96):
     """Nodes, weights and prefactor so that E[g(X_dof)] = pref * sum(w * g(s)).
 
     Exponential tilting: substituting y = (1 - 2 xi) s / 2 into the
     chi-square density makes the rule exact for g(s) = exp(xi*s) * poly(s),
     which is what the exponential growth tag promises.  dof = 0 is the
-    point mass at the origin.
+    point mass at the origin.  Memoized per (dof, xi, n), as gauss_laguerre
+    is; the arrays are read-only.
     """
     if dof == 0:
-        return np.zeros(1), np.ones(1), 1.0
-    sigma = 1.0 - 2.0 * xi
-    rule = gauss_laguerre(n, 0.5 * dof - 1.0)
-    s = 2.0 * rule.nodes / sigma
-    mult = rule.weights * np.exp(-2.0 * xi * rule.nodes / sigma)
-    return s, mult, sigma ** (-0.5 * dof)
+        s, mult, pref = np.zeros(1), np.ones(1), 1.0
+    else:
+        sigma = 1.0 - 2.0 * xi
+        rule = gauss_laguerre(n, 0.5 * dof - 1.0)
+        s = 2.0 * rule.nodes / sigma
+        mult = rule.weights * np.exp(-2.0 * xi * rule.nodes / sigma)
+        pref = sigma ** (-0.5 * dof)
+    s.setflags(write=False)
+    mult.setflags(write=False)
+    return s, mult, pref
 
 
 def subspace_moment(f, k, d, config=None, workers=None):

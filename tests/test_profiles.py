@@ -26,7 +26,6 @@ from conevol.profiles import (
     IntrinsicVolumeProfile,
     build_biorthogonal,
     chi_expectation_quadrature,
-    circular_odd_profile,
     estimate_profile_biorthogonal,
     estimate_profile_face,
     estimate_profile_mixture,
@@ -92,6 +91,15 @@ def test_orthant_profile_sums_to_one(d):
     assert np.array_equal(v, v[::-1])  # self-polar
 
 
+def circular_odd_profile(d, alpha):
+    """Odd coordinates of the circular cone's profile, an oracle for
+    estimates on Circ_d(alpha) with even d = 2(n+1):
+    v_{2k+1} = h[k] = C(n, k) sin^2k(alpha) cos^2(n-k)(alpha) / 2."""
+    n = d // 2 - 1
+    p, q = math.sin(alpha) ** 2, math.cos(alpha) ** 2
+    return np.array([0.5 * math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)])
+
+
 def test_circular_odd_profile_values():
     # d = 4: the two odd entries are cos^2(alpha)/2 and sin^2(alpha)/2
     h = circular_odd_profile(4, 0.7)
@@ -109,11 +117,12 @@ def test_circular_odd_profile_soc_is_central_binomial():
     assert np.allclose(h, [0.5 * math.comb(n, k) / 2.0**n for k in range(n + 1)])
 
 
-def test_circular_odd_profile_validation():
-    with pytest.raises(ValueError):
-        circular_odd_profile(5, 0.3)
-    with pytest.raises(ValueError):
-        circular_odd_profile(6, 2.0)
+def test_biorthogonal_estimate_matches_circular_odd_coordinates():
+    cone = Circular(4, 0.6)
+    cfg = MonteCarloConfig(seed=0, total_samples=50_000, reservoir_cap=50_000)
+    prof = estimate_profile_biorthogonal(cone, cfg)
+    z = np.abs(prof.raw_v[1::2] - circular_odd_profile(4, 0.6)) / prof.stderr[1::2]
+    assert np.all(z <= 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +192,15 @@ def test_biorthogonal_first_dimension_closed_form():
     # single function: E[f_1(X_1)] = 1 enforced directly
     val = chi_expectation_quadrature(lambda s: system.evaluate(s)[0], 1)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+def test_biorthogonal_evaluate_rows_match_full_matrix():
+    system = build_biorthogonal(8)
+    s = np.linspace(0.0, 40.0, 1001)
+    full = system.evaluate(s)
+    assert full.shape == (8, 1001)
+    assert np.array_equal(system.evaluate(s, rows=[7]), full[7:])
+    assert np.array_equal(system.evaluate(s, rows=[5, 0, 2]), full[[5, 0, 2]])
 
 
 @pytest.mark.parametrize("d", [4, 8])

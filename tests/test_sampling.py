@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conevol import sampling
-from conevol.cones import Circular, Orthant, Product
+from conevol.cones import (
+    Circular,
+    Generators,
+    Orthant,
+    Polar,
+    Product,
+    Psd,
+    Subspace,
+    ambient_dim,
+    norms_block,
+)
 from conevol.exceptions import NonConvergenceError
 from conevol.sampling import (
     MomentAccumulator,
@@ -94,11 +104,35 @@ _PINNED_CASES = [
 _PINNED_SHA256 = "a90b48ed4b6513cfb704d24ef58f3f2aae0633417efd15d819115e65bbe81cc3"
 
 
-@pytest.mark.parametrize("case", _PINNED_CASES, ids=str)
+# Blocks whose attempt-0 rejects fill the retry queue (_TILE_PAIRS pairs)
+# several times over; they stay out of the pinned digest above.
+_FLUSH_CASES = [
+    (2, 0, 100_000, 2, 100_000),      # one pair per row, 4 tiles
+    (9, 3, 400_000, 2, 400_000),      # one pair per row, 13 tiles
+    (4, 1, 20_000, 64, 20_000),       # 1024-row tiles
+]
+
+
+@pytest.mark.parametrize("case", _PINNED_CASES + _FLUSH_CASES, ids=str)
 def test_gaussian_block_matches_untiled_reference(case):
     got = gaussian_block(*case)
     assert got.shape == (case[2], case[3])
     assert np.array_equal(got, _reference_gaussian_block(*case)[0])
+
+
+def test_flush_cases_span_several_retry_batches(monkeypatch):
+    batches = []
+    real = sampling._retry_pairs
+
+    def spy(flat_out, index, state):
+        batches.append(index.size)
+        return real(flat_out, index, state)
+    monkeypatch.setattr(sampling, "_retry_pairs", spy)
+    for case in _FLUSH_CASES[1:]:
+        batches.clear()
+        gaussian_block(*case)
+        assert len(batches) >= 3
+        assert max(batches) < 2 * sampling._TILE_PAIRS
 
 
 def test_gaussian_block_digest_is_pinned():
@@ -287,6 +321,92 @@ def test_monte_carlo_paths_identical_across_worker_counts(monkeypatch, path):
     assert np.array_equal(np.asarray(single), np.asarray(multi))
 
 
+# ---------------------------------------------------------------------------
+# Row-block layout of map_chunks
+# ---------------------------------------------------------------------------
+
+def _reference_map_chunks(cone, config, fn):
+    """map_chunks as one gaussian_block and one norms_block per whole chunk."""
+    dim = ambient_dim(cone)
+    return [fn(index, *norms_block(cone, gaussian_block(
+                config.seed, index, count, dim, config.chunk_size)))
+            for index, count in config.chunks()]
+
+
+def _chunk_record(index, s, t, fd):
+    # everything a fold could read, including the reductions run_summary does
+    return (index, s.tobytes(), t.tobytes(), None if fd is None else fd.tobytes(),
+            MomentAccumulator.from_values(s), MomentAccumulator.from_values(t / (s + t)))
+
+
+def _cone_of(family, d):
+    """A cone of the family in (about, for psd) R^d."""
+    if family == "psd":
+        return Psd(int(round((math.sqrt(8 * d + 1) - 1) / 2)))
+    return {
+        "orthant": lambda: Orthant(d),
+        "subspace": lambda: Subspace(d // 3, d),
+        "circ": lambda: Circular(d, 0.5),
+        "prod": lambda: Product(Orthant(d // 2), Circular(d - d // 2, 0.6)),
+        "polar": lambda: Polar(Circular(d, 0.5)),
+    }[family]()
+
+
+# (chunk_size, total_samples, d): the first three coalesce runs of
+# chunks into one row block (2**17 values hold 16384 rows at d=8), the
+# last two draw each chunk in several blocks; all end in a partial chunk
+_LAYOUTS = [
+    (1, 300, 8),
+    (7, 1000, 8),
+    (1024, 40_000, 8),
+    (16384, 20_000, 64),
+    (1024, 2_500, 400),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("layout", _LAYOUTS, ids=str)
+@pytest.mark.parametrize("family", ["orthant", "subspace", "circ", "psd", "prod", "polar"])
+def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
+    chunk, total, d = layout
+    cone = _cone_of(family, d)
+    cfg = MonteCarloConfig(seed=17, total_samples=total, chunk_size=chunk)
+    assert map_chunks(cone, cfg, _chunk_record, workers) == _reference_map_chunks(
+        cone, cfg, _chunk_record)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("layout", [(1, 40), (7, 60), (20, 90)], ids=str)
+def test_map_chunks_matches_reference_for_generators(monkeypatch, layout, workers):
+    # generator cones project one row at a time, so the block shrinks to
+    # 16 rows instead of the stream growing: chunks 1 and 7 coalesce,
+    # chunk 20 spans two blocks
+    monkeypatch.setattr(sampling, "_BLOCK_VALUES", 64)
+    chunk, total = layout
+    cone = Generators(np.random.default_rng(0).standard_normal((8, 4)))
+    cfg = MonteCarloConfig(seed=23, total_samples=total, chunk_size=chunk)
+    assert map_chunks(cone, cfg, _chunk_record, workers) == _reference_map_chunks(
+        cone, cfg, _chunk_record)
+
+
+@pytest.mark.parametrize("block_values", [1, 1 << 24])
+def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
+    cone = Product(Orthant(3), Subspace(2, 5))
+    cfg = MonteCarloConfig(seed=8, total_samples=1_600, chunk_size=777, reservoir_cap=500)
+    min_a = preset_functionals()["min_a_10"]
+
+    def results():
+        summary = run_summary(cone, cfg)
+        return (summary.s_moments, summary.t_moments, summary.face_hist.tobytes(),
+                summary.reservoir_s.tobytes(), summary.reservoir_t.tobytes(),
+                phi_mc(cone, min_a, cfg),
+                tuple(a.tobytes() for a in empirical_steiner_cdf(
+                    cone, [0.25, 0.5, 0.75], cfg, kind="spherical")))
+    default = results()
+    monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
+    assert results() == default
+
+
 def test_run_summary_contents():
     cfg = MonteCarloConfig(seed=2, total_samples=20_000, reservoir_cap=512)
     summary = run_summary(Orthant(6), cfg)
@@ -308,3 +428,59 @@ def test_run_summary_smooth_cone_has_no_face_hist():
     summary = run_summary(Circular(5, 0.6), cfg)
     assert summary.face_hist is None
     assert summary.s_moments.n == 2_000
+
+
+# ---------------------------------------------------------------------------
+# Pinned Monte Carlo digest
+# ---------------------------------------------------------------------------
+
+_MIN_A_10 = preset_functionals()["min_a_10"]
+_DIGEST_CONES = [
+    Orthant(8),
+    Subspace(3, 8),
+    Circular(9, 0.5),
+    Psd(3),
+    Generators(np.random.default_rng(0).standard_normal((8, 4))),
+    Product(Orthant(3), Circular(4, 0.6)),
+    Polar(Circular(7, 0.4)),
+]
+_DIGEST_PATHS = [
+    lambda cone, cfg: phi_mc(cone, _MIN_A_10, cfg),
+    lambda cone, cfg: wills_mc(cone, 0.5, cfg),
+    lambda cone, cfg: wills_mc(cone, 1.5, cfg),
+    lambda cone, cfg: empirical_steiner_cdf(cone, [0.5, 2.0, 8.0], cfg, kind="gaussian"),
+    lambda cone, cfg: empirical_steiner_cdf(cone, [0.25, 0.5, 0.75], cfg, kind="spherical"),
+    lambda cone, cfg: subspace_moment(_MIN_A_10, 3, 11, cfg),
+]
+# SHA-256 of every result below, computed before map_chunks drew in row
+# blocks (whole chunks, per-tile retries); any layout must reproduce it
+_MONTE_CARLO_SHA256 = "ac8dec2d5a99506b84b5e58757cecb1e9697f1b46b0d0b0e2a3496851fcdb117"
+
+
+def _summary_bytes(summary):
+    moments = [getattr(acc, f) for acc in (summary.s_moments, summary.t_moments)
+               for f in ("n", "mean", "m2", "m3", "m4")]
+    parts = [np.asarray(moments, dtype=float), summary.reservoir_s, summary.reservoir_t]
+    if summary.face_hist is not None:
+        parts.append(summary.face_hist)
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
+
+
+def test_monte_carlo_digest_is_pinned():
+    # run_summary for every cone family and chunk size 1024, 777 and
+    # 16384, plus one other Monte Carlo path per pair, in rotation, so
+    # each path meets every chunk size
+    digest = hashlib.sha256()
+    case = 0
+    for i, cone in enumerate(_DIGEST_CONES):
+        for j, chunk in enumerate((1024, 777, 16384)):
+            # every stream ends in a partial chunk; generator cones project
+            # one row at a time and get a short one
+            total = 250 if isinstance(cone, Generators) else 2 * chunk + 611
+            cfg = MonteCarloConfig(seed=1000 + case, total_samples=total,
+                                   chunk_size=chunk, reservoir_cap=997)
+            digest.update(_summary_bytes(run_summary(cone, cfg)))
+            result = _DIGEST_PATHS[(i + 2 * j) % len(_DIGEST_PATHS)](cone, cfg)
+            digest.update(np.asarray(result, dtype=float).tobytes())
+            case += 1
+    assert digest.hexdigest() == _MONTE_CARLO_SHA256

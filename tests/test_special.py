@@ -196,6 +196,24 @@ def test_gauss_legendre_polynomial_exactness():
         assert float(w @ x**m) == pytest.approx(1.0 / (m + 1), rel=1e-13)
 
 
+def test_gauss_legendre_is_memoized_and_read_only():
+    rule = gauss_legendre(400, 0.0, 14.0)
+    assert gauss_legendre(400, 0.0, 14.0) is rule
+    fresh = gauss_legendre.__wrapped__(400, 0.0, 14.0)
+    assert fresh is not rule
+    assert np.array_equal(rule.nodes, fresh.nodes)
+    assert np.array_equal(rule.weights, fresh.weights)
+    with pytest.raises(ValueError, match="read-only"):
+        rule.nodes[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rule.weights *= 2.0
+    with pytest.raises(AttributeError):
+        rule.nodes = np.zeros(400)
+    again = gauss_legendre(400, 0.0, 14.0)
+    assert np.array_equal(again.nodes, fresh.nodes)
+    assert np.array_equal(again.weights, fresh.weights)
+
+
 def test_gauss_laguerre_is_normalized_probability_rule():
     for n, alpha in [(24, 0.0), (96, 2.5), (400, 9.0)]:
         rule = gauss_laguerre(n, alpha)

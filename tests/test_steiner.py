@@ -12,6 +12,7 @@ from conevol.profiles import (
     reverse_profile,
 )
 from conevol.sampling import MonteCarloConfig
+from conevol import steiner
 from conevol.special import chi_square_cdf
 from conevol.steiner import (
     BivariateFunctional,
@@ -80,6 +81,20 @@ def test_subspace_moment_exponential_tilt_exact():
     value, _ = subspace_moment(preset_functionals()["exp_a4"], 4, 6)
     # E[exp(X_4 / 4)] = (1 - 1/2)^(-2) = 4
     assert value == pytest.approx(4.0, rel=1e-12)
+
+
+def test_scaled_chi_rule_is_memoized_and_read_only():
+    rule = steiner._scaled_chi_rule(5, -0.4, 116)
+    assert steiner._scaled_chi_rule(5, -0.4, 116) is rule
+    fresh = steiner._scaled_chi_rule.__wrapped__(5, -0.4, 116)
+    assert np.array_equal(rule[0], fresh[0]) and np.array_equal(rule[1], fresh[1])
+    assert rule[2] == fresh[2]
+    for arr in rule[:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    point_mass = steiner._scaled_chi_rule(0, 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        point_mass[1][0] = 2.0
 
 
 def test_subspace_moment_decaying_exponential():

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConeSpecError, DimensionMismatchError, UnsupportedConeError
-from .linalg import nnls_solve
+from .linalg import masked_ranks, nnls_solve
 
 MAX_AMBIENT_DIM = 10_000
 
@@ -277,9 +277,8 @@ def _project_vector(cone, x):
         proj = (vecs * pos) @ vecs.T
         return sym_to_vec(proj), None
     if isinstance(cone, Generators):
-        tau = nnls_solve(cone.matrix, x)
-        proj = cone.matrix.T @ tau
-        return proj, _generator_face_dim(cone, x, tau)
+        proj, fd = _project_generators(cone, x[None])
+        return proj[0], int(fd[0])
     if isinstance(cone, Product):
         dl = ambient_dim(cone.left)
         pl, fl = _project_vector(cone.left, x[:dl])
@@ -309,15 +308,16 @@ def _project_circular(cone, x):
     return proj
 
 
-def _generator_face_dim(cone, x, tau):
-    nx = math.sqrt(float(x @ x))
-    active = cone.matrix[tau > _zero_threshold(nx)]
-    if active.shape[0] == 0:
-        return 0
-    # rank of the active generators: singular values above 1e-10 of the
-    # largest, i.e. Gram eigenvalues above 1e-20 of the largest
-    sv = np.linalg.svd(active, compute_uv=False)
-    return int(np.count_nonzero(sv > 1e-10 * sv[0]))
+def _project_generators(cone, X):
+    """Projections of the rows of X onto a generator cone, and the face
+    dimension of each: the rank of the generators it puts weight on."""
+    g = cone.matrix
+    tau = nnls_solve(g, X)
+    # one vector-matrix product per row keeps each row's bits independent
+    # of the block it came in
+    proj = np.matmul(tau[:, None, :], g)[:, 0]
+    thresh = _zero_threshold(np.sqrt(np.einsum("ij,ij->i", X, X)))
+    return proj, masked_ranks(g, tau > thresh[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,10 @@ def norms_block(cone, X):
     X has shape (B, d).  Returns (s, t, face_dims) where s[i] is
     ||proj_C(x_i)||^2, t[i] = ||x_i||^2 - s[i] is the squared distance to
     the cone, and face_dims is an int array or None when the variant has
-    no face structure.  Matches project() sample by sample.
+    no face structure.  Matches project() sample by sample.  A generator
+    cone solves the whole block with one nnls_solve call and takes its
+    face dimensions from one masked_ranks call; every row gets the bits
+    it would get alone, whatever block it comes in.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != ambient_dim(cone):
@@ -371,18 +374,9 @@ def _norms_block(cone, X):
         neg = vals - pos
         return np.einsum("ij,ij->i", pos, pos), np.einsum("ij,ij->i", neg, neg), None
     if isinstance(cone, Generators):
-        B = X.shape[0]
-        s = np.empty(B)
-        t = np.empty(B)
-        fd = np.empty(B, dtype=np.int64)
-        for i in range(B):
-            tau = nnls_solve(cone.matrix, X[i])
-            proj = cone.matrix.T @ tau
-            resid = X[i] - proj
-            s[i] = proj @ proj
-            t[i] = resid @ resid
-            fd[i] = _generator_face_dim(cone, X[i], tau)
-        return s, t, fd
+        proj, fd = _project_generators(cone, X)
+        resid = X - proj
+        return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
     if isinstance(cone, Product):
         dl = ambient_dim(cone.left)
         sl, tl, fl = _norms_block(cone.left, X[:, :dl])

@@ -1,12 +1,16 @@
 """Dense linear algebra kernels used by the cone projectors and estimators.
 
 Two pieces: an active-set nonnegative least squares solver for
-generator cones, and vectorized double-double arithmetic for the
-biorthogonal coefficients.  Dense factorizations come from numpy's
-LAPACK bindings: the solver's subproblems use np.linalg.lstsq, and the
-cone projectors take eigenvalues and ranks from np.linalg directly.
+generator cones, which solves a whole block of targets in lockstep, with
+the rank test the generator projector runs on its active sets; and
+vectorized double-double arithmetic for the biorthogonal coefficients.
+Dense factorizations come from numpy's LAPACK bindings: the solver's
+subproblems use stacked np.linalg.pinv, the rank test stacked
+np.linalg.svd, and the cone projectors take eigenvalues from np.linalg
+directly.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +18,14 @@ import numpy as np
 from .exceptions import NonConvergenceError
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+
+# stacked least-squares operators and SVD inputs are held to about this
+# many values, the row-block budget of sampling.map_chunks
+_STACK_VALUES = 1 << 17
+
+# a solve may take this many outer iterations per generator, and at least 12
+_OUTER_PER_GENERATOR = 3
 
 
 # ---------------------------------------------------------------------------
@@ -78,82 +90,172 @@ def nnls_solve(a, b):
     """Nonnegative least squares over generator combinations.
 
     Given generators as the rows of ``a`` (m x d) and a target b in R^d,
-    finds tau >= 0 minimizing ||a.T @ tau - b||.  Lawson-Hanson active
-    set iteration on unit-norm generators; each passive-set subproblem
-    is a least squares solve (np.linalg.lstsq), which stays defined when
-    the passive generators are linearly dependent, as they must be once
-    m > d.
+    returns the tau >= 0 (length m) minimizing ||a.T @ tau - b||.  ``b``
+    may also be a block of targets, shape (n, d); then tau has shape
+    (n, m), row i solving for b[i].  Lawson-Hanson active set iteration on
+    unit-norm generators, with all rows of a block stepping through it
+    in lockstep: at each step the rows that share a passive set share
+    one least-squares operator, the pseudoinverse of the passive
+    generators (stacked np.linalg.pinv, one per distinct set, with
+    lstsq's rank cutoff).  The pseudoinverse stays defined when the
+    passive generators are linearly dependent, as they must be once
+    m > d.  Every row follows the same rules as a lone solve and comes
+    out bit for bit the same as ``nnls_solve(a, b[i])``.  Rows are taken
+    in slices whose stacked operators hold at most about _STACK_VALUES
+    values.
 
-    Returns the coefficient vector tau (length m).  Raises
-    NonConvergenceError if the outer iteration cap (3m, at least 12) is
-    hit.
+    Raises NonConvergenceError if a row hits the outer iteration cap
+    (3m, at least 12) or a passive-set solve does not settle.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[-1]:
         raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
-    m = a.shape[0]
+    m, d = a.shape
     # the optimum is invariant under positive rescaling of a generator;
-    # unit norms keep lstsq's rank cutoff from discarding short generators
+    # unit norms keep the pseudoinverse's rank cutoff from discarding
+    # short generators
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     scale = np.where(norms > 0.0, norms, 1.0)
     a = a / scale[:, None]
-    design = a.T  # d x m, columns are generators
-    tau = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    max_outer = max(3 * m, 12)
-    resid = b - design @ tau
-    w = a @ resid
+    rows = b.reshape(-1, d)
+    step = max(1, _STACK_VALUES // (m * d))
+    tau = np.empty((rows.shape[0], m))
+    for r0 in range(0, rows.shape[0], step):
+        tau[r0:r0 + step] = _lawson_hanson(a, rows[r0:r0 + step])
+    return (tau / scale).reshape(b.shape[:-1] + (m,))
+
+
+def _row_products(x, mat):
+    """x[i] @ mat for every row of x, as one vector-matrix product per
+    row, so a row's bits do not depend on the rows beside it."""
+    return np.matmul(x[:, None, :], mat)[:, 0]
+
+
+def _size_groups(mask):
+    """The distinct nonempty rows of a boolean (n, m) matrix, by size.
+
+    Yields (cols, rows, which) for each size p: cols (g, p) lists the
+    True columns of each distinct row with p of them, rows are the rows
+    of mask that equal one of those, and row rows[i] equals cols[which[i]].
+    """
+    packed = np.packbits(mask, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sets = mask[first]
+    sizes = np.count_nonzero(sets, axis=1)
+    slot = np.empty(sets.shape[0], dtype=np.intp)
+    for p in set(sizes[sizes > 0].tolist()):
+        group = np.flatnonzero(sizes == p)
+        slot[group] = np.arange(group.size)
+        rows = np.flatnonzero(sizes[inverse] == p)
+        yield np.nonzero(sets[group])[1].reshape(group.size, p), rows, slot[inverse[rows]]
+
+
+def masked_ranks(a, masks):
+    """Numerical rank of the rows of ``a`` that each row of ``masks`` selects.
+
+    The rank counts singular values above 1e-10 of the largest, i.e. Gram
+    eigenvalues above 1e-20 of the largest; an empty selection has rank
+    0.  Stacked SVDs cover each distinct selection once, in slices of
+    about _STACK_VALUES values.
+    """
+    a = np.asarray(a, dtype=float)
+    ranks = np.zeros(masks.shape[0], dtype=np.int64)
+    for cols, rows, which in _size_groups(masks):
+        found = np.empty(cols.shape[0], dtype=np.int64)
+        step = max(1, _STACK_VALUES // (cols.shape[1] * a.shape[1]))
+        for k0 in range(0, cols.shape[0], step):
+            sv = np.linalg.svd(a[cols[k0:k0 + step]], compute_uv=False)
+            found[k0:k0 + step] = np.count_nonzero(sv > 1e-10 * sv[:, :1], axis=1)
+        ranks[rows] = found[which]
+    return ranks
+
+
+def _passive_solve(a, passive, b):
+    """Least-squares coefficients of each row of b over its passive
+    generators (the True entries of its row of passive), zero elsewhere."""
+    z = np.zeros(passive.shape)
+    for cols, rows, which in _size_groups(passive):
+        # lstsq's cutoff: singular values below max(d, p) * eps of the largest
+        ops = np.linalg.pinv(a[cols].transpose(0, 2, 1),
+                             rcond=max(a.shape[1], cols.shape[1]) * _EPS)
+        z[rows[:, None], cols[which]] = np.matmul(ops[which], b[rows, :, None])[..., 0]
+    return z
+
+
+def _lawson_hanson(a, b):
+    """Lockstep Lawson-Hanson over the rows of b (n x d), unit-norm a."""
+    n, m = b.shape[0], a.shape[0]
+    at = a.T
+    max_outer = max(_OUTER_PER_GENERATOR * m, 12)
+    tau = np.zeros((n, m))
+    passive = np.zeros((n, m), dtype=bool)
+    resid = b.copy()
+    w = _row_products(resid, at)
+    best_rnorm = np.full(n, math.inf)
+    best_tau = tau.copy()
+    stalls = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)         # rows of the slice still iterating
+    out = np.empty((n, m))
     outer = 0
-    stalls = 0
-    best_rnorm = math.inf
-    best_tau = tau
-    while True:
+    while live.size:
         # dual feasibility tolerance scaled to the float noise of the
         # current gradient, so progress continues even when the residual
         # is orders of magnitude below the data scale
-        rnorm = math.sqrt(float(resid @ resid))
-        tol = 64.0 * np.finfo(float).eps * rnorm
-        if rnorm < best_rnorm * (1.0 - 1e-12):
-            best_rnorm = rnorm
-            best_tau = tau
-            stalls = 0
-        else:
-            # no meaningful progress: remaining positive gradients are
-            # rounding noise around an optimum
-            stalls += 1
-            if stalls >= 2:
-                return best_tau / scale
-        candidates = np.where(~passive & (w > tol))[0]
-        if candidates.size == 0:
-            return tau / scale
+        rnorm = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+        tol = 64.0 * _EPS * rnorm
+        better = rnorm < best_rnorm * (1.0 - 1e-12)
+        best_rnorm[better] = rnorm[better]
+        best_tau[better] = tau[better]
+        # no meaningful progress twice: remaining positive gradients are
+        # rounding noise around an optimum
+        stalls = np.where(better, 0, stalls + 1)
+        stalled = stalls >= 2
+        candidates = ~passive & (w > tol[:, None])
+        optimal = ~stalled & ~candidates.any(axis=1)
+        out[live[stalled]] = best_tau[stalled]
+        out[live[optimal]] = tau[optimal]
+        go = ~(stalled | optimal)
+        if not go.all():
+            live, b, tau, passive, candidates, w, best_rnorm, best_tau, stalls = (
+                v[go] for v in (live, b, tau, passive, candidates, w,
+                                best_rnorm, best_tau, stalls))
+            if not live.size:
+                break
         outer += 1
         if outer > max_outer:
             raise NonConvergenceError("nnls active-set iteration cap exceeded", outer)
-        passive[candidates[np.argmax(w[candidates])]] = True
+        k = np.arange(live.size)
+        passive[k, np.argmax(np.where(candidates, w, -np.inf), axis=1)] = True
         # every pass that does not accept z drops at least one passive
-        # index, so the passive-set size bounds the number of passes
-        for _ in range(np.count_nonzero(passive) + 1):
-            idx = np.where(passive)[0]
-            z = np.linalg.lstsq(design[:, idx], b, rcond=None)[0]
-            if np.all(z > 0.0):
+        # index, so the passive-set size bounds each row's passes
+        budget = np.count_nonzero(passive, axis=1) + 1
+        pending = k
+        for attempt in itertools.count():
+            if np.any(budget[pending] <= attempt):
+                raise NonConvergenceError("nnls passive-set solve did not settle", outer)
+            p = passive[pending]
+            z = _passive_solve(a, p, b[pending])
+            accept = np.all((z > 0.0) | ~p, axis=1)
+            tau[pending[accept]] = z[accept]
+            pending, p, z = pending[~accept], p[~accept], z[~accept]
+            if not pending.size:
                 break
             # step toward z until the first passive coefficient hits zero;
             # that blocking index leaves the passive set even when rounding
             # keeps its coefficient a hair above zero
-            cur = tau[idx]
-            blocked = z <= 0.0
-            ratios = np.full(idx.size, np.inf)
+            cur = tau[pending]
+            blocked = p & (z <= 0.0)
+            ratios = np.full(z.shape, np.inf)
             ratios[blocked] = cur[blocked] / np.maximum(cur[blocked] - z[blocked], _TINY)
-            hit = int(np.argmin(ratios))
-            tau = np.zeros(m)
-            tau[idx] = np.maximum(cur + ratios[hit] * (z - cur), 0.0)
-            passive[idx[hit]] = False
-            passive[idx[tau[idx] <= 0.0]] = False
-            tau[~passive] = 0.0
-        else:
-            raise NonConvergenceError("nnls passive-set solve did not settle", outer)
-        tau = np.zeros(m)
-        tau[idx] = z
-        resid = b - design @ tau
-        w = a @ resid
+            hit = np.argmin(ratios, axis=1)
+            j = np.arange(pending.size)
+            moved = np.maximum(cur + ratios[j, hit][:, None] * (z - cur), 0.0)
+            p[j, hit] = False
+            p &= moved > 0.0
+            passive[pending] = p
+            tau[pending] = np.where(p, moved, 0.0)
+        resid = b - _row_products(tau, a)
+        w = _row_products(resid, at)
+    return out

@@ -1,5 +1,6 @@
 # Standard libraries
 import math
+import tracemalloc
 
 # External libraries
 import numpy as np
@@ -247,6 +248,27 @@ def test_norms_block_matches_rowwise_projection(label):
             assert faces[i] == out.face_dim
     if supports_face_dim(cone):
         assert faces is not None
+
+
+def test_generator_norms_block_memory_is_bounded():
+    # a 400-generator cone in R^40: stacked least-squares operators for
+    # all 1024 rows at once would take about 130 MB, so the solver takes
+    # the rows in slices
+    rng = np.random.default_rng(32)
+    cone = Generators(rng.standard_normal((400, 40)))
+    X = rng.standard_normal((1024, 40))
+    tracemalloc.start()
+    try:
+        s, t, faces = norms_block(cone, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # 400 random generators span R^40 as a cone: every point projects to itself
+    sq = np.einsum("ij,ij->i", X, X)
+    assert np.allclose(s, sq, rtol=1e-12, atol=0.0)
+    assert np.all(t <= 1e-20 * sq)
+    assert np.all(faces == 40)
 
 
 # ---------------------------------------------------------------------------

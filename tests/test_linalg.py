@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import conevol.linalg
+from conevol import cli
 from conevol.cones import Orthant
+from conevol.exceptions import NonConvergenceError
 from conevol.linalg import (
     dd_add,
     dd_mul,
@@ -21,6 +23,7 @@ from conevol.linalg import (
 )
 from conevol.profiles import estimate_profile_mixture
 from conevol.sampling import MonteCarloConfig
+from nnls_oracle import reference_nnls
 
 # ---------------------------------------------------------------------------
 # Nonnegative least squares
@@ -60,6 +63,16 @@ def _brute_force_nnls(a, b):
     return math.sqrt(best)
 
 
+def _solve_block(a, targets):
+    """nnls_solve on the targets as one block, checked row by row against
+    solving each target alone: the rows must agree bit for bit."""
+    block = nnls_solve(a, targets)
+    assert block.shape == (len(targets), a.shape[0])
+    for target, row in zip(targets, block):
+        assert np.array_equal(nnls_solve(a, target), row)
+    return block
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_nnls_matches_brute_force(seed):
     rng = np.random.default_rng(100 + seed)
@@ -70,14 +83,19 @@ def test_nnls_matches_brute_force(seed):
         tau = nnls_solve(a, b)
         rnorm = _assert_kkt(a, b, tau)
         assert rnorm <= _brute_force_nnls(a, b) + 1e-9
+        # the same target in a block of others
+        targets = np.vstack([rng.standard_normal((5, d)), b, rng.standard_normal((3, d))])
+        for target, row in zip(targets, _solve_block(a, targets)):
+            assert _assert_kkt(a, target, row) <= _brute_force_nnls(a, target) + 1e-9
 
 
 def test_nnls_terminates_on_dependent_passive_set():
     # eight generators in R^4: the passive set can outgrow the dimension,
     # which once made a singular normal-equation step loop forever
     a = np.random.default_rng(0).standard_normal((8, 4))
-    for b in np.random.default_rng(1).standard_normal((256, 4)):
-        _assert_kkt(a, b, nnls_solve(a, b))
+    targets = np.random.default_rng(1).standard_normal((256, 4))
+    for b, tau in zip(targets, _solve_block(a, targets)):
+        _assert_kkt(a, b, tau)
 
 
 def test_nnls_fit_ignores_generator_lengths():
@@ -86,9 +104,9 @@ def test_nnls_fit_ignores_generator_lengths():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 4))
     scaled = a * np.logspace(-6, 6, 8)[:, None]
-    for b in rng.standard_normal((64, 4)):
-        fit = a.T @ nnls_solve(a, b)
-        assert np.allclose(scaled.T @ nnls_solve(scaled, b), fit, rtol=0.0, atol=1e-9)
+    targets = rng.standard_normal((64, 4))
+    fits = _solve_block(a, targets) @ a
+    assert np.allclose(_solve_block(scaled, targets) @ scaled, fits, rtol=0.0, atol=1e-9)
 
 
 def test_nnls_terminates_on_denormal_coefficient(monkeypatch):
@@ -108,6 +126,13 @@ def test_nnls_terminates_on_denormal_coefficient(monkeypatch):
     estimate_profile_mixture(Orthant(16), config)
     assert len(calls) == 1
     _assert_kkt(*calls[0])
+    # the same fit between perturbed copies of its target
+    a, b, _ = calls[0]
+    rng = np.random.default_rng(4)
+    targets = np.vstack([b + 1e-3 * rng.standard_normal(b.shape), b,
+                         b * rng.uniform(0.5, 1.5, b.shape)])
+    for target, tau in zip(targets, _solve_block(a, targets)):
+        _assert_kkt(a, target, tau)
 
 
 def test_nnls_recovers_interior_combination():
@@ -136,6 +161,59 @@ def test_nnls_zero_fit_for_polar_point():
 def test_nnls_shape_validation():
     with pytest.raises(ValueError):
         nnls_solve(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError):
+        nnls_solve(np.ones((5, 3)), np.ones((2, 2, 3)))
+
+
+def test_nnls_block_rows_take_different_paths():
+    # one block whose rows need from 0 to many outer iterations, some
+    # ending on the optimality test and some on the stall rule
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((8, 4))
+    targets = np.vstack([
+        np.zeros((2, 4)),                                     # done before any step
+        (a.T @ np.abs(rng.standard_normal((8, 24)))).T,       # exact fits in the cone
+        rng.standard_normal((100, 4)),
+    ])
+    paths = [reference_nnls(a, b)[1:] for b in targets]
+    assert len({outer for outer, _ in paths}) >= 4
+    assert any(stalled for _, stalled in paths)
+    assert not all(stalled for _, stalled in paths)
+    block = _solve_block(a, targets)
+    for b, tau in zip(targets, block):
+        _assert_kkt(a, b, tau)
+        assert np.allclose(a.T @ tau, a.T @ reference_nnls(a, b)[0], rtol=0.0,
+                           atol=1e-12 * (1.0 + float(b @ b)))
+
+
+def test_nnls_block_shapes():
+    a = np.random.default_rng(8).standard_normal((5, 3))
+    assert nnls_solve(a, np.ones(3)).shape == (5,)
+    assert nnls_solve(a, np.ones((1, 3))).shape == (1, 5)
+    assert nnls_solve(a, np.ones((0, 3))).shape == (0, 5)
+
+
+def test_nnls_outer_cap_raises(monkeypatch):
+    # identity generators add one passive index per outer step, so a
+    # target with 16 positive coordinates needs 16 steps, past a cap of 12
+    monkeypatch.setattr(conevol.linalg, "_OUTER_PER_GENERATOR", 0)
+    a = np.eye(16)
+    targets = np.vstack([-np.ones(16), np.ones(16), np.eye(16)[:3]])
+    with pytest.raises(NonConvergenceError):
+        nnls_solve(a, targets)
+    with pytest.raises(NonConvergenceError):
+        nnls_solve(a, targets[1])
+    easy = targets[[0, 2, 3, 4]]
+    assert np.array_equal(nnls_solve(a, easy), np.maximum(easy, 0.0))
+
+
+def test_nnls_cap_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(conevol.linalg, "_OUTER_PER_GENERATOR", 0)
+    path = tmp_path / "gens.csv"
+    np.savetxt(path, np.eye(24), delimiter=",")
+    code = cli.main(["sdim", "--cone", f"gens:{path}", "--samples", "200"])
+    assert code == 3
+    assert "numerical guard" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

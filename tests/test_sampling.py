@@ -37,6 +37,7 @@ from conevol.steiner import (
     subspace_moment,
     wills_mc,
 )
+from nnls_oracle import reference_norms
 
 # ---------------------------------------------------------------------------
 # Counter-based generator
@@ -378,15 +379,16 @@ def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("layout", [(1, 40), (7, 60), (20, 90)], ids=str)
 def test_map_chunks_matches_reference_for_generators(monkeypatch, layout, workers):
-    # generator cones project one row at a time, so the block shrinks to
-    # 16 rows instead of the stream growing: chunks 1 and 7 coalesce,
-    # chunk 20 spans two blocks
-    monkeypatch.setattr(sampling, "_BLOCK_VALUES", 64)
+    # the block solver must give every row the bits it gets alone: at 64
+    # values a block is 16 rows, so chunks 1 and 7 coalesce and chunk 20
+    # spans two blocks; at 2**24 the whole stream is one block
     chunk, total = layout
     cone = Generators(np.random.default_rng(0).standard_normal((8, 4)))
     cfg = MonteCarloConfig(seed=23, total_samples=total, chunk_size=chunk)
-    assert map_chunks(cone, cfg, _chunk_record, workers) == _reference_map_chunks(
-        cone, cfg, _chunk_record)
+    reference = _reference_map_chunks(cone, cfg, _chunk_record)
+    for block_values in (64, 1 << 24):
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
+        assert map_chunks(cone, cfg, _chunk_record, workers) == reference
 
 
 @pytest.mark.parametrize("block_values", [1, 1 << 24])
@@ -452,9 +454,29 @@ _DIGEST_PATHS = [
     lambda cone, cfg: empirical_steiner_cdf(cone, [0.25, 0.5, 0.75], cfg, kind="spherical"),
     lambda cone, cfg: subspace_moment(_MIN_A_10, 3, 11, cfg),
 ]
-# SHA-256 of every result below, computed before map_chunks drew in row
-# blocks (whole chunks, per-tile retries); any layout must reproduce it
-_MONTE_CARLO_SHA256 = "ac8dec2d5a99506b84b5e58757cecb1e9697f1b46b0d0b0e2a3496851fcdb117"
+# SHA-256 of every result of the six cones other than the generator cone,
+# computed before map_chunks drew in row blocks (whole chunks, per-tile
+# retries) and before generator cones were projected a block at a time;
+# any layout must reproduce it
+_MONTE_CARLO_SHA256 = "52a95a014eed3312628ab49f7f4f5503d176ce1557d68259ef0623888c9e3946"
+
+
+def _digest_cases():
+    """(cone, config, path) for every cone and chunk size 1024, 777 and
+    16384, with one other Monte Carlo path per pair, in rotation, so each
+    path meets every chunk size.  Every stream ends in a partial chunk;
+    the generator cone's streams are shorter, to keep its oracle quick."""
+    case = 0
+    for i, cone in enumerate(_DIGEST_CONES):
+        for j, chunk in enumerate((1024, 777, 16384)):
+            if isinstance(cone, Generators):
+                total = chunk + 611 if chunk < 16384 else 250
+            else:
+                total = 2 * chunk + 611
+            cfg = MonteCarloConfig(seed=1000 + case, total_samples=total,
+                                   chunk_size=chunk, reservoir_cap=997)
+            yield cone, cfg, _DIGEST_PATHS[(i + 2 * j) % len(_DIGEST_PATHS)]
+            case += 1
 
 
 def _summary_bytes(summary):
@@ -467,20 +489,30 @@ def _summary_bytes(summary):
 
 
 def test_monte_carlo_digest_is_pinned():
-    # run_summary for every cone family and chunk size 1024, 777 and
-    # 16384, plus one other Monte Carlo path per pair, in rotation, so
-    # each path meets every chunk size
+    # run_summary plus one other Monte Carlo path for every case
     digest = hashlib.sha256()
-    case = 0
-    for i, cone in enumerate(_DIGEST_CONES):
-        for j, chunk in enumerate((1024, 777, 16384)):
-            # every stream ends in a partial chunk; generator cones project
-            # one row at a time and get a short one
-            total = 250 if isinstance(cone, Generators) else 2 * chunk + 611
-            cfg = MonteCarloConfig(seed=1000 + case, total_samples=total,
-                                   chunk_size=chunk, reservoir_cap=997)
-            digest.update(_summary_bytes(run_summary(cone, cfg)))
-            result = _DIGEST_PATHS[(i + 2 * j) % len(_DIGEST_PATHS)](cone, cfg)
-            digest.update(np.asarray(result, dtype=float).tobytes())
-            case += 1
+    for cone, cfg, path in _digest_cases():
+        if isinstance(cone, Generators):
+            continue
+        digest.update(_summary_bytes(run_summary(cone, cfg)))
+        digest.update(np.asarray(path(cone, cfg), dtype=float).tobytes())
     assert digest.hexdigest() == _MONTE_CARLO_SHA256
+
+
+def test_generator_cone_matches_per_row_oracle():
+    # the block solver rounds differently from per-row lstsq, at about
+    # 1e-14, so the generator cone is checked against the per-row solver
+    # it replaced instead of a pinned digest
+    for cone, cfg, _ in _digest_cases():
+        if not isinstance(cone, Generators):
+            continue
+        d = ambient_dim(cone)
+        got = map_chunks(cone, cfg, lambda index, s, t, fd: (s, t, fd))
+        for (index, count), (s, t, fd) in zip(cfg.chunks(), got):
+            X = gaussian_block(cfg.seed, index, count, d, cfg.chunk_size)
+            ref_s, ref_t, ref_fd = reference_norms(cone.matrix, X)
+            tol = 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X))
+            assert np.all(np.abs(s - ref_s) <= tol)
+            assert np.all(np.abs(t - ref_t) <= tol)
+            assert np.array_equal(np.bincount(fd, minlength=d + 1),
+                                  np.bincount(ref_fd, minlength=d + 1))

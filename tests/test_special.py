@@ -262,3 +262,55 @@ def test_tanh_sinh_handles_endpoint_singularities():
 def test_tanh_sinh_rejects_empty_interval():
     with pytest.raises(ValueError):
         tanh_sinh_rule(1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against scipy (a test-only dependency)
+# ---------------------------------------------------------------------------
+
+def _close(ours, ref, rel, abs_tol):
+    return abs(ours - ref) <= rel * abs(ref) + abs_tol
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 7, 10, 40, 64, 200])
+def test_chi_square_cdf_matches_scipy(dof):
+    sp = pytest.importorskip("scipy.special")
+    for lam in [1e-3, 0.5, *(np.linspace(0.1, 3.0, 9) * dof)]:
+        # relative accuracy deep in the lower tail, absolute elsewhere
+        assert _close(chi_square_cdf(dof, float(lam)), float(sp.chdtr(dof, lam)),
+                      1e-12, 1e-13), lam
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 60.0])
+@pytest.mark.parametrize("b", [0.5, 1.5, 7.0, 30.0])
+def test_beta_cdf_matches_scipy(a, b):
+    sp = pytest.importorskip("scipy.special")
+    for lam in (1e-4, 0.05, 0.3, 0.5, 0.8, 0.99):
+        assert _close(beta_cdf(a, b, lam), float(sp.betainc(a, b, lam)),
+                      1e-12, 1e-13), lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 100])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.5, 20.0])
+def test_gauss_laguerre_matches_scipy(n, alpha):
+    sp = pytest.importorskip("scipy.special")
+    nodes, weights = sp.roots_genlaguerre(n, alpha)
+    rule = gauss_laguerre(n, alpha)
+    assert np.allclose(rule.nodes, nodes, rtol=1e-12, atol=0.0)
+    # scipy weights integrate against x^alpha e^-x; ours against the
+    # gamma density, which divides by Gamma(alpha + 1)
+    assert np.allclose(rule.weights, weights / math.gamma(alpha + 1.0),
+                       rtol=1e-11, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 100])
+def test_gauss_legendre_matches_scipy(n):
+    sp = pytest.importorskip("scipy.special")
+    nodes, weights = sp.roots_legendre(n)
+    rule = gauss_legendre(n)
+    assert np.allclose(rule.nodes, nodes, rtol=0.0, atol=1e-14)
+    # scipy's own end weights drift by about 1e-11 relative at n = 100
+    assert np.allclose(rule.weights, weights, rtol=1e-10, atol=0.0)
+    shifted = gauss_legendre(n, 0.0, 3.0)
+    assert np.allclose(shifted.nodes, 1.5 + 1.5 * nodes, rtol=0.0, atol=1e-14)
+    assert np.allclose(shifted.weights, 1.5 * weights, rtol=1e-10, atol=0.0)

@@ -1,28 +1,26 @@
 """Deterministic Gaussian sampling and streaming moment summaries.
 
-Randomness comes from a counter-based generator: uniform draw number n of
-a stream with a given seed is mix(seed + (n+1) * golden), where mix is
-the SplitMix64 output permutation.  Every Monte Carlo sample owns a
-fixed block of 2**20 counters addressed by its global sample index, and
-each Gaussian coordinate pair owns a 128-counter slot inside that block
-for its polar Box-Muller rejection attempts.  Draw j of chunk i is
-therefore a pure function of (seed, i, j): results never depend on how
-many chunks are processed, in what order, or on how many worker threads
-ran them.  For the same reason gaussian_block draws in cache-sized row
-tiles and retries rejected pairs in batches across tiles without
-changing a single value.
+Every Monte Carlo draw comes from numpy's Philox, a counter-based
+generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  Each chunk of a run owns one stream, chunk_rng(seed, chunk
+index), and reads it from the start in order, so the draws are a
+function of (seed, chunk index, chunk size): changing chunk_size moves
+samples to other streams and changes every value, while the order in
+which chunks run, the worker thread that runs them and how a chunk's
+stream is split into reads never do.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
 streams through one primitive, map_chunks.  It draws and projects the
 stream in row blocks of about _BLOCK_VALUES values, whatever the chunk
-size: consecutive small chunks share a block, a large chunk spans
-several.  It runs the blocks on CONEVOL_THREADS worker threads unless a
-caller passes an explicit worker count, and returns the per-chunk
-results in chunk-index order.  Callers fold them left to right in that
-fixed order, moment sums with the exact pairwise-merge update formulas,
-so every result is a function of (seed, total_samples, chunk_size,
-reservoir_cap) only: bit-identical for any worker count and block size.
+size: consecutive small chunks fill one block, a large chunk is read a
+block at a time.  It runs the blocks on CONEVOL_THREADS worker threads
+unless a caller passes an explicit worker count, and returns the
+per-chunk results in chunk-index order.  Callers fold them left to right
+in that fixed order, moment sums with the exact pairwise-merge update
+formulas, so every result is a function of (seed, total_samples,
+chunk_size, reservoir_cap) only: bit-identical for any worker count and
+block size.
 """
 
 import math
@@ -34,148 +32,28 @@ from functools import reduce
 import numpy as np
 
 from .cones import ambient_dim, norms_block, supports_face_dim
-from .exceptions import NonConvergenceError
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
-_U64_ONE = np.uint64(1)
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
-_INV_2_53 = 2.0 ** -53
-_INV_2_52 = 2.0 ** -52
-
-SAMPLE_BLOCK_BITS = 20          # counters reserved per sample
-PAIR_SLOT_BITS = 7              # counters per Box-Muller coordinate pair
-_MAX_PAIR_ATTEMPTS = 64         # rejection cap; P(fail) < (1 - pi/4)**64
-_TILE_PAIRS = 1 << 15           # pairs per row tile: 256 KB per float64 temporary
 _BLOCK_VALUES = 1 << 17         # values per map_chunks row block: 1 MB of float64
 
 
-def _mix53(z):
-    """SplitMix64 output permutation of the states z, in place; returns
-    the top 53 bits of each output (still uint64)."""
-    z ^= z >> np.uint64(30)
-    z *= _MIX_A
-    z ^= z >> np.uint64(27)
-    z *= _MIX_B
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z
+def chunk_rng(seed, chunk_index):
+    """The random stream of one chunk: numpy's Philox keyed by
+    (seed mod 2**64, chunk_index), as a Generator read from the start."""
+    key = np.array([seed % (1 << 64), chunk_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def counter_uniforms(seed, counters):
-    """Uniform [0, 1) draws indexed by absolute counter values (uint64)."""
-    # in place on one fresh array: uint64 arithmetic wraps mod 2**64
-    z = counters + _U64_ONE
-    z *= _GOLDEN
-    z += np.uint64(seed & _U64_MASK)
-    u = _mix53(z).astype(np.float64)
-    u *= _INV_2_53
-    return u
+def gaussian_block(rng, out, count, dim):
+    """The next count rows of dim standard normals from the stream rng.
 
-
-def _signed_uniform(state):
-    # 2u - 1 for u = (z >> 11) * 2**-53, as (z >> 11) * 2**-52 - 1: both
-    # steps are exact, so the value is the same float; consumes state
-    x = _mix53(state).astype(np.float64)
-    x *= _INV_2_52
-    x -= 1.0
-    return x
-
-
-def _polar_attempt(state):
-    """One polar Box-Muller attempt per pair: (u, v, ssq, accepted).
-
-    state is the SplitMix64 state of each pair's u draw; v's counter is
-    one higher, so its state is golden higher.  state is consumed.
+    They are written, row after row, to the front of out, a flat float64
+    array of at least count * dim values, and returned as a (count, dim)
+    view of it.  A stream read in several calls gives the same values as
+    one call for all of its rows.
     """
-    v = _signed_uniform(state + _GOLDEN)
-    u = _signed_uniform(state)
-    ssq = u * u
-    ssq += v * v
-    return u, v, ssq, (ssq < 1.0) & (ssq > 0.0)
-
-
-def _retry_pairs(flat_out, index, state):
-    """Attempts 1 .. _MAX_PAIR_ATTEMPTS - 1 for the pairs flat_out[index]
-    that attempt 0 rejected; state is their attempt-0 u state."""
-    for attempt in range(1, _MAX_PAIR_ATTEMPTS):
-        if index.size == 0:
-            return
-        # attempt k draws counters 2k higher: states 2k * golden higher
-        step = np.uint64((2 * attempt * int(_GOLDEN)) & _U64_MASK)
-        u, v, ssq, ok = _polar_attempt(state + step)
-        # integer gathers: a random boolean mask gathers several times slower
-        hit = np.flatnonzero(ok)
-        ssq = ssq[hit]
-        factor = np.sqrt(-2.0 * np.log(ssq) / ssq)
-        rows = index[hit]
-        flat_out[rows, 0] = u[hit] * factor
-        flat_out[rows, 1] = v[hit] * factor
-        miss = np.flatnonzero(~ok)
-        index, state = index[miss], state[miss]
-    if index.size:
-        raise NonConvergenceError("Box-Muller rejection cap exceeded", _MAX_PAIR_ATTEMPTS)
-
-
-def gaussian_block(seed, chunk_index, count, dim, chunk_size):
-    """Standard normal block of shape (count, dim) for one chunk.
-
-    Polar Box-Muller: each coordinate pair repeatedly draws a point of
-    the square [-1, 1)^2 from its own counter slot until it lands inside
-    the unit disk, at most _MAX_PAIR_ATTEMPTS times.
-
-    Rows are global samples chunk_index * chunk_size + row, so rows
-    g0 .. g0 + n - 1 of the stream are gaussian_block(seed, g0, n, dim, 1).
-    Attempt 0 runs in row tiles of about _TILE_PAIRS pairs so that the
-    temporaries stay cache-sized; the pairs it rejects (about 21%) are
-    queued across tiles and retried in batches of at least _TILE_PAIRS
-    pairs, and once more at the end of the block.  Every value is a pure
-    function of its counters, so neither the tiling nor the batching
-    changes a value.
-    """
-    n_pairs = (dim + 1) // 2
-    if (n_pairs << PAIR_SLOT_BITS) > (1 << SAMPLE_BLOCK_BITS):
-        raise ValueError("dimension exceeds the per-sample counter budget")
-    if _MAX_PAIR_ATTEMPTS < 1:
-        raise NonConvergenceError("Box-Muller rejection cap exceeded", _MAX_PAIR_ATTEMPTS)
-    # The SplitMix64 state of counter c is (c + 1) * golden + seed, and
-    # pair j of sample g draws first from c = (g << SAMPLE_BLOCK_BITS) +
-    # (j << PAIR_SLOT_BITS); uint64 arithmetic wraps mod 2**64, so the
-    # state is exactly a row term plus a column term.
-    first = np.uint64(chunk_index) * np.uint64(chunk_size)
-    row_state = (first + np.arange(count, dtype=np.uint64)) << np.uint64(SAMPLE_BLOCK_BITS)
-    row_state += _U64_ONE
-    row_state *= _GOLDEN
-    row_state += np.uint64(seed & _U64_MASK)
-    col_state = np.arange(n_pairs, dtype=np.uint64) << np.uint64(PAIR_SLOT_BITS)
-    col_state *= _GOLDEN
-    out = np.empty((count, n_pairs, 2))
-    flat_out = out.reshape(-1, 2)
-    rows = _TILE_PAIRS // max(1, n_pairs)   # n_pairs <= 2**13 by the budget above
-    queue, queued = [], 0
-    for r0 in range(0, count, rows):
-        state = row_state[r0:r0 + rows, None] + col_state[None, :]
-        tile = out[r0:r0 + rows]
-        u, v, ssq, ok = _polar_attempt(state)
-        # rejected pairs get NaN or inf here and are overwritten below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.log(ssq)
-            factor *= -2.0
-            factor /= ssq
-            np.sqrt(factor, out=factor)
-        np.multiply(u, factor, out=tile[..., 0])
-        np.multiply(v, factor, out=tile[..., 1])
-        rejected = np.flatnonzero(~ok)
-        rejected += r0 * n_pairs
-        queue.append(rejected)
-        queued += rejected.size
-        if queued >= _TILE_PAIRS or r0 + rows >= count:
-            index = np.concatenate(queue)
-            ri, ci = np.divmod(index, n_pairs)
-            _retry_pairs(flat_out, index, row_state[ri] + col_state[ci])
-            queue, queued = [], 0
-    return out.reshape(count, 2 * n_pairs)[:, :dim]
+    block = out[:count * dim].reshape(count, dim)
+    rng.standard_normal(out=block)
+    return block
 
 
 @dataclass(frozen=True)
@@ -323,9 +201,10 @@ def map_chunks(cone, config, fn, workers=None):
     """fn(index, s, t, face_dims) for every chunk of the projection stream.
 
     The stream is drawn and projected in row blocks of about _BLOCK_VALUES
-    values: a run of small chunks shares one gaussian_block and one
-    norms_block call, and a chunk larger than a block is drawn and
-    projected a block at a time, its norms concatenated.  fn still sees
+    values: a run of small chunks fills one block, each chunk from its
+    own stream, and shares one norms_block call; a chunk larger than a
+    block reads its stream a block at a time, one pool task, since the
+    stream must be read in order, and its norms are concatenated.  fn sees
     each chunk once, with that chunk's full arrays, and the results come
     back as a list in chunk-index order, so a caller that folds them left
     to right gets the same answer for any worker count; every result is a
@@ -338,15 +217,22 @@ def map_chunks(cone, config, fn, workers=None):
     groups = _block_groups(config.chunks(), block_rows)
 
     def work(group):
-        # sample g of the stream is row g of chunk 0 with chunk_size 1
-        first = group[0][0] * config.chunk_size
         total = sum(count for _, count in group)
-        step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
-        blocks = [norms_block(cone, gaussian_block(config.seed, first + r0,
-                                                   min(step, total - r0), dim, 1))
-                  for r0 in range(0, total, step)]
-        s, t, fd = (None if parts[0] is None else np.concatenate(parts)
-                    for parts in zip(*blocks))
+        if total <= block_rows:
+            # a run of chunks that fits in one block: each fills its own rows
+            block, r0 = np.empty(total * dim), 0
+            for index, count in group:
+                gaussian_block(chunk_rng(config.seed, index), block[r0 * dim:], count, dim)
+                r0 += count
+            s, t, fd = norms_block(cone, block.reshape(total, dim))
+        else:
+            # one chunk larger than a block: its stream is read a block at a time
+            rng = chunk_rng(config.seed, group[0][0])
+            step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
+            block = np.empty(step * dim)
+            parts = [norms_block(cone, gaussian_block(rng, block, min(step, total - r0), dim))
+                     for r0 in range(0, total, step)]
+            s, t, fd = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
         results, r0 = [], 0
         for index, count in group:
             rows = slice(r0, r0 + count)

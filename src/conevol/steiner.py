@@ -16,9 +16,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .cones import Subspace, ambient_dim
-from .exceptions import NonConvergenceError
-from .sampling import (MomentAccumulator, MonteCarloConfig, counter_uniforms,
-                       map_chunks, SAMPLE_BLOCK_BITS)
+from .sampling import MomentAccumulator, MonteCarloConfig, chunk_rng, map_chunks
 from .special import beta_cdf, chi_square_cdf, gauss_laguerre
 
 GROWTH_TAGS = ("bounded", "poly", "exp")
@@ -245,58 +243,24 @@ class ChiBarSquared:
         return float(sum(chi_square_cdf(k, lam) * v[k] for k in range(len(v))))
 
     def sample(self, config):
-        """Deterministic counter-addressed draws, length config.total_samples.
+        """Deterministic draws, length config.total_samples.
 
-        Each sample spends counter slot 0 on the mixture index, slot 1 on
-        the small-shape boost uniform, and three counters per squeeze
-        attempt of the gamma accept-reject step.
+        Chunk i of config draws from chunk_rng(seed, i): its mixture
+        indices by inverting the profile's CDF at uniforms, then one
+        chi-square variate per sample with a positive index.
         """
-        v = np.asarray(self.profile.v, dtype=float)
-        cum = np.cumsum(v)
+        cum = np.cumsum(np.asarray(self.profile.v, dtype=float))
         cum[-1] = 1.0
-        n = config.total_samples
-        base = np.arange(n, dtype=np.uint64) << np.uint64(SAMPLE_BLOCK_BITS)
-        u_mix = counter_uniforms(config.seed, base)
-        dof = np.searchsorted(cum, u_mix, side="left").astype(np.int64)
-        dof = np.minimum(dof, len(v) - 1)
-        out = np.zeros(n)
-        live = dof > 0
-        if not np.any(live):
-            return out
-        shape = 0.5 * dof[live].astype(float)
-        boosted = shape + np.where(shape < 1.0, 1.0, 0.0)
-        dpar = boosted - 1.0 / 3.0
-        cpar = 1.0 / (3.0 * np.sqrt(dpar))
-        gamma = np.full(shape.shape, -1.0)
-        pending = np.ones(shape.shape, dtype=bool)
-        live_base = base[live]
-        for attempt in range(21):
-            if not np.any(pending):
-                break
-            slot = np.uint64(64 + 3 * attempt)
-            u1 = counter_uniforms(config.seed, live_base + slot)
-            u2 = counter_uniforms(config.seed, live_base + slot + np.uint64(1))
-            u3 = counter_uniforms(config.seed, live_base + slot + np.uint64(2))
-            u1 = np.maximum(u1, 1e-300)
-            x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-            vcand = (1.0 + cpar * x) ** 3
-            ok = vcand > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logu = np.log(np.maximum(u3, 1e-300))
-                accept = ok & (logu < 0.5 * x * x + dpar - dpar * vcand
-                               + dpar * np.log(np.where(ok, vcand, 1.0)))
-            take = pending & accept
-            gamma[take] = dpar[take] * vcand[take]
-            pending &= ~accept
-        if np.any(pending):
-            raise NonConvergenceError("gamma accept-reject exhausted its attempt budget")
-        small = 0.5 * dof[live].astype(float) < 1.0
-        if np.any(small):
-            u_boost = counter_uniforms(config.seed, live_base + np.uint64(1))
-            frac = np.where(small, np.maximum(u_boost, 1e-300) ** (1.0 / shape), 1.0)
-            gamma = gamma * frac
-        out[live] = 2.0 * gamma
-        return out
+        parts = []
+        for index, count in config.chunks():
+            rng = chunk_rng(config.seed, index)
+            # side="right" never draws a zero-weight index; u < 1 = cum[-1] keeps dof <= d
+            dof = np.searchsorted(cum, rng.random(count), side="right")
+            draws = np.zeros(count)
+            live = dof > 0
+            draws[live] = rng.chisquare(dof[live])
+            parts.append(draws)
+        return np.concatenate(parts)
 
 
 def chi_bar_squared(profile):

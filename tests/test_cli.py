@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conevol import sampling, steiner
+from conevol import steiner
 from conevol.cli import build_parser, cone_to_spec, main, parse_cone_spec
 from conevol.cones import (
     Circular,
@@ -209,13 +209,6 @@ def test_bad_cone_spec_exits_2(capsys):
     code, _, err = _run(capsys, ["profile", "--cone", "orthant:-3"])
     assert code == 2
     assert "at byte" in err
-
-
-def test_sampler_rejection_cap_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(sampling, "_MAX_PAIR_ATTEMPTS", 0)
-    code, _, err = _run(capsys, ["sdim", "--cone", "orthant:4", "--samples", "1000"])
-    assert code == 3
-    assert "numerical guard" in err
 
 
 def test_module_entry_point_runs_with_warnings_as_errors():

@@ -12,7 +12,7 @@ mixture CDF.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +28,7 @@ from .special import gauss_legendre
 _LN2 = math.log(2.0)
 
 BIORTHOGONAL_MAX_DIM = 20
+_DIGITS = 160
 
 
 @dataclass(frozen=True)
@@ -151,74 +152,45 @@ def intrinsic_variance(summary):
 # biorthogonal system in the squared projection norm
 # ---------------------------------------------------------------------------
 
-def _atan_recip(x, terms):
-    # arctan(1/x) partial sum; terms chosen so the tail is < 1e-75
-    total = Fraction(0)
-    for i in range(terms):
-        t = Fraction(1, (2 * i + 1) * x ** (2 * i + 1))
-        total += t if i % 2 == 0 else -t
-    return total
+def _pi():
+    """pi to the current decimal precision, by the series in the decimal docs."""
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return s
 
 
-_PI_FRAC = 16 * _atan_recip(5, 56) - 4 * _atan_recip(239, 26)
-
-
-def _frac_sqrt(x):
-    r = Fraction(math.sqrt(x))
-    for _ in range(4):
-        r = (r + x / r) / 2
-        r = r.limit_denominator(10 ** 80)
-    return r
-
-
-_SQRT2_FRAC = _frac_sqrt(Fraction(2))
-_SQRT_PI_FRAC = _frac_sqrt(_PI_FRAC)
-
-
-def _gamma_half(n2):
-    """Gamma(n2 / 2) split as (rational, carries_sqrt_pi)."""
+def _gamma_half(n2, root_pi):
+    """Gamma(n2 / 2) as a Decimal, given sqrt(pi)."""
     if n2 % 2 == 0:
-        return Fraction(math.factorial(n2 // 2 - 1)), False
+        return Decimal(math.factorial(n2 // 2 - 1))
     m = (n2 - 1) // 2
-    return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), True
+    return Decimal(math.factorial(2 * m)) / (4 ** m * math.factorial(m)) * root_pi
 
 
-def _gram_fraction(k, l):
-    """Gram entry as an exact Fraction (pi and sqrt(2) to ~75 digits)."""
-    rn, pn = _gamma_half(k + l)
-    rk, pk = _gamma_half(k)
-    rl, pl = _gamma_half(l)
-    if (k + l) % 2 == 0:
-        value = rn / (Fraction(2) ** ((k + l) // 2) * rk * rl)
-        if pk and pl:          # sqrt(pi) in both denominator factors
-            value /= _PI_FRAC
-        return value
-    # mixed parity: numerator sqrt(pi) cancels the single denominator one,
-    # and the half power of 2 contributes a 1/sqrt(2)
-    value = rn / (Fraction(2) ** ((k + l) // 2) * rk * rl)
-    return value * _SQRT2_FRAC / 2
-
-
-def _fraction_ldlt_inverse(g):
-    """Exact inverse of a symmetric positive definite Fraction matrix."""
+def _ldlt_inverse(g):
+    """Inverse of a symmetric positive definite matrix by LDL^T."""
     d = len(g)
-    L = [[Fraction(0)] * d for _ in range(d)]
-    D = [Fraction(0)] * d
+    L = [[0] * d for _ in range(d)]
+    D = [0] * d
     for j in range(d):
         piv = g[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
         if piv <= 0:
             raise ConditioningError(f"moment matrix not positive definite at pivot {j}")
         D[j] = piv
-        L[j][j] = Fraction(1)
+        L[j][j] = 1
         for i in range(j + 1, d):
             L[i][j] = (g[i][j] - sum(L[i][k] * L[j][k] * D[k]
                                      for k in range(j))) / piv
-    inv = [[Fraction(0)] * d for _ in range(d)]
+    inv = [[0] * d for _ in range(d)]
     for col in range(d):
-        y = [Fraction(0)] * d
-        for i in range(d):
-            y[i] = (Fraction(int(i == col))
-                    - sum(L[i][k] * y[k] for k in range(i))) if i >= col else Fraction(0)
+        y = [0] * d
+        for i in range(col, d):
+            y[i] = int(i == col) - sum(L[i][k] * y[k] for k in range(i))
         for i in range(d):
             y[i] /= D[i]
         for i in range(d - 1, -1, -1):
@@ -228,7 +200,7 @@ def _fraction_ldlt_inverse(g):
 
 def _to_dd(x):
     hi = float(x)
-    return hi, float(x - Fraction(hi))
+    return hi, float(x - Decimal(hi))
 
 
 @dataclass(frozen=True)
@@ -244,8 +216,10 @@ class BiorthogonalSystem:
     c[j,k]/Gamma(k/2), stored as double-double pairs (poly_hi, poly_lo).
 
     residual is the verified max-norm of (moment matrix) @ c - I for the
-    double-double rounding of c, computed in exact rational arithmetic;
-    condition is the max-norm condition estimate of the moment matrix.
+    double-double rounding of c, computed in 160 significant decimal
+    digits; condition is the max-norm condition estimate of the moment
+    matrix.  Every field is bit for bit what the exact rational build
+    gives, for every d <= 20 (pinned by a test).
     """
     d: int
     poly_hi: np.ndarray
@@ -291,54 +265,49 @@ class BiorthogonalSystem:
 def build_biorthogonal(d):
     """Construct the biorthogonal system for dimensions 1..d (d <= 20).
 
-    The moment matrix is assembled exactly in rational arithmetic (its
-    entries live in Q extended by 1/pi and sqrt(2)) and inverted by an
-    exact LDL^T factorization; coefficients are then rounded to
-    double-double pairs.  Plain float64 storage is not enough: by d = 12
-    the best representable inverse already leaves a residual above 1e-5,
-    and the moment matrix stops being numerically positive definite at
-    d = 16.  The exact route keeps the verified residual below 1e-8
-    through d = 20: there the max-norm condition estimate is 7.3e21 and
-    the residual 4.5e-13 (1.6e8 and 1.6e-26 at d = 8).
+    The moment matrix is assembled and inverted by an LDL^T factorization
+    in _DIGITS = 160 significant decimal digits, in a private decimal
+    context (the caller's context is not used), and the coefficients are
+    then rounded to double-double pairs.  Plain float64 storage is not
+    enough: by d = 12 the best representable inverse already leaves a
+    residual above 1e-5, and the moment matrix stops being numerically
+    positive definite at d = 16.  The decimal route keeps the verified
+    residual below 1e-8 through d = 20: there the max-norm condition
+    estimate is 7.3e21 and the residual 4.5e-13 (1.6e8 and 1.6e-26 at
+    d = 8).  A test pins the result, bit for bit, to the exact rational
+    build for every d <= 20.
     """
     if not 1 <= d <= BIORTHOGONAL_MAX_DIM:
         raise ConditioningError(
             f"biorthogonal system limited to d <= {BIORTHOGONAL_MAX_DIM} "
             f"(requested {d}); use the mixture estimator instead")
-    ks = range(1, d + 1)
-    gram_exact = [[_gram_fraction(k, l) for l in ks] for k in ks]
-    inv_exact = _fraction_ldlt_inverse(gram_exact)
+    with localcontext(Context(prec=_DIGITS, rounding=ROUND_HALF_EVEN)):
+        root2, root_pi = Decimal(2).sqrt(), _pi().sqrt()
+        gamma = [None] + [_gamma_half(n, root_pi) for n in range(1, 2 * d + 1)]
+        ks = range(1, d + 1)
+        # E[rho_k(X_l)] = Gamma((k+l)/2) / (2^((k+l)/2) Gamma(k/2) Gamma(l/2))
+        gram = [[gamma[k + l] / (2 ** ((k + l) // 2) * (root2 if (k + l) % 2 else 1)
+                                 * gamma[k] * gamma[l]) for l in ks] for k in ks]
+        inv = _ldlt_inverse(gram)
 
-    coeffs = np.empty((d, d))
-    coeffs_low = np.empty((d, d))
-    for i in range(d):
+        # residual of the double-double rounded inverse against the moment matrix
+        rounded = [[sum(map(Decimal, _to_dd(x))) for x in row] for row in inv]
+        resid = max(abs(sum(gram[i][k] * rounded[k][j] for k in range(d)) - int(i == j))
+                    for i in range(d) for j in range(d))
+        final = float(resid)
+        if final > 1e-8:
+            raise ConditioningError(
+                f"biorthogonal residual {final:.3e} exceeds 1e-8 at d={d}")
+
+        norm_g = max(sum(abs(e) for e in row) for row in gram)
+        norm_inv = max(sum(abs(e) for e in row) for row in inv)
+        condition = float(norm_g * norm_inv)
+
+        poly_hi = np.empty((d, d))
+        poly_lo = np.empty((d, d))
         for j in range(d):
-            coeffs[i, j], coeffs_low[i, j] = _to_dd(inv_exact[i][j])
-
-    # residual of the rounded coefficient pairs against the exact matrix
-    resid = Fraction(0)
-    for i in range(d):
-        for j in range(d):
-            acc = sum(gram_exact[i][k]
-                      * (Fraction(coeffs[k, j]) + Fraction(coeffs_low[k, j]))
-                      for k in range(d))
-            resid = max(resid, abs(acc - int(i == j)))
-    final = float(resid)
-    if final > 1e-8:
-        raise ConditioningError(
-            f"biorthogonal residual {final:.3e} exceeds 1e-8 at d={d}")
-
-    norm_g = max(sum(abs(e) for e in row) for row in gram_exact)
-    norm_inv = max(sum(abs(e) for e in row) for row in inv_exact)
-    condition = float(norm_g * norm_inv)
-
-    poly_hi = np.empty((d, d))
-    poly_lo = np.empty((d, d))
-    for j in range(d):
-        for k in ks:
-            rk, pk = _gamma_half(k)
-            scale = rk * _SQRT_PI_FRAC if pk else rk
-            poly_hi[j, k - 1], poly_lo[j, k - 1] = _to_dd(inv_exact[j][k - 1] / scale)
+            for k in ks:
+                poly_hi[j, k - 1], poly_lo[j, k - 1] = _to_dd(inv[j][k - 1] / gamma[k])
 
     for arr in (poly_hi, poly_lo):
         arr.setflags(write=False)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conevol import steiner
-from conevol.cli import build_parser, cone_to_spec, main, parse_cone_spec
+from conevol.cli import cone_to_spec, main, parse_cone_spec
 from conevol.cones import (
     Circular,
     Generators,

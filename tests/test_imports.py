@@ -1,8 +1,8 @@
-"""Source hygiene: every module-level import in src/conevol is used.
+"""Source hygiene: every module-level import is used.
 
-The repository has no linter, so this test is the unused-import lint.
-``__init__.py`` is skipped because its imports are the package's
-re-exports.
+The repository has no linter, so this test is the unused-import lint.  It
+scans src/conevol, scripts/ and tests/.  The package ``__init__.py`` is
+skipped because its imports are the package's re-exports.
 """
 
 # Standard libraries
@@ -12,8 +12,11 @@ from pathlib import Path
 # External libraries
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "conevol"
-_MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
+_ROOT = Path(__file__).resolve().parents[1]
+_MODULES = sorted(p for p in [*(_ROOT / "src" / "conevol").glob("*.py"),
+                              *(_ROOT / "scripts").glob("*.py"),
+                              *(_ROOT / "tests").glob("*.py")]
+                  if p.name != "__init__.py")
 
 
 def _unused_imports(source):
@@ -35,6 +38,6 @@ def test_scanner_flags_an_unused_import():
     assert _unused_imports(source) == [(1, "os"), (3, "pi")]
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.relative_to(_ROOT).as_posix().removeprefix("src/conevol/"))
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,10 +1,12 @@
 # Standard libraries
+import decimal
+import hashlib
 import math
 
 # External libraries
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conevol.cones import (
@@ -15,7 +17,6 @@ from conevol.cones import (
     Product,
     Subspace,
     Trivial,
-    second_order_cone,
 )
 from conevol.exceptions import (
     ConditioningError,
@@ -36,6 +37,7 @@ from conevol.profiles import (
     statistical_dimension,
 )
 from conevol.sampling import MonteCarloConfig, run_summary
+from biorthogonal_oracle import reference_biorthogonal
 
 # ---------------------------------------------------------------------------
 # Exact profiles
@@ -217,13 +219,56 @@ def test_biorthogonality_under_quadrature(d):
 
 
 def test_biorthogonal_residual_certificates():
-    small = build_biorthogonal(6)
-    large = build_biorthogonal(12)
-    assert small.residual <= 1e-8
-    assert large.residual <= 1e-8
-    assert large.condition > small.condition
+    systems = [build_biorthogonal(d) for d in (6, 12, 20)]
+    for system in systems:
+        assert system.residual <= 1e-8
+    small, large, cap = (system.condition for system in systems)
+    assert small < large < cap
     # cached: repeated calls return the same object
-    assert build_biorthogonal(12) is large
+    assert build_biorthogonal(12) is systems[1]
+
+
+# SHA-256 over build_biorthogonal(d) for d = 1..20, in d order: the bytes
+# of poly_hi, poly_lo, float64(condition) and float64(residual).  Computed
+# with the exact rational build (tests/biorthogonal_oracle.py).
+_BIORTHOGONAL_SHA256 = "0cb371e53e4bed0fdbfb67b9c3cb7b2b6d823a2f04197eccc29a9e5a7873ecef"
+
+
+def _biorthogonal_digest():
+    digest = hashlib.sha256()
+    for d in range(1, 21):
+        system = build_biorthogonal(d)
+        for part in (system.poly_hi, system.poly_lo,
+                     np.float64(system.condition), np.float64(system.residual)):
+            digest.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_biorthogonal_systems_are_pinned_for_every_dimension():
+    assert _biorthogonal_digest() == _BIORTHOGONAL_SHA256
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_biorthogonal_matches_exact_rational_build(d):
+    system = build_biorthogonal(d)
+    poly_hi, poly_lo, condition, residual = reference_biorthogonal(d)
+    assert np.array_equal(system.poly_hi, poly_hi)
+    assert np.array_equal(system.poly_lo, poly_lo)
+    assert system.condition == condition
+    assert system.residual == residual
+
+
+def test_biorthogonal_build_ignores_the_callers_decimal_context():
+    saved = decimal.getcontext()
+    decimal.setcontext(decimal.Context(prec=5, rounding=decimal.ROUND_DOWN))
+    try:
+        build_biorthogonal.cache_clear()
+        digest = _biorthogonal_digest()
+        assert decimal.getcontext().prec == 5
+    finally:
+        decimal.setcontext(saved)
+        build_biorthogonal.cache_clear()
+    assert digest == _BIORTHOGONAL_SHA256
 
 
 def test_biorthogonal_dimension_cap():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conevol.cones import Circular, Orthant, Polar, Subspace, Trivial
+from conevol.cones import Circular, Orthant, Subspace, Trivial
 from conevol.profiles import (
     chi_expectation_quadrature,
     exact_profile,

@@ -29,7 +29,7 @@ from .profiles import (estimate_profile_biorthogonal, estimate_profile_face,
                        estimate_profile_mixture, exact_profile,
                        intrinsic_variance, statistical_dimension)
 from .sampling import MonteCarloConfig, run_summary
-from .special import beta_cdf, chi_square_cdf
+from .special import beta_cdf_family, chi_square_cdf_family
 from .steiner import (empirical_steiner_cdf, gaussian_steiner_cdf, master_phi,
                       phi_mc, preset_functionals, spherical_steiner_cdf,
                       wills_functional, wills_mc)
@@ -68,6 +68,8 @@ def _parse_grid(text):
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise ConeSpecError(f"grid must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ConeSpecError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0.0 or b < a:
         raise ConeSpecError(f"grid needs stop >= start and step > 0, got {text!r}")
     count = int(math.floor((b - a) / step + 1e-9)) + 1
@@ -189,10 +191,9 @@ def _cmd_steiner(args, parser):
         for i, lam in enumerate(grid):
             mix = mix_fn(prof, lam)
             if args.check == "gaussian":
-                coeff = np.array([chi_square_cdf(d - k, lam) for k in range(d + 1)])
+                coeff = chi_square_cdf_family(d, lam)[::-1]
             else:
-                coeff = np.array([beta_cdf(0.5 * (d - k), 0.5 * k, lam)
-                                  for k in range(d + 1)])
+                coeff = beta_cdf_family(d, lam)
             se = math.hypot(float(emp_se[i]), _profile_se(prof, coeff))
             diff = abs(mix - float(emp[i]))
             bad = bad or diff > 4.0 * se + 0.01

@@ -388,9 +388,8 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
 
 
 def mixture_design_matrix(d, thresholds):
-    from .special import chi_square_cdf
-    return np.array([[chi_square_cdf(k, lam) for k in range(d + 1)]
-                     for lam in thresholds])
+    from .special import chi_square_cdf_family
+    return np.array([chi_square_cdf_family(d, lam) for lam in thresholds])
 
 
 def estimate_profile_mixture(cone, config, workers=None, summary=None):

@@ -1,12 +1,12 @@
-"""Self-contained special functions and quadrature rules.
+"""Special functions and quadrature rules.
 
 Implements the distribution functions the rest of the toolkit needs
 (chi-square, beta, binomial), Bennett's concentration function, and
-Gauss-Legendre / generalized Gauss-Laguerre nodes.  Everything here is
-plain series / continued-fraction / Newton-iteration numerics on top of
-the C library gamma functions exposed through ``math``; no external
-numerical libraries are involved, so ports to other languages can match
-these results digit for digit.
+Gauss-Legendre / generalized Gauss-Laguerre nodes.  The scalar CDFs are
+series and continued fractions on top of the C library gamma functions
+exposed through ``math``; they accept any shape and serve as oracles.
+The families evaluate a whole mixture row, every k = 0..d at one lambda,
+in one numpy pass, and are what the mixture sums over k use.
 """
 
 import math
@@ -62,18 +62,24 @@ def _upper_gamma_cf(a, x):
     raise NonConvergenceError("incomplete gamma fraction did not converge", _MAX_ITER)
 
 
+def _check_chi_lambda(lam):
+    # NaN fails every comparison, so it would slip past a plain lam < 0 test
+    if not lam >= 0.0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+
+
 def chi_square_cdf(dof, lam):
     """CDF of the chi-square distribution with ``dof`` degrees of freedom.
 
     ``dof = 0`` denotes the point mass at zero, so the CDF is 1 for every
     lam >= 0.  This convention is what makes the mixed-dimension mixture
-    sums over k = 0..d work without special cases at the ends.
+    sums over k = 0..d work without special cases at the ends.  lam = inf
+    gives 1; a NaN lam is rejected like a negative one.
     """
     if dof < 0:
         raise ValueError(f"dof must be >= 0, got {dof}")
-    if lam < 0.0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if dof == 0:
+    _check_chi_lambda(lam)
+    if dof == 0 or lam == math.inf:
         return 1.0
     a = 0.5 * dof
     x = 0.5 * lam
@@ -149,6 +155,122 @@ def beta_cdf(a_half, b_half, lam):
     else:
         value = 1.0 - front * _beta_cf(b, a, 1.0 - lam) / b
     return min(1.0, max(0.0, value))
+
+
+# ---------------------------------------------------------------------------
+# Mixture rows: the CDFs of every k = 0..d at one lambda
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _half_lgamma_table(size):
+    table = np.array([math.inf] + [math.lgamma(0.5 * j) for j in range(1, size)])
+    table.setflags(write=False)
+    return table
+
+
+def _half_lgamma(n):
+    # lgamma(j/2) for j = 0..n (inf at j = 0), cut from a table that is built
+    # on first use and again at the next power of two when outgrown
+    return _half_lgamma_table(1 << max(6, n.bit_length()))[:n + 1]
+
+
+def chi_square_cdf_family(d, lam):
+    """P{chi-square(k) <= lam} for every k = 0..d, as one array.
+
+    Agrees with chi_square_cdf(k, lam) to rounding and keeps its conventions
+    (k = 0 is the point mass at zero, lam = inf gives 1).  With x = lam/2
+    and t_k = x^(k/2) e^-x / Gamma(k/2 + 1), CDFs two degrees apart differ
+    by one term, F_k - F_{k+2} = t_k.  So F_k is the suffix sum
+    t_k + t_{k+2} + ... (the lower series), and 1 - F_k is Q_0 plus the t_j
+    below k of its parity, with Q_0 = erfc(sqrt x) for odd k and e^-x for
+    even k.  Each k takes the side chi_square_cdf takes (the suffix when
+    lam < k + 1), so every value is a sum of positive terms on the side
+    where it is small.
+    """
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    _check_chi_lambda(lam)
+    if lam == math.inf:
+        return np.ones(d + 1)
+    out = np.zeros(d + 1)
+    out[0] = 1.0
+    if lam == 0.0 or d == 0:
+        return out
+    x = 0.5 * lam
+    # k = 1..split take the upper side (lam >= k + 1), the rest the lower
+    split = min(d, max(0, math.floor(lam) - 1))
+    top = d
+    if split < d:
+        # a lower-side suffix sum runs m terms past d: from its first term
+        # the ratio falls below exp(-m^2 / (2(x + m))), under e^-40 here
+        top += 2 * math.ceil(40.0 + math.sqrt(1600.0 + 80.0 * x))
+    rows = (top + 1) // 2
+    half = np.arange(1, 2 * rows + 1) * 0.5
+    # row r holds the terms of k = 2r + 1 and k = 2r + 2
+    t = np.exp(half * math.log(x) - x - _half_lgamma(2 * rows + 2)[3:]).reshape(rows, 2)
+    if split > 0:
+        head = [[math.erfc(math.sqrt(x)), math.exp(-x)]]
+        upper = np.cumsum(np.concatenate((head, t[:(split - 1) // 2])), axis=0)
+        out[1:split + 1] = 1.0 - upper.ravel()[:split]
+    if split < d:
+        low = split // 2
+        lower = np.cumsum(t[low:][::-1], axis=0)[::-1]
+        out[split + 1:] = lower.ravel()[split - 2 * low:d - 2 * low]
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+@lru_cache(maxsize=256)
+def _beta_row_constants(d):
+    # for k = 0..d, with a = (d - k)/2 and b = k/2: a, b - 1, the log of
+    # Gamma(a + b) / (Gamma(a + 1) Gamma(b)) (-inf at k = 0), the lambda from
+    # which beta_cdf takes its upper side, and whether k's parity chain ends
+    # at k = d, where I = 1
+    k = np.arange(d + 1)
+    g = _half_lgamma(d + 2)
+    consts = (0.5 * (d - k), 0.5 * k - 1.0, g[d] - g[d + 2 - k] - g[k],
+              (d - k + 2.0) / (d + 4.0), k % 2 == d % 2)
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
+
+
+def beta_cdf_family(d, lam):
+    """I_lam((d - k)/2, k/2) for every k = 0..d, as one array.
+
+    Agrees with beta_cdf((d - k)/2, k/2, lam) to rounding and keeps its
+    point-mass conventions at k = 0 and k = d.  With a + b = d/2 fixed,
+    neighbours two apart differ by one positive term,
+    I(a, b) - I(a + 1, b - 1) = Gamma(a + b) / (Gamma(a + 1) Gamma(b))
+    x^a (1 - x)^(b - 1).  So each parity chain is a cumulative sum from its
+    lower end: I = 0 at k = 0, and one beta_cdf call at k = 1.  The chain
+    that ends at k = d, where I = 1, also runs down from there as 1 minus a
+    suffix sum; its coordinates take the side beta_cdf takes (the lower one
+    when lam < (a + 1)/(a + b + 2)).
+    """
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if lam == 1.0:
+        return np.ones(d + 1)
+    out = np.zeros(d + 1)
+    if lam > 0.0 and d > 0:
+        a, b_less, log_front, upper_from, ends_at_d = _beta_row_constants(d)
+        terms = np.exp(log_front + a * math.log(lam) + b_less * math.log1p(-lam))
+        # the odd chain's lower end; unused when every odd k is on the upper side
+        terms[1] = (beta_cdf(0.5 * (d - 1), 0.5, lam)
+                    if d % 2 == 0 or lam < upper_from[1] else 0.0)
+        if d % 2 == 0:
+            terms = np.append(terms, 0.0)
+        # row r holds k = 2r and k = 2r + 1
+        terms = terms.reshape(-1, 2)
+        lower = np.cumsum(terms, axis=0).ravel()[:d + 1]
+        above = np.cumsum(terms[1:][::-1], axis=0)[::-1].ravel()
+        upper = 1.0 - np.append(above, (0.0, 0.0))[:d + 1]
+        np.clip(np.where(ends_at_d & (lam >= upper_from), upper, lower), 0.0, 1.0, out=out)
+        out[0] = 0.0
+    out[d] = 1.0
+    return out
 
 
 def bennett_psi(u):
@@ -266,57 +388,26 @@ def _laguerre_value(n, alpha, x):
     return p0, p1, logscale
 
 
-def _laguerre_nodes_bisect(n, alpha):
-    # Eigenvalues of the Jacobi matrix of the monic recurrence
-    # (diag 2i+alpha+1, off-diag sqrt(i(i+alpha))), located by Sturm
-    # sequence bisection.  Robust for any alpha > -1, unlike the classic
-    # Newton initial guesses which cross over for large alpha.
-    diag = 2.0 * np.arange(n) + alpha + 1.0
-    off2 = np.arange(1, n) * (np.arange(1, n) + alpha)
-    off = np.sqrt(off2)
-    rad = np.zeros(n)
-    rad[:-1] += off
-    rad[1:] += off
-    upper = float(np.max(diag + rad))
-
-    def counts(x):
-        # number of eigenvalues strictly below each shift in x
-        d = diag[0] - x
-        c = (d < 0.0).astype(np.int64)
-        for i in range(1, n):
-            d = np.where(np.abs(d) < _TINY, np.copysign(_TINY, d), d)
-            d = diag[i] - x - off2[i - 1] / d
-            c += d < 0.0
-        return c
-
-    lo = np.zeros(n)
-    hi = np.full(n, upper)
-    target = np.arange(1, n + 1)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        above = counts(mid) >= target
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) <= 1e-14 * upper:
-            break
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=1024)
 def gauss_laguerre(n, alpha=0.0):
     """Generalized Gauss-Laguerre rule, normalized to the gamma density.
 
     Integrates f against x^alpha e^-x / Gamma(alpha+1) on [0, inf):
     sum(w * f(x)) with sum(w) = 1, so rules stay finite for large alpha.
-    Nodes from Sturm bisection on the recurrence's Jacobi matrix,
-    polished by Newton steps.  Rules are memoized per (n, alpha); every
-    caller shares the one read-only rule.
+    Nodes are the eigenvalues of the recurrence's Jacobi matrix (Golub and
+    Welsch), from LAPACK, polished by Newton steps.  Rules are memoized
+    per (n, alpha); every caller shares the one read-only rule.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
-    x = _laguerre_nodes_bisect(n, alpha)
+    # Jacobi matrix of the monic recurrence: diagonal 2i + alpha + 1,
+    # off-diagonal sqrt(i (i + alpha))
+    i = np.arange(1, n)
+    off = np.sqrt(i * (i + alpha))
+    jacobi = np.diag(2.0 * np.arange(n) + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
     for _ in range(4):
         p0, p1, _ = _laguerre_value(n, alpha, x)
         dp = (n * p0 - (n + alpha) * p1) / x

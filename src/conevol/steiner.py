@@ -17,7 +17,7 @@ import numpy as np
 
 from .cones import Subspace, ambient_dim
 from .sampling import MomentAccumulator, MonteCarloConfig, chunk_rng, map_chunks
-from .special import beta_cdf, chi_square_cdf, gauss_laguerre
+from .special import beta_cdf_family, chi_square_cdf_family, gauss_laguerre
 
 GROWTH_TAGS = ("bounded", "poly", "exp")
 
@@ -184,10 +184,8 @@ def phi_mc(cone, f, config, workers=None):
 
 def gaussian_steiner_cdf(profile, lam):
     """P{dist^2(g, C) <= lam} as the chi-square mixture of the profile."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    d = profile.d
-    return float(sum(chi_square_cdf(d - k, lam) * profile.v[k] for k in range(d + 1)))
+    # coordinate k weighs the chi-square law with d - k degrees of freedom
+    return float(np.dot(chi_square_cdf_family(profile.d, lam)[::-1], profile.v))
 
 
 def spherical_steiner_cdf(profile, lam):
@@ -197,13 +195,7 @@ def spherical_steiner_cdf(profile, lam):
     point mass at 1 (theta lands at squared distance 1 from a pointed
     cone's polar side) and k = d is the mass at 0.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    d = profile.d
-    total = 0.0
-    for k in range(d + 1):
-        total += beta_cdf(0.5 * (d - k), 0.5 * k, lam) * profile.v[k]
-    return float(total)
+    return float(np.dot(beta_cdf_family(profile.d, lam), profile.v))
 
 
 def empirical_steiner_cdf(cone, lam_grid, config, kind="gaussian", workers=None):
@@ -237,10 +229,7 @@ class ChiBarSquared:
     profile: object
 
     def cdf(self, lam):
-        if lam < 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
-        v = self.profile.v
-        return float(sum(chi_square_cdf(k, lam) * v[k] for k in range(len(v))))
+        return float(np.dot(chi_square_cdf_family(self.profile.d, lam), self.profile.v))
 
     def sample(self, config):
         """Deterministic draws, length config.total_samples.

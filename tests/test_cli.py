@@ -296,6 +296,18 @@ def test_steiner_check_passes_for_orthant(capsys):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:nan:1", "-inf:1:1", "0:1:inf"])
+@pytest.mark.parametrize("command", [
+    ["steiner", "--cone", "orthant:4", "--check", "gaussian", "--samples", "100"],
+    ["tail", "--cone", "orthant:4", "--samples", "0", "--delta", "2"],
+])
+def test_non_finite_lambda_grid_exits_2(capsys, command, grid):
+    code, out, err = _run(capsys, [*command, f"--lambda-grid={grid}"])
+    assert code == 2
+    assert out == ""
+    assert f"{grid!r}" in err
+
+
 def test_steiner_master_check(capsys):
     code, out, _ = _run(capsys, ["steiner", "--check", "master",
                                  "--cone", "orthant:4", "--samples", "20000"])

@@ -32,11 +32,13 @@ from conevol.profiles import (
     estimate_profile_mixture,
     exact_profile,
     intrinsic_variance,
+    mixture_design_matrix,
     profile_from_raw,
     reverse_profile,
     statistical_dimension,
 )
 from conevol.sampling import MonteCarloConfig, run_summary
+from conevol.special import chi_square_cdf
 from biorthogonal_oracle import reference_biorthogonal
 
 # ---------------------------------------------------------------------------
@@ -321,6 +323,13 @@ def test_face_and_biorthogonal_estimators_agree():
     joint = np.hypot(face.stderr, bio.stderr)
     z = np.abs(face.v - bio.raw_v) / joint
     assert float(z.max()) < 4.0
+
+
+def test_mixture_design_matrix_rows_are_chi_square_cdfs():
+    # one row per threshold, column k = P{chi-square(k) <= threshold}
+    thresholds = [0.0, 0.3, 2.0, 7.5, 30.0]
+    want = [[chi_square_cdf(k, lam) for k in range(7)] for lam in thresholds]
+    assert np.allclose(mixture_design_matrix(6, thresholds), want, rtol=1e-12, atol=1e-13)
 
 
 def test_mixture_estimator_statistical_dimension():

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from conevol.special import (
     bennett_psi,
     beta_cdf,
+    beta_cdf_family,
     binomial_pmf,
     binomial_tail,
     chi_square_cdf,
+    chi_square_cdf_family,
     gauss_laguerre,
     gauss_legendre,
     tanh_sinh_rule,
@@ -121,6 +123,108 @@ def test_beta_cdf_rejects_out_of_range():
         beta_cdf(1.0, 1.0, 1.5)
     with pytest.raises(ValueError):
         beta_cdf(-0.5, 1.0, 0.5)
+
+
+def test_chi_square_cdf_non_finite_lambda():
+    # lam = inf is the end of the support; NaN is rejected like a negative lam
+    for dof in (0, 1, 3, 40):
+        assert chi_square_cdf(dof, math.inf) == 1.0
+    with pytest.raises(ValueError):
+        chi_square_cdf(3, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# Mixture rows: every k = 0..d at one lambda
+# ---------------------------------------------------------------------------
+
+FAMILY_DIMS = [1, 2, 3, 8, 9, 16, 33, 64, 200]
+
+
+def _chi_family_lambdas(d):
+    # 0, a tiny value, both sides of the dof + 1 switch of a low, a middle
+    # and the top coordinate, and far out in the upper tail
+    switches = [float(k + 1) for k in sorted({1, d // 2, d})]
+    return ([0.0, 1e-8, 0.3, 0.5 * d + 0.7, 2.0 * d + 3.0, 10.0 * d + 100.0]
+            + [s * (1.0 + e) for s in switches for e in (-1e-9, 0.0, 1e-9)])
+
+
+def _beta_family_lambdas(d):
+    # the ends, a tiny value, and both sides of the switch
+    # (a + 1)/(a + b + 2) = (d - k + 2)/(d + 4) of a low, a middle and a high k
+    switches = [(d - k + 2.0) / (d + 4.0) for k in sorted({1, d // 2, d - 1})]
+    return ([0.0, 1e-8, 0.05, 0.3, 0.5, 0.8, 0.99, 1.0]
+            + [s * (1.0 + e) for s in switches for e in (-1e-9, 1e-9)])
+
+
+@pytest.mark.parametrize("d", FAMILY_DIMS)
+def test_chi_square_cdf_family_matches_scalar_and_scipy(d):
+    sp = pytest.importorskip("scipy.special")
+    for lam in _chi_family_lambdas(d):
+        row = chi_square_cdf_family(d, lam)
+        assert row.shape == (d + 1,)
+        assert row[0] == 1.0
+        for k in range(1, d + 1):
+            scalar = chi_square_cdf(k, lam)
+            assert _close(row[k], float(sp.chdtr(k, lam)), 1e-12, 1e-13), (k, lam)
+            # both are sums of positive terms where they are small, so they
+            # agree relatively down to the underflow range
+            assert _close(row[k], scalar, 1e-12, 1e-290), (k, lam)
+
+
+@pytest.mark.parametrize("d", FAMILY_DIMS)
+def test_beta_cdf_family_matches_scalar_and_scipy(d):
+    sp = pytest.importorskip("scipy.special")
+    for lam in _beta_family_lambdas(d):
+        row = beta_cdf_family(d, lam)
+        assert row.shape == (d + 1,)
+        for k in range(d + 1):
+            a, b = 0.5 * (d - k), 0.5 * k
+            assert _close(row[k], beta_cdf(a, b, lam), 1e-12, 1e-290), (k, lam)
+            if 0 < k < d:  # scipy has no point masses at the ends
+                assert _close(row[k], float(sp.betainc(a, b, lam)), 1e-12, 1e-13), (k, lam)
+
+
+def test_cdf_families_keep_the_point_mass_conventions():
+    for d in (0, 1, 2, 5, 8):
+        assert chi_square_cdf_family(d, 0.0).tolist() == [1.0] + [0.0] * d
+        assert chi_square_cdf_family(d, math.inf).tolist() == [1.0] * (d + 1)
+        for lam in (0.0, 0.4, 1.0):
+            row = beta_cdf_family(d, lam)
+            # k = d (a = 0) is the mass at 0, k = 0 (b = 0) the mass at 1
+            assert row[d] == 1.0 == beta_cdf(0.0, 0.5 * d, lam)
+            if d > 0:
+                assert row[0] == beta_cdf(0.5 * d, 0.0, lam) == (1.0 if lam == 1.0 else 0.0)
+        assert beta_cdf_family(d, 0.0).tolist() == [0.0] * d + [1.0]
+        assert beta_cdf_family(d, 1.0).tolist() == [1.0] * (d + 1)
+
+
+def test_cdf_families_are_monotone_rows_in_unit_interval():
+    # monotone in k up to rounding: odd and even k come from separate sums
+    for d in (7, 16, 65):
+        for lam in (0.5, 0.5 * d, 1.5 * d):
+            row = chi_square_cdf_family(d, lam)
+            assert np.all((row >= 0.0) & (row <= 1.0))
+            assert np.all(np.diff(row) <= 1e-14)  # more degrees of freedom, less mass below
+        for lam in (0.1, 0.5, 0.9):
+            row = beta_cdf_family(d, lam)
+            assert np.all((row >= 0.0) & (row <= 1.0))
+            assert np.all(np.diff(row) >= -1e-14)
+
+
+def test_cdf_families_reject_bad_args():
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            chi_square_cdf_family(4, bad)
+        with pytest.raises(ValueError):
+            beta_cdf_family(4, bad)
+    with pytest.raises(ValueError):
+        beta_cdf_family(4, 1.5)
+    with pytest.raises(ValueError):
+        beta_cdf_family(4, math.inf)
+    with pytest.raises(ValueError):
+        chi_square_cdf_family(-1, 1.0)
+    with pytest.raises(ValueError):
+        beta_cdf_family(-1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +394,8 @@ def test_beta_cdf_matches_scipy(a, b):
                       1e-12, 1e-13), lam
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 100])
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.5, 20.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 100, 200])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.5, 20.0, 31.0])
 def test_gauss_laguerre_matches_scipy(n, alpha):
     sp = pytest.importorskip("scipy.special")
     nodes, weights = sp.roots_genlaguerre(n, alpha)
@@ -301,6 +405,37 @@ def test_gauss_laguerre_matches_scipy(n, alpha):
     # gamma density, which divides by Gamma(alpha + 1)
     assert np.allclose(rule.weights, weights / math.gamma(alpha + 1.0),
                        rtol=1e-11, atol=1e-15)
+
+
+def _mp_laguerre_node(mp, n, alpha, x0):
+    # a 40-digit Newton root of L_n^(alpha) from x0, with its normalized weight
+    alpha, x = mp.mpf(alpha), mp.mpf(x0)
+    for step in range(4):
+        p0, p1 = mp.mpf(1), mp.mpf(0)
+        for j in range(n):
+            p1, p0 = p0, ((2 * j + 1 + alpha - x) * p0 - (j + alpha) * p1) / (j + 1)
+        dp = (n * p0 - (n + alpha) * p1) / x
+        if step < 3:
+            x -= p0 / dp
+    weight = (mp.gamma(n + alpha + 1) / (mp.gamma(n + 1) * mp.gamma(alpha + 1))
+              / (x * dp * dp))
+    return float(x), float(weight)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.5, 20.0, 31.0])
+def test_gauss_laguerre_400_nodes_matches_mpmath(alpha):
+    # subspace_moment uses up to 400 nodes; scipy's own rule overflows to NaN
+    # past about 350, so the reference is an mpmath Newton root.  At n = 400
+    # the float64 recurrence that polishes the nodes leaves the smallest ones
+    # about 1.5e-12 off, hence the looser node tolerance than at n <= 200.
+    mp = pytest.importorskip("mpmath").mp
+    n = 400
+    rule = gauss_laguerre(n, alpha)
+    picks = sorted({*range(6), *range(0, n, 50), *range(n - 3, n)})
+    with mp.workdps(40):
+        ref = np.array([_mp_laguerre_node(mp, n, alpha, rule.nodes[i]) for i in picks])
+    assert np.allclose(rule.nodes[picks], ref[:, 0], rtol=3e-12, atol=0.0)
+    assert np.allclose(rule.weights[picks], ref[:, 1], rtol=1e-11, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 100])

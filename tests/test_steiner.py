@@ -9,11 +9,12 @@ from conevol.cones import Circular, Orthant, Subspace, Trivial
 from conevol.profiles import (
     chi_expectation_quadrature,
     exact_profile,
+    profile_from_raw,
     reverse_profile,
 )
 from conevol.sampling import MonteCarloConfig
 from conevol import steiner
-from conevol.special import chi_square_cdf
+from conevol.special import beta_cdf, chi_square_cdf
 from conevol.steiner import (
     BivariateFunctional,
     chi_bar_squared,
@@ -162,6 +163,34 @@ def test_gaussian_steiner_cdf_subspace_closed_form():
             chi_square_cdf(5, lam), rel=1e-13)
     with pytest.raises(ValueError):
         gaussian_steiner_cdf(prof, -0.1)
+
+
+def test_expansion_cdfs_match_scalar_mixture_sums():
+    # the mixtures run on the CDF families; summing the scalar CDFs per k is
+    # the oracle
+    rng = np.random.default_rng(11)
+    for d in (1, 8, 9, 40):
+        prof = profile_from_raw(d, rng.random(d + 1), None, "test")
+        v = prof.v
+        for lam in (0.0, 0.7, 0.5 * d, d + 1.0, 3.0 * d + 5.0):
+            gauss = sum(v[k] * chi_square_cdf(d - k, lam) for k in range(d + 1))
+            chibar = sum(v[k] * chi_square_cdf(k, lam) for k in range(d + 1))
+            assert gaussian_steiner_cdf(prof, lam) == pytest.approx(gauss, rel=1e-13, abs=1e-15)
+            assert chi_bar_squared(prof).cdf(lam) == pytest.approx(chibar, rel=1e-13, abs=1e-15)
+        for lam in (0.0, 0.2, 0.5, 0.95, 1.0):
+            sph = sum(v[k] * beta_cdf(0.5 * (d - k), 0.5 * k, lam) for k in range(d + 1))
+            assert spherical_steiner_cdf(prof, lam) == pytest.approx(sph, rel=1e-13, abs=1e-15)
+
+
+def test_expansion_cdfs_at_non_finite_lambda():
+    prof = exact_profile(Orthant(6))
+    law = chi_bar_squared(prof)
+    assert gaussian_steiner_cdf(prof, math.inf) == pytest.approx(1.0, abs=1e-15)
+    assert law.cdf(math.inf) == pytest.approx(1.0, abs=1e-15)
+    for cdf in (lambda lam: gaussian_steiner_cdf(prof, lam), law.cdf,
+                lambda lam: spherical_steiner_cdf(prof, lam)):
+        with pytest.raises(ValueError):
+            cdf(math.nan)
 
 
 def test_gaussian_steiner_cdf_monotone_and_saturating():

@@ -60,6 +60,10 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
+# a --lambda-grid may have at most this many points
+_MAX_GRID_POINTS = 10 ** 6
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -72,8 +76,11 @@ def _parse_grid(text):
         raise ConeSpecError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0.0 or b < a:
         raise ConeSpecError(f"grid needs stop >= start and step > 0, got {text!r}")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(count)]
+    # inf when (b - a) / step overflows
+    span = (b - a) / step + 1e-9
+    if span >= _MAX_GRID_POINTS:
+        raise ConeSpecError(f"grid has more than {_MAX_GRID_POINTS} points, got {text!r}")
+    return [a + i * step for i in range(int(span) + 1)]
 
 
 def _mc_config(args, samples=None):

@@ -5,9 +5,12 @@ generator cones, which solves a whole block of targets in lockstep, with
 the rank test the generator projector runs on its active sets; and
 vectorized double-double arithmetic for the biorthogonal coefficients.
 Dense factorizations come from numpy's LAPACK bindings: the solver's
-subproblems use stacked np.linalg.pinv, the rank test stacked
-np.linalg.svd, and the cone projectors take eigenvalues from np.linalg
-directly.
+subproblems are stacked np.linalg.solve on the generators' Gram matrix,
+with stacked np.linalg.pinv for passive sets too ill-conditioned for it;
+the rank test is stacked np.linalg.svd, and well_conditioned_rows, the
+singular-value certificate that lets the solver skip its per-row test and
+the projector skip the rank test, one np.linalg.svd.  The cone projectors
+take eigenvalues from np.linalg directly.
 """
 
 import itertools
@@ -20,12 +23,19 @@ from .exceptions import NonConvergenceError
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
-# stacked least-squares operators and SVD inputs are held to about this
-# many values, the row-block budget of sampling.map_chunks
+# a slice of solver rows and the stacked SVD inputs of the rank test are
+# held to about this many values, the row-block budget of
+# sampling.map_chunks
 _STACK_VALUES = 1 << 17
 
 # a solve may take this many outer iterations per generator, and at least 12
 _OUTER_PER_GENERATOR = 3
+
+# a passive subproblem is solved on the Gram matrix of its generators only
+# when their singular values lie within this ratio, so that the Gram block
+# has condition number at most 1e4 and the normal equations lose at most
+# about 4 of float64's 16 digits
+_GRAM_RATIO = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +104,24 @@ def nnls_solve(a, b):
     may also be a block of targets, shape (n, d); then tau has shape
     (n, m), row i solving for b[i].  Lawson-Hanson active set iteration on
     unit-norm generators, with all rows of a block stepping through it
-    in lockstep: at each step the rows that share a passive set share
-    one least-squares operator, the pseudoinverse of the passive
-    generators (stacked np.linalg.pinv, one per distinct set, with
-    lstsq's rank cutoff).  The pseudoinverse stays defined when the
-    passive generators are linearly dependent, as they must be once
-    m > d.  Every row follows the same rules as a lone solve and comes
-    out bit for bit the same as ``nnls_solve(a, b[i])``.  Rows are taken
-    in slices whose stacked operators hold at most about _STACK_VALUES
-    values.
+    in lockstep.  Each passive subproblem is solved on the normal
+    equations, G_PP z = c_P with G = a @ a.T formed once per call and
+    c = a @ b row by row, by one stacked np.linalg.solve per passive-set
+    size (Bro and De Jong, J. Chemometrics 1997).  The normal equations
+    square the condition number, so they are used only where the passive
+    generators have singular values within _GRAM_RATIO of each other.
+    When the whole unit-norm generator matrix passes
+    well_conditioned_rows at that ratio, Cauchy interlacing gives it for
+    every passive set and no row is tested; m > d never passes.
+    Otherwise each row tests its own G_PP's eigenvalues, and a row that
+    fails, or has more passive generators than d, takes the
+    pseudoinverse of its passive generators (np.linalg.pinv with lstsq's
+    rank cutoff, one per distinct passive set), which stays defined when
+    they are linearly dependent, as they can become once m > d.  A row's
+    path and arithmetic depend only on that row and the generators, so
+    it comes out bit for bit the same as ``nnls_solve(a, b[i])``.  Rows
+    are taken in slices whose iteration state and Gram blocks hold about
+    _STACK_VALUES values.
 
     Raises NonConvergenceError if a row hits the outer iteration cap
     (3m, at least 12) or a passive-set solve does not settle.
@@ -114,16 +133,32 @@ def nnls_solve(a, b):
     m, d = a.shape
     # the optimum is invariant under positive rescaling of a generator;
     # unit norms keep the pseudoinverse's rank cutoff from discarding
-    # short generators
+    # short generators and give G a unit diagonal
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     scale = np.where(norms > 0.0, norms, 1.0)
     a = a / scale[:, None]
+    gram = a @ a.T
+    certified = well_conditioned_rows(a, _GRAM_RATIO)
     rows = b.reshape(-1, d)
-    step = max(1, _STACK_VALUES // (m * d))
+    # per row: the (m,) iteration state and a passive Gram block, whose
+    # size rarely passes d + 1
+    step = max(1, _STACK_VALUES // (m + min(m, d + 1) ** 2))
     tau = np.empty((rows.shape[0], m))
     for r0 in range(0, rows.shape[0], step):
-        tau[r0:r0 + step] = _lawson_hanson(a, rows[r0:r0 + step])
+        tau[r0:r0 + step] = _lawson_hanson(a, gram, certified, rows[r0:r0 + step])
     return (tau / scale).reshape(b.shape[:-1] + (m,))
+
+
+def well_conditioned_rows(a, ratio):
+    """Whether the m x d matrix ``a`` has m <= d and smallest singular
+    value at least ``ratio`` times the largest.  By Cauchy interlacing
+    every subset of its rows then has a singular-value ratio at least as
+    large."""
+    m, d = a.shape
+    if m > d:
+        return False
+    sv = np.linalg.svd(a, compute_uv=False)
+    return bool(sv[-1] >= ratio * sv[0])
 
 
 def _row_products(x, mat):
@@ -172,22 +207,60 @@ def masked_ranks(a, masks):
     return ranks
 
 
-def _passive_solve(a, passive, b):
+def _gram_ok(g, certified, d):
+    """Which of the stacked passive Gram blocks g (k, p, p) to solve on
+    the normal equations: all of them for certified generators, none
+    once p > d (the passive generators are then dependent), and
+    otherwise those whose eigenvalues lie within _GRAM_RATIO**2."""
+    k, p = g.shape[:2]
+    if certified:
+        return np.ones(k, dtype=bool)
+    if p > d:
+        return np.zeros(k, dtype=bool)
+    lam = np.linalg.eigvalsh(g)
+    return lam[:, 0] >= _GRAM_RATIO ** 2 * lam[:, -1]
+
+
+def _passive_solve(a, gram, certified, passive, b, c):
     """Least-squares coefficients of each row of b over its passive
-    generators (the True entries of its row of passive), zero elsewhere."""
+    generators (the True entries of its row of passive), zero elsewhere;
+    c = a @ b row by row.
+
+    Rows are grouped by passive-set size only.  Each row solves its own
+    G_PP z = c_P, one stacked np.linalg.solve per size; the rows whose
+    block _gram_ok turns down share a pseudoinverse per distinct passive
+    set instead.
+    """
     z = np.zeros(passive.shape)
-    for cols, rows, which in _size_groups(passive):
-        # lstsq's cutoff: singular values below max(d, p) * eps of the largest
-        ops = np.linalg.pinv(a[cols].transpose(0, 2, 1),
-                             rcond=max(a.shape[1], cols.shape[1]) * _EPS)
-        z[rows[:, None], cols[which]] = np.matmul(ops[which], b[rows, :, None])[..., 0]
+    sizes = np.count_nonzero(passive, axis=1)
+    rest = []
+    for p in set(sizes[sizes > 0].tolist()):
+        rows = np.flatnonzero(sizes == p)
+        cols = np.nonzero(passive[rows])[1].reshape(rows.size, p)
+        g = gram[cols[:, :, None], cols[:, None, :]]
+        ok = _gram_ok(g, certified, a.shape[1])
+        if not ok.all():
+            rest.append(rows[~ok])
+            rows, cols, g = rows[ok], cols[ok], g[ok]
+        rhs = np.take_along_axis(c[rows], cols, axis=1)[..., None]
+        z[rows[:, None], cols] = np.linalg.solve(g, rhs)[..., 0]
+    if rest:
+        rest = np.concatenate(rest)
+        for cols, rows, which in _size_groups(passive[rest]):
+            # lstsq's cutoff: singular values below max(d, p) * eps of the largest
+            ops = np.linalg.pinv(a[cols].transpose(0, 2, 1),
+                                 rcond=max(a.shape[1], cols.shape[1]) * _EPS)
+            rows = rest[rows]
+            z[rows[:, None], cols[which]] = np.matmul(ops[which], b[rows, :, None])[..., 0]
     return z
 
 
-def _lawson_hanson(a, b):
-    """Lockstep Lawson-Hanson over the rows of b (n x d), unit-norm a."""
+def _lawson_hanson(a, gram, certified, b):
+    """Lockstep Lawson-Hanson over the rows of b (n x d), unit-norm a
+    with Gram matrix gram."""
     n, m = b.shape[0], a.shape[0]
     at = a.T
+    c = _row_products(b, at)
     max_outer = max(_OUTER_PER_GENERATOR * m, 12)
     tau = np.zeros((n, m))
     passive = np.zeros((n, m), dtype=bool)
@@ -218,8 +291,8 @@ def _lawson_hanson(a, b):
         out[live[optimal]] = tau[optimal]
         go = ~(stalled | optimal)
         if not go.all():
-            live, b, tau, passive, candidates, w, best_rnorm, best_tau, stalls = (
-                v[go] for v in (live, b, tau, passive, candidates, w,
+            live, b, c, tau, passive, candidates, w, best_rnorm, best_tau, stalls = (
+                v[go] for v in (live, b, c, tau, passive, candidates, w,
                                 best_rnorm, best_tau, stalls))
             if not live.size:
                 break
@@ -236,7 +309,7 @@ def _lawson_hanson(a, b):
             if np.any(budget[pending] <= attempt):
                 raise NonConvergenceError("nnls passive-set solve did not settle", outer)
             p = passive[pending]
-            z = _passive_solve(a, p, b[pending])
+            z = _passive_solve(a, gram, certified, p, b[pending], c[pending])
             accept = np.all((z > 0.0) | ~p, axis=1)
             tau[pending[accept]] = z[accept]
             pending, p, z = pending[~accept], p[~accept], z[~accept]

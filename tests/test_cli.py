@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conevol import steiner
+from conevol import cli, steiner
 from conevol.cli import cone_to_spec, main, parse_cone_spec
 from conevol.cones import (
     Circular,
@@ -306,6 +307,35 @@ def test_non_finite_lambda_grid_exits_2(capsys, command, grid):
     assert code == 2
     assert out == ""
     assert f"{grid!r}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["steiner", "--cone", "orthant:4", "--check", "gaussian", "--samples", "100"],
+    ["tail", "--cone", "orthant:4", "--samples", "0", "--delta", "2"],
+])
+def test_oversized_lambda_grid_exits_2_before_allocating(command):
+    # 10**12 points: building the grid would take terabytes, so the child
+    # runs under a 1 GB address-space limit and must refuse it within the
+    # timeout instead
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "conevol.cli", *command, "--lambda-grid=0:1e12:1"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "'0:1e12:1'" in proc.stderr
+
+
+def test_lambda_grid_point_cap_is_inclusive():
+    n = cli._MAX_GRID_POINTS
+    assert len(cli._parse_grid(f"0:{n - 1}:1")) == n
+    for grid in (f"0:{n}:1", "-1e308:1e308:1", "0:1:1e-320"):
+        with pytest.raises(ConeSpecError, match="more than"):
+            cli._parse_grid(grid)
 
 
 def test_steiner_master_check(capsys):

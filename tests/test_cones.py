@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conevol import cones
 from conevol.cones import (
     Circular,
     Generators,
@@ -28,6 +29,7 @@ from conevol.cones import (
     vec_to_sym,
 )
 from conevol.exceptions import ConeSpecError
+from conevol.linalg import masked_ranks, nnls_solve, well_conditioned_rows
 
 
 def _vec(d, seed):
@@ -229,6 +231,39 @@ def test_face_dimension_counts_active_coordinates():
 def test_face_dimension_none_for_smooth_cones():
     out = project(Circular(3, 0.4), np.array([1.0, 2.0, 0.0]))
     assert out.face_dim is None
+
+
+def _with_singular_values(sv, d, rng):
+    """A len(sv) x d matrix with singular values sv, between random rotations."""
+    u = np.linalg.qr(rng.standard_normal((len(sv), len(sv))))[0]
+    v = np.linalg.qr(rng.standard_normal((d, len(sv))))[0]
+    return (u * sv) @ v.T
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certified_generator_face_dims_match_masked_ranks(seed):
+    # a generator matrix that passes the certificate has every row subset
+    # at full rank by masked_ranks' own SVD test, so counting the active
+    # generators gives the same integers; checked on random cones and on
+    # ones whose singular values span just inside the certificate's ratio
+    rng = np.random.default_rng(seed)
+    ratio = cones._INDEPENDENT_RATIO
+    m = int(rng.integers(2, 9))
+    d = m + int(rng.integers(0, 4))
+    for g in (rng.standard_normal((m, d)) * np.logspace(-3, 3, m)[:, None],
+              _with_singular_values(np.geomspace(1.0, 1.01 * ratio, m), d, rng)):
+        assert well_conditioned_rows(g, ratio)
+        masks = rng.random((400, m)) < rng.random((400, 1))
+        assert np.array_equal(masked_ranks(g, masks), np.count_nonzero(masks, axis=1))
+        # the projector's shortcut: the same integers masked_ranks gives
+        X = rng.standard_normal((200, d))
+        active = nnls_solve(g, X) > 1e-12 * (1.0 + np.linalg.norm(X, axis=1))[:, None]
+        assert np.array_equal(norms_block(Generators(g), X)[2], masked_ranks(g, active))
+    # just outside the ratio, or with more generators than dimensions,
+    # the projector keeps masked_ranks
+    assert not well_conditioned_rows(
+        _with_singular_values(np.geomspace(1.0, 0.99 * ratio, m), d, rng), ratio)
+    assert not well_conditioned_rows(rng.standard_normal((d + 1, d)), ratio)
 
 
 # ---------------------------------------------------------------------------

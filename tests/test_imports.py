@@ -1,12 +1,17 @@
-"""Source hygiene: every module-level import is used.
+"""Source hygiene: every module-level import is used, and every
+module-level definition in src/conevol is used somewhere in src/.
 
 The repository has no linter, so this test is the unused-import lint.  It
 scans src/conevol, scripts/ and tests/.  The package ``__init__.py`` is
-skipped because its imports are the package's re-exports.
+skipped because its imports are the package's re-exports.  The
+dead-definition scan keeps src/ free of functions and classes whose only
+caller is their own test; a name the package ``__init__.py`` re-exports
+counts as used.
 """
 
 # Standard libraries
 import ast
+from collections import Counter
 from pathlib import Path
 
 # External libraries
@@ -41,3 +46,53 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.relative_to(_ROOT).as_posix().removeprefix("src/conevol/"))
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names_used(tree):
+    """Every name a tree reads: bare names, attributes and the names it
+    imports, counted once per occurrence."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _dead_definitions(sources):
+    """(module, name) of every module-level def or class in ``sources``
+    (module name -> source text) that no code outside its own body uses."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if used[node.name] == _names_used(node)[node.name]:
+                    dead.append((module, node.name))
+    return sorted(dead)
+
+
+def test_scanner_flags_a_dead_definition():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef only_itself(n):\n    return only_itself(n - 1)\n",
+        "b": "from .a import used\n\nclass Unused:\n    pass\n\nx = used()\n",
+    }
+    assert _dead_definitions(sources) == [("a", "only_itself"), ("b", "Unused")]
+
+
+# Definitions kept without a caller in src/.  chi_square_cdf is the
+# scalar oracle the CDF families are tested against, and the benchmark's
+# tracer (perfbench/tracing.py) looks it up by name.
+_KEPT_WITHOUT_CALLER = {("special.py", "chi_square_cdf")}
+
+
+def test_src_has_no_dead_definitions():
+    src = _ROOT / "src" / "conevol"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    dead = _dead_definitions(sources)
+    assert len(sources) > 5
+    assert [d for d in dead if d not in _KEPT_WITHOUT_CALLER] == []

@@ -186,6 +186,54 @@ def test_nnls_block_rows_take_different_paths():
                            atol=1e-12 * (1.0 + float(b @ b)))
 
 
+def _near_ratio_generators(ratio, m, d, seed):
+    """m <= d unit generators in R^d whose singular values span exactly
+    ``ratio``: orthonormal but for the last, at angle 2 atan(ratio) from
+    the first (Gram eigenvalues 1 +- cos of that angle), turned by a random
+    rotation."""
+    theta = 2.0 * math.atan(ratio)
+    g = np.eye(m, d)
+    g[-1] = 0.0
+    g[-1, 0], g[-1, m - 1] = math.cos(theta), math.sin(theta)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return g @ (q * np.sign(np.diag(r)))
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_nnls_near_gram_ratio_matches_oracle(monkeypatch, factor):
+    # just above the certificate's ratio no row is tested; just below it
+    # every row tests its own passive Gram block, so rows whose passive
+    # set holds both near-parallel generators take the pseudoinverse and
+    # the rest solve the normal equations.  Either way every row matches
+    # the per-row lstsq oracle and its lone solve.
+    ratio = conevol.linalg._GRAM_RATIO
+    a = _near_ratio_generators(factor * ratio, 5, 7, 0)
+    certified = factor > 1.0
+    assert conevol.linalg.well_conditioned_rows(a, ratio) == certified
+    rng = np.random.default_rng(12)
+    targets = np.vstack([
+        rng.standard_normal((60, 7)),
+        # inside the thin wedge between the first and last generator
+        (a.T @ np.abs(rng.standard_normal((5, 60)))).T + 1e-3 * rng.standard_normal((60, 7)),
+    ])
+    verdicts = []
+    gram_ok = conevol.linalg._gram_ok
+
+    def recording_gram_ok(g, certified_, d):
+        assert certified_ == certified
+        ok = gram_ok(g, certified_, d)
+        verdicts.extend(ok.tolist())
+        return ok
+
+    monkeypatch.setattr(conevol.linalg, "_gram_ok", recording_gram_ok)
+    block = _solve_block(a, targets)
+    assert any(verdicts) and all(verdicts) == certified
+    for b, tau in zip(targets, block):
+        _assert_kkt(a, b, tau)
+        assert np.allclose(a.T @ tau, a.T @ reference_nnls(a, b)[0], rtol=0.0,
+                           atol=1e-12 * (1.0 + float(b @ b)))
+
+
 def test_nnls_block_shapes():
     a = np.random.default_rng(8).standard_normal((5, 3))
     assert nnls_solve(a, np.ones(3)).shape == (5,)

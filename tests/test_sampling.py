@@ -301,19 +301,44 @@ def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
         cone, cfg, _chunk_record)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("layout", [(1, 40), (7, 60), (20, 90)], ids=str)
-def test_map_chunks_matches_reference_for_generators(monkeypatch, layout, workers):
+def _pointed_wide_generators(m, d, alpha, seed):
+    """m generators (cos alpha, sin alpha * u_j) with random unit u_j in
+    R^(d-1): all lie in circ:d:alpha, so for alpha < pi/2 the cone they
+    span is pointed and has proper faces, unlike m > d Gaussian ones."""
+    u = np.random.default_rng(seed).standard_normal((m, d - 1))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.hstack([np.full((m, 1), math.cos(alpha)), math.sin(alpha) * u])
+
+
+# more generators than dimensions: a Gaussian 8x4 matrix spans all of R^4
+# as a cone, and 24 generators around circ:6:pi/5 span a pointed cone
+_FULL_SPACE_8X4 = Generators(np.random.default_rng(0).standard_normal((8, 4)))
+_POINTED_24X6 = Generators(_pointed_wide_generators(24, 6, math.pi / 5, 0))
+
+
+def _check_generator_layout(monkeypatch, cone, layout, workers):
     # the block solver must give every row the bits it gets alone: at 64
-    # values a block is 16 rows, so chunks 1 and 7 coalesce and chunk 20
-    # spans two blocks; at 2**24 the whole stream is one block
+    # values a block is 16 rows in R^4 and 10 in R^6, so chunks 1 and 7
+    # coalesce and chunk 20 spans two or more blocks; at 2**24 the whole
+    # stream is one block
     chunk, total = layout
-    cone = Generators(np.random.default_rng(0).standard_normal((8, 4)))
     cfg = MonteCarloConfig(seed=23, total_samples=total, chunk_size=chunk)
     reference = _reference_map_chunks(cone, cfg, _chunk_record)
     for block_values in (64, 1 << 24):
         monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
         assert map_chunks(cone, cfg, _chunk_record, workers) == reference
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("layout", [(1, 40), (7, 60), (20, 90)], ids=str)
+def test_map_chunks_matches_reference_for_generators(monkeypatch, layout, workers):
+    _check_generator_layout(monkeypatch, _FULL_SPACE_8X4, layout, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("layout", [(1, 40), (7, 60), (20, 90)], ids=str)
+def test_map_chunks_matches_reference_for_pointed_generators(monkeypatch, layout, workers):
+    _check_generator_layout(monkeypatch, _POINTED_24X6, layout, workers)
 
 
 @pytest.mark.parametrize("block_values", [1, 1 << 24])
@@ -367,9 +392,11 @@ _DIGEST_CONES = [
     Subspace(3, 8),
     Circular(9, 0.5),
     Psd(3),
-    Generators(np.random.default_rng(0).standard_normal((8, 4))),
+    _FULL_SPACE_8X4,
     Product(Orthant(3), Circular(4, 0.6)),
     Polar(Circular(7, 0.4)),
+    # last, so the other cones keep their seeds
+    _POINTED_24X6,
 ]
 _DIGEST_PATHS = [
     lambda cone, cfg: phi_mc(cone, _MIN_A_10, cfg),
@@ -379,7 +406,7 @@ _DIGEST_PATHS = [
     lambda cone, cfg: empirical_steiner_cdf(cone, [0.25, 0.5, 0.75], cfg, kind="spherical"),
     lambda cone, cfg: subspace_moment(_MIN_A_10, 3, 11, cfg),
 ]
-# SHA-256 of every result of the six cones other than the generator cone.
+# SHA-256 of every result of the six cones other than the generator cones.
 # Re-pinned when the per-chunk Philox streams replaced the SplitMix64
 # Box-Muller sampler, which changed every draw; the same digest came out
 # with each chunk drawn as one block, with 37-value blocks and on three
@@ -391,7 +418,7 @@ def _digest_cases():
     """(cone, config, path) for every cone and chunk size 1024, 777 and
     16384, with one other Monte Carlo path per pair, in rotation, so each
     path meets every chunk size.  Every stream ends in a partial chunk;
-    the generator cone's streams are shorter, to keep its oracle quick."""
+    the generator cones' streams are shorter, to keep their oracle quick."""
     case = 0
     for i, cone in enumerate(_DIGEST_CONES):
         for j, chunk in enumerate((1024, 777, 16384)):
@@ -427,8 +454,9 @@ def test_monte_carlo_digest_is_pinned():
 
 def test_generator_cone_matches_per_row_oracle():
     # the block solver rounds differently from per-row lstsq, at about
-    # 1e-14, so the generator cone is checked against the per-row solver
+    # 1e-14, so the generator cones are checked against the per-row solver
     # it replaced instead of a pinned digest
+    faces = {}
     for cone, cfg, _ in _digest_cases():
         if not isinstance(cone, Generators):
             continue
@@ -442,3 +470,7 @@ def test_generator_cone_matches_per_row_oracle():
             assert np.all(np.abs(t - ref_t) <= tol)
             assert np.array_equal(np.bincount(fd, minlength=d + 1),
                                   np.bincount(ref_fd, minlength=d + 1))
+            faces.setdefault(d, set()).update(fd.tolist())
+    # every point of the full-space cone projects to itself; the pointed
+    # one has proper faces of every dimension
+    assert faces == {4: {4}, 6: set(range(7))}

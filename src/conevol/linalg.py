@@ -1,9 +1,8 @@
 """Dense linear algebra kernels used by the cone projectors and estimators.
 
-Two pieces: an active-set nonnegative least squares solver for
-generator cones, which solves a whole block of targets in lockstep, with
-the rank test the generator projector runs on its active sets; and
-vectorized double-double arithmetic for the biorthogonal coefficients.
+An active-set nonnegative least squares solver for generator cones,
+which solves a whole block of targets in lockstep, with the rank test the
+generator projector runs on its active sets.
 Dense factorizations come from numpy's LAPACK bindings: the solver's
 subproblems are stacked np.linalg.solve on the generators' Gram matrix,
 with stacked np.linalg.pinv for passive sets too ill-conditioned for it;
@@ -36,60 +35,6 @@ _OUTER_PER_GENERATOR = 3
 # has condition number at most 1e4 and the normal equations lose at most
 # about 4 of float64's 16 digits
 _GRAM_RATIO = 1e-2
-
-
-# ---------------------------------------------------------------------------
-# double-double arithmetic, vectorized
-#
-# A value is an unevaluated sum hi + lo of two doubles (~32 significant
-# digits).  Used where coefficient magnitudes force catastrophic
-# cancellation past what float64 can resolve.  Sloppy renormalization
-# throughout: relative error stays O(eps^2) of operand magnitude, which
-# is all the callers need.
-# ---------------------------------------------------------------------------
-
-def two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def two_product(a, b):
-    """Dekker/Veltkamp exact product: returns (hi, lo) with hi+lo = a*b."""
-    hi = a * b
-    split = 134217729.0  # 2**27 + 1
-    a1 = a * split
-    ah = a1 - (a1 - a)
-    al = a - ah
-    b1 = b * split
-    bh = b1 - (b1 - b)
-    bl = b - bh
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    return hi, lo
-
-
-def dd_add(xh, xl, yh, yl):
-    sh, se = two_sum(xh, yh)
-    se = se + (xl + yl)
-    rh = sh + se
-    return rh, se - (rh - sh)
-
-
-def dd_mul(xh, xl, yh, yl):
-    ph, pe = two_product(xh, yh)
-    pe = pe + (xh * yl + xl * yh)
-    rh = ph + pe
-    return rh, pe - (rh - ph)
-
-
-def dd_sqrt(x):
-    """Double-double square root of a nonnegative float64 array."""
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(x)
-    ph, pe = two_product(r, r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e = np.where(r > 0.0, ((x - ph) - pe) / (2.0 * r), 0.0)
-    return r, e
 
 
 # ---------------------------------------------------------------------------

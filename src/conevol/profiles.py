@@ -7,7 +7,9 @@ from the Gaussian projection stream, either through per-sample face
 dimensions (polyhedral cones), through a biorthogonal family of
 functions dual to the chi-square densities in the squared projection
 norm, or through a nonnegative least squares fit of the chi-square
-mixture CDF.
+mixture CDF.  The biorthogonal functions are built in 160-digit decimals
+and evaluated in float64 on the orthonormal polynomials of their own
+weight, where no compensated arithmetic is needed.
 """
 
 import math
@@ -21,7 +23,6 @@ from .cones import (Orthant, Polar, Product, Subspace, Trivial, ambient_dim,
                     supports_face_dim)
 from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
-from .linalg import dd_add, dd_mul, dd_sqrt
 from .sampling import run_summary
 from .special import gauss_legendre
 
@@ -29,6 +30,10 @@ _LN2 = math.log(2.0)
 
 BIORTHOGONAL_MAX_DIM = 20
 _DIGITS = 160
+# exp(-s/2) is 0 in float64 from s = 1491 on
+_S_ZERO_WEIGHT = 1500.0
+# biorthogonal functions are evaluated this many points at a time
+_EVAL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,9 @@ def _gamma_half(n2, root_pi):
     return Decimal(math.factorial(2 * m)) / (4 ** m * math.factorial(m)) * root_pi
 
 
-def _ldlt_inverse(g):
-    """Inverse of a symmetric positive definite matrix by LDL^T."""
+def _ldlt(g):
+    """Unit lower triangular L and pivots D with g = L diag(D) L^T, for a
+    symmetric positive definite g."""
     d = len(g)
     L = [[0] * d for _ in range(d)]
     D = [0] * d
@@ -186,6 +192,13 @@ def _ldlt_inverse(g):
         for i in range(j + 1, d):
             L[i][j] = (g[i][j] - sum(L[i][k] * L[j][k] * D[k]
                                      for k in range(j))) / piv
+    return L, D
+
+
+def _ldlt_inverse(g):
+    """Inverse of a symmetric positive definite matrix by LDL^T."""
+    d = len(g)
+    L, D = _ldlt(g)
     inv = [[0] * d for _ in range(d)]
     for col in range(d):
         y = [0] * d
@@ -198,11 +211,6 @@ def _ldlt_inverse(g):
     return inv
 
 
-def _to_dd(x):
-    hi = float(x)
-    return hi, float(x - Decimal(hi))
-
-
 @dataclass(frozen=True)
 class BiorthogonalSystem:
     """Functions f_1..f_d with E[f_j(X_k)] = delta_jk for X_k chi-square(k).
@@ -210,54 +218,60 @@ class BiorthogonalSystem:
     f_j(s) = sum_k c[j-1, k-1] * rho_k(s) with rho_k(s) = s^(k/2)
     e^(-s/2) / (2^(k/2) Gamma(k/2)), the chi-square(k) density times s.
     The coefficient matrix c is the inverse of the moment matrix, which
-    is ill-conditioned enough (condition ~1e8 already at d = 8) that f_j
-    is evaluated with compensated arithmetic: f_j(s) = exp(-s/2) * P_j(u)
-    with u = sqrt(s/2) and P_j the polynomial with coefficients
-    c[j,k]/Gamma(k/2), stored as double-double pairs (poly_hi, poly_lo).
+    is ill-conditioned (condition ~1e8 already at d = 8), so f_j is not
+    evaluated from c.  With u = sqrt(s/2), f_j(s) = exp(-s/2) * P_j(u) for
+    a polynomial P_j of degree d, stored in the orthonormal polynomials
+    q_0..q_d of the weight e^(-2u^2) on [0, inf), which is the weight of
+    f_j^2: P_j = sum_n coef[j-1, n] * q_n.  The q_n are those of the
+    three-term recurrence with the float64 a and b, q_0 = 1/b[0], q_-1 = 0:
 
-    residual is the verified max-norm of (moment matrix) @ c - I for the
-    double-double rounding of c, computed in 160 significant decimal
-    digits; condition is the max-norm condition estimate of the moment
-    matrix.  Every field is bit for bit what the exact rational build
-    gives, for every d <= 20 (pinned by a test).
+        b[n+1] * q_(n+1) = (u - a[n]) * q_n - b[n] * q_(n-1).
+
+    The sum over this basis is well conditioned, so plain float64
+    evaluates it.
+
+    residual is the max-norm of E[f_j(X_k)] - delta_jk over j, k = 1..d
+    for the functions exactly as stored (the float64 coef, a and b, with
+    q_0 the float64 1/b[0]), computed in 160 significant decimal digits;
+    condition is the max-norm condition estimate of the moment matrix.
+    Every field is bit for bit what the exact rational build gives (pinned
+    by tests).
     """
     d: int
-    poly_hi: np.ndarray
-    poly_lo: np.ndarray
+    coef: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     condition: float
     residual: float
 
     def evaluate(self, s, rows=None):
         """Matrix F with F[j-1, i] = f_j(s_i), shape (d, len(s)); given
-        rows (indices j-1), only those rows, in that order, are computed."""
-        s = np.asarray(s, dtype=float).ravel()
-        rows = range(self.d) if rows is None else list(rows)
-        out = np.empty((len(rows), s.size))
-        step = 1 << 16
-        for start in range(0, s.size, step):
-            block = s[start:start + step]
-            out[:, start:start + block.size] = self._evaluate_block(block, rows)
-        return out
+        rows (indices j-1), only those rows, in that order, are computed.
 
-    def _evaluate_block(self, s, rows):
-        d = self.d
-        uh, ul = dd_sqrt(0.5 * s)
-        pw_h = [np.ones_like(s)]
-        pw_l = [np.zeros_like(s)]
-        for _ in range(d):
-            h, l = dd_mul(pw_h[-1], pw_l[-1], uh, ul)
-            pw_h.append(h)
-            pw_l.append(l)
-        damp = np.exp(-0.5 * s)
-        out = np.empty((len(rows), s.size))
-        for i, j in enumerate(rows):
-            acc_h = np.zeros_like(s)
-            acc_l = np.zeros_like(s)
-            for k in range(1, d + 1):
-                th, tl = dd_mul(pw_h[k], pw_l[k],
-                                self.poly_hi[j, k - 1], self.poly_lo[j, k - 1])
-                acc_h, acc_l = dd_add(acc_h, acc_l, th, tl)
-            out[i] = damp * (acc_h + acc_l)
+        Every entry comes from the same float64 operations in the same
+        order, whatever rows and the length of s, so the rows asked for
+        equal the matching rows of the full matrix bit for bit.
+        """
+        s = np.asarray(s, dtype=float).ravel()
+        if not (s >= 0.0).all():
+            raise ValueError("biorthogonal functions take squared norms s >= 0, "
+                             "got a negative or NaN value")
+        coef = self.coef if rows is None else self.coef[list(rows)]
+        a, b = self.a, self.b
+        out = np.empty((coef.shape[0], s.size))
+        for start in range(0, s.size, _EVAL_BLOCK):
+            block = s[start:start + _EVAL_BLOCK]
+            # capping s where exp(-s/2) is already 0 keeps q_n finite, so
+            # s = inf gives 0 rather than NaN
+            u = np.sqrt(0.5 * np.minimum(block, _S_ZERO_WEIGHT))
+            prev = np.zeros_like(u)
+            cur = np.full_like(u, 1.0 / b[0])
+            acc = coef[:, 0:1] * cur
+            for n in range(self.d):
+                prev, cur = cur, ((u - a[n]) * cur - b[n] * prev) / b[n + 1]
+                acc += coef[:, n + 1:n + 2] * cur
+            acc *= np.exp(-0.5 * block)
+            out[:, start:start + block.size] = acc
         return out
 
 
@@ -265,17 +279,24 @@ class BiorthogonalSystem:
 def build_biorthogonal(d):
     """Construct the biorthogonal system for dimensions 1..d (d <= 20).
 
-    The moment matrix is assembled and inverted by an LDL^T factorization
-    in _DIGITS = 160 significant decimal digits, in a private decimal
-    context (the caller's context is not used), and the coefficients are
-    then rounded to double-double pairs.  Plain float64 storage is not
-    enough: by d = 12 the best representable inverse already leaves a
-    residual above 1e-5, and the moment matrix stops being numerically
-    positive definite at d = 16.  The decimal route keeps the verified
-    residual below 1e-8 through d = 20: there the max-norm condition
-    estimate is 7.3e21 and the residual 4.5e-13 (1.6e8 and 1.6e-26 at
-    d = 8).  A test pins the result, bit for bit, to the exact rational
-    build for every d <= 20.
+    All of it runs in _DIGITS = 160 significant decimal digits, in a
+    private decimal context (the caller's context is not used).  The
+    moment matrix is assembled and inverted by an LDL^T factorization,
+    which gives P_j in monomials.  The Hankel matrix of the moments
+    Gamma((n+1)/2) / (2 * 2^((n+1)/2)) of e^(-2u^2) on [0, inf) is
+    factored the same way, and its factors give the recurrence
+    coefficients a and b of the orthonormal q_n (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, section 2.1).  Once
+    a and b are rounded to float64, each P_j is rewritten in the
+    polynomials that the rounded recurrence defines, and only those
+    coordinates are rounded to give coef; rewriting P_j in the exact q_n
+    instead leaves a residual of 6.4e-7 at d = 20.  Monomial coefficients
+    in float64 are not enough: by d = 12 the best representable inverse
+    already leaves a residual above 1e-5, and the moment matrix stops
+    being numerically positive definite at d = 16.  The verified residual
+    of the stored system stays below 1e-8 through d = 20: there the
+    max-norm condition estimate of the moment matrix is 7.3e21 and the
+    residual 5.0e-12 (1.6e8 and 1.7e-15 at d = 8).
     """
     if not 1 <= d <= BIORTHOGONAL_MAX_DIM:
         raise ConditioningError(
@@ -283,36 +304,61 @@ def build_biorthogonal(d):
             f"(requested {d}); use the mixture estimator instead")
     with localcontext(Context(prec=_DIGITS, rounding=ROUND_HALF_EVEN)):
         root2, root_pi = Decimal(2).sqrt(), _pi().sqrt()
-        gamma = [None] + [_gamma_half(n, root_pi) for n in range(1, 2 * d + 1)]
+        gamma = [None] + [_gamma_half(n, root_pi) for n in range(1, 2 * d + 2)]
+        half_power = [2 ** (n // 2) * (root2 if n % 2 else 1) for n in range(2 * d + 2)]
         ks = range(1, d + 1)
         # E[rho_k(X_l)] = Gamma((k+l)/2) / (2^((k+l)/2) Gamma(k/2) Gamma(l/2))
-        gram = [[gamma[k + l] / (2 ** ((k + l) // 2) * (root2 if (k + l) % 2 else 1)
-                                 * gamma[k] * gamma[l]) for l in ks] for k in ks]
+        gram = [[gamma[k + l] / (half_power[k + l] * gamma[k] * gamma[l]) for l in ks]
+                for k in ks]
         inv = _ldlt_inverse(gram)
-
-        # residual of the double-double rounded inverse against the moment matrix
-        rounded = [[sum(map(Decimal, _to_dd(x))) for x in row] for row in inv]
-        resid = max(abs(sum(gram[i][k] * rounded[k][j] for k in range(d)) - int(i == j))
-                    for i in range(d) for j in range(d))
-        final = float(resid)
-        if final > 1e-8:
-            raise ConditioningError(
-                f"biorthogonal residual {final:.3e} exceeds 1e-8 at d={d}")
-
         norm_g = max(sum(abs(e) for e in row) for row in gram)
         norm_inv = max(sum(abs(e) for e in row) for row in inv)
         condition = float(norm_g * norm_inv)
 
-        poly_hi = np.empty((d, d))
-        poly_lo = np.empty((d, d))
-        for j in range(d):
-            for k in ks:
-                poly_hi[j, k - 1], poly_lo[j, k - 1] = _to_dd(inv[j][k - 1] / gamma[k])
+        # Hankel matrix of the moments of e^(-2u^2) = L diag(D) L^T; the
+        # orthonormal q_n have a[n] = L[n+1][n] - L[n][n-1] and
+        # b[n] = sqrt(D[n] / D[n-1]), b[0] = sqrt(D[0])
+        mu = [gamma[n + 1] / (2 * half_power[n + 1]) for n in range(2 * d + 1)]
+        L, D = _ldlt([[mu[i + j] for j in range(d + 1)] for i in range(d + 1)])
+        a = np.array([float(L[n + 1][n] - (L[n][n - 1] if n else 0)) for n in range(d)])
+        b = np.array([float(D[0].sqrt())] + [float((D[n] / D[n - 1]).sqrt()) for n in ks])
 
-    for arr in (poly_hi, poly_lo):
+        # q_0..q_d in monomials, exactly as the float64 recurrence defines
+        # them.  Rounding a and b moves them off orthonormal, so P_j is
+        # written in these polynomials, and only its coordinates are rounded.
+        q_prev, q = [0] * (d + 1), [Decimal(1.0 / b[0])] + [0] * d
+        basis = [q]
+        for n in range(d):
+            an, bn, bnext = Decimal(a[n]), Decimal(b[n]), Decimal(b[n + 1])
+            q_prev, q = q, [((q[k - 1] if k else 0) - an * q[k] - bn * q_prev[k]) / bnext
+                            for k in range(d + 1)]
+            basis.append(q)
+        coef = np.empty((d, d + 1))
+        for j in range(d):
+            rest = [0] + [inv[j][k - 1] / gamma[k] for k in ks]
+            for n in range(d, -1, -1):
+                x = rest[n] / basis[n][n]
+                coef[j, n] = float(x)
+                for k in range(n):
+                    rest[k] -= x * basis[n][k]
+
+        # residual of the stored system, from E[u^k e^(-s/2)] for s ~
+        # chi-square(l) = Gamma((k+l)/2) / (2^((k+l)/2) Gamma(l/2)), k = 0..d
+        moment = [[gamma[k + l] / (half_power[k + l] * gamma[l]) for l in ks]
+                  for k in range(d + 1)]
+        q_moment = [[sum(q[k] * moment[k][l] for k in range(n + 1)) for l in range(d)]
+                    for n, q in enumerate(basis)]
+        stored = [[Decimal(c) for c in row] for row in coef.tolist()]
+        final = float(max(abs(sum(c * q_moment[n][l] for n, c in enumerate(stored[j]))
+                              - int(j == l)) for j in range(d) for l in range(d)))
+        if final > 1e-8:
+            raise ConditioningError(
+                f"biorthogonal residual {final:.3e} exceeds 1e-8 at d={d}")
+
+    for arr in (coef, a, b):
         arr.setflags(write=False)
-    return BiorthogonalSystem(d=d, poly_hi=poly_hi, poly_lo=poly_lo,
-                              condition=condition, residual=final)
+    return BiorthogonalSystem(d=d, coef=coef, a=a, b=b, condition=condition,
+                              residual=final)
 
 
 def chi_expectation_quadrature(fn, k, nodes=400, upper=14.0):

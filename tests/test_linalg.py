@@ -13,16 +13,10 @@ import conevol.linalg
 from conevol import cli
 from conevol.cones import Orthant
 from conevol.exceptions import NonConvergenceError
-from conevol.linalg import (
-    dd_add,
-    dd_mul,
-    dd_sqrt,
-    nnls_solve,
-    two_product,
-    two_sum,
-)
+from conevol.linalg import nnls_solve
 from conevol.profiles import estimate_profile_mixture
 from conevol.sampling import MonteCarloConfig
+from biorthogonal_oracle import dd_add, dd_mul, dd_sqrt, two_product, two_sum
 from nnls_oracle import reference_nnls
 
 # ---------------------------------------------------------------------------
@@ -265,14 +259,15 @@ def test_nnls_cap_exits_3(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Double-double primitives
+# Double-double primitives of the reference biorthogonal evaluator
+# (tests/biorthogonal_oracle.py)
 # ---------------------------------------------------------------------------
 
 finite_floats = st.floats(min_value=-1e120, max_value=1e120,
                           allow_nan=False, allow_infinity=False)
 
 # Dekker splitting is exact only while products stay clear of the
-# subnormal range, which is all the coefficient arithmetic ever needs.
+# subnormal range, which is all the reference evaluator ever needs.
 signed_normal = st.builds(
     lambda mag, neg: -mag if neg else mag,
     st.floats(min_value=1e-120, max_value=1e120),

@@ -39,7 +39,7 @@ from conevol.profiles import (
 )
 from conevol.sampling import MonteCarloConfig, run_summary
 from conevol.special import chi_square_cdf
-from biorthogonal_oracle import reference_biorthogonal
+from biorthogonal_oracle import reference_biorthogonal, reference_evaluate
 
 # ---------------------------------------------------------------------------
 # Exact profiles
@@ -207,7 +207,33 @@ def test_biorthogonal_evaluate_rows_match_full_matrix():
     assert np.array_equal(system.evaluate(s, rows=[5, 0, 2]), full[[5, 0, 2]])
 
 
-@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("d", range(1, 13))
+def test_biorthogonal_evaluate_matches_double_double_reference(d):
+    # the float64 recurrence against the double-double monomial evaluator
+    # it replaced, both on the exact rational build; e^(-s/2) underflows
+    # to 0 at s = 1500
+    ref = reference_biorthogonal(d)
+    draws = np.random.default_rng(d).chisquare(np.repeat(np.arange(1, d + 1), 64))
+    s = np.concatenate([[0.0, 5e-324, 1e-300], draws, [200.0, 800.0, 1500.0]])
+    got = build_biorthogonal(d).evaluate(s)
+    want = reference_evaluate(ref["poly_hi"], ref["poly_lo"], s)
+    bound = 1e-13 * np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(got[:, -1] == 0.0)
+
+
+def test_biorthogonal_evaluate_rejects_negative_or_nan():
+    system = build_biorthogonal(4)
+    for bad in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            system.evaluate(np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            system.evaluate([bad], rows=[0])
+    # exp(-s/2) is 0 long before q_n(sqrt(s/2)) overflows
+    assert np.all(build_biorthogonal(20).evaluate([1e300, math.inf]) == 0.0)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
 def test_biorthogonality_under_quadrature(d):
     system = build_biorthogonal(d)
     for k in range(0, d + 1):
@@ -231,16 +257,17 @@ def test_biorthogonal_residual_certificates():
 
 
 # SHA-256 over build_biorthogonal(d) for d = 1..20, in d order: the bytes
-# of poly_hi, poly_lo, float64(condition) and float64(residual).  Computed
-# with the exact rational build (tests/biorthogonal_oracle.py).
-_BIORTHOGONAL_SHA256 = "0cb371e53e4bed0fdbfb67b9c3cb7b2b6d823a2f04197eccc29a9e5a7873ecef"
+# of coef, a, b, float64(condition) and float64(residual).  The exact
+# rational build (tests/biorthogonal_oracle.py) gives the same digest; it
+# takes about 45 s over d = 1..20, so the test below checks it for d <= 10.
+_BIORTHOGONAL_SHA256 = "52f01b329be3c3d2ba161f39805f586c7d2dd5673a45498998a4290696b0b8b8"
 
 
 def _biorthogonal_digest():
     digest = hashlib.sha256()
     for d in range(1, 21):
         system = build_biorthogonal(d)
-        for part in (system.poly_hi, system.poly_lo,
+        for part in (system.coef, system.a, system.b,
                      np.float64(system.condition), np.float64(system.residual)):
             digest.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
     return digest.hexdigest()
@@ -253,11 +280,12 @@ def test_biorthogonal_systems_are_pinned_for_every_dimension():
 @pytest.mark.parametrize("d", range(1, 11))
 def test_biorthogonal_matches_exact_rational_build(d):
     system = build_biorthogonal(d)
-    poly_hi, poly_lo, condition, residual = reference_biorthogonal(d)
-    assert np.array_equal(system.poly_hi, poly_hi)
-    assert np.array_equal(system.poly_lo, poly_lo)
-    assert system.condition == condition
-    assert system.residual == residual
+    ref = reference_biorthogonal(d)
+    assert system.coef.shape == (d, d + 1)
+    for field in ("coef", "a", "b"):
+        assert np.array_equal(getattr(system, field), ref[field])
+    assert system.condition == ref["condition"]
+    assert system.residual == ref["residual"]
 
 
 def test_biorthogonal_build_ignores_the_callers_decimal_context():

@@ -367,12 +367,14 @@ def _norms_block(cone, X):
         t = np.einsum("ij,ij->i", X[:, k:], X[:, k:])
         return s, t, np.full(X.shape[0], k, dtype=np.int64)
     if isinstance(cone, Orthant):
-        pos = np.maximum(X, 0.0)
-        neg = X - pos
-        s = np.einsum("ij,ij->i", pos, pos)
-        t = np.einsum("ij,ij->i", neg, neg)
+        # one temporary holds the positive, then the negative part
+        part = np.maximum(X, 0.0)
+        s = np.einsum("ij,ij->i", part, part)
+        np.minimum(X, 0.0, out=part)
+        t = np.einsum("ij,ij->i", part, part)
         thresh = _zero_threshold(np.sqrt(s + t))[:, None]
-        fd = np.count_nonzero(pos > thresh, axis=1).astype(np.int64)
+        # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
+        fd = np.count_nonzero(X > thresh, axis=1).astype(np.int64)
         return s, t, fd
     if isinstance(cone, Trivial):
         t = np.einsum("ij,ij->i", X, X)

@@ -412,16 +412,18 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     v_j for j >= 1 is the retained-sample mean of f_j(s); v_0 comes from
     the same functions applied to the residual side, since the top
     coordinate of the polar profile is v_0.  Standard errors are the
-    sample standard deviations of the function values.
+    sample standard deviations of the function values, so the reservoir
+    must hold at least two samples.
     """
     d = ambient_dim(cone)
     system = build_biorthogonal(d)
     summary = _summary_for(cone, config, workers, summary)
     s = summary.reservoir_s
     t = summary.reservoir_t
-    if s.size == 0:
-        raise ValueError("summary has an empty reservoir")
     n = s.size
+    if n < 2:
+        raise ValueError(f"the biorthogonal estimator needs at least 2 retained "
+                         f"samples for its standard errors, got {n}")
     fs = system.evaluate(s)
     raw = np.empty(d + 1)
     stderr = np.empty(d + 1)

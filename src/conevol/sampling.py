@@ -1,30 +1,36 @@
 """Deterministic Gaussian sampling and streaming moment summaries.
 
-Every Monte Carlo draw comes from numpy's Philox, a counter-based
-generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11).  Each chunk of a run owns one stream, chunk_rng(seed, chunk
-index), and reads it from the start in order, so the draws are a
-function of (seed, chunk index, chunk size): changing chunk_size moves
-samples to other streams and changes every value, while the order in
-which chunks run, the worker thread that runs them and how a chunk's
-stream is split into reads never do.
+Every Monte Carlo draw comes from numpy's SFC64 generator.  Each chunk
+of a run owns one stream, chunk_rng(seed, chunk index), read from the
+start in order: SFC64 seeded by SeedSequence with entropy seed mod 2**64
+and spawn_key (chunk index,).  SeedSequence pads the entropy to its full
+pool before it mixes in the spawn key, so no two (seed, chunk index)
+pairs share a stream; list entropy [seed, chunk index] would not do, as
+numpy pads short entropy with zeros and [5, 7] and [5 + 7 * 2**32, 0]
+give the same stream.  The draws are a function of (seed, chunk index,
+chunk size): changing chunk_size moves samples to other streams and
+changes every value, while the order in which chunks run, the worker
+thread that runs them and how a chunk's stream is split into reads
+never do.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
 streams through one primitive, map_chunks.  It draws and projects the
 stream in row blocks of about _BLOCK_VALUES values, whatever the chunk
 size: consecutive small chunks fill one block, a large chunk is read a
-block at a time.  It runs the blocks on CONEVOL_THREADS worker threads
-unless a caller passes an explicit worker count, and returns the
-per-chunk results in chunk-index order.  Callers fold them left to right
-in that fixed order, moment sums with the exact pairwise-merge update
-formulas, so every result is a function of (seed, total_samples,
-chunk_size, reservoir_cap) only: bit-identical for any worker count and
-block size.
+block at a time, and each worker thread draws into one block buffer that
+it reuses for all of its blocks.  It runs the blocks on CONEVOL_THREADS
+worker threads unless a caller passes an explicit worker count, and
+returns the per-chunk results in chunk-index order.  Callers fold them
+left to right in that fixed order, moment sums with the exact
+pairwise-merge update formulas, so every result is a function of (seed,
+total_samples, chunk_size, reservoir_cap) only: bit-identical for any
+worker count and block size.
 """
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -37,10 +43,12 @@ _BLOCK_VALUES = 1 << 17         # values per map_chunks row block: 1 MB of float
 
 
 def chunk_rng(seed, chunk_index):
-    """The random stream of one chunk: numpy's Philox keyed by
-    (seed mod 2**64, chunk_index), as a Generator read from the start."""
-    key = np.array([seed % (1 << 64), chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The random stream of one chunk, as a Generator read from the start:
+    numpy's SFC64 seeded by SeedSequence(seed mod 2**64,
+    spawn_key=(chunk_index,)), so that distinct (seed, chunk_index)
+    pairs never share a stream."""
+    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def gaussian_block(rng, out, count, dim):
@@ -215,22 +223,28 @@ def map_chunks(cone, config, fn, workers=None):
     dim = ambient_dim(cone)
     block_rows = max(1, _BLOCK_VALUES // dim)
     groups = _block_groups(config.chunks(), block_rows)
+    buffer_values = min(block_rows, config.total_samples) * dim
+    local = threading.local()
 
     def work(group):
+        # one block buffer per worker thread, reused by each of its tasks;
+        # norms_block returns new arrays, so what fn sees never aliases it
+        buffer = getattr(local, "buffer", None)
+        if buffer is None:
+            buffer = local.buffer = np.empty(buffer_values)
         total = sum(count for _, count in group)
         if total <= block_rows:
             # a run of chunks that fits in one block: each fills its own rows
-            block, r0 = np.empty(total * dim), 0
+            r0 = 0
             for index, count in group:
-                gaussian_block(chunk_rng(config.seed, index), block[r0 * dim:], count, dim)
+                gaussian_block(chunk_rng(config.seed, index), buffer[r0 * dim:], count, dim)
                 r0 += count
-            s, t, fd = norms_block(cone, block.reshape(total, dim))
+            s, t, fd = norms_block(cone, buffer[:total * dim].reshape(total, dim))
         else:
             # one chunk larger than a block: its stream is read a block at a time
             rng = chunk_rng(config.seed, group[0][0])
             step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
-            block = np.empty(step * dim)
-            parts = [norms_block(cone, gaussian_block(rng, block, min(step, total - r0), dim))
+            parts = [norms_block(cone, gaussian_block(rng, buffer, min(step, total - r0), dim))
                      for r0 in range(0, total, step)]
             s, t, fd = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
         results, r0 = [], 0

@@ -4,6 +4,8 @@ reference_nnls is the one-target Lawson-Hanson solver that
 conevol.linalg.nnls_solve replaced, with np.linalg.lstsq on each passive
 set; it also reports how the solve ended.  reference_norms projects a
 block one row at a time with it, the way cones.norms_block once did.
+pointed_wide_generators builds the pointed cones with more generators
+than dimensions that the generator tests sample.
 """
 
 import math
@@ -94,3 +96,12 @@ def reference_norms(gens, X):
             sv = np.linalg.svd(active, compute_uv=False)
             fd[i] = int(np.count_nonzero(sv > 1e-10 * sv[0]))
     return s, t, fd
+
+
+def pointed_wide_generators(m, d, alpha, seed):
+    """m generators (cos alpha, sin alpha * u_j) with random unit u_j in
+    R^(d-1): all lie in circ:d:alpha, so for alpha < pi/2 the cone they
+    span is pointed and has proper faces, unlike m > d Gaussian ones."""
+    u = np.random.default_rng(seed).standard_normal((m, d - 1))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.hstack([np.full((m, 1), math.cos(alpha)), math.sin(alpha) * u])

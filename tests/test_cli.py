@@ -197,6 +197,14 @@ def test_profile_biorth_past_dimension_cap_hits_guard_exit(capsys):
     assert "numerical guard" in err
 
 
+def test_profile_biorth_one_sample_exits_2(capsys):
+    code, out, err = _run(capsys, ["profile", "--cone", "orthant:3",
+                                   "--method", "biorth", "--samples", "1"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "at least 2" in err
+
+
 def test_profile_out_writes_file(tmp_path, capsys):
     target = tmp_path / "prof.json"
     code, out, _ = _run(capsys, ["profile", "--cone", "orthant:3",

@@ -30,6 +30,7 @@ from conevol.cones import (
 )
 from conevol.exceptions import ConeSpecError
 from conevol.linalg import masked_ranks, nnls_solve, well_conditioned_rows
+from nnls_oracle import pointed_wide_generators, reference_norms
 
 
 def _vec(d, seed):
@@ -304,6 +305,27 @@ def test_generator_norms_block_memory_is_bounded():
     assert np.allclose(s, sq, rtol=1e-12, atol=0.0)
     assert np.all(t <= 1e-20 * sq)
     assert np.all(faces == 40)
+
+
+def test_pointed_generator_norms_block_memory_is_bounded():
+    # 100 generators around circ:12:pi/5 span a pointed cone with proper
+    # faces; over one map_chunks block of rows (2**17 values), stacked
+    # least-squares operators would take about 105 MB
+    cone = Generators(pointed_wide_generators(100, 12, math.pi / 5, 0))
+    X = np.random.default_rng(33).standard_normal((10922, 12))
+    tracemalloc.start()
+    try:
+        s, t, faces = norms_block(cone, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    ref_s, ref_t, ref_faces = reference_norms(cone.matrix, X[:256])
+    tol = 1e-12 * (1.0 + np.einsum("ij,ij->i", X[:256], X[:256]))
+    assert np.all(np.abs(s[:256] - ref_s) <= tol)
+    assert np.all(np.abs(t[:256] - ref_t) <= tol)
+    assert np.array_equal(faces[:256], ref_faces)
+    assert set(faces.tolist()) >= set(range(8))
 
 
 # ---------------------------------------------------------------------------

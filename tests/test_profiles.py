@@ -341,6 +341,17 @@ def test_biorthogonal_estimator_consistent_with_truth():
     assert prof.provenance == "mc_biorthogonal"
 
 
+def test_biorthogonal_estimator_rejects_one_sample_reservoir():
+    # a one-sample reservoir has no sample standard deviation: one sample
+    # drawn, or 100 drawn and thinned to one
+    for total, cap in [(1, 100_000), (100, 1)]:
+        cfg = MonteCarloConfig(seed=0, total_samples=total, reservoir_cap=cap)
+        with pytest.raises(ValueError, match="at least 2"):
+            estimate_profile_biorthogonal(Orthant(3), cfg)
+    two = estimate_profile_biorthogonal(Orthant(3), MonteCarloConfig(seed=0, total_samples=2))
+    assert np.all(np.isfinite(two.stderr))
+
+
 def test_face_and_biorthogonal_estimators_agree():
     # independent seeds; joint standard errors bound the discrepancy
     face = estimate_profile_face(

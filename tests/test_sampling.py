@@ -1,6 +1,7 @@
 # Standard libraries
 import hashlib
 import math
+import sys
 
 # External libraries
 import numpy as np
@@ -36,10 +37,10 @@ from conevol.steiner import (
     subspace_moment,
     wills_mc,
 )
-from nnls_oracle import reference_norms
+from nnls_oracle import pointed_wide_generators, reference_norms
 
 # ---------------------------------------------------------------------------
-# Per-chunk Philox streams
+# Per-chunk SFC64 streams
 # ---------------------------------------------------------------------------
 
 def _chunk_gaussians(seed, chunk_index, count, dim):
@@ -56,6 +57,12 @@ def test_chunk_rng_streams_depend_on_seed_and_chunk():
     assert np.array_equal(chunk_rng(-1, 0).random(8), chunk_rng(2**64 - 1, 0).random(8))
 
 
+def test_chunk_rng_streams_do_not_collide_across_seed_and_chunk():
+    # list entropy SeedSequence([seed, chunk]) gives these two the same
+    # stream, since numpy pads short entropy with zeros; the spawn key does not
+    assert not np.array_equal(chunk_rng(5, 7).random(8), chunk_rng(5 + 7 * 2**32, 0).random(8))
+
+
 # (seed, chunk_index, count, dim, reads): the chunk's rows read in `reads`
 # gaussian_block calls of near-equal size, which give the same values as
 # one call
@@ -68,9 +75,10 @@ _PINNED_CASES = [
     (1, 3, 20000, 8, 7),              # seven reads
 ]
 # SHA-256 of the blocks above, computed with numpy 2.4.6 and equal to one
-# Generator(Philox(key=[seed, chunk_index])).standard_normal((count, dim))
-# call per case; a numpy release that changes that stream fails here
-_PINNED_SHA256 = "5d56f53d8bd1b13b91adde017aa875d33887cf4809b0cfefd31759d4ba4c515d"
+# Generator(SFC64(SeedSequence(seed, spawn_key=(chunk_index,))))
+# .standard_normal((count, dim)) call per case; a numpy release that
+# changes that stream fails here
+_PINNED_SHA256 = "e1189068a665be561f0535291983a0e4a88a5f169017b88e0f61355d50361b4a"
 
 
 def _sliced_block(seed, chunk_index, count, dim, reads):
@@ -301,19 +309,53 @@ def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
         cone, cfg, _chunk_record)
 
 
-def _pointed_wide_generators(m, d, alpha, seed):
-    """m generators (cos alpha, sin alpha * u_j) with random unit u_j in
-    R^(d-1): all lie in circ:d:alpha, so for alpha < pi/2 the cone they
-    span is pointed and has proper faces, unlike m > d Gaussian ones."""
-    u = np.random.default_rng(seed).standard_normal((m, d - 1))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.hstack([np.full((m, 1), math.cos(alpha)), math.sin(alpha) * u])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layout", [(1024, 40_000, 8), (1024, 2_500, 400)], ids=str)
+@pytest.mark.parametrize("family", ["orthant", "subspace", "circ", "psd", "prod", "polar"])
+def test_map_chunks_hands_fn_unshared_arrays(family, layout, workers):
+    # map_chunks reuses one block buffer per worker thread: three groups of
+    # small chunks in the first layout, chunks read in several blocks in
+    # the second.  Arrays fn keeps must neither share memory with another
+    # chunk's nor change after fn returns.
+    chunk, total, d = layout
+    cfg = MonteCarloConfig(seed=19, total_samples=total, chunk_size=chunk)
+    kept = []
+
+    def keep(index, s, t, fd):
+        arrays = [a for a in (s, t, fd) if a is not None]
+        kept.append((index, arrays, [a.copy() for a in arrays]))
+
+    map_chunks(_cone_of(family, d), cfg, keep, workers)
+    assert sorted(index for index, _, _ in kept) == [i for i, _ in cfg.chunks()]
+    for n, (index, arrays, copies) in enumerate(kept):
+        assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+        for _, others, _ in kept[n + 1:]:
+            assert not any(np.shares_memory(a, b) for a in arrays for b in others)
+
+
+def test_map_chunks_threads_keep_their_own_buffers(monkeypatch):
+    # more threads than cores, switching every microsecond: a block buffer
+    # shared between threads would be overwritten mid-block.  At 800 values
+    # a block is 100 rows in R^8, so chunks of 30 run three to a block and
+    # chunks of 250 in three blocks each.
+    monkeypatch.setattr(sampling, "_BLOCK_VALUES", 800)
+    cone = Orthant(8)
+    configs = [MonteCarloConfig(seed=29, total_samples=6_000, chunk_size=chunk)
+               for chunk in (30, 250)]
+    references = [_reference_map_chunks(cone, cfg, _chunk_record) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cfg, reference in zip(configs, references):
+            assert map_chunks(cone, cfg, _chunk_record, workers=8) == reference
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # more generators than dimensions: a Gaussian 8x4 matrix spans all of R^4
 # as a cone, and 24 generators around circ:6:pi/5 span a pointed cone
 _FULL_SPACE_8X4 = Generators(np.random.default_rng(0).standard_normal((8, 4)))
-_POINTED_24X6 = Generators(_pointed_wide_generators(24, 6, math.pi / 5, 0))
+_POINTED_24X6 = Generators(pointed_wide_generators(24, 6, math.pi / 5, 0))
 
 
 def _check_generator_layout(monkeypatch, cone, layout, workers):
@@ -407,11 +449,11 @@ _DIGEST_PATHS = [
     lambda cone, cfg: subspace_moment(_MIN_A_10, 3, 11, cfg),
 ]
 # SHA-256 of every result of the six cones other than the generator cones.
-# Re-pinned when the per-chunk Philox streams replaced the SplitMix64
-# Box-Muller sampler, which changed every draw; the same digest came out
-# with each chunk drawn as one block, with 37-value blocks and on three
-# threads, and any layout must reproduce it
-_MONTE_CARLO_SHA256 = "709fe03f3ef4cc90b82e07972083fd42adee529f3460e3acded85b1df9395130"
+# Re-pinned when the per-chunk SFC64 streams replaced the Philox ones,
+# which changed every draw; the same digest came out with each chunk drawn
+# as one block, with 37-value blocks and on three threads, and any layout
+# must reproduce it
+_MONTE_CARLO_SHA256 = "f2b203d652b39c6482d53eb46aee51c38d1df94a607fcbfdd3c8e0eac4602d59"
 
 
 def _digest_cases():

@@ -13,6 +13,7 @@ tripped, 4 consistency check failed.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -103,9 +104,7 @@ def _profile_for(cone, args, seed_shift=0):
         return exact_profile(cone)
     except UnsupportedConeError:
         pass
-    config = MonteCarloConfig(seed=args.seed + seed_shift, total_samples=args.samples,
-                              reservoir_cap=min(getattr(args, "reservoir_cap", None)
-                                                or 100_000, args.samples))
+    config = dataclasses.replace(_mc_config(args), seed=args.seed + seed_shift)
     if supports_face_dim(cone):
         return estimate_profile_face(cone, config, workers=args.workers)
     return estimate_profile_mixture(cone, config, workers=args.workers)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConeSpecError, DimensionMismatchError, UnsupportedConeError
-from .linalg import masked_ranks, nnls_solve, well_conditioned_rows
+from .linalg import nnls_solve
 
 MAX_AMBIENT_DIM = 10_000
 
@@ -227,12 +227,6 @@ class ProjectionOutcome:
     face_dim: int | None = None
 
 
-# by Cauchy interlacing, every row subset of a generator matrix whose
-# singular values lie within this ratio keeps a ratio above masked_ranks'
-# 1e-10 rank cutoff, with room for rounding in the SVD
-_INDEPENDENT_RATIO = 1e-8
-
-
 def _zero_threshold(x_norm):
     # activity threshold shared by projectors and face counting
     return 1e-12 * (1.0 + x_norm)
@@ -316,14 +310,12 @@ def _project_circular(cone, x):
 
 def _project_generators(cone, X):
     """Projections of the rows of X onto a generator cone, and the face
-    dimension of each: the rank of the generators it puts weight on.
+    dimension of each: the number of generators it puts weight on.
 
-    When the generator matrix passes well_conditioned_rows at
-    _INDEPENDENT_RATIO, every set of its rows is linearly independent with
-    singular values above masked_ranks' cutoff, so the rank is the number
-    of active generators and is counted without an SVD; the counts are the
-    integers masked_ranks would return.  Other cones, including every one
-    with more generators than dimensions, keep masked_ranks.
+    nnls_solve keeps its passive generators linearly independent, so that
+    count is their rank.  A generator counts when its contribution
+    tau_i * ||g_i|| to the projection clears the activity threshold,
+    which makes the count independent of the generators' lengths.
     """
     g = cone.matrix
     tau = nnls_solve(g, X)
@@ -331,10 +323,8 @@ def _project_generators(cone, X):
     # of the block it came in
     proj = np.matmul(tau[:, None, :], g)[:, 0]
     thresh = _zero_threshold(np.sqrt(np.einsum("ij,ij->i", X, X)))
-    active = tau > thresh[:, None]
-    if well_conditioned_rows(g, _INDEPENDENT_RATIO):
-        return proj, np.count_nonzero(active, axis=1).astype(np.int64)
-    return proj, masked_ranks(g, active)
+    weight = tau * np.sqrt(np.einsum("ij,ij->i", g, g))
+    return proj, np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +338,8 @@ def norms_block(cone, X):
     ||proj_C(x_i)||^2, t[i] = ||x_i||^2 - s[i] is the squared distance to
     the cone, and face_dims is an int array or None when the variant has
     no face structure.  Matches project() sample by sample.  A generator
-    cone solves the whole block with one nnls_solve call and takes its
-    face dimensions from one masked_ranks call, or from the active-set
-    sizes when its generators are certified independent (see
+    cone solves the whole block with one nnls_solve call and counts each
+    row's active generators as its face dimension (see
     _project_generators); every row gets the bits it would get alone,
     whatever block it comes in.
     """

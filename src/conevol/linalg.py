@@ -1,14 +1,14 @@
 """Dense linear algebra kernels used by the cone projectors and estimators.
 
 An active-set nonnegative least squares solver for generator cones,
-which solves a whole block of targets in lockstep, with the rank test the
-generator projector runs on its active sets.
+which solves a whole block of targets in lockstep and keeps each row's
+passive generators linearly independent, so the generator projector
+reads face dimensions off the active-set sizes.
 Dense factorizations come from numpy's LAPACK bindings: the solver's
 subproblems are stacked np.linalg.solve on the generators' Gram matrix,
-with stacked np.linalg.pinv for passive sets too ill-conditioned for it;
-the rank test is stacked np.linalg.svd, and well_conditioned_rows, the
-singular-value certificate that lets the solver skip its per-row test and
-the projector skip the rank test, one np.linalg.svd.  The cone projectors
+with stacked np.linalg.pinv for passive sets too ill-conditioned for it,
+and well_conditioned_rows, the singular-value certificate that lets the
+solver skip its per-row test, is one np.linalg.svd.  The cone projectors
 take eigenvalues from np.linalg directly.
 """
 
@@ -22,9 +22,8 @@ from .exceptions import NonConvergenceError
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
-# a slice of solver rows and the stacked SVD inputs of the rank test are
-# held to about this many values, the row-block budget of
-# sampling.map_chunks
+# a slice of solver rows is held to about this many values, the
+# row-block budget of sampling.map_chunks
 _STACK_VALUES = 1 << 17
 
 # a solve may take this many outer iterations per generator, and at least 12
@@ -59,14 +58,21 @@ def nnls_solve(a, b):
     well_conditioned_rows at that ratio, Cauchy interlacing gives it for
     every passive set and no row is tested; m > d never passes.
     Otherwise each row tests its own G_PP's eigenvalues, and a row that
-    fails, or has more passive generators than d, takes the
-    pseudoinverse of its passive generators (np.linalg.pinv with lstsq's
-    rank cutoff, one per distinct passive set), which stays defined when
-    they are linearly dependent, as they can become once m > d.  A row's
-    path and arithmetic depend only on that row and the generators, so
-    it comes out bit for bit the same as ``nnls_solve(a, b[i])``.  Rows
-    are taken in slices whose iteration state and Gram blocks hold about
-    _STACK_VALUES values.
+    fails takes the pseudoinverse of its passive generators
+    (np.linalg.pinv with lstsq's rank cutoff), which stays defined when
+    they are nearly dependent.
+
+    A generator enters the passive set only while its gradient entry
+    exceeds 64 eps (||b|| + sum(tau)), tau on the unit-norm generators:
+    the rounding level of the computed gradient, whose residual
+    b - a.T @ tau carries error of that order.  A tolerance scaled to the
+    residual itself shrinks with it once a row fits exactly, and rounding
+    then lets a dependent (d+1)-th generator in; at the rounding level
+    the passive generators stay independent, so their number is their
+    rank.  A row's path and arithmetic depend only on that row and the
+    generators, so it comes out bit for bit the same as
+    ``nnls_solve(a, b[i])``.  Rows are taken in slices whose iteration
+    state and Gram blocks hold about _STACK_VALUES values.
 
     Raises NonConvergenceError if a row hits the outer iteration cap
     (3m, at least 12) or a passive-set solve does not settle.
@@ -112,58 +118,15 @@ def _row_products(x, mat):
     return np.matmul(x[:, None, :], mat)[:, 0]
 
 
-def _size_groups(mask):
-    """The distinct nonempty rows of a boolean (n, m) matrix, by size.
-
-    Yields (cols, rows, which) for each size p: cols (g, p) lists the
-    True columns of each distinct row with p of them, rows are the rows
-    of mask that equal one of those, and row rows[i] equals cols[which[i]].
-    """
-    packed = np.packbits(mask, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    sets = mask[first]
-    sizes = np.count_nonzero(sets, axis=1)
-    slot = np.empty(sets.shape[0], dtype=np.intp)
-    for p in set(sizes[sizes > 0].tolist()):
-        group = np.flatnonzero(sizes == p)
-        slot[group] = np.arange(group.size)
-        rows = np.flatnonzero(sizes[inverse] == p)
-        yield np.nonzero(sets[group])[1].reshape(group.size, p), rows, slot[inverse[rows]]
-
-
-def masked_ranks(a, masks):
-    """Numerical rank of the rows of ``a`` that each row of ``masks`` selects.
-
-    The rank counts singular values above 1e-10 of the largest, i.e. Gram
-    eigenvalues above 1e-20 of the largest; an empty selection has rank
-    0.  Stacked SVDs cover each distinct selection once, in slices of
-    about _STACK_VALUES values.
-    """
-    a = np.asarray(a, dtype=float)
-    ranks = np.zeros(masks.shape[0], dtype=np.int64)
-    for cols, rows, which in _size_groups(masks):
-        found = np.empty(cols.shape[0], dtype=np.int64)
-        step = max(1, _STACK_VALUES // (cols.shape[1] * a.shape[1]))
-        for k0 in range(0, cols.shape[0], step):
-            sv = np.linalg.svd(a[cols[k0:k0 + step]], compute_uv=False)
-            found[k0:k0 + step] = np.count_nonzero(sv > 1e-10 * sv[:, :1], axis=1)
-        ranks[rows] = found[which]
-    return ranks
-
-
-def _gram_ok(g, certified, d):
+def _gram_ok(g, certified, ratio):
     """Which of the stacked passive Gram blocks g (k, p, p) to solve on
-    the normal equations: all of them for certified generators, none
-    once p > d (the passive generators are then dependent), and
-    otherwise those whose eigenvalues lie within _GRAM_RATIO**2."""
-    k, p = g.shape[:2]
+    the normal equations: all of them for certified generators, else
+    those whose eigenvalues lie within ratio**2 of each other.  A block
+    of dependent generators is singular and fails the test."""
     if certified:
-        return np.ones(k, dtype=bool)
-    if p > d:
-        return np.zeros(k, dtype=bool)
+        return np.ones(g.shape[0], dtype=bool)
     lam = np.linalg.eigvalsh(g)
-    return lam[:, 0] >= _GRAM_RATIO ** 2 * lam[:, -1]
+    return lam[:, 0] >= ratio ** 2 * lam[:, -1]
 
 
 def _passive_solve(a, gram, certified, passive, b, c):
@@ -172,31 +135,26 @@ def _passive_solve(a, gram, certified, passive, b, c):
     c = a @ b row by row.
 
     Rows are grouped by passive-set size only.  Each row solves its own
-    G_PP z = c_P, one stacked np.linalg.solve per size; the rows whose
-    block _gram_ok turns down share a pseudoinverse per distinct passive
-    set instead.
+    G_PP z = c_P, one stacked np.linalg.solve per size; the rows of a size
+    whose block _gram_ok turns down take the pseudoinverse of their
+    passive generators instead, one stacked np.linalg.pinv per size.
     """
     z = np.zeros(passive.shape)
     sizes = np.count_nonzero(passive, axis=1)
-    rest = []
     for p in set(sizes[sizes > 0].tolist()):
         rows = np.flatnonzero(sizes == p)
         cols = np.nonzero(passive[rows])[1].reshape(rows.size, p)
         g = gram[cols[:, :, None], cols[:, None, :]]
-        ok = _gram_ok(g, certified, a.shape[1])
+        ok = _gram_ok(g, certified, _GRAM_RATIO)
         if not ok.all():
-            rest.append(rows[~ok])
+            bad, bad_cols = rows[~ok], cols[~ok]
+            # lstsq's cutoff: singular values below max(d, p) * eps of the largest
+            ops = np.linalg.pinv(a[bad_cols].transpose(0, 2, 1),
+                                 rcond=max(a.shape[1], p) * _EPS)
+            z[bad[:, None], bad_cols] = np.matmul(ops, b[bad, :, None])[..., 0]
             rows, cols, g = rows[ok], cols[ok], g[ok]
         rhs = np.take_along_axis(c[rows], cols, axis=1)[..., None]
         z[rows[:, None], cols] = np.linalg.solve(g, rhs)[..., 0]
-    if rest:
-        rest = np.concatenate(rest)
-        for cols, rows, which in _size_groups(passive[rest]):
-            # lstsq's cutoff: singular values below max(d, p) * eps of the largest
-            ops = np.linalg.pinv(a[cols].transpose(0, 2, 1),
-                                 rcond=max(a.shape[1], cols.shape[1]) * _EPS)
-            rows = rest[rows]
-            z[rows[:, None], cols[which]] = np.matmul(ops[which], b[rows, :, None])[..., 0]
     return z
 
 
@@ -209,6 +167,7 @@ def _lawson_hanson(a, gram, certified, b):
     max_outer = max(_OUTER_PER_GENERATOR * m, 12)
     tau = np.zeros((n, m))
     passive = np.zeros((n, m), dtype=bool)
+    bnorm = np.sqrt(np.einsum("ij,ij->i", b, b))
     resid = b.copy()
     w = _row_products(resid, at)
     best_rnorm = np.full(n, math.inf)
@@ -218,11 +177,10 @@ def _lawson_hanson(a, gram, certified, b):
     out = np.empty((n, m))
     outer = 0
     while live.size:
-        # dual feasibility tolerance scaled to the float noise of the
-        # current gradient, so progress continues even when the residual
-        # is orders of magnitude below the data scale
+        # dual feasibility tolerance at the rounding level of the computed
+        # gradient, not of the residual (see nnls_solve)
         rnorm = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-        tol = 64.0 * _EPS * rnorm
+        tol = 64.0 * _EPS * (bnorm + tau.sum(axis=1))
         better = rnorm < best_rnorm * (1.0 - 1e-12)
         best_rnorm[better] = rnorm[better]
         best_tau[better] = tau[better]
@@ -236,8 +194,8 @@ def _lawson_hanson(a, gram, certified, b):
         out[live[optimal]] = tau[optimal]
         go = ~(stalled | optimal)
         if not go.all():
-            live, b, c, tau, passive, candidates, w, best_rnorm, best_tau, stalls = (
-                v[go] for v in (live, b, c, tau, passive, candidates, w,
+            live, b, bnorm, c, tau, passive, candidates, w, best_rnorm, best_tau, stalls = (
+                v[go] for v in (live, b, bnorm, c, tau, passive, candidates, w,
                                 best_rnorm, best_tau, stalls))
             if not live.size:
                 break

@@ -2,11 +2,11 @@
 
 Implements the distribution functions the rest of the toolkit needs
 (chi-square, beta, binomial), Bennett's concentration function, and
-Gauss-Legendre / generalized Gauss-Laguerre nodes.  The scalar CDFs are
-series and continued fractions on top of the C library gamma functions
-exposed through ``math``; they accept any shape and serve as oracles.
-The families evaluate a whole mixture row, every k = 0..d at one lambda,
-in one numpy pass, and are what the mixture sums over k use.
+Gauss-Legendre / generalized Gauss-Laguerre nodes.  The scalar beta CDF
+is a continued fraction on top of the C library gamma functions exposed
+through ``math``; it accepts any shape.  The families evaluate a whole
+mixture row, every k = 0..d at one lambda, in one numpy pass, and are
+what the mixture sums over k use.
 """
 
 import math
@@ -17,75 +17,16 @@ import numpy as np
 
 from .exceptions import NonConvergenceError
 
-# Convergence knobs shared by the series and continued-fraction loops.
+# Convergence knobs of the continued-fraction loop.
 _CF_EPS = 1e-14
 _MAX_ITER = 800
 _TINY = 1e-300
-
-
-def _lower_gamma_series(a, x):
-    # P(a, x) by the standard ascending series; good for x < a + 1-ish.
-    if x <= 0.0:
-        return 0.0
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _CF_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NonConvergenceError("incomplete gamma series did not converge", _MAX_ITER)
-
-
-def _upper_gamma_cf(a, x):
-    # Q(a, x) by modified Lentz continued fraction; good for larger x.
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NonConvergenceError("incomplete gamma fraction did not converge", _MAX_ITER)
 
 
 def _check_chi_lambda(lam):
     # NaN fails every comparison, so it would slip past a plain lam < 0 test
     if not lam >= 0.0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-
-
-def chi_square_cdf(dof, lam):
-    """CDF of the chi-square distribution with ``dof`` degrees of freedom.
-
-    ``dof = 0`` denotes the point mass at zero, so the CDF is 1 for every
-    lam >= 0.  This convention is what makes the mixed-dimension mixture
-    sums over k = 0..d work without special cases at the ends.  lam = inf
-    gives 1; a NaN lam is rejected like a negative one.
-    """
-    if dof < 0:
-        raise ValueError(f"dof must be >= 0, got {dof}")
-    _check_chi_lambda(lam)
-    if dof == 0 or lam == math.inf:
-        return 1.0
-    a = 0.5 * dof
-    x = 0.5 * lam
-    if lam < dof + 1.0:
-        return min(1.0, _lower_gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _upper_gamma_cf(a, x)))
 
 
 def _beta_cf(a, b, x):
@@ -177,15 +118,17 @@ def _half_lgamma(n):
 def chi_square_cdf_family(d, lam):
     """P{chi-square(k) <= lam} for every k = 0..d, as one array.
 
-    Agrees with chi_square_cdf(k, lam) to rounding and keeps its conventions
-    (k = 0 is the point mass at zero, lam = inf gives 1).  With x = lam/2
+    k = 0 is the point mass at zero, so F_0 = 1 for every lam >= 0; this
+    convention is what makes the mixture sums over k = 0..d work without
+    special cases at the ends.  lam = inf gives 1; a NaN lam is rejected
+    like a negative one.  With x = lam/2
     and t_k = x^(k/2) e^-x / Gamma(k/2 + 1), CDFs two degrees apart differ
     by one term, F_k - F_{k+2} = t_k.  So F_k is the suffix sum
     t_k + t_{k+2} + ... (the lower series), and 1 - F_k is Q_0 plus the t_j
     below k of its parity, with Q_0 = erfc(sqrt x) for odd k and e^-x for
-    even k.  Each k takes the side chi_square_cdf takes (the suffix when
-    lam < k + 1), so every value is a sum of positive terms on the side
-    where it is small.
+    even k.  Each k takes the suffix when lam < k + 1 and the other side
+    otherwise, so every value is a sum of positive terms on the side where
+    it is small.
     """
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")

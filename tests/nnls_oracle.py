@@ -4,8 +4,9 @@ reference_nnls is the one-target Lawson-Hanson solver that
 conevol.linalg.nnls_solve replaced, with np.linalg.lstsq on each passive
 set; it also reports how the solve ended.  reference_norms projects a
 block one row at a time with it, the way cones.norms_block once did.
-pointed_wide_generators builds the pointed cones with more generators
-than dimensions that the generator tests sample.
+active_ranks is the SVD rank test that face dimensions were once read
+from.  pointed_wide_generators builds the pointed cones with more
+generators than dimensions that the generator tests sample.
 """
 
 import math
@@ -96,6 +97,22 @@ def reference_norms(gens, X):
             sv = np.linalg.svd(active, compute_uv=False)
             fd[i] = int(np.count_nonzero(sv > 1e-10 * sv[0]))
     return s, t, fd
+
+
+def active_ranks(gens, X, tau):
+    """For each row of X with coefficients tau[i] (one per generator), the
+    numerical rank of the generators whose contribution tau_i * ||g_i||
+    exceeds 1e-12 * (1 + ||x||): singular values of those generators,
+    scaled to unit length, above 1e-10 of the largest."""
+    lengths = np.sqrt(np.einsum("ij,ij->i", gens, gens))
+    unit = gens / np.where(lengths > 0.0, lengths, 1.0)[:, None]
+    ranks = np.zeros(X.shape[0], dtype=np.int64)
+    for i, x in enumerate(X):
+        active = unit[tau[i] * lengths > 1e-12 * (1.0 + math.sqrt(float(x @ x)))]
+        if active.shape[0]:
+            sv = np.linalg.svd(active, compute_uv=False)
+            ranks[i] = np.count_nonzero(sv > 1e-10 * sv[0])
+    return ranks
 
 
 def pointed_wide_generators(m, d, alpha, seed):

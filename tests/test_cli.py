@@ -184,6 +184,21 @@ def test_profile_estimates_are_deterministic(capsys):
     assert out_a == out_b == out_c
 
 
+def test_profile_face_ignores_generator_lengths(tmp_path, capsys):
+    # a rotated orthant whose generators span sixteen orders of magnitude
+    # in length has the orthant's profile, Binomial(4, 1/2)
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+    path = tmp_path / "gens.csv"
+    np.savetxt(path, q * np.array([1e-8, 1.0, 1.0, 1e8])[:, None], delimiter=",")
+    n = 20000
+    code, out, _ = _run(capsys, ["profile", "--cone", f"gens:{path}", "--method", "face",
+                                 "--samples", str(n), "--seed", "1"])
+    assert code == 0
+    truth = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    z = np.abs(np.array(json.loads(out)["v"]) - truth) / np.sqrt(truth * (1.0 - truth) / n)
+    assert float(z.max()) < 4.0
+
+
 def test_profile_exact_fails_cleanly_for_smooth_cone(capsys):
     code, _, err = _run(capsys, ["profile", "--cone", "circ:5:0.7"])
     assert code == 2

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conevol import cones
 from conevol.cones import (
     Circular,
     Generators,
@@ -29,8 +28,8 @@ from conevol.cones import (
     vec_to_sym,
 )
 from conevol.exceptions import ConeSpecError
-from conevol.linalg import masked_ranks, nnls_solve, well_conditioned_rows
-from nnls_oracle import pointed_wide_generators, reference_norms
+from conevol.linalg import nnls_solve
+from nnls_oracle import active_ranks, pointed_wide_generators, reference_norms
 
 
 def _vec(d, seed):
@@ -241,30 +240,52 @@ def _with_singular_values(sv, d, rng):
     return (u * sv) @ v.T
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_certified_generator_face_dims_match_masked_ranks(seed):
-    # a generator matrix that passes the certificate has every row subset
-    # at full rank by masked_ranks' own SVD test, so counting the active
-    # generators gives the same integers; checked on random cones and on
-    # ones whose singular values span just inside the certificate's ratio
+def _face_dim_test_cones(seed):
+    """Generator cones of every kind the face count must get right."""
     rng = np.random.default_rng(seed)
-    ratio = cones._INDEPENDENT_RATIO
     m = int(rng.integers(2, 9))
     d = m + int(rng.integers(0, 4))
-    for g in (rng.standard_normal((m, d)) * np.logspace(-3, 3, m)[:, None],
-              _with_singular_values(np.geomspace(1.0, 1.01 * ratio, m), d, rng)):
-        assert well_conditioned_rows(g, ratio)
-        masks = rng.random((400, m)) < rng.random((400, 1))
-        assert np.array_equal(masked_ranks(g, masks), np.count_nonzero(masks, axis=1))
-        # the projector's shortcut: the same integers masked_ranks gives
-        X = rng.standard_normal((200, d))
-        active = nnls_solve(g, X) > 1e-12 * (1.0 + np.linalg.norm(X, axis=1))[:, None]
-        assert np.array_equal(norms_block(Generators(g), X)[2], masked_ranks(g, active))
-    # just outside the ratio, or with more generators than dimensions,
-    # the projector keeps masked_ranks
-    assert not well_conditioned_rows(
-        _with_singular_values(np.geomspace(1.0, 0.99 * ratio, m), d, rng), ratio)
-    assert not well_conditioned_rows(rng.standard_normal((d + 1, d)), ratio)
+    # independent generators: lengths over six orders of magnitude, and
+    # singular values spanning just inside and just outside the Gram
+    # certificate's ratio, and down to about 1e-8
+    yield rng.standard_normal((m, d)) * np.logspace(-3, 3, m)[:, None]
+    for ratio in (1e-2, 1e-8):
+        for factor in (0.99, 1.01):
+            yield _with_singular_values(np.geomspace(1.0, factor * ratio, m), d, rng)
+    # more generators than dimensions
+    yield np.random.default_rng(0).standard_normal((8, 4))
+    yield pointed_wide_generators(24, 6, math.pi / 5, seed)
+    yield rng.standard_normal((d + int(rng.integers(1, 6)), d))
+    yield np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generator_face_dims_are_active_ranks(seed):
+    # the face dimension is the number of active generators; the solver
+    # keeps its passive generators independent, so no row ends with more
+    # than d of them (on the 8x4 cone rounding once let a dependent fifth
+    # into rows that already fit exactly) and the count is their rank
+    rng = np.random.default_rng(100 + seed)
+    for g in _face_dim_test_cones(seed):
+        X = rng.standard_normal((400, g.shape[1]))
+        tau = nnls_solve(g, X)
+        assert np.count_nonzero(tau > 0.0, axis=1).max() <= g.shape[1]
+        assert np.array_equal(norms_block(Generators(g), X)[2], active_ranks(g, X, tau))
+
+
+def _rotated_orthant(lengths, seed):
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lengths),) * 2))[0]
+    return q * np.asarray(lengths)[:, None]
+
+
+@pytest.mark.parametrize("lengths", [(1e-12, 1.0, 1.0, 1e12), tuple(np.logspace(-12, 12, 7))])
+def test_generator_face_dims_ignore_generator_lengths(lengths):
+    # rescaling a generator moves neither the projection nor its face
+    X = np.random.default_rng(5).standard_normal((400, len(lengths)))
+    unit = norms_block(Generators(_rotated_orthant(np.ones(len(lengths)), 9)), X)[2]
+    scaled = norms_block(Generators(_rotated_orthant(lengths, 9)), X)[2]
+    assert np.array_equal(scaled, unit)
+    assert set(unit.tolist()) >= set(range(1, len(lengths)))
 
 
 # ---------------------------------------------------------------------------

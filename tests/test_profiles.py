@@ -1,7 +1,6 @@
 # Standard libraries
-import decimal
-import hashlib
 import math
+from fractions import Fraction
 
 # External libraries
 import numpy as np
@@ -25,8 +24,7 @@ from conevol.exceptions import (
 )
 from conevol.profiles import (
     IntrinsicVolumeProfile,
-    build_biorthogonal,
-    chi_expectation_quadrature,
+    biorthogonal_coefficients,
     estimate_profile_biorthogonal,
     estimate_profile_face,
     estimate_profile_mixture,
@@ -37,9 +35,9 @@ from conevol.profiles import (
     reverse_profile,
     statistical_dimension,
 )
+from conevol.report import abs_z
 from conevol.sampling import MonteCarloConfig, run_summary
-from biorthogonal_oracle import reference_biorthogonal, reference_evaluate
-from chi_square_oracle import chi_square_cdf
+from chi_square_oracle import chi_expectation_quadrature, chi_square_cdf
 
 # ---------------------------------------------------------------------------
 # Exact profiles
@@ -191,119 +189,120 @@ def test_intrinsic_variance_subspace_is_zero():
 # Biorthogonal system
 # ---------------------------------------------------------------------------
 
+def theta_moments(d):
+    """M[m][k] = E[theta^m | V = k] = prod_{j<m} (k + 2j) / (d + 2j), exact."""
+    return [[Fraction(math.prod(range(k, k + 2 * m, 2)), math.prod(range(d, d + 2 * m, 2)))
+             for k in range(d + 1)] for m in range(d + 1)]
+
+
+def exact_monomial_system(d):
+    """C = M^-1 by Gauss-Jordan elimination in Fractions: row k holds the
+    monomial coefficients of h_k."""
+    n = d + 1
+    rows = [row + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(theta_moments(d))]
+    for p in range(n):
+        q = next(i for i in range(p, n) if rows[i][p] != 0)
+        rows[p], rows[q] = rows[q], rows[p]
+        rows[p] = [x / rows[p][p] for x in rows[p]]
+        for i in range(n):
+            if i != p:
+                f = rows[i][p]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[p])]
+    return [row[n:] for row in rows]
+
+
+def shifted_legendre_monomials(d):
+    """L[n][m]: P*_n(theta) = P_n(2 theta - 1) = sum_m L[n][m] theta^m."""
+    return [[(-1) ** (n + m) * math.comb(n, m) * math.comb(n + m, m) for m in range(d + 1)]
+            for n in range(d + 1)]
+
+
+def evaluate_system(coef, theta):
+    return np.polynomial.legendre.legvander(2.0 * np.asarray(theta) - 1.0,
+                                            coef.shape[0] - 1) @ coef.T
+
+
 def test_biorthogonal_first_dimension_closed_form():
-    system = build_biorthogonal(1)
-    # single function: E[f_1(X_1)] = 1 enforced directly
-    val = chi_expectation_quadrature(lambda s: system.evaluate(s)[0], 1)
-    assert val == pytest.approx(1.0, abs=1e-12)
-
-
-def test_biorthogonal_evaluate_rows_match_full_matrix():
-    system = build_biorthogonal(8)
-    s = np.linspace(0.0, 40.0, 1001)
-    full = system.evaluate(s)
-    assert full.shape == (8, 1001)
-    assert np.array_equal(system.evaluate(s, rows=[7]), full[7:])
-    assert np.array_equal(system.evaluate(s, rows=[5, 0, 2]), full[[5, 0, 2]])
+    # d = 1: theta is 0 or 1, and h_0 = 1 - theta, h_1 = theta
+    assert np.array_equal(biorthogonal_coefficients(1), [[0.5, -0.5], [0.5, 0.5]])
 
 
 @pytest.mark.parametrize("d", range(1, 13))
-def test_biorthogonal_evaluate_matches_double_double_reference(d):
-    # the float64 recurrence against the double-double monomial evaluator
-    # it replaced, both on the exact rational build; e^(-s/2) underflows
-    # to 0 at s = 1500
-    ref = reference_biorthogonal(d)
-    draws = np.random.default_rng(d).chisquare(np.repeat(np.arange(1, d + 1), 64))
-    s = np.concatenate([[0.0, 5e-324, 1e-300], draws, [200.0, 800.0, 1500.0]])
-    got = build_biorthogonal(d).evaluate(s)
-    want = reference_evaluate(ref["poly_hi"], ref["poly_lo"], s)
-    bound = 1e-13 * np.abs(want).max(axis=1, keepdims=True)
-    assert np.all(np.abs(got - want) <= bound)
-    assert np.all(got[:, -1] == 0.0)
+def test_biorthogonal_matches_exact_rational_build(d):
+    # the stored coefficients are the exact inverse, moved to the shifted
+    # Legendre basis by solving L^T c = C_k, rounded once
+    monomial = exact_monomial_system(d)
+    legendre = shifted_legendre_monomials(d)
+    want = []
+    for row in monomial:
+        coords = [Fraction(0)] * (d + 1)
+        rest = list(row)
+        for n in range(d, -1, -1):
+            coords[n] = rest[n] / legendre[n][n]
+            for m in range(n):
+                rest[m] -= coords[n] * legendre[n][m]
+        want.append([float(x) for x in coords])
+    coef = biorthogonal_coefficients(d)
+    assert coef.shape == (d + 1, d + 1)
+    assert np.array_equal(coef, want)
 
 
-def test_biorthogonal_evaluate_rejects_negative_or_nan():
-    system = build_biorthogonal(4)
-    for bad in (-1e-300, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            system.evaluate(np.array([1.0, bad]))
-        with pytest.raises(ValueError):
-            system.evaluate([bad], rows=[0])
-    # exp(-s/2) is 0 long before q_n(sqrt(s/2)) overflows
-    assert np.all(build_biorthogonal(20).evaluate([1e300, math.inf]) == 0.0)
+def test_biorthogonal_residual_certificates():
+    # max |sum_n c[j, n] E[P*_n(theta) | k] - delta_jk| over the float64
+    # coefficients as stored, in exact rationals.  It is the rounding of c
+    # alone: 1.1e-12 at d = 12, 6.7e-10 at d = 18, 3.4e-9 at d = 20
+    for d in range(1, 21):
+        moments = theta_moments(d)
+        expect = [[sum(l * moments[m][k] for m, l in enumerate(row)) for k in range(d + 1)]
+                  for row in shifted_legendre_monomials(d)]
+        coef = biorthogonal_coefficients(d)
+        residual = max(abs(sum(Fraction(c) * expect[n][k] for n, c in enumerate(coef[j]))
+                           - (j == k)) for j in range(d + 1) for k in range(d + 1))
+        assert residual <= 1e-8, d
+    # cached and read-only: repeated builds return the same array
+    assert biorthogonal_coefficients(12) is biorthogonal_coefficients(12)
+    with pytest.raises(ValueError, match="read-only"):
+        biorthogonal_coefficients(12)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_biorthogonal_evaluate_matches_exact_values(d):
+    # float64 evaluation against the exact h_k at dyadic theta, atoms
+    # included, within (d+1) eps sum_n |c[k, n]| since |P*_n| <= 1 on
+    # [0, 1]; that is 5.8e-7 at d = 20, where the error is 7.5e-9
+    coef = biorthogonal_coefficients(d)
+    bound = (d + 1) * np.finfo(float).eps * np.abs(coef).sum(axis=1)
+    theta = np.arange(65) / 64.0
+    got = evaluate_system(coef, theta)
+    monomial = exact_monomial_system(d)
+    for i, x in enumerate(theta):
+        powers = [Fraction(x) ** m for m in range(d + 1)]
+        want = [float(sum(c * p for c, p in zip(row, powers))) for row in monomial]
+        assert np.all(np.abs(got[i] - want) <= bound)
 
 
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_biorthogonality_under_quadrature(d):
-    system = build_biorthogonal(d)
-    for k in range(0, d + 1):
-        vals = [chi_expectation_quadrature(
-                    lambda s, j=j: system.evaluate(s)[j - 1], k)
-                for j in range(1, d + 1)]
-        expected = np.zeros(d)
-        if k >= 1:
-            expected[k - 1] = 1.0
-        assert np.allclose(vals, expected, atol=1e-8)
-
-
-def test_biorthogonal_residual_certificates():
-    systems = [build_biorthogonal(d) for d in (6, 12, 20)]
-    for system in systems:
-        assert system.residual <= 1e-8
-    small, large, cap = (system.condition for system in systems)
-    assert small < large < cap
-    # cached: repeated calls return the same object
-    assert build_biorthogonal(12) is systems[1]
-
-
-# SHA-256 over build_biorthogonal(d) for d = 1..20, in d order: the bytes
-# of coef, a, b, float64(condition) and float64(residual).  The exact
-# rational build (tests/biorthogonal_oracle.py) gives the same digest; it
-# takes about 45 s over d = 1..20, so the test below checks it for d <= 10.
-_BIORTHOGONAL_SHA256 = "52f01b329be3c3d2ba161f39805f586c7d2dd5673a45498998a4290696b0b8b8"
-
-
-def _biorthogonal_digest():
-    digest = hashlib.sha256()
-    for d in range(1, 21):
-        system = build_biorthogonal(d)
-        for part in (system.coef, system.a, system.b,
-                     np.float64(system.condition), np.float64(system.residual)):
-            digest.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
-def test_biorthogonal_systems_are_pinned_for_every_dimension():
-    assert _biorthogonal_digest() == _BIORTHOGONAL_SHA256
-
-
-@pytest.mark.parametrize("d", range(1, 11))
-def test_biorthogonal_matches_exact_rational_build(d):
-    system = build_biorthogonal(d)
-    ref = reference_biorthogonal(d)
-    assert system.coef.shape == (d, d + 1)
-    for field in ("coef", "a", "b"):
-        assert np.array_equal(getattr(system, field), ref[field])
-    assert system.condition == ref["condition"]
-    assert system.residual == ref["residual"]
-
-
-def test_biorthogonal_build_ignores_the_callers_decimal_context():
-    saved = decimal.getcontext()
-    decimal.setcontext(decimal.Context(prec=5, rounding=decimal.ROUND_DOWN))
-    try:
-        build_biorthogonal.cache_clear()
-        digest = _biorthogonal_digest()
-        assert decimal.getcontext().prec == 5
-    finally:
-        decimal.setcontext(saved)
-        build_biorthogonal.cache_clear()
-    assert digest == _BIORTHOGONAL_SHA256
+    # E[h_j(theta) | V = k] with theta = sin^2(phi) ~ Beta(k/2, (d-k)/2) for
+    # 0 < k < d, whose density in phi is smooth; the atoms at 0 and 1 directly
+    t, w = np.polynomial.legendre.leggauss(200)
+    phi = 0.25 * math.pi * (t + 1.0)
+    values = evaluate_system(biorthogonal_coefficients(d), np.sin(phi) ** 2)
+    ends = evaluate_system(biorthogonal_coefficients(d), [0.0, 1.0])
+    for k in range(d + 1):
+        if k == 0 or k == d:
+            got = ends[0 if k == 0 else 1]
+        else:
+            log_beta = math.lgamma(k / 2) + math.lgamma((d - k) / 2) - math.lgamma(d / 2)
+            density = 2.0 * np.sin(phi) ** (k - 1) * np.cos(phi) ** (d - k - 1)
+            got = 0.25 * math.pi * (w * density * math.exp(-log_beta)) @ values
+        assert np.allclose(got, np.eye(d + 1)[k], rtol=0.0, atol=1e-8)
 
 
 def test_biorthogonal_dimension_cap():
     with pytest.raises(ConditioningError):
-        build_biorthogonal(21)
+        biorthogonal_coefficients(21)
 
 
 def test_chi_expectation_quadrature_moments():
@@ -339,6 +338,34 @@ def test_biorthogonal_estimator_consistent_with_truth():
     z = np.abs(prof.raw_v - truth) / prof.stderr
     assert float(z.max()) < 4.0
     assert prof.provenance == "mc_biorthogonal"
+
+
+ASYMMETRIC_CONES = [
+    ("subspace:3:8", Subspace(3, 8), 41),
+    ("prod(orthant:3,subspace:2:5)", Product(Orthant(3), Subspace(2, 5)), 42),
+    ("polar(prod(orthant:3,subspace:2:5))", Polar(Product(Orthant(3), Subspace(2, 5))), 43),
+]
+
+
+@pytest.mark.parametrize("cone,seed", [c[1:] for c in ASYMMETRIC_CONES],
+                         ids=[c[0] for c in ASYMMETRIC_CONES])
+def test_biorthogonal_estimator_matches_profiles_that_are_not_palindromic(cone, seed):
+    # v_k != v_(d-k) here; a zero standard error must come with an exact
+    # coordinate
+    cfg = MonteCarloConfig(seed=seed, total_samples=50_000, reservoir_cap=50_000)
+    summary = run_summary(cone, cfg)
+    prof = estimate_profile_biorthogonal(cone, cfg, summary=summary)
+    truth = exact_profile(cone)
+    assert not np.array_equal(truth.v, truth.v[::-1])
+    assert float(np.max(abs_z(prof.raw_v - truth.v, prof.stderr))) <= 4.0
+    # sum_k k h_k(theta) = d theta, so the estimate's mean dimension has the
+    # standard error of d theta, about 0.01 against 0.3-0.6 per coordinate:
+    # this is what sees h_k and h_(d-k) mixed up (delta against d - delta)
+    d = prof.d
+    theta = summary.reservoir_s / (summary.reservoir_s + summary.reservoir_t)
+    se = d * theta.std(ddof=1) / math.sqrt(theta.size)
+    delta = float(np.arange(d + 1) @ prof.raw_v)
+    assert float(abs_z(delta - truth.statistical_dimension, se)) <= 4.0
 
 
 def test_biorthogonal_estimator_rejects_one_sample_reservoir():

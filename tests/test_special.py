@@ -16,7 +16,6 @@ from conevol.special import (
     binomial_tail,
     chi_square_cdf_family,
     gauss_laguerre,
-    gauss_legendre,
     tanh_sinh_rule,
 )
 from chi_square_oracle import chi_square_cdf
@@ -292,32 +291,6 @@ def test_binomial_tail_pmf_consistency(n, p, k):
 # Quadrature rules
 # ---------------------------------------------------------------------------
 
-def test_gauss_legendre_polynomial_exactness():
-    rule = gauss_legendre(6, 0.0, 1.0)
-    x, w = rule.nodes, rule.weights
-    # degree <= 11 integrated exactly on [0, 1]
-    for m in range(12):
-        assert float(w @ x**m) == pytest.approx(1.0 / (m + 1), rel=1e-13)
-
-
-def test_gauss_legendre_is_memoized_and_read_only():
-    rule = gauss_legendre(400, 0.0, 14.0)
-    assert gauss_legendre(400, 0.0, 14.0) is rule
-    fresh = gauss_legendre.__wrapped__(400, 0.0, 14.0)
-    assert fresh is not rule
-    assert np.array_equal(rule.nodes, fresh.nodes)
-    assert np.array_equal(rule.weights, fresh.weights)
-    with pytest.raises(ValueError, match="read-only"):
-        rule.nodes[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        rule.weights *= 2.0
-    with pytest.raises(AttributeError):
-        rule.nodes = np.zeros(400)
-    again = gauss_legendre(400, 0.0, 14.0)
-    assert np.array_equal(again.nodes, fresh.nodes)
-    assert np.array_equal(again.weights, fresh.weights)
-
-
 def test_gauss_laguerre_is_normalized_probability_rule():
     for n, alpha in [(24, 0.0), (96, 2.5), (400, 9.0)]:
         rule = gauss_laguerre(n, alpha)
@@ -436,16 +409,3 @@ def test_gauss_laguerre_400_nodes_matches_mpmath(alpha):
         ref = np.array([_mp_laguerre_node(mp, n, alpha, rule.nodes[i]) for i in picks])
     assert np.allclose(rule.nodes[picks], ref[:, 0], rtol=3e-12, atol=0.0)
     assert np.allclose(rule.weights[picks], ref[:, 1], rtol=1e-11, atol=1e-15)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 100])
-def test_gauss_legendre_matches_scipy(n):
-    sp = pytest.importorskip("scipy.special")
-    nodes, weights = sp.roots_legendre(n)
-    rule = gauss_legendre(n)
-    assert np.allclose(rule.nodes, nodes, rtol=0.0, atol=1e-14)
-    # scipy's own end weights drift by about 1e-11 relative at n = 100
-    assert np.allclose(rule.weights, weights, rtol=1e-10, atol=0.0)
-    shifted = gauss_legendre(n, 0.0, 3.0)
-    assert np.allclose(shifted.nodes, 1.5 + 1.5 * nodes, rtol=0.0, atol=1e-14)
-    assert np.allclose(shifted.weights, 1.5 * weights, rtol=1e-10, atol=0.0)

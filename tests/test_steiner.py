@@ -7,7 +7,6 @@ import pytest
 
 from conevol.cones import Circular, Orthant, Subspace, Trivial
 from conevol.profiles import (
-    chi_expectation_quadrature,
     exact_profile,
     profile_from_raw,
     reverse_profile,
@@ -28,7 +27,7 @@ from conevol.steiner import (
     wills_functional,
     wills_mc,
 )
-from chi_square_oracle import chi_square_cdf
+from chi_square_oracle import chi_expectation_quadrature, chi_square_cdf
 
 # ---------------------------------------------------------------------------
 # Functional declarations

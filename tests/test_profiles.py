@@ -1,4 +1,5 @@
 # Standard libraries
+import hashlib
 import math
 from fractions import Fraction
 
@@ -246,6 +247,20 @@ def test_biorthogonal_matches_exact_rational_build(d):
     coef = biorthogonal_coefficients(d)
     assert coef.shape == (d + 1, d + 1)
     assert np.array_equal(coef, want)
+
+
+# SHA-256 over the little-endian float64 bytes of biorthogonal_coefficients(d)
+# for d = 1..20, in d order.  The exact rational build above gives the same
+# digest over all twenty dimensions.
+_BIORTHOGONAL_SHA256 = "9151011655379f54f20f6db6b66dc3743f41845de824dbe16af48521d5e8624e"
+
+
+def test_biorthogonal_systems_are_pinned_for_every_dimension():
+    digest = hashlib.sha256()
+    for d in range(1, 21):
+        coef = biorthogonal_coefficients(d)
+        digest.update(np.ascontiguousarray(coef, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _BIORTHOGONAL_SHA256
 
 
 def test_biorthogonal_residual_certificates():

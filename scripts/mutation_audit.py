@@ -1,0 +1,139 @@
+"""Mutation audit: every listed mutant must fail the tests named as its killers.
+
+A mutant is one textual edit of a file in src/: a reversed profile index,
+a swapped constant, a dropped guard.  The audit copies src/, tests/ and
+pyproject.toml to a temporary directory, runs every killer there once
+unmutated (they must pass), then applies one mutant at a time to a fresh
+copy and runs pytest on that mutant's killers only.  A mutant is killed
+when pytest reports a failing test and survives when they all pass.  The
+repository itself is never edited.  Each mutant costs one pytest run, so
+the audit is kept out of the Tier-1 suite:
+
+    python scripts/mutation_audit.py                  # every mutant
+    python scripts/mutation_audit.py wills-reversed master-phi-reversed
+
+Exit status: 0 when every mutant is killed; 1 when one survives, when the
+unmutated killers fail, or when pytest cannot run them; 2 for an unknown
+mutant name.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str           # relative to the repository root
+    search: str         # occurs exactly once in path
+    replace: str
+    killers: tuple      # pytest node ids, relative to the repository root
+
+
+_STEINER = "src/conevol/steiner.py"
+_NOT_PALINDROMIC = "tests/test_steiner.py::test_expansion_cdfs_on_profiles_that_are_not_palindromic"
+
+MUTANTS = (
+    Mutant("gaussian-steiner-unreversed", _STEINER,
+           "chi_square_cdf_family(profile.d, lam)[::-1], profile.v",
+           "chi_square_cdf_family(profile.d, lam), profile.v",
+           (_NOT_PALINDROMIC,
+            "tests/test_steiner.py::test_gaussian_steiner_cdf_subspace_closed_form")),
+    Mutant("spherical-steiner-reversed", _STEINER,
+           "beta_cdf_family(profile.d, lam), profile.v",
+           "beta_cdf_family(profile.d, lam)[::-1], profile.v",
+           (_NOT_PALINDROMIC,
+            "tests/test_steiner.py::test_expansion_cdfs_match_scalar_mixture_sums")),
+    Mutant("master-phi-reversed", _STEINER,
+           "total += profile.v[k] * value",
+           "total += profile.v[d - k] * value",
+           ("tests/test_steiner.py::test_master_phi_on_profiles_that_are_not_palindromic",)),
+    Mutant("chi-bar-squared-reversed", _STEINER,
+           "chi_square_cdf_family(self.profile.d, lam), self.profile.v",
+           "chi_square_cdf_family(self.profile.d, lam)[::-1], self.profile.v",
+           (_NOT_PALINDROMIC,
+            "tests/test_steiner.py::test_chi_bar_squared_cdf_is_polar_expansion")),
+    Mutant("wills-reversed", _STEINER,
+           "np.dot(powers, profile.v)",
+           "np.dot(powers, profile.v[::-1])",
+           ("tests/test_steiner.py::test_wills_functional_on_profiles_that_are_not_palindromic",)),
+    Mutant("circular-polar-test-cos", "src/conevol/cones.py",
+           "np.where(x1 <= -nrm * sa, 0.0",
+           "np.where(x1 <= -nrm * ca, 0.0",
+           ("tests/test_cones.py::test_norms_block_matches_rowwise_projection",)),
+    Mutant("intrinsic-variance-scale-inverted", "src/conevol/profiles.py",
+           "(d + 2) / d",
+           "d / (d + 2)",
+           ("tests/test_profiles.py::test_intrinsic_variance_orthant",
+            "tests/test_profiles.py::test_moment_estimators_match_psd3_closed_form",
+            "tests/test_profiles.py::test_moment_estimators_on_a_product_that_is_not_palindromic")),
+    Mutant("biorthogonal-stderr-floor-dropped", "src/conevol/profiles.py",
+           "np.maximum(stderr, floor)",
+           "stderr",
+           ("tests/test_profiles.py::test_biorthogonal_stderr_covers_evaluation_round_off",)),
+)
+
+
+def _apply(mutant, root):
+    """Apply mutant to the tree at root; its search text must occur once."""
+    path = Path(root) / mutant.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.search)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: {mutant.search!r} occurs {count} times "
+                         f"in {mutant.path}, not once")
+    path.write_text(text.replace(mutant.search, mutant.replace), encoding="utf-8")
+
+
+def _pytest(killers, mutant=None):
+    """pytest's exit code for killers in a fresh copy, mutated if asked."""
+    with tempfile.TemporaryDirectory(prefix="conevol-mutant-") as tmp:
+        root = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, root / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", root)
+        if mutant is not None:
+            _apply(mutant, root)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *killers],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = ap.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        ap.error(f"unknown mutants: {', '.join(unknown)}")
+    mutants = [by_name[n] for n in args.names] or list(MUTANTS)
+    killers = sorted({k for m in mutants for k in m.killers})
+    code = _pytest(killers)
+    if code != 0:
+        print(f"unmutated killers do not pass (pytest exit {code})")
+        return 1
+    bad = 0
+    for m in mutants:
+        code = _pytest(m.killers, m)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+        print(f"{m.name:36} {verdict}")
+        bad += code != 1
+    print(f"{len(mutants) - bad}/{len(mutants)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,9 +31,8 @@ from .profiles import (estimate_profile_biorthogonal, estimate_profile_face,
                        intrinsic_variance, statistical_dimension)
 from .sampling import MonteCarloConfig, run_summary
 from .special import beta_cdf_family, chi_square_cdf_family
-from .steiner import (empirical_steiner_cdf, gaussian_steiner_cdf, master_phi,
-                      phi_mc, preset_functionals, spherical_steiner_cdf,
-                      wills_functional, wills_mc)
+from .steiner import (empirical_steiner_cdf, master_phi, phi_mc,
+                      preset_functionals, wills_functional, wills_mc)
 
 
 def _fmt(x):
@@ -151,15 +150,15 @@ def _cmd_tail(args, parser):
     d = ambient_dim(cone)
     grid = _parse_grid(args.lambda_grid)
     delta, delta_polar = args.delta, args.delta_polar
-    if delta is None and delta_polar is not None:
-        delta = d - delta_polar
-    elif delta_polar is None and delta is not None:
-        delta_polar = d - delta
-    elif delta is None and delta_polar is None:
+    if delta is None and delta_polar is None:
         if args.samples < 1:
             parser.error("tail with --samples 0 needs --delta/--delta-polar")
-        summary = run_summary(cone, _mc_config(args), workers=args.workers)
-        delta, delta_polar = summary.mean_s, summary.mean_t
+        delta, _ = statistical_dimension(run_summary(cone, _mc_config(args),
+                                                     workers=args.workers))
+    if delta is None:
+        delta = d - delta_polar
+    elif delta_polar is None:
+        delta_polar = d - delta
     rows = []
     for lam in grid:
         rep = TailBoundReport.evaluate(lam, delta, delta_polar).as_dict()
@@ -190,16 +189,16 @@ def _cmd_steiner(args, parser):
             grid = [0.5, 1.0, 2.0, 4.0, 8.0]
         else:
             grid = [0.25, 0.5, 0.75, 1.0]
-        mix_fn = gaussian_steiner_cdf if args.check == "gaussian" else spherical_steiner_cdf
         emp, emp_se = empirical_steiner_cdf(cone, grid, config, kind=args.check,
                                             workers=args.workers)
         d = prof.d
         for i, lam in enumerate(grid):
-            mix = mix_fn(prof, lam)
+            # the mixture row of gaussian_steiner_cdf or spherical_steiner_cdf
             if args.check == "gaussian":
                 coeff = chi_square_cdf_family(d, lam)[::-1]
             else:
                 coeff = beta_cdf_family(d, lam)
+            mix = float(np.dot(coeff, prof.v))
             se = math.hypot(float(emp_se[i]), _profile_se(prof, coeff))
             diff = abs(mix - float(emp[i]))
             bad = bad or diff > 4.0 * se + 0.01

@@ -10,7 +10,8 @@ squared norm that projects onto the cone, or through a nonnegative least
 squares fit of the chi-square mixture CDF.  theta depends on the
 direction of the Gaussian vector only, so it carries none of the
 chi-square radial noise, and by the spherical Steiner formula it is
-Beta(k/2, (d-k)/2) given V = k.  The polynomials come from one exact
+Beta(k/2, (d-k)/2) given V = k; the mean and variance of V follow from
+its first four moments alone.  The polynomials come from one exact
 integer inverse per d, are stored on shifted Legendre polynomials in
 float64 and are evaluated by matrix products.
 """
@@ -120,34 +121,32 @@ def exact_profile(cone):
 # ---------------------------------------------------------------------------
 
 def statistical_dimension(summary):
-    """Estimate and standard error of E ||proj(g)||^2 from a summary."""
-    return summary.mean_s, summary.s_moments.se_mean
+    """Estimate and standard error of delta = E V from a summary.
+
+    E[d theta] = E V, since theta = s / (s + t) has mean k / d given V = k;
+    unlike s = R^2 theta, d theta carries no chi-square radial noise.
+    """
+    d, acc = summary.dim, summary.theta_moments
+    return d * acc.mean, d * acc.se_mean
 
 
 def intrinsic_variance(summary):
-    """Variance of the profile distribution, from the two projection sides.
+    """Variance of the profile distribution, from the moments of theta.
 
-    Each side of the decomposition gives an estimate Var[side] - 2 *
-    E[side]; the two are combined with precision weights, with standard
-    errors from the delta method on the fourth central moments.
+    Given V = k, theta is Beta(k/2, (d-k)/2) and independent of the
+    radius, so X = d theta has
+        Var X = Var V * d / (d + 2) + 2 delta (d - delta) / (d + 2),
+    which is inverted with the sample mean and variance of X.  The
+    standard error is the delta method's on the central moments of X.
     """
-    estimates = []
-    for acc in (summary.s_moments, summary.t_moments):
-        est = acc.variance - 2.0 * acc.mean
-        mu2 = acc.central_moment(2)
-        mu3 = acc.central_moment(3)
-        mu4 = acc.central_moment(4)
-        var_est = max(mu4 - mu2 * mu2 + 4.0 * mu2 - 4.0 * mu3, 0.0) / acc.n
-        estimates.append((est, math.sqrt(var_est)))
-    finite = [(e, se) for e, se in estimates if se > 0.0]
-    if not finite:
-        return estimates[0][0], 0.0
-    if len(finite) == 1:
-        return finite[0]
-    weights = [1.0 / se ** 2 for _, se in finite]
-    total = sum(weights)
-    combined = sum(w * e for w, (e, _) in zip(weights, finite)) / total
-    return combined, math.sqrt(1.0 / total)
+    d, acc = summary.dim, summary.theta_moments
+    mean, scale = d * acc.mean, (d + 2) / d
+    est = scale * d * d * acc.variance - 2.0 * mean * (d - mean) / d
+    # the estimate's gradient in the sample variance and the mean of X
+    a, b = scale, -2.0 * (d - 2.0 * mean) / d
+    mu2, mu3, mu4 = (d ** k * acc.central_moment(k) for k in (2, 3, 4))
+    var_est = a * a * (mu4 - mu2 * mu2) + 2.0 * a * b * mu3 + b * b * mu2
+    return est, math.sqrt(max(var_est, 0.0) / acc.n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,9 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     theta = 0 and 1 go through the same functions, which need no special
     case there.  Standard errors are the sample standard deviations of the
     function values over sqrt(n), so the reservoir must hold at least two
-    samples.
+    samples, and never below eps * sum_n |c_kn|, the float64 evaluation
+    error of h_k = sum_n c_kn P*_n(theta) with |P*_n| <= 1 on [0, 1]: a
+    constant theta (a subspace of dimension 0 or d) has zero spread.
     """
     d = ambient_dim(cone)
     coef = biorthogonal_coefficients(d)
@@ -264,7 +265,8 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     raw = values.mean(axis=0)
     values -= raw
     stderr = np.sqrt(np.einsum("ij,ij->j", values, values) / ((n - 1) * n))
-    return profile_from_raw(d, raw, stderr, "mc_biorthogonal")
+    floor = np.finfo(float).eps * np.abs(coef).sum(axis=1)
+    return profile_from_raw(d, raw, np.maximum(stderr, floor), "mc_biorthogonal")
 
 
 def mixture_design_matrix(d, thresholds):

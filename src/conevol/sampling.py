@@ -22,10 +22,11 @@ block at a time, and each worker thread draws into one block buffer that
 it reuses for all of its blocks.  It runs the blocks on CONEVOL_THREADS
 worker threads unless a caller passes an explicit worker count, and
 returns the per-chunk results in chunk-index order.  Callers fold them
-left to right in that fixed order, moment sums with the exact
-pairwise-merge update formulas, so every result is a function of (seed,
-total_samples, chunk_size, reservoir_cap) only: bit-identical for any
-worker count and block size.
+left to right in that fixed order, moment sums (run_summary keeps those
+of theta = s / (s + t) only) with the exact pairwise-merge update
+formulas, so every result is a function of (seed, total_samples,
+chunk_size, reservoir_cap) only: bit-identical for any worker count and
+block size.
 """
 
 import math
@@ -155,28 +156,23 @@ class MomentAccumulator:
 class SampleSummary:
     """Streaming summary of the squared projection / residual norms.
 
-    cone is the cone that was sampled; estimators given a summary check
-    it against the cone they are asked about.
+    theta_moments are the moments of theta = s / (s + t).  Given V = k,
+    theta is Beta(k/2, (d-k)/2) and independent of the chi-square radius,
+    so they alone give the mean and variance of V (see
+    profiles.intrinsic_variance).  cone is the cone that was sampled;
+    estimators given a summary check it against the cone they are asked
+    about.
     """
     cone: object
     dim: int
     count: int
-    s_moments: MomentAccumulator
-    t_moments: MomentAccumulator
+    theta_moments: MomentAccumulator
     face_hist: np.ndarray | None
     reservoir_s: np.ndarray
     reservoir_t: np.ndarray
     reservoir_stride: int
     seed: int
     chunk_size: int
-
-    @property
-    def mean_s(self):
-        return self.s_moments.mean
-
-    @property
-    def mean_t(self):
-        return self.t_moments.mean
 
 
 def resolve_workers(workers=None):
@@ -262,12 +258,13 @@ def map_chunks(cone, config, fn, workers=None):
 
 
 def run_summary(cone, config, workers=None):
-    """Sample Gaussians, project every draw, and summarize both norms.
+    """Sample Gaussians, project every draw, and summarize the stream.
 
     Returns a SampleSummary with exact-merged central moments up to
-    order four for s = ||proj(g)||^2 and t = dist^2(g, cone), a face
-    dimension histogram for polyhedral cones, and a stride-thinned
-    reservoir of retained (s, t) pairs for the profile estimators.
+    order four of theta = s / (s + t), where s = ||proj(g)||^2 and t =
+    dist^2(g, cone), a face dimension histogram for polyhedral cones, and
+    a stride-thinned reservoir of retained (s, t) pairs for the profile
+    estimators.
     """
     dim = ambient_dim(cone)
     want_faces = supports_face_dim(cone)
@@ -275,18 +272,18 @@ def run_summary(cone, config, workers=None):
 
     def summarize(index, s, t, fd):
         hist = np.bincount(fd, minlength=dim + 1).astype(np.int64) if want_faces else None
+        theta = s + t
+        np.divide(s, theta, out=theta)
         # keep every stride-th sample of the whole stream, by global index
         keep = np.arange((-index * config.chunk_size) % stride, s.shape[0], stride)
-        return (MomentAccumulator.from_values(s), MomentAccumulator.from_values(t),
-                hist, s[keep], t[keep])
+        return MomentAccumulator.from_values(theta), hist, s[keep], t[keep]
 
-    s_parts, t_parts, hists, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
+    parts, hists, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
     return SampleSummary(
         cone=cone,
         dim=dim,
         count=config.total_samples,
-        s_moments=reduce(MomentAccumulator.merge, s_parts, MomentAccumulator()),
-        t_moments=reduce(MomentAccumulator.merge, t_parts, MomentAccumulator()),
+        theta_moments=reduce(MomentAccumulator.merge, parts, MomentAccumulator()),
         face_hist=sum(hists) if want_faces else None,
         reservoir_s=np.concatenate(res_s),
         reservoir_t=np.concatenate(res_t),

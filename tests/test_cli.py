@@ -302,6 +302,20 @@ def test_tail_estimates_deltas_when_sampling(capsys):
     assert float(row["delta"]) == pytest.approx(4.0, abs=0.2)
 
 
+def test_tail_polar_delta_is_the_complement_when_sampling(capsys):
+    # both deltas come from one estimate, so they add up to d = 8
+    code, out, _ = _run(capsys, ["tail", "--cone", "prod(orthant:3,subspace:2:5)",
+                                 "--samples", "20000", "--lambda-grid", "1:2:1"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    for row in rows[1:]:
+        row = dict(zip(rows[0], row))
+        delta, delta_polar = float(row["delta"]), float(row["delta_polar"])
+        assert delta_polar == 8.0 - delta
+        assert delta + delta_polar == pytest.approx(8.0, abs=1e-12)
+        assert delta == pytest.approx(3.5, abs=0.1)
+
+
 def test_wills_values(capsys):
     code, out, _ = _run(capsys, ["wills", "--cone", "orthant:8",
                                  "--lambda", "0.5", "--samples", "50000"])

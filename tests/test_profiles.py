@@ -15,6 +15,7 @@ from conevol.cones import (
     Orthant,
     Polar,
     Product,
+    Psd,
     Subspace,
     Trivial,
 )
@@ -184,6 +185,42 @@ def test_intrinsic_variance_subspace_is_zero():
     summary = run_summary(Subspace(4, 9), cfg)
     val, se = intrinsic_variance(summary)
     assert abs(val) < 4.0 * se + 1e-9
+
+
+# psd:3 has the closed-form profile (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0,
+# v1, v0) with v0 = (pi - 2 sqrt 2) / (4 pi) and v1 = (sqrt 2 - 1) / 4, so
+# delta = 3 and Var V = 2 (8 v0 + 4 v1 + 1/4) = 1.727162
+_PSD3_V0 = (math.pi - 2.0 * math.sqrt(2.0)) / (4.0 * math.pi)
+_PSD3_VARIANCE = 2.0 * (8.0 * _PSD3_V0 + math.sqrt(2.0) - 1.0 + 0.25)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_moment_estimators_match_psd3_closed_form(seed):
+    summary = run_summary(Psd(3), MonteCarloConfig(seed=seed, total_samples=200_000))
+    delta, delta_se = statistical_dimension(summary)
+    var, var_se = intrinsic_variance(summary)
+    assert abs(delta - 3.0) <= 4.0 * delta_se
+    assert abs(var - _PSD3_VARIANCE) <= 4.0 * var_se
+
+
+@pytest.mark.parametrize("polar, seed", [(False, 25), (True, 26)])
+def test_moment_estimators_on_a_product_that_is_not_palindromic(polar, seed):
+    # V = 2 + Binomial(3, 1/2) on Orthant(3) x Subspace(2, 5), and 8 - V on its polar
+    cone = Product(Orthant(3), Subspace(2, 5))
+    summary = run_summary(Polar(cone) if polar else cone,
+                          MonteCarloConfig(seed=seed, total_samples=100_000))
+    delta, delta_se = statistical_dimension(summary)
+    var, var_se = intrinsic_variance(summary)
+    assert abs(delta - (4.5 if polar else 3.5)) <= 4.0 * delta_se
+    assert abs(var - 0.75) <= 4.0 * var_se
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_moment_estimators_are_exact_when_theta_is_constant(k):
+    # theta = s / (s + t) is 0 on every draw for the origin and 1 for R^d
+    summary = run_summary(Subspace(k, 7), MonteCarloConfig(seed=27, total_samples=3_000))
+    assert statistical_dimension(summary) == (float(k), 0.0)
+    assert intrinsic_variance(summary) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +418,18 @@ def test_biorthogonal_estimator_matches_profiles_that_are_not_palindromic(cone, 
     se = d * theta.std(ddof=1) / math.sqrt(theta.size)
     delta = float(np.arange(d + 1) @ prof.raw_v)
     assert float(abs_z(delta - truth.statistical_dimension, se)) <= 4.0
+
+
+@pytest.mark.parametrize("cone", [Subspace(0, 6), Subspace(6, 6), Trivial(5),
+                                  Polar(Trivial(4))], ids=repr)
+def test_biorthogonal_stderr_covers_evaluation_round_off(cone):
+    # theta is constant, so the sample spread of h_k(theta) is 0 and the
+    # estimate differs from the exact profile by float64 round-off alone;
+    # the floor eps * sum_n |c_kn| on the standard error must cover it
+    prof = estimate_profile_biorthogonal(cone, MonteCarloConfig(seed=28, total_samples=1_000))
+    floor = np.finfo(float).eps * np.abs(biorthogonal_coefficients(prof.d)).sum(axis=1)
+    assert np.all(prof.stderr >= floor)
+    assert np.all(abs_z(prof.raw_v - exact_profile(cone).v, prof.stderr) <= 1.0)
 
 
 def test_biorthogonal_estimator_rejects_one_sample_reservoir():

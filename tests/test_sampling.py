@@ -217,8 +217,7 @@ def test_run_summary_identical_across_worker_counts():
                            reservoir_cap=2_000)
     a = run_summary(Orthant(8), cfg, workers=1)
     b = run_summary(Orthant(8), cfg, workers=4)
-    assert a.s_moments == b.s_moments
-    assert a.t_moments == b.t_moments
+    assert a.theta_moments == b.theta_moments
     assert np.array_equal(a.face_hist, b.face_hist)
     assert np.array_equal(a.reservoir_s, b.reservoir_s)
     assert np.array_equal(a.reservoir_t, b.reservoir_t)
@@ -391,7 +390,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
 
     def results():
         summary = run_summary(cone, cfg)
-        return (summary.s_moments, summary.t_moments, summary.face_hist.tobytes(),
+        return (summary.theta_moments, summary.face_hist.tobytes(),
                 summary.reservoir_s.tobytes(), summary.reservoir_t.tobytes(),
                 phi_mc(cone, min_a, cfg),
                 tuple(a.tobytes() for a in empirical_steiner_cdf(
@@ -407,9 +406,9 @@ def test_run_summary_contents():
     assert summary.count == 20_000
     assert summary.dim == 6
     assert int(summary.face_hist.sum()) == 20_000
-    # every sample satisfies s + t = ||g||^2, so means sum to about d
-    assert summary.mean_s + summary.mean_t == pytest.approx(6.0, abs=0.15)
-    assert summary.mean_s == pytest.approx(3.0, abs=0.1)
+    # theta = s / (s + t) lies in [0, 1], with mean delta / d = 1/2
+    assert 0.0 <= summary.theta_moments.mean <= 1.0
+    assert 6 * summary.theta_moments.mean == pytest.approx(3.0, abs=0.1)
     stride = cfg.reservoir_stride
     expected_rows = -(-20_000 // stride)
     assert summary.reservoir_s.shape == (expected_rows,)
@@ -421,7 +420,7 @@ def test_run_summary_smooth_cone_has_no_face_hist():
     cfg = MonteCarloConfig(seed=5, total_samples=2_000)
     summary = run_summary(Circular(5, 0.6), cfg)
     assert summary.face_hist is None
-    assert summary.s_moments.n == 2_000
+    assert summary.theta_moments.n == 2_000
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +449,12 @@ _DIGEST_PATHS = [
 ]
 # SHA-256 of every result of the six cones other than the generator cones.
 # Re-pinned when the per-chunk SFC64 streams replaced the Philox ones,
-# which changed every draw; the same digest came out with each chunk drawn
-# as one block, with 37-value blocks and on three threads, and any layout
-# must reproduce it
-_MONTE_CARLO_SHA256 = "f2b203d652b39c6482d53eb46aee51c38d1df94a607fcbfdd3c8e0eac4602d59"
+# which changed every draw, and again when the summary's two moment
+# blocks (of s and of t) became one of theta = s / (s + t), which left the
+# reservoirs, face histograms and other paths bit-identical; the same
+# digest came out with each chunk drawn as one block, with 37-value blocks
+# and on three threads, and any layout must reproduce it
+_MONTE_CARLO_SHA256 = "2a43d7c210c69fbfc5236f38e8ebf8d93e75bf7fd086e5322f448fdff54eb510"
 
 
 def _digest_cases():
@@ -475,8 +476,8 @@ def _digest_cases():
 
 
 def _summary_bytes(summary):
-    moments = [getattr(acc, f) for acc in (summary.s_moments, summary.t_moments)
-               for f in ("n", "mean", "m2", "m3", "m4")]
+    acc = summary.theta_moments
+    moments = [getattr(acc, f) for f in ("n", "mean", "m2", "m3", "m4")]
     parts = [np.asarray(moments, dtype=float), summary.reservoir_s, summary.reservoir_t]
     if summary.face_hist is not None:
         parts.append(summary.face_hist)

@@ -1,9 +1,12 @@
-"""Smoke tests: the figure scripts in scripts/ run and write a CSV."""
+"""Smoke tests: the figure scripts in scripts/ run and write a CSV, and the
+mutation audit's mutants still apply to the code and name existing tests."""
 
 # Standard libraries
 import csv
+import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +39,20 @@ def test_script_writes_a_csv(name, args, header, rows):
     assert table[0] == header
     assert len(table) == rows + 1
     assert all(len(row) == len(header) for row in table)
+
+
+def test_mutation_audit_mutants_apply_once_and_name_existing_killers():
+    # the audit itself runs pytest once per mutant and stays out of Tier-1;
+    # this keeps its mutants from rotting as the code they edit changes
+    spec = importlib.util.spec_from_file_location(
+        "mutation_audit", _ROOT / "scripts" / "mutation_audit.py")
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    assert len({m.name for m in audit.MUTANTS}) == len(audit.MUTANTS)
+    for m in audit.MUTANTS:
+        assert (_ROOT / m.path).read_text(encoding="utf-8").count(m.search) == 1, m.name
+        assert m.killers, m.name
+        for node in m.killers:
+            path, _, name = node.partition("::")
+            text = (_ROOT / path).read_text(encoding="utf-8")
+            assert re.search(rf"^def {re.escape(name)}\(", text, re.M), node

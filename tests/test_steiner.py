@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conevol.cones import Circular, Orthant, Subspace, Trivial
+from conevol.cones import Circular, Orthant, Product, Subspace, Trivial
 from conevol.profiles import (
     exact_profile,
     profile_from_raw,
@@ -329,3 +329,89 @@ def test_wills_mc_direct_branch_and_unit_case():
     assert abs(est - 1.25 ** 6) < 4.0 * se
     with pytest.raises(ValueError):
         wills_mc(cone, 0.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Identities on profiles that are not palindromic
+# ---------------------------------------------------------------------------
+
+def _chi_square_cdf_closed(k, x):
+    """P(chi^2_k <= x) in closed form: the Poisson sum for even k and the
+    erf plus half-integer Poisson terms for odd k."""
+    if k == 0:
+        return 1.0
+    h = 0.5 * x
+    if k % 2 == 0:
+        return 1.0 - math.exp(-h) * sum(h ** j / math.factorial(j) for j in range(k // 2))
+    return math.erf(math.sqrt(h)) - math.exp(-h) * sum(
+        h ** (j + 0.5) / math.gamma(j + 1.5) for j in range(k // 2))
+
+
+def _beta_cdf_closed(a, b, x):
+    """I_x(a, b) for a, b in {1/2, 1, 3/2, ...}: one of the four closed forms
+    at a, b <= 1, raised by I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b))
+    and I_x(a, b+1) = I_x(a, b) + x^a (1-x)^b / (b B(a, b))."""
+    a0, b0 = 1.0 if a % 1 == 0 else 0.5, 1.0 if b % 1 == 0 else 0.5
+    value = {(0.5, 0.5): 2.0 / math.pi * math.asin(math.sqrt(x)),
+             (0.5, 1.0): math.sqrt(x),
+             (1.0, 0.5): 1.0 - math.sqrt(1.0 - x),
+             (1.0, 1.0): x}[a0, b0]
+
+    def term(p, q):
+        return x ** p * (1.0 - x) ** q * math.gamma(p + q) / (math.gamma(p) * math.gamma(q))
+    while a0 < a:
+        value -= term(a0, b0) / a0
+        a0 += 1.0
+    while b0 < b:
+        value += term(a0, b0) / b0
+        b0 += 1.0
+    return value
+
+
+# V is 3 on Subspace(3, 8) and 2 + Binomial(3, 1/2) on Orthant(3) x
+# Subspace(2, 5); neither profile is palindromic, so a reversed profile
+# index changes every identity below
+_NOT_PALINDROMIC = {
+    "subspace:3:8": (Subspace(3, 8), {3: 1.0}, lambda lam: lam ** 3),
+    "prod(orthant:3,subspace:2:5)": (Product(Orthant(3), Subspace(2, 5)),
+                                     {2 + i: math.comb(3, i) / 8.0 for i in range(4)},
+                                     lambda lam: lam ** 2 * ((1.0 + lam) / 2.0) ** 3),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_NOT_PALINDROMIC))
+def test_wills_functional_on_profiles_that_are_not_palindromic(label):
+    cone, _, wills = _NOT_PALINDROMIC[label]
+    prof = exact_profile(cone)
+    for lam in (0.3, 2.0):
+        assert wills_functional(prof, lam) == pytest.approx(wills(lam), rel=1e-13)
+
+
+@pytest.mark.parametrize("label", sorted(_NOT_PALINDROMIC))
+def test_master_phi_on_profiles_that_are_not_palindromic(label):
+    cone, law, _ = _NOT_PALINDROMIC[label]
+    prof = exact_profile(cone)
+    # E f(X_k, X'_{d-k}) for f = a, b, a^2 and exp(a/4)
+    moments = {"a": lambda k: k, "b": lambda k: 8 - k, "a2": lambda k: k * (k + 2),
+               "exp_a4": lambda k: 2.0 ** (0.5 * k)}
+    for name, moment in moments.items():
+        value, se = master_phi(preset_functionals()[name], prof)
+        assert se == 0.0
+        assert value == pytest.approx(sum(w * moment(k) for k, w in law.items()), rel=1e-11)
+
+
+@pytest.mark.parametrize("label", sorted(_NOT_PALINDROMIC))
+def test_expansion_cdfs_on_profiles_that_are_not_palindromic(label):
+    cone, law, _ = _NOT_PALINDROMIC[label]
+    prof = exact_profile(cone)
+    chi_bar = chi_bar_squared(prof)
+    for lam in (0.5, 2.0, 5.0, 11.0):
+        # dist^2 is chi^2_{d-k} and ||proj||^2 is chi^2_k given V = k
+        gauss = sum(w * _chi_square_cdf_closed(8 - k, lam) for k, w in law.items())
+        proj = sum(w * _chi_square_cdf_closed(k, lam) for k, w in law.items())
+        assert gaussian_steiner_cdf(prof, lam) == pytest.approx(gauss, rel=1e-12)
+        assert chi_bar.cdf(lam) == pytest.approx(proj, rel=1e-12)
+    for lam in (0.1, 0.35, 0.6, 0.9):
+        # the squared sphere distance t / (s + t) is Beta((d-k)/2, k/2)
+        sph = sum(w * _beta_cdf_closed(0.5 * (8 - k), 0.5 * k, lam) for k, w in law.items())
+        assert spherical_steiner_cdf(prof, lam) == pytest.approx(sph, rel=1e-12)

@@ -68,6 +68,14 @@ MUTANTS = (
            "np.where(x1 <= -nrm * sa, 0.0",
            "np.where(x1 <= -nrm * ca, 0.0",
            ("tests/test_cones.py::test_norms_block_matches_rowwise_projection",)),
+    Mutant("circular-chi-square-dof-d", "src/conevol/cones.py",
+           "return 1, (cone.d - 1,)",
+           "return 1, (cone.d,)",
+           ("tests/test_profiles.py::test_estimates_match_exact_circular_profiles",)),
+    Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
+           "spawn_key=(chunk_index,)).spawn(1)[0]",
+           "spawn_key=(chunk_index, 1))",
+           ("tests/test_sampling.py::test_chi_square_streams_are_no_gaussian_streams",)),
     Mutant("intrinsic-variance-scale-inverted", "src/conevol/profiles.py",
            "(d + 2) / d",
            "d / (d + 2)",

@@ -331,25 +331,75 @@ def _project_generators(cone, X):
 # vectorized norms for the sampling hot path
 # ---------------------------------------------------------------------------
 
-def norms_block(cone, X):
+def sampled_layout(cone):
+    """(Gaussian columns, chi-square degrees of freedom) of the sampled
+    coordinates of a cone.
+
+    Every leaf keeps its Gaussian coordinates except Circular(d, alpha),
+    whose norms depend on a Gaussian point only through x_1 and
+    ||z||^2 ~ chi-square(d - 1), z = x_2..d: it takes one Gaussian column,
+    x_1, and one chi-square column.  The degrees of freedom list the
+    circular leaves from left to right.
+    """
+    if isinstance(cone, Circular):
+        return 1, (cone.d - 1,)
+    if isinstance(cone, Product):
+        wl, dofl = sampled_layout(cone.left)
+        wr, dofr = sampled_layout(cone.right)
+        return wl + wr, dofl + dofr
+    if isinstance(cone, Polar):
+        return sampled_layout(cone.inner)
+    return ambient_dim(cone), ()
+
+
+def norms_block(cone, X, Z=None):
     """Squared projection / residual norms for a block of points.
 
-    X has shape (B, d).  Returns (s, t, face_dims) where s[i] is
-    ||proj_C(x_i)||^2, t[i] = ||x_i||^2 - s[i] is the squared distance to
-    the cone, and face_dims is an int array or None when the variant has
-    no face structure.  Matches project() sample by sample.  A generator
-    cone solves the whole block with one nnls_solve call and counts each
-    row's active generators as its face dimension (see
-    _project_generators); every row gets the bits it would get alone,
-    whatever block it comes in.
+    X has shape (B, d) and holds full rows.  Given Z, of shape (B, L), it
+    holds the sampled coordinates of sampled_layout(cone) instead: each
+    circular leaf's x_1 in place of its d coordinates, and its ||z||^2 in
+    the columns of Z, one per circular leaf.  Full rows are reduced to
+    that form first, so a circular cone has one projection formula.
+
+    Returns (s, t, face_dims) where s[i] is ||proj_C(x_i)||^2, t[i] =
+    ||x_i||^2 - s[i] is the squared distance to the cone, and face_dims
+    is an int array or None when the variant has no face structure.
+    Matches project() sample by sample.  A generator cone solves the
+    whole block with one nnls_solve call and counts each row's active
+    generators as its face dimension (see _project_generators); every row
+    gets the bits it would get alone, whatever block it comes in.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != ambient_dim(cone):
-        raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{ambient_dim(cone)}")
-    return _norms_block(cone, X)
+    if Z is None:
+        if X.ndim != 2 or X.shape[1] != ambient_dim(cone):
+            raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{ambient_dim(cone)}")
+        X, Z = _sampled_coordinates(cone, X)
+    else:
+        width, dofs = sampled_layout(cone)
+        Z = np.asarray(Z, dtype=float)
+        if X.ndim != 2 or X.shape[1] != width or Z.shape != (X.shape[0], len(dofs)):
+            raise DimensionMismatchError(
+                f"blocks of shape {X.shape} and {Z.shape} do not fit {width} Gaussian "
+                f"and {len(dofs)} chi-square columns")
+    return _norms_block(cone, X, Z)
 
 
-def _norms_block(cone, X):
+def _sampled_coordinates(cone, X):
+    # full rows -> (sampled Gaussian columns, ||z||^2 columns)
+    if isinstance(cone, Circular):
+        z = X[:, 1:]
+        return X[:, :1], np.einsum("ij,ij->i", z, z)[:, None]
+    if isinstance(cone, Product):
+        dl = ambient_dim(cone.left)
+        xl, zl = _sampled_coordinates(cone.left, X[:, :dl])
+        xr, zr = _sampled_coordinates(cone.right, X[:, dl:])
+        return np.hstack([xl, xr]), np.hstack([zl, zr])
+    if isinstance(cone, Polar):
+        return _sampled_coordinates(cone.inner, X)
+    return X, np.empty((X.shape[0], 0))
+
+
+def _norms_block(cone, X, Z):
     if isinstance(cone, Subspace):
         k = cone.dim
         s = np.einsum("ij,ij->i", X[:, :k], X[:, :k])
@@ -369,12 +419,14 @@ def _norms_block(cone, X):
         t = np.einsum("ij,ij->i", X, X)
         return np.zeros_like(t), t, np.zeros(X.shape[0], dtype=np.int64)
     if isinstance(cone, Circular):
+        # from x_1 and r^2 = ||z||^2 alone: between the cone and its polar,
+        # x projects onto the boundary ray of the plane of e_1 and x, along
+        # which it has length rho = x_1 cos(alpha) + r sin(alpha)
         ca, sa = math.cos(cone.alpha), math.sin(cone.alpha)
-        sq = np.einsum("ij,ij->i", X, X)
+        x1, r2 = X[:, 0], Z[:, 0]
+        sq = x1 * x1 + r2
         nrm = np.sqrt(sq)
-        x1 = X[:, 0]
-        r = np.sqrt(np.maximum(sq - x1 * x1, 0.0))
-        rho = x1 * ca + r * sa
+        rho = x1 * ca + np.sqrt(r2) * sa
         s = np.where(x1 >= nrm * ca, sq, np.where(x1 <= -nrm * sa, 0.0, rho * rho))
         return s, sq - s, None
     if isinstance(cone, Psd):
@@ -388,13 +440,13 @@ def _norms_block(cone, X):
         resid = X - proj
         return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
     if isinstance(cone, Product):
-        dl = ambient_dim(cone.left)
-        sl, tl, fl = _norms_block(cone.left, X[:, :dl])
-        sr, tr, fr = _norms_block(cone.right, X[:, dl:])
+        wl, dofl = sampled_layout(cone.left)
+        sl, tl, fl = _norms_block(cone.left, X[:, :wl], Z[:, :len(dofl)])
+        sr, tr, fr = _norms_block(cone.right, X[:, wl:], Z[:, len(dofl):])
         fd = fl + fr if (fl is not None and fr is not None) else None
         return sl + sr, tl + tr, fd
     if isinstance(cone, Polar):
-        s, t, _ = _norms_block(cone.inner, X)
+        s, t, _ = _norms_block(cone.inner, X, Z)
         return t, s, None
     raise UnsupportedConeError(f"not a cone descriptor: {cone!r}")
 
@@ -404,10 +456,18 @@ def _norms_block(cone, X):
 # ---------------------------------------------------------------------------
 
 def load_generators(path):
-    """Read a generator matrix from CSV: one generator per row, no header."""
+    """Read a generator matrix from CSV: one generator per row, no header.
+
+    A path that cannot be read (missing, a directory, no permission)
+    raises ConeSpecError naming it.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise ConeSpecError(f"{path}: cannot read generator file: {e.strerror or e}") from None
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -23,7 +23,7 @@ _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
 # a slice of solver rows is held to about this many values, the
-# row-block budget of sampling.map_chunks
+# budget of drawn values per sampling.map_chunks row block
 _STACK_VALUES = 1 << 17
 
 # a solve may take this many outer iterations per generator, and at least 12

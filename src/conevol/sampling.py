@@ -1,32 +1,44 @@
 """Deterministic Gaussian sampling and streaming moment summaries.
 
 Every Monte Carlo draw comes from numpy's SFC64 generator.  Each chunk
-of a run owns one stream, chunk_rng(seed, chunk index), read from the
-start in order: SFC64 seeded by SeedSequence with entropy seed mod 2**64
-and spawn_key (chunk index,).  SeedSequence pads the entropy to its full
-pool before it mixes in the spawn key, so no two (seed, chunk index)
-pairs share a stream; list entropy [seed, chunk index] would not do, as
-numpy pads short entropy with zeros and [5, 7] and [5 + 7 * 2**32, 0]
-give the same stream.  The draws are a function of (seed, chunk index,
-chunk size): changing chunk_size moves samples to other streams and
-changes every value, while the order in which chunks run, the worker
-thread that runs them and how a chunk's stream is split into reads
-never do.
+of a run owns two streams, each read from the start in order.  The
+Gaussian stream, chunk_rng(seed, chunk index), is SFC64 seeded by
+SeedSequence with entropy seed mod 2**64 and spawn_key (chunk index,).
+SeedSequence pads the entropy to its full pool before it mixes in the
+spawn key, so no two (seed, chunk index) pairs share a stream; list
+entropy [seed, chunk index] would not do, as numpy pads short entropy
+with zeros and [5, 7] and [5 + 7 * 2**32, 0] give the same stream.  The
+chi-square stream, chunk_chi_square_rng(seed, chunk index), is seeded
+by the first child of that SeedSequence, spawn_key (chunk index, 0).
+The key (chunk index, 1) would not do: a spawn key is mixed in as
+32-bit words, so it equals the key (chunk index + 2**32,) of another
+chunk's Gaussian stream; no Gaussian key ends in a zero word.
+
+A cone draws from both only when it has a circular leaf (see
+cones.sampled_layout): its norms depend on a Gaussian point only
+through x_1 and ||z||^2 ~ chi-square(d - 1), so a circular leaf takes
+x_1 from the Gaussian stream and ||z||^2 from the chi-square stream,
+one draw in place of d - 1 normals.  Every other leaf takes its full
+Gaussian rows, and a cone without a circular leaf builds no chi-square
+stream.  The draws are a function of (seed, chunk index, chunk size):
+changing chunk_size moves samples to other streams and changes every
+value, while the order in which chunks run, the worker thread that runs
+them and how a chunk's streams are split into reads never do.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
 streams through one primitive, map_chunks.  It draws and projects the
-stream in row blocks of about _BLOCK_VALUES values, whatever the chunk
-size: consecutive small chunks fill one block, a large chunk is read a
-block at a time, and each worker thread draws into one block buffer that
-it reuses for all of its blocks.  It runs the blocks on CONEVOL_THREADS
-worker threads unless a caller passes an explicit worker count, and
-returns the per-chunk results in chunk-index order.  Callers fold them
-left to right in that fixed order, moment sums (run_summary keeps those
-of theta = s / (s + t) only) with the exact pairwise-merge update
-formulas, so every result is a function of (seed, total_samples,
-chunk_size, reservoir_cap) only: bit-identical for any worker count and
-block size.
+streams in row blocks of about _BLOCK_VALUES drawn values, whatever the
+chunk size: consecutive small chunks fill one block, a large chunk is
+read a block at a time, and each worker thread draws its Gaussian rows
+into one block buffer that it reuses for all of its blocks.  It runs the
+blocks on CONEVOL_THREADS worker threads unless a caller passes an
+explicit worker count, and returns the per-chunk results in chunk-index
+order.  Callers fold them left to right in that fixed order, moment sums
+(run_summary keeps those of theta = s / (s + t) only) with the exact
+pairwise-merge update formulas, so every result is a function of (seed,
+total_samples, chunk_size, reservoir_cap) only: bit-identical for any
+worker count and block size.
 """
 
 import math
@@ -38,17 +50,26 @@ from functools import reduce
 
 import numpy as np
 
-from .cones import ambient_dim, norms_block, supports_face_dim
+from .cones import ambient_dim, norms_block, sampled_layout, supports_face_dim
 
-_BLOCK_VALUES = 1 << 17         # values per map_chunks row block: 1 MB of float64
+_BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
 
 
 def chunk_rng(seed, chunk_index):
-    """The random stream of one chunk, as a Generator read from the start:
-    numpy's SFC64 seeded by SeedSequence(seed mod 2**64,
+    """The Gaussian stream of one chunk, as a Generator read from the
+    start: numpy's SFC64 seeded by SeedSequence(seed mod 2**64,
     spawn_key=(chunk_index,)), so that distinct (seed, chunk_index)
-    pairs never share a stream."""
+    pairs never share a stream.  The chunk's chi-square stream is
+    chunk_chi_square_rng."""
     ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(ss))
+
+
+def chunk_chi_square_rng(seed, chunk_index):
+    """The chi-square stream of one chunk, read from the start: SFC64
+    seeded by the first child of chunk_rng's SeedSequence, whose spawn
+    key (chunk_index, 0) is no chunk's Gaussian key."""
+    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index,)).spawn(1)[0]
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -204,23 +225,44 @@ def _block_groups(chunks, block_rows):
 def map_chunks(cone, config, fn, workers=None):
     """fn(index, s, t, face_dims) for every chunk of the projection stream.
 
-    The stream is drawn and projected in row blocks of about _BLOCK_VALUES
-    values: a run of small chunks fills one block, each chunk from its
-    own stream, and shares one norms_block call; a chunk larger than a
-    block reads its stream a block at a time, one pool task, since the
-    stream must be read in order, and its norms are concatenated.  fn sees
-    each chunk once, with that chunk's full arrays, and the results come
-    back as a list in chunk-index order, so a caller that folds them left
-    to right gets the same answer for any worker count; every result is a
-    function of (seed, total_samples, chunk_size, reservoir_cap) only.
-    Block groups run on a thread pool when resolve_workers(workers) asks
-    for more than one thread and there is more than one group.
+    Each row is drawn in the sampled coordinates of
+    cones.sampled_layout(cone): its Gaussian columns from the chunk's
+    Gaussian stream, with gaussian_block, and the ||z||^2 of its circular
+    leaves from the chunk's chi-square stream, with one row-major
+    chisquare(dofs, size=(rows, len(dofs))) call per block, so that a
+    stream read in several blocks gives the same values as one read.  A
+    cone without a circular leaf draws full Gaussian rows and no
+    chi-square stream.
+
+    The streams are drawn and projected in row blocks of about
+    _BLOCK_VALUES drawn values: a run of small chunks fills one block,
+    each chunk from its own streams, and shares one norms_block call; a
+    chunk larger than a block reads its streams a block at a time, one
+    pool task, since a stream must be read in order, and its norms are
+    concatenated.  fn sees each chunk once, with that chunk's full arrays,
+    and the results come back as a list in chunk-index order, so a caller
+    that folds them left to right gets the same answer for any worker
+    count; every result is a function of (seed, total_samples,
+    chunk_size, reservoir_cap) only.  Block groups run on a thread pool
+    when resolve_workers(workers) asks for more than one thread and there
+    is more than one group.
     """
-    dim = ambient_dim(cone)
-    block_rows = max(1, _BLOCK_VALUES // dim)
+    width, dofs = sampled_layout(cone)
+    dofs = np.asarray(dofs, dtype=float)
+    block_rows = max(1, _BLOCK_VALUES // (width + dofs.size))
     groups = _block_groups(config.chunks(), block_rows)
-    buffer_values = min(block_rows, config.total_samples) * dim
+    buffer_values = min(block_rows, config.total_samples) * width
     local = threading.local()
+
+    def draw(rngs, out, count):
+        # norms_block's arguments for the next count rows of a chunk
+        gauss, chi = rngs
+        X = gaussian_block(gauss, out, count, width)
+        return X, None if chi is None else chi.chisquare(dofs, size=(count, dofs.size))
+
+    def streams(index):
+        return (chunk_rng(config.seed, index),
+                chunk_chi_square_rng(config.seed, index) if dofs.size else None)
 
     def work(group):
         # one block buffer per worker thread, reused by each of its tasks;
@@ -231,16 +273,17 @@ def map_chunks(cone, config, fn, workers=None):
         total = sum(count for _, count in group)
         if total <= block_rows:
             # a run of chunks that fits in one block: each fills its own rows
-            r0 = 0
+            r0, chi = 0, []
             for index, count in group:
-                gaussian_block(chunk_rng(config.seed, index), buffer[r0 * dim:], count, dim)
+                chi.append(draw(streams(index), buffer[r0 * width:], count)[1])
                 r0 += count
-            s, t, fd = norms_block(cone, buffer[:total * dim].reshape(total, dim))
+            s, t, fd = norms_block(cone, buffer[:total * width].reshape(total, width),
+                                   np.concatenate(chi) if dofs.size else None)
         else:
-            # one chunk larger than a block: its stream is read a block at a time
-            rng = chunk_rng(config.seed, group[0][0])
+            # one chunk larger than a block: its streams are read a block at a time
+            rngs = streams(group[0][0])
             step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
-            parts = [norms_block(cone, gaussian_block(rng, buffer, min(step, total - r0), dim))
+            parts = [norms_block(cone, *draw(rngs, buffer, min(step, total - r0)))
                      for r0 in range(0, total, step)]
             s, t, fd = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
         results, r0 = [], 0

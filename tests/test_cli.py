@@ -235,6 +235,16 @@ def test_bad_cone_spec_exits_2(capsys):
     assert "at byte" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_generator_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "missing.csv" if kind == "missing" else tmp_path
+    code, out, err = _run(capsys, ["sdim", "--cone", f"gens:{path}", "--samples", "200"])
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "cannot read generator file" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs_with_warnings_as_errors():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

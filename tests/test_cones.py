@@ -22,12 +22,13 @@ from conevol.cones import (
     load_generators,
     norms_block,
     project,
+    sampled_layout,
     second_order_cone,
     supports_face_dim,
     sym_to_vec,
     vec_to_sym,
 )
-from conevol.exceptions import ConeSpecError
+from conevol.exceptions import ConeSpecError, DimensionMismatchError
 from conevol.linalg import nnls_solve
 from nnls_oracle import active_ranks, pointed_wide_generators, reference_norms
 
@@ -305,6 +306,39 @@ def test_norms_block_matches_rowwise_projection(label):
             assert faces[i] == out.face_dim
     if supports_face_dim(cone):
         assert faces is not None
+
+
+# (label, cone, the column where its circular leaf starts): the leaf comes last
+_CIRCULAR_SPLITS = [
+    ("circ:8:pi/6", Circular(8, math.pi / 6), 0),
+    ("polar(circ:6:0.9)", Polar(Circular(6, 0.9)), 0),
+    ("prod(orthant:3,circ:5:0.7)", Product(Orthant(3), Circular(5, 0.7)), 3),
+]
+
+
+@pytest.mark.parametrize("cone,split", [c[1:] for c in _CIRCULAR_SPLITS],
+                         ids=[c[0] for c in _CIRCULAR_SPLITS])
+def test_norms_block_has_one_circular_formula(cone, split):
+    # full rows and the sampled coordinates (x_1, ||z||^2) of the same rows
+    # go through one circular formula, so they give the same norms
+    X = np.random.default_rng(37).standard_normal((500, ambient_dim(cone)))
+    z = X[:, split + 1:]
+    Z = np.sum(z * z, axis=1)[:, None]
+    assert sampled_layout(cone)[0] == split + 1
+    s, t, _ = norms_block(cone, X)
+    s_sampled, t_sampled, _ = norms_block(cone, X[:, :split + 1], Z)
+    assert np.allclose(s_sampled, s, rtol=1e-12, atol=0.0)
+    assert np.allclose(t_sampled, t, rtol=1e-12, atol=0.0)
+    with pytest.raises(DimensionMismatchError):
+        norms_block(cone, X[:, :split + 1], np.hstack([Z, Z]))
+    with pytest.raises(DimensionMismatchError):
+        norms_block(cone, X, Z)
+
+
+def test_sampled_layout_lists_circular_leaves_left_to_right():
+    cone = Product(Polar(Circular(4, 0.3)), Product(Psd(2), Circular(6, 0.5)))
+    assert sampled_layout(cone) == (1 + 3 + 1, (3, 5))
+    assert sampled_layout(Product(Orthant(3), Subspace(1, 4))) == (7, ())
 
 
 def test_generator_norms_block_memory_is_bounded():

@@ -39,6 +39,7 @@ from conevol.profiles import (
 )
 from conevol.report import abs_z
 from conevol.sampling import MonteCarloConfig, run_summary
+import circular_oracle
 from chi_square_oracle import chi_expectation_quadrature, chi_square_cdf
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,53 @@ def test_intrinsic_variance_subspace_is_zero():
     summary = run_summary(Subspace(4, 9), cfg)
     val, se = intrinsic_variance(summary)
     assert abs(val) < 4.0 * se + 1e-9
+
+
+def test_circular_oracle_matches_odd_coordinates_and_incomplete_beta_ends():
+    sp = pytest.importorskip("scipy.special")
+    for d, alpha in [(2, 0.3), (4, 0.6), (5, 0.7), (8, math.pi / 6), (16, 1.1), (64, math.pi / 6)]:
+        v = circular_oracle.circular_profile(d, alpha)
+        assert float(v.sum()) == pytest.approx(1.0, abs=1e-14)
+        assert float(v[1::2].sum()) == pytest.approx(0.5, abs=1e-14)
+        if d % 2 == 0:
+            assert np.allclose(v[1::2], circular_odd_profile(d, alpha), rtol=1e-12, atol=0.0)
+        b = 0.5 * (d - 1)
+        assert v[d] == pytest.approx(0.5 * (1.0 - sp.betainc(0.5, b, math.cos(alpha) ** 2)),
+                                     rel=1e-12, abs=1e-15)
+        assert v[0] == pytest.approx(0.5 * (1.0 - sp.betainc(0.5, b, math.sin(alpha) ** 2)),
+                                     rel=1e-12, abs=1e-15)
+    # the statistical dimension of circ:64:pi/6 is 16.5 to three decimals
+    v = circular_oracle.circular_profile(64, math.pi / 6)
+    assert float(np.arange(65) @ v) == pytest.approx(16.5, abs=1e-3)
+
+
+EXACT_CIRCULAR_CONES = [
+    ("circ:8:pi/6", Circular(8, math.pi / 6)),
+    ("polar(circ:6:0.9)", Polar(Circular(6, 0.9))),
+    ("prod(orthant:3,circ:5:0.7)", Product(Orthant(3), Circular(5, 0.7))),
+]
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+@pytest.mark.parametrize("cone", [c[1] for c in EXACT_CIRCULAR_CONES],
+                         ids=[c[0] for c in EXACT_CIRCULAR_CONES])
+def test_estimates_match_exact_circular_profiles(cone, seed):
+    # the moment estimators and the biorthogonal profile on cones whose
+    # circular leaves draw ||z||^2 from the chi-square stream, against
+    # the closed form; none of these profiles is palindromic
+    v = circular_oracle.profile(cone)
+    assert not np.allclose(v, v[::-1])
+    k = np.arange(v.size)
+    delta = float(k @ v)
+    variance = float(k * k @ v) - delta * delta
+    cfg = MonteCarloConfig(seed=seed, total_samples=50_000, reservoir_cap=50_000)
+    summary = run_summary(cone, cfg)
+    est, se = statistical_dimension(summary)
+    assert abs_z(est - delta, se) <= 4.0
+    est, se = intrinsic_variance(summary)
+    assert abs_z(est - variance, se) <= 4.0
+    prof = estimate_profile_biorthogonal(cone, cfg, summary=summary)
+    assert float(np.max(abs_z(prof.raw_v - v, prof.stderr))) <= 4.0
 
 
 # psd:3 has the closed-form profile (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0,

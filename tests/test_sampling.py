@@ -20,10 +20,12 @@ from conevol.cones import (
     Subspace,
     ambient_dim,
     norms_block,
+    sampled_layout,
 )
 from conevol.sampling import (
     MomentAccumulator,
     MonteCarloConfig,
+    chunk_chi_square_rng,
     chunk_rng,
     gaussian_block,
     map_chunks,
@@ -61,6 +63,21 @@ def test_chunk_rng_streams_do_not_collide_across_seed_and_chunk():
     # list entropy SeedSequence([seed, chunk]) gives these two the same
     # stream, since numpy pads short entropy with zeros; the spawn key does not
     assert not np.array_equal(chunk_rng(5, 7).random(8), chunk_rng(5 + 7 * 2**32, 0).random(8))
+
+
+def test_chi_square_streams_are_no_gaussian_streams():
+    # a spawn key is mixed in as 32-bit words, so the key (7, 1) is the key
+    # (7 + 2**32,) of another chunk's Gaussian stream; the chi-square
+    # stream's key (7, 0) ends in a zero word, which no Gaussian key does
+    def sfc64(seed, key):
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+    assert np.array_equal(sfc64(5, (7, 1)).random(8), chunk_rng(5, 7 + 2**32).random(8))
+    assert np.array_equal(sfc64(5, (7, 0)).random(8), chunk_chi_square_rng(5, 7).random(8))
+    for seed, index in [(5, 7), (0, 0), (2**64 - 1, 2**32 - 1)]:
+        chi = chunk_chi_square_rng(seed, index).random(8)
+        assert np.array_equal(chi, chunk_chi_square_rng(seed, index).random(8))
+        for other in (index, index + 2**32):
+            assert not np.array_equal(chi, chunk_rng(seed, other).random(8))
 
 
 # (seed, chunk_index, count, dim, reads): the chunk's rows read in `reads`
@@ -259,10 +276,21 @@ def test_monte_carlo_paths_identical_across_worker_counts(monkeypatch, path):
 # Row-block layout of map_chunks
 # ---------------------------------------------------------------------------
 
+def _chunk_draws(cone, seed, chunk_index, count):
+    """norms_block's arguments for all count rows of a chunk: its Gaussian
+    stream read in one gaussian_block call and, for a cone with circular
+    leaves, its chi-square stream in one chisquare call."""
+    width, dofs = sampled_layout(cone)
+    X = _chunk_gaussians(seed, chunk_index, count, width)
+    if not dofs:
+        return (X,)
+    rng = chunk_chi_square_rng(seed, chunk_index)
+    return X, rng.chisquare(np.asarray(dofs, dtype=float), size=(count, len(dofs)))
+
+
 def _reference_map_chunks(cone, config, fn):
-    """map_chunks as one gaussian_block and one norms_block per whole chunk."""
-    dim = ambient_dim(cone)
-    return [fn(index, *norms_block(cone, _chunk_gaussians(config.seed, index, count, dim)))
+    """map_chunks as one read of each stream and one norms_block per whole chunk."""
+    return [fn(index, *norms_block(cone, *_chunk_draws(cone, config.seed, index, count)))
             for index, count in config.chunks()]
 
 
@@ -449,12 +477,15 @@ _DIGEST_PATHS = [
 ]
 # SHA-256 of every result of the six cones other than the generator cones.
 # Re-pinned when the per-chunk SFC64 streams replaced the Philox ones,
-# which changed every draw, and again when the summary's two moment
-# blocks (of s and of t) became one of theta = s / (s + t), which left the
-# reservoirs, face histograms and other paths bit-identical; the same
-# digest came out with each chunk drawn as one block, with 37-value blocks
-# and on three threads, and any layout must reproduce it
-_MONTE_CARLO_SHA256 = "2a43d7c210c69fbfc5236f38e8ebf8d93e75bf7fd086e5322f448fdff54eb510"
+# which changed every draw; when the summary's two moment blocks (of s
+# and of t) became one of theta = s / (s + t), which left the reservoirs,
+# face histograms and other paths bit-identical; and when circular leaves
+# began to draw ||z||^2 from a chi-square stream, which changed the three
+# cones with a circular leaf and left the orthant, subspace and psd cases
+# bit-identical.  The same digest came out with each chunk drawn as one
+# block, with 37-value and 2**24-value blocks and on three threads, and
+# any layout must reproduce it
+_MONTE_CARLO_SHA256 = "0655d6f4f2a7c5af6ff1722501a80dfad1c49fd24af962b5fdcbc4f675a03321"
 
 
 def _digest_cases():

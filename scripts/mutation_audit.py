@@ -39,6 +39,10 @@ class Mutant(NamedTuple):
 
 _STEINER = "src/conevol/steiner.py"
 _NOT_PALINDROMIC = "tests/test_steiner.py::test_expansion_cdfs_on_profiles_that_are_not_palindromic"
+_SPECIAL = "src/conevol/special.py"
+_LAGUERRE = ("tests/test_special.py::test_gauss_laguerre_gamma_moments",
+             "tests/test_special.py::test_gauss_laguerre_400_nodes_matches_mpmath",
+             "tests/test_steiner.py::test_master_phi_orthant8_moments_to_rounding")
 
 MUTANTS = (
     Mutant("gaussian-steiner-unreversed", _STEINER,
@@ -86,6 +90,14 @@ MUTANTS = (
            "np.maximum(stderr, floor)",
            "stderr",
            ("tests/test_profiles.py::test_biorthogonal_stderr_covers_evaluation_round_off",)),
+    Mutant("laguerre-ratio-unsquared", _SPECIAL,
+           "t = t / (r * r) + 1.0",
+           "t = t / r + 1.0",
+           _LAGUERRE),
+    Mutant("laguerre-bidiagonal-diagonal-shifted", _SPECIAL,
+           "np.diag(np.sqrt(i + alpha + 1.0))",
+           "np.diag(np.sqrt(i + alpha))",
+           _LAGUERRE),
 )
 
 

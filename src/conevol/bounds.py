@@ -104,9 +104,7 @@ def product_tail(lam, deltas):
         if d_i < 0.0 or dp_i < 0.0:
             raise ValueError("statistical dimensions must be nonnegative")
         sigma2 += min(d_i, dp_i)
-    if lam == 0.0:
-        return 2.0
-    return 2.0 * math.exp(-(0.25 * lam * lam) / (sigma2 + lam / 3.0))
+    return combined_tail(lam, sigma2, sigma2)
 
 
 def chebyshev_tail(lam_scaled):

@@ -85,9 +85,8 @@ def _parse_grid(text):
 
 def _mc_config(args, samples=None):
     n = args.samples if samples is None else samples
-    cap = getattr(args, "reservoir_cap", None) or 100_000
     return MonteCarloConfig(seed=args.seed, total_samples=n,
-                            reservoir_cap=min(cap, max(n, 1)))
+                            reservoir_cap=getattr(args, "reservoir_cap", 100_000))
 
 
 _ESTIMATORS = {

@@ -122,17 +122,14 @@ class Generators:
 @dataclass(frozen=True)
 class Product:
     """Direct product C1 x C2, coordinates of C1 first."""
-    left: "Cone"
-    right: "Cone"
+    left: object
+    right: object
 
 
 @dataclass(frozen=True)
 class Polar:
     """Polar cone {y : <x, y> <= 0 for all x in C}."""
-    inner: "Cone"
-
-
-Cone = (Subspace, Orthant, Circular, Psd, Trivial, Generators, Product, Polar)
+    inner: object
 
 
 def ambient_dim(cone):

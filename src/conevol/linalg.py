@@ -12,7 +12,6 @@ solver skip its per-row test, is one np.linalg.svd.  The cone projectors
 take eigenvalues from np.linalg directly.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -75,7 +74,7 @@ def nnls_solve(a, b):
     state and Gram blocks hold about _STACK_VALUES values.
 
     Raises NonConvergenceError if a row hits the outer iteration cap
-    (3m, at least 12) or a passive-set solve does not settle.
+    (3m, at least 12).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -205,19 +204,16 @@ def _lawson_hanson(a, gram, certified, b):
         k = np.arange(live.size)
         passive[k, np.argmax(np.where(candidates, w, -np.inf), axis=1)] = True
         # every pass that does not accept z drops at least one passive
-        # index, so the passive-set size bounds each row's passes
-        budget = np.count_nonzero(passive, axis=1) + 1
+        # index, and an empty passive set is always accepted, so this ends
         pending = k
-        for attempt in itertools.count():
-            if np.any(budget[pending] <= attempt):
-                raise NonConvergenceError("nnls passive-set solve did not settle", outer)
+        while True:
             p = passive[pending]
             z = _passive_solve(a, gram, certified, p, b[pending], c[pending])
             accept = np.all((z > 0.0) | ~p, axis=1)
             tau[pending[accept]] = z[accept]
-            pending, p, z = pending[~accept], p[~accept], z[~accept]
-            if not pending.size:
+            if accept.all():
                 break
+            pending, p, z = pending[~accept], p[~accept], z[~accept]
             # step toward z until the first passive coefficient hits zero;
             # that blocking index leaves the passive set even when rounding
             # keeps its coefficient a hair above zero

@@ -55,6 +55,14 @@ REGRESSION_CONES = (
     ("prod(orthant:4,orthant:6)", Product(Orthant(4), Orthant(6))),
 )
 
+# exact cones of the Steiner, master and Wills identity checks.  Orthant
+# profiles are palindromic (v_k = v_{d-k}), so only the product can show
+# a reversed profile index
+_IDENTITY_CONES = (
+    ("orthant:8", Orthant(8)),
+    ("prod(orthant:3,subspace:2:5)", Product(Orthant(3), Subspace(2, 5))),
+)
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -65,7 +73,7 @@ class CriterionResult:
 
 
 def _config(seed, n, cap=100_000):
-    return MonteCarloConfig(seed=seed, total_samples=n, reservoir_cap=min(cap, n))
+    return MonteCarloConfig(seed=seed, total_samples=n, reservoir_cap=cap)
 
 
 def abs_z(diff, se):
@@ -125,34 +133,41 @@ def _c05_psd_variance_ratio(base, ns, workers, cache):
 
 
 def _c06_steiner_cdfs(base, ns, workers, cache):
-    prof = exact_profile(Orthant(8))
     grid_g = [0.5, 1.0, 2.0, 4.0, 8.0]
-    emp_g, _ = empirical_steiner_cdf(Orthant(8), grid_g,
-                                     _config(base + 606, ns["c6"]), workers=workers)
-    worst_g = max(abs(gaussian_steiner_cdf(prof, lam) - float(emp_g[i]))
-                  for i, lam in enumerate(grid_g))
     grid_s = [0.25, 0.5, 0.75, 1.0]
-    emp_s, _ = empirical_steiner_cdf(Orthant(8), grid_s,
-                                     _config(base + 607, ns["c6"]),
-                                     kind="spherical", workers=workers)
-    worst_s = max(abs(spherical_steiner_cdf(prof, lam) - float(emp_s[i]))
-                  for i, lam in enumerate(grid_s))
-    passed = worst_g <= 0.01 and worst_s <= 0.01
-    return passed, (f"gaussian max |mixture - mc| {worst_g:.2e}, "
-                    f"spherical {worst_s:.2e} (tol 0.01)")
+    ok, parts = True, []
+    for (label, cone), seed in zip(_IDENTITY_CONES, (606, 609)):
+        prof = exact_profile(cone)
+        emp_g, _ = empirical_steiner_cdf(cone, grid_g, _config(base + seed, ns["c6"]),
+                                         workers=workers)
+        worst_g = max(abs(gaussian_steiner_cdf(prof, lam) - float(emp_g[i]))
+                      for i, lam in enumerate(grid_g))
+        emp_s, _ = empirical_steiner_cdf(cone, grid_s, _config(base + seed + 1, ns["c6"]),
+                                         kind="spherical", workers=workers)
+        worst_s = max(abs(spherical_steiner_cdf(prof, lam) - float(emp_s[i]))
+                      for i, lam in enumerate(grid_s))
+        ok = ok and worst_g <= 0.01 and worst_s <= 0.01
+        parts.append(f"{label} gaussian max |mixture - mc| {worst_g:.2e}, "
+                     f"spherical {worst_s:.2e}")
+    return ok, "; ".join(parts) + " (tol 0.01)"
 
 
 def _c07_master_functionals(base, ns, workers, cache):
-    prof = exact_profile(Orthant(8))
     presets = preset_functionals()
+    # min_a_10 is Monte Carlo on both sides, so the product runs the
+    # quadrature presets only
+    cases = ((_IDENTITY_CONES[0], 707, ("a", "a2", "exp_a4", "min_a_10")),
+             (_IDENTITY_CONES[1], 709, ("a", "a2", "exp_a4")))
     worst_name, worst_z = "", 0.0
-    for name in ("a", "a2", "exp_a4", "min_a_10"):
-        f = presets[name]
-        mval, mse = master_phi(f, prof, _config(base + 707, ns["c7"]), workers=workers)
-        dval, dse = phi_mc(Orthant(8), f, _config(base + 708, ns["c7"]), workers=workers)
-        z = float(abs_z(mval - dval, math.hypot(mse, dse)))
-        if z >= worst_z:
-            worst_name, worst_z = name, z
+    for (label, cone), seed, names in cases:
+        prof = exact_profile(cone)
+        for name in names:
+            f = presets[name]
+            mval, mse = master_phi(f, prof, _config(base + seed, ns["c7"]), workers=workers)
+            dval, dse = phi_mc(cone, f, _config(base + seed + 1, ns["c7"]), workers=workers)
+            z = float(abs_z(mval - dval, math.hypot(mse, dse)))
+            if z >= worst_z:
+                worst_name, worst_z = f"{name} on {label}", z
     return worst_z <= 4.0, f"worst |z| {worst_z:.2f} at {worst_name} (tol 4)"
 
 
@@ -295,14 +310,16 @@ def _c12_tail_validity(base, ns, workers, cache):
 
 
 def _c13_wills(base, ns, workers, cache):
-    prof = exact_profile(Orthant(8))
-    poly = wills_functional(prof, 0.5)
-    poly_err = abs(poly - 0.1001129150390625)
-    mc, se = wills_mc(Orthant(8), 0.5, _config(base + 1313, ns["c13"]), workers=workers)
-    mc_err = abs(mc - poly)
-    passed = poly_err <= 1e-15 and mc_err <= 0.005
-    return passed, (f"polynomial err {poly_err:.1e} (tol 1e-15); "
-                    f"mc err {mc_err:.2e} +- {se:.1e} (tol 5e-3)")
+    # exact W(1/2): (3/4)^8 on orthant:8 and (1/2)^2 (3/4)^3 = 27/256 on the product
+    ok, parts = True, []
+    for (label, cone), exact, seed in zip(_IDENTITY_CONES, (0.1001129150390625, 27 / 256),
+                                          (1313, 1314)):
+        poly = wills_functional(exact_profile(cone), 0.5)
+        mc, se = wills_mc(cone, 0.5, _config(base + seed, ns["c13"]), workers=workers)
+        poly_err, mc_err = abs(poly - exact), abs(mc - poly)
+        ok = ok and poly_err <= 1e-15 and mc_err <= 0.005
+        parts.append(f"{label} polynomial err {poly_err:.1e}, mc err {mc_err:.2e} +- {se:.1e}")
+    return ok, "; ".join(parts) + " (tol 1e-15, 5e-3)"
 
 
 def _determinism_blob(seed, workers, n):

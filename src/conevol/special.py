@@ -2,7 +2,8 @@
 
 Implements the distribution functions the rest of the toolkit needs
 (chi-square, beta, binomial), Bennett's concentration function, and
-generalized Gauss-Laguerre nodes.  The scalar beta CDF is a continued
+generalized Gauss-Laguerre rules: nodes from one LAPACK bidiagonal SVD,
+weights from one ratio recurrence.  The scalar beta CDF is a continued
 fraction on top of the C library gamma functions exposed through
 ``math``; it accepts any shape.  The families evaluate a whole
 mixture row, every k = 0..d at one lambda, in one numpy pass, and are
@@ -66,27 +67,26 @@ def _beta_cf(a, b, x):
     raise NonConvergenceError("incomplete beta fraction did not converge", _MAX_ITER)
 
 
-def beta_cdf(a_half, b_half, lam):
-    """Regularized incomplete beta I_lam(a_half, b_half) on [0, 1].
+def beta_cdf(a, b, lam):
+    """Regularized incomplete beta I_lam(a, b) on [0, 1].
 
     Degenerate shape parameters follow the conventions used by the
-    spherical mixture sums: a_half = 0 is the point mass at 0 (CDF is 1
-    everywhere on [0, 1]) and b_half = 0 is the point mass at 1 (CDF is 0
+    spherical mixture sums: a = 0 is the point mass at 0 (CDF is 1
+    everywhere on [0, 1]) and b = 0 is the point mass at 1 (CDF is 0
     below 1 and jumps to 1 there).
     """
-    if a_half < 0.0 or b_half < 0.0:
+    if a < 0.0 or b < 0.0:
         raise ValueError("shape parameters must be >= 0")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if a_half == 0.0:
+    if a == 0.0:
         return 1.0
-    if b_half == 0.0:
+    if b == 0.0:
         return 1.0 if lam >= 1.0 else 0.0
     if lam == 0.0:
         return 0.0
     if lam == 1.0:
         return 1.0
-    a, b = a_half, b_half
     front = math.exp(
         math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
         + a * math.log(lam) + b * math.log1p(-lam)
@@ -273,58 +273,43 @@ class QuadratureRule:
             object.__setattr__(self, name, values)
 
 
-def _laguerre_value(n, alpha, x):
-    # L_n^(alpha)(x) and L_{n-1}^(alpha)(x) by upward recurrence.  Raw
-    # values overflow float64 for a few hundred nodes, so both are
-    # returned scaled by exp(-logscale); ratios cancel the scale and the
-    # weight formula consumes it in log space.
-    p0 = np.ones_like(x)
-    p1 = np.zeros_like(x)
-    logscale = np.zeros_like(x)
-    for j in range(n):
-        p1, p0 = p0, (((2 * j + 1 + alpha - x) * p0 - (j + alpha) * p1) / (j + 1))
-        big = np.abs(p0) > 1e250
-        if np.any(big):
-            shrink = np.where(big, 1e-250, 1.0)
-            p0 = p0 * shrink
-            p1 = p1 * shrink
-            logscale = logscale + np.where(big, 250.0 * math.log(10.0), 0.0)
-    return p0, p1, logscale
-
-
 @lru_cache(maxsize=1024)
 def gauss_laguerre(n, alpha=0.0):
     """Generalized Gauss-Laguerre rule, normalized to the gamma density.
 
     Integrates f against x^alpha e^-x / Gamma(alpha+1) on [0, inf):
     sum(w * f(x)) with sum(w) = 1, so rules stay finite for large alpha.
-    Nodes are the eigenvalues of the recurrence's Jacobi matrix (Golub and
-    Welsch), from LAPACK, polished by Newton steps.  Rules are memoized
-    per (n, alpha); every caller shares the one read-only rule.
+    Nodes are the eigenvalues of the Jacobi matrix J = B^T B (Golub and
+    Welsch, Math. Comp. 1969), B upper bidiagonal with diagonal
+    sqrt(i + alpha + 1) and superdiagonal sqrt(i); LAPACK's dqds finds B's
+    singular values to full relative accuracy (Fernando and Parlett,
+    Numer. Math. 1994).  Weights are the Christoffel numbers
+    1 / sum_{k<n} p_k(x)^2 of the orthonormal p_k, from the ratios
+    p_k / p_{k-1} so that nothing overflows.  Each is accurate relative to
+    itself, as steiner's tilt scales far-tail weights by factors past e^300;
+    one below float64's range underflows to 0.  Rules are memoized per
+    (n, alpha); every caller shares the one read-only rule.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
-    # Jacobi matrix of the monic recurrence: diagonal 2i + alpha + 1,
-    # off-diagonal sqrt(i (i + alpha))
-    i = np.arange(1, n)
-    off = np.sqrt(i * (i + alpha))
-    jacobi = np.diag(2.0 * np.arange(n) + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    x = np.linalg.eigvalsh(jacobi)
-    for _ in range(4):
-        p0, p1, _ = _laguerre_value(n, alpha, x)
-        dp = (n * p0 - (n + alpha) * p1) / x
-        x = x - p0 / dp
+    i = np.arange(n)
+    bidiag = np.diag(np.sqrt(i + alpha + 1.0)) + np.diag(np.sqrt(i[1:]), 1)
+    x = np.linalg.svd(bidiag, compute_uv=False)[::-1] ** 2
     if np.any(np.diff(x) <= 0.0) or x[0] <= 0.0:
         raise NonConvergenceError("Laguerre nodes failed to separate")
-    p0, p1, logscale = _laguerre_value(n, alpha, x)
-    dp = (n * p0 - (n + alpha) * p1) / x
-    # normalized weights: w_i = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1))
-    #                        / (x_i * dp_i^2), so that sum(w) = 1
-    log_front = (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
-                 - math.lgamma(alpha + 1.0))
-    w = np.exp(log_front - np.log(x) - 2.0 * (np.log(np.abs(dp)) + logscale))
+    # r = p_k / p_{k-1} from b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
+    # a_k = 2k + alpha + 1 and b_0 = 0; t = sum_{j<=k} p_j^2 / p_k^2, log_p = log|p_k|
+    b = np.sqrt(i * (i + alpha))
+    r, t, log_p = np.ones(n), np.ones(n), np.zeros(n)
+    for k in range(1, n):
+        r = (x - (2 * k - 1 + alpha) - b[k - 1] / r) / b[k]
+        t = t / (r * r) + 1.0
+        log_p += np.log(np.abs(r))
+    w = np.exp(-np.log(t) - 2.0 * log_p)
+    if not np.all(np.isfinite(w)):
+        raise NonConvergenceError("Laguerre weights are not finite")
     return QuadratureRule(x, w)
 
 

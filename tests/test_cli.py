@@ -220,6 +220,15 @@ def test_profile_biorth_one_sample_exits_2(capsys):
     assert "error:" in err and "at least 2" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_profile_reservoir_cap_must_be_positive(capsys, cap):
+    code, out, err = _run(capsys, ["profile", "--cone", "orthant:3", "--method", "biorth",
+                                   "--samples", "1000", "--reservoir-cap", cap])
+    assert code == 2
+    assert out == ""
+    assert "reservoir_cap must be positive" in err
+
+
 def test_profile_out_writes_file(tmp_path, capsys):
     target = tmp_path / "prof.json"
     code, out, _ = _run(capsys, ["profile", "--cone", "orthant:3",

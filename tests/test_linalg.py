@@ -245,6 +245,19 @@ def test_nnls_outer_cap_raises(monkeypatch):
     assert np.array_equal(nnls_solve(a, easy), np.maximum(easy, 0.0))
 
 
+def test_nnls_rejected_passive_solves_end_at_zero(monkeypatch):
+    # a passive solve that is never accepted drops one passive index per
+    # pass until the passive set is empty, which is always accepted
+    def rejecting_solve(a, gram, certified, passive, b, c):
+        return np.where(passive, -1.0, 0.0)
+
+    monkeypatch.setattr(conevol.linalg, "_passive_solve", rejecting_solve)
+    a = np.random.default_rng(5).standard_normal((6, 4))
+    targets = np.random.default_rng(6).standard_normal((8, 4))
+    assert np.array_equal(nnls_solve(a, targets), np.zeros((8, 6)))
+    assert np.array_equal(nnls_solve(a, targets[0]), np.zeros(6))
+
+
 def test_nnls_cap_exits_3(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(conevol.linalg, "_OUTER_PER_GENERATOR", 0)
     path = tmp_path / "gens.csv"

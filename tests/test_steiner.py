@@ -134,6 +134,15 @@ def test_master_phi_orthant_moments():
     assert value == pytest.approx(9.0, rel=1e-11)
 
 
+def test_master_phi_orthant8_moments_to_rounding():
+    # E[V] = 4 and E[V(V+2)] = Var V + 4^2 + 2*4 = 26 for V ~ Binomial(8, 1/2);
+    # Laguerre nodes from the bidiagonal SVD carry full relative accuracy
+    presets = preset_functionals()
+    prof = exact_profile(Orthant(8))
+    assert master_phi(presets["a"], prof)[0] == pytest.approx(4.0, rel=1e-14, abs=0.0)
+    assert master_phi(presets["a2"], prof)[0] == pytest.approx(26.0, rel=1e-14, abs=0.0)
+
+
 def test_master_phi_reduces_to_subspace_moment():
     prof = exact_profile(Subspace(3, 8))
     f = preset_functionals()["a2"]

@@ -41,6 +41,7 @@ _STEINER = "src/conevol/steiner.py"
 _NOT_PALINDROMIC = "tests/test_steiner.py::test_expansion_cdfs_on_profiles_that_are_not_palindromic"
 _SPECIAL = "src/conevol/special.py"
 _LAGUERRE = ("tests/test_special.py::test_gauss_laguerre_gamma_moments",
+             "tests/test_special.py::test_gauss_laguerre_is_exact_to_degree_2n_minus_1",
              "tests/test_special.py::test_gauss_laguerre_400_nodes_matches_mpmath",
              "tests/test_steiner.py::test_master_phi_orthant8_moments_to_rounding")
 
@@ -73,9 +74,17 @@ MUTANTS = (
            "np.where(x1 <= -nrm * ca, 0.0",
            ("tests/test_cones.py::test_norms_block_matches_rowwise_projection",)),
     Mutant("circular-chi-square-dof-d", "src/conevol/cones.py",
-           "return 1, (cone.d - 1,)",
-           "return 1, (cone.d,)",
+           "dofs = [cone.d - 1]",
+           "dofs = [cone.d]",
            ("tests/test_profiles.py::test_estimates_match_exact_circular_profiles",)),
+    Mutant("orthant-chi-square-dofs-swapped", "src/conevol/cones.py",
+           "dofs[:, 0] = k\n        dofs[:, 1] = cone.d - k",
+           "dofs[:, 0] = cone.d - k\n        dofs[:, 1] = k",
+           ("tests/test_sampling.py::test_orthant_norms_given_face_dimension",)),
+    Mutant("subspace-chi-square-dofs-swapped", "src/conevol/cones.py",
+           "dofs = [k, ambient_dim(cone) - k]",
+           "dofs = [ambient_dim(cone) - k, k]",
+           ("tests/test_sampling.py::test_moments_match_exact_profiles_over_seeds",)),
     Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
            "spawn_key=(chunk_index,)).spawn(1)[0]",
            "spawn_key=(chunk_index, 1))",

@@ -22,6 +22,7 @@ import numpy as np
 
 from .exceptions import ConeSpecError, DimensionMismatchError, UnsupportedConeError
 from .linalg import nnls_solve
+from .special import binomial_normal_thresholds
 
 MAX_AMBIENT_DIM = 10_000
 
@@ -305,6 +306,16 @@ def _project_circular(cone, x):
     return proj
 
 
+def _subspace_dim(cone):
+    # Trivial(d) is sampled as Subspace(0, d)
+    return cone.dim if isinstance(cone, Subspace) else 0
+
+
+def _sq_norms(X):
+    # squared norm of each row
+    return np.einsum("ij,ij->i", X, X)
+
+
 def _project_generators(cone, X):
     """Projections of the rows of X onto a generator cone, and the face
     dimension of each: the number of generators it puts weight on.
@@ -319,8 +330,8 @@ def _project_generators(cone, X):
     # one vector-matrix product per row keeps each row's bits independent
     # of the block it came in
     proj = np.matmul(tau[:, None, :], g)[:, 0]
-    thresh = _zero_threshold(np.sqrt(np.einsum("ij,ij->i", X, X)))
-    weight = tau * np.sqrt(np.einsum("ij,ij->i", g, g))
+    thresh = _zero_threshold(np.sqrt(_sq_norms(X)))
+    weight = tau * np.sqrt(_sq_norms(g))
     return proj, np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
 
 
@@ -329,34 +340,83 @@ def _project_generators(cone, X):
 # ---------------------------------------------------------------------------
 
 def sampled_layout(cone):
-    """(Gaussian columns, chi-square degrees of freedom) of the sampled
-    coordinates of a cone.
+    """(Gaussian columns, chi-square columns) of the sampled coordinates
+    of a cone.
 
-    Every leaf keeps its Gaussian coordinates except Circular(d, alpha),
-    whose norms depend on a Gaussian point only through x_1 and
-    ||z||^2 ~ chi-square(d - 1), z = x_2..d: it takes one Gaussian column,
-    x_1, and one chi-square column.  The degrees of freedom list the
-    circular leaves from left to right.
+    A leaf whose norms depend on a Gaussian point only through a few
+    statistics is sampled as those statistics, not as its d coordinates:
+
+    - Circular(d, alpha) through x_1 and ||z||^2 ~ chi-square(d - 1),
+      z = x_2..d: one Gaussian column and one chi-square column;
+    - Orthant(d) through its face dimension K ~ Binomial(d, 1/2) and, given
+      K = k, s ~ chi-square(k) and t ~ chi-square(d - k), independent (the
+      master Steiner formula of McCoy and Tropp): one Gaussian column,
+      which chi_square_dofs turns into K, and two chi-square columns;
+    - Subspace(k, d) through s ~ chi-square(k) and t ~ chi-square(d - k),
+      and Trivial(d) as Subspace(0, d): two chi-square columns.
+
+    Psd and generator leaves keep their full Gaussian rows.  Columns list
+    the leaves from left to right.
     """
+    if isinstance(cone, Orthant):
+        return 1, 2
     if isinstance(cone, Circular):
-        return 1, (cone.d - 1,)
+        return 1, 1
+    if isinstance(cone, (Subspace, Trivial)):
+        return 0, 2
     if isinstance(cone, Product):
-        wl, dofl = sampled_layout(cone.left)
-        wr, dofr = sampled_layout(cone.right)
-        return wl + wr, dofl + dofr
+        wl, cl = sampled_layout(cone.left)
+        wr, cr = sampled_layout(cone.right)
+        return wl + wr, cl + cr
     if isinstance(cone, Polar):
         return sampled_layout(cone.inner)
-    return ambient_dim(cone), ()
+    return ambient_dim(cone), 0
+
+
+def chi_square_dofs(cone, X):
+    """Degrees of freedom of the chi-square columns of the rows whose
+    sampled Gaussian columns are X, as a float array of shape (B, columns).
+
+    Each orthant leaf's Gaussian column x is replaced, in place, by its
+    face dimension K = searchsorted(z, x) with z the leaf's
+    special.binomial_normal_thresholds, which makes K Binomial(d, 1/2);
+    its columns are K and d - K.  A circular leaf's column is d - 1, and
+    a subspace's are k and d - k.
+    """
+    if isinstance(cone, Orthant):
+        k = np.searchsorted(binomial_normal_thresholds(cone.d), X[:, 0])
+        X[:, 0] = k
+        dofs = np.empty((X.shape[0], 2))
+        dofs[:, 0] = k
+        dofs[:, 1] = cone.d - k
+        return dofs
+    if isinstance(cone, Product):
+        wl = sampled_layout(cone.left)[0]
+        return np.hstack([chi_square_dofs(cone.left, X[:, :wl]),
+                          chi_square_dofs(cone.right, X[:, wl:])])
+    if isinstance(cone, Polar):
+        return chi_square_dofs(cone.inner, X)
+    if isinstance(cone, Circular):
+        dofs = [cone.d - 1]
+    elif isinstance(cone, (Subspace, Trivial)):
+        k = _subspace_dim(cone)
+        dofs = [k, ambient_dim(cone) - k]
+    else:
+        dofs = []
+    return np.tile(np.array(dofs, dtype=float), (X.shape[0], 1))
 
 
 def norms_block(cone, X, Z=None):
     """Squared projection / residual norms for a block of points.
 
     X has shape (B, d) and holds full rows.  Given Z, of shape (B, L), it
-    holds the sampled coordinates of sampled_layout(cone) instead: each
-    circular leaf's x_1 in place of its d coordinates, and its ||z||^2 in
-    the columns of Z, one per circular leaf.  Full rows are reduced to
-    that form first, so a circular cone has one projection formula.
+    holds the sampled coordinates of sampled_layout(cone) instead: X the
+    Gaussian columns, with each orthant leaf's x already turned into its
+    face dimension K by chi_square_dofs, and Z the chi-square columns.
+    Full rows are reduced to that form first, so each cone has one
+    projection formula: a circular leaf's on (x_1, ||z||^2), an orthant's
+    on (K, ||x_+||^2, ||x_-||^2) and a subspace's on (||x_1..k||^2,
+    ||x_k+1..d||^2).
 
     Returns (s, t, face_dims) where s[i] is ||proj_C(x_i)||^2, t[i] =
     ||x_i||^2 - s[i] is the squared distance to the cone, and face_dims
@@ -372,20 +432,32 @@ def norms_block(cone, X, Z=None):
             raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{ambient_dim(cone)}")
         X, Z = _sampled_coordinates(cone, X)
     else:
-        width, dofs = sampled_layout(cone)
+        width, columns = sampled_layout(cone)
         Z = np.asarray(Z, dtype=float)
-        if X.ndim != 2 or X.shape[1] != width or Z.shape != (X.shape[0], len(dofs)):
+        if X.ndim != 2 or X.shape[1] != width or Z.shape != (X.shape[0], columns):
             raise DimensionMismatchError(
                 f"blocks of shape {X.shape} and {Z.shape} do not fit {width} Gaussian "
-                f"and {len(dofs)} chi-square columns")
+                f"and {columns} chi-square columns")
     return _norms_block(cone, X, Z)
 
 
 def _sampled_coordinates(cone, X):
-    # full rows -> (sampled Gaussian columns, ||z||^2 columns)
+    # full rows -> (sampled Gaussian columns, chi-square columns)
     if isinstance(cone, Circular):
-        z = X[:, 1:]
-        return X[:, :1], np.einsum("ij,ij->i", z, z)[:, None]
+        return X[:, :1], _sq_norms(X[:, 1:])[:, None]
+    if isinstance(cone, Orthant):
+        # one temporary holds the positive, then the negative part
+        part = np.maximum(X, 0.0)
+        s = _sq_norms(part)
+        np.minimum(X, 0.0, out=part)
+        t = _sq_norms(part)
+        thresh = _zero_threshold(np.sqrt(s + t))[:, None]
+        # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
+        k = np.count_nonzero(X > thresh, axis=1)
+        return k[:, None].astype(float), np.stack([s, t], axis=1)
+    if isinstance(cone, (Subspace, Trivial)):
+        k = _subspace_dim(cone)
+        return X[:, :0], np.stack([_sq_norms(X[:, :k]), _sq_norms(X[:, k:])], axis=1)
     if isinstance(cone, Product):
         dl = ambient_dim(cone.left)
         xl, zl = _sampled_coordinates(cone.left, X[:, :dl])
@@ -397,24 +469,10 @@ def _sampled_coordinates(cone, X):
 
 
 def _norms_block(cone, X, Z):
-    if isinstance(cone, Subspace):
-        k = cone.dim
-        s = np.einsum("ij,ij->i", X[:, :k], X[:, :k])
-        t = np.einsum("ij,ij->i", X[:, k:], X[:, k:])
-        return s, t, np.full(X.shape[0], k, dtype=np.int64)
+    if isinstance(cone, (Subspace, Trivial)):
+        return Z[:, 0], Z[:, 1], np.full(X.shape[0], _subspace_dim(cone), dtype=np.int64)
     if isinstance(cone, Orthant):
-        # one temporary holds the positive, then the negative part
-        part = np.maximum(X, 0.0)
-        s = np.einsum("ij,ij->i", part, part)
-        np.minimum(X, 0.0, out=part)
-        t = np.einsum("ij,ij->i", part, part)
-        thresh = _zero_threshold(np.sqrt(s + t))[:, None]
-        # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
-        fd = np.count_nonzero(X > thresh, axis=1).astype(np.int64)
-        return s, t, fd
-    if isinstance(cone, Trivial):
-        t = np.einsum("ij,ij->i", X, X)
-        return np.zeros_like(t), t, np.zeros(X.shape[0], dtype=np.int64)
+        return Z[:, 0], Z[:, 1], X[:, 0].astype(np.int64)
     if isinstance(cone, Circular):
         # from x_1 and r^2 = ||z||^2 alone: between the cone and its polar,
         # x projects onto the boundary ray of the plane of e_1 and x, along
@@ -431,15 +489,15 @@ def _norms_block(cone, X, Z):
         vals = np.linalg.eigvalsh(mats)
         pos = np.maximum(vals, 0.0)
         neg = vals - pos
-        return np.einsum("ij,ij->i", pos, pos), np.einsum("ij,ij->i", neg, neg), None
+        return _sq_norms(pos), _sq_norms(neg), None
     if isinstance(cone, Generators):
         proj, fd = _project_generators(cone, X)
         resid = X - proj
-        return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
+        return _sq_norms(proj), _sq_norms(resid), fd
     if isinstance(cone, Product):
-        wl, dofl = sampled_layout(cone.left)
-        sl, tl, fl = _norms_block(cone.left, X[:, :wl], Z[:, :len(dofl)])
-        sr, tr, fr = _norms_block(cone.right, X[:, wl:], Z[:, len(dofl):])
+        wl, cl = sampled_layout(cone.left)
+        sl, tl, fl = _norms_block(cone.left, X[:, :wl], Z[:, :cl])
+        sr, tr, fr = _norms_block(cone.right, X[:, wl:], Z[:, cl:])
         fd = fl + fr if (fl is not None and fr is not None) else None
         return sl + sr, tl + tr, fd
     if isinstance(cone, Polar):

@@ -149,6 +149,15 @@ def _c06_steiner_cdfs(base, ns, workers, cache):
         ok = ok and worst_g <= 0.01 and worst_s <= 0.01
         parts.append(f"{label} gaussian max |mixture - mc| {worst_g:.2e}, "
                      f"spherical {worst_s:.2e}")
+    # ||proj_C(g)||^2 is dist^2(g, polar C), so the chi-bar-squared law of the
+    # product is the Gaussian Steiner CDF of its polar
+    label, cone = _IDENTITY_CONES[1]
+    law = chi_bar_squared(exact_profile(cone))
+    emp_c, _ = empirical_steiner_cdf(Polar(cone), grid_g, _config(base + 612, ns["c6"]),
+                                     workers=workers)
+    worst_c = max(abs(law.cdf(lam) - float(emp_c[i])) for i, lam in enumerate(grid_g))
+    ok = ok and worst_c <= 0.01
+    parts.append(f"{label} chi-bar-squared {worst_c:.2e}")
     return ok, "; ".join(parts) + " (tol 0.01)"
 
 

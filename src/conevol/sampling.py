@@ -14,16 +14,26 @@ The key (chunk index, 1) would not do: a spawn key is mixed in as
 32-bit words, so it equals the key (chunk index + 2**32,) of another
 chunk's Gaussian stream; no Gaussian key ends in a zero word.
 
-A cone draws from both only when it has a circular leaf (see
-cones.sampled_layout): its norms depend on a Gaussian point only
-through x_1 and ||z||^2 ~ chi-square(d - 1), so a circular leaf takes
-x_1 from the Gaussian stream and ||z||^2 from the chi-square stream,
-one draw in place of d - 1 normals.  Every other leaf takes its full
-Gaussian rows, and a cone without a circular leaf builds no chi-square
-stream.  The draws are a function of (seed, chunk index, chunk size):
-changing chunk_size moves samples to other streams and changes every
-value, while the order in which chunks run, the worker thread that runs
-them and how a chunk's streams are split into reads never do.
+Each leaf of a cone is drawn in its sampled coordinates (see
+cones.sampled_layout), the few statistics its norms depend on, when it
+has them.  A circular leaf takes x_1 from the Gaussian stream and
+||z||^2 ~ chi-square(d - 1) from the chi-square stream.  An orthant leaf
+takes one normal x from the Gaussian stream, turned into its face
+dimension K ~ Binomial(d, 1/2) by a table of normal thresholds, and
+s ~ chi-square(K) and t ~ chi-square(d - K) from the chi-square stream.
+A subspace, and a trivial cone as Subspace(0, d), takes s ~ chi-square(k)
+and t ~ chi-square(d - k) from the chi-square stream alone.  Psd and
+generator leaves take their full Gaussian rows.  K comes from the
+Gaussian stream, not from a third stream: a chunk's third key (chunk
+index, 1) would be another chunk's Gaussian key, and a binomial draw
+followed by the chi-square draws on one stream would make the values
+depend on how a chunk is split into blocks.  A cone without Gaussian
+columns builds no Gaussian stream, and one without chi-square columns
+no chi-square stream.  The draws are a function of (seed, chunk index,
+chunk size): changing chunk_size moves samples to other streams and
+changes every value, while the order in which chunks run, the worker
+thread that runs them and how a chunk's streams are split into reads
+never do.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
@@ -50,7 +60,8 @@ from functools import reduce
 
 import numpy as np
 
-from .cones import ambient_dim, norms_block, sampled_layout, supports_face_dim
+from .cones import (ambient_dim, chi_square_dofs, norms_block, sampled_layout,
+                    supports_face_dim)
 
 _BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
 
@@ -227,12 +238,17 @@ def map_chunks(cone, config, fn, workers=None):
 
     Each row is drawn in the sampled coordinates of
     cones.sampled_layout(cone): its Gaussian columns from the chunk's
-    Gaussian stream, with gaussian_block, and the ||z||^2 of its circular
-    leaves from the chunk's chi-square stream, with one row-major
-    chisquare(dofs, size=(rows, len(dofs))) call per block, so that a
-    stream read in several blocks gives the same values as one read.  A
-    cone without a circular leaf draws full Gaussian rows and no
-    chi-square stream.
+    Gaussian stream, with gaussian_block, then its chi-square columns from
+    the chunk's chi-square stream, with one row-major
+    2 * standard_gamma(dofs / 2) call per block on the degrees of freedom
+    of cones.chi_square_dofs, so that a stream read in several blocks
+    gives the same values as one read.  That call gives the bits of
+    chisquare(dofs), and it also takes zero degrees of freedom (K = 0 or
+    K = d, Subspace(0, d), Subspace(d, d), Trivial(d)), which it draws as
+    0.  The s, t and face dimensions fn sees are sums over the leaves: an
+    orthant's two chi-square draws and K, a subspace's two draws and k, a
+    circular leaf's norms from x_1 and ||z||^2, and the norms of full psd
+    and generator rows.
 
     The streams are drawn and projected in row blocks of about
     _BLOCK_VALUES drawn values: a run of small chunks fills one block,
@@ -247,9 +263,8 @@ def map_chunks(cone, config, fn, workers=None):
     when resolve_workers(workers) asks for more than one thread and there
     is more than one group.
     """
-    width, dofs = sampled_layout(cone)
-    dofs = np.asarray(dofs, dtype=float)
-    block_rows = max(1, _BLOCK_VALUES // (width + dofs.size))
+    width, columns = sampled_layout(cone)
+    block_rows = max(1, _BLOCK_VALUES // (width + columns))
     groups = _block_groups(config.chunks(), block_rows)
     buffer_values = min(block_rows, config.total_samples) * width
     local = threading.local()
@@ -257,12 +272,20 @@ def map_chunks(cone, config, fn, workers=None):
     def draw(rngs, out, count):
         # norms_block's arguments for the next count rows of a chunk
         gauss, chi = rngs
-        X = gaussian_block(gauss, out, count, width)
-        return X, None if chi is None else chi.chisquare(dofs, size=(count, dofs.size))
+        X = out[:0].reshape(count, 0) if gauss is None else gaussian_block(gauss, out, count, width)
+        if chi is None:
+            return X, None
+        # one array: the halved degrees of freedom are the gamma shapes, and
+        # each draw overwrites the shape it was drawn with
+        Z = chi_square_dofs(cone, X)
+        Z *= 0.5
+        chi.standard_gamma(Z, out=Z)
+        Z *= 2.0
+        return X, Z
 
     def streams(index):
-        return (chunk_rng(config.seed, index),
-                chunk_chi_square_rng(config.seed, index) if dofs.size else None)
+        return (chunk_rng(config.seed, index) if width else None,
+                chunk_chi_square_rng(config.seed, index) if columns else None)
 
     def work(group):
         # one block buffer per worker thread, reused by each of its tasks;
@@ -278,7 +301,7 @@ def map_chunks(cone, config, fn, workers=None):
                 chi.append(draw(streams(index), buffer[r0 * width:], count)[1])
                 r0 += count
             s, t, fd = norms_block(cone, buffer[:total * width].reshape(total, width),
-                                   np.concatenate(chi) if dofs.size else None)
+                                   np.concatenate(chi) if columns else None)
         else:
             # one chunk larger than a block: its streams are read a block at a time
             rngs = streams(group[0][0])

@@ -1,7 +1,8 @@
 """Special functions and quadrature rules.
 
 Implements the distribution functions the rest of the toolkit needs
-(chi-square, beta, binomial), Bennett's concentration function, and
+(chi-square, beta, binomial), the normal thresholds that turn one
+Gaussian into a Binomial(d, 1/2) draw, Bennett's concentration function, and
 generalized Gauss-Laguerre rules: nodes from one LAPACK bidiagonal SVD,
 weights from one ratio recurrence.  The scalar beta CDF is a continued
 fraction on top of the C library gamma functions exposed through
@@ -254,6 +255,67 @@ def binomial_tail(n, p, k):
     if k > n:
         return 0.0
     return min(1.0, math.fsum(binomial_pmf(n, p, j) for j in range(k, n + 1)))
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_normal_cdf(z):
+    # log Phi(z) for an array of z <= 0; below -36 erfc underflows, and the
+    # asymptotic series of the Mills ratio is exact to rounding there
+    out = np.empty_like(z)
+    near = z > -36.0
+    out[near] = np.log([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z[near].tolist()])
+    far = z[~near]
+    r = 1.0 / (far * far)
+    series = 1.0 + r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (-945.0 + r * 10395.0)))))
+    out[~near] = -0.5 * far * far - np.log(-far) - _LOG_SQRT_2PI + np.log(series)
+    return out
+
+
+@lru_cache(maxsize=256)
+def binomial_normal_thresholds(d):
+    """z_k = Phi^-1(P{Binomial(d, 1/2) <= k}) for k = 0..d-1, read-only.
+
+    For a standard normal x, K = searchsorted(z, x), the number of
+    thresholds below x, is Binomial(d, 1/2).  The CDF of the lower half
+    comes from exact integer sums of binomial coefficients; the upper
+    half mirrors it, z_{d-1-k} = -z_k, with z = 0 in the middle for odd d.
+    Each z_k solves log Phi(z) = log P by Newton's method from
+    -sqrt(-2 log P), left of the root; log Phi is concave, so the
+    iterates rise to the root.  Where P is a normal float, a last Newton
+    step on Phi(z) = P brings Phi(z_k) as close to P as a few units in
+    z_k's last place allow.  Memoized per d.
+    """
+    m = d // 2
+    p, log_p = np.empty(m), np.empty(m)
+    scale = 1 << d
+    coef, total = 1, 0
+    for k in range(m):
+        total += coef
+        # below 2**-990 (about 1e-298) only log P is kept
+        if total.bit_length() > d - 990:
+            p[k] = total / scale
+            log_p[k] = math.log(p[k])
+        else:
+            p[k] = 0.0
+            log_p[k] = math.log(total) - d * math.log(2.0)
+        coef = coef * (d - k) // (k + 1)
+    z = -np.sqrt(-2.0 * log_p)
+    live = np.arange(m)
+    while live.size:
+        zl = z[live]
+        log_phi = _log_normal_cdf(zl)
+        step = (log_p[live] - log_phi) * np.exp(log_phi + 0.5 * zl * zl + _LOG_SQRT_2PI)
+        z[live] = zl + step
+        live = live[np.abs(step) > 1e-15 * (1.0 + np.abs(zl))]
+    normal = p > 0.0
+    zn = z[normal]
+    phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in zn.tolist()])
+    z[normal] = zn + (p[normal] - phi) * np.exp(0.5 * zn * zn + _LOG_SQRT_2PI)
+    z = np.concatenate([z, [0.0] if d % 2 else [], -z[::-1]])
+    z.setflags(write=False)
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from conevol.cones import (
     Subspace,
     Trivial,
     ambient_dim,
+    chi_square_dofs,
+    cone_to_spec,
     load_generators,
     norms_block,
     project,
@@ -308,37 +310,76 @@ def test_norms_block_matches_rowwise_projection(label):
         assert faces is not None
 
 
-# (label, cone, the column where its circular leaf starts): the leaf comes last
-_CIRCULAR_SPLITS = [
-    ("circ:8:pi/6", Circular(8, math.pi / 6), 0),
-    ("polar(circ:6:0.9)", Polar(Circular(6, 0.9)), 0),
-    ("prod(orthant:3,circ:5:0.7)", Product(Orthant(3), Circular(5, 0.7)), 3),
-]
+def _sampled_statistics(cone, X):
+    """The sampled coordinates of full rows X, leaf by leaf: (K) and
+    (||x_+||^2, ||x_-||^2) for an orthant, (x_1) and (||z||^2) for a
+    circular cone, () and (||x_1..k||^2, ||x_k+1..d||^2) for a subspace."""
+    if isinstance(cone, Orthant):
+        pos, neg = np.maximum(X, 0.0), np.minimum(X, 0.0)
+        return (np.sum(X > 0.0, axis=1)[:, None].astype(float),
+                np.stack([np.sum(pos * pos, axis=1), np.sum(neg * neg, axis=1)], axis=1))
+    if isinstance(cone, Circular):
+        return X[:, :1], np.sum(X[:, 1:] ** 2, axis=1)[:, None]
+    if isinstance(cone, (Subspace, Trivial)):
+        k = cone.dim if isinstance(cone, Subspace) else 0
+        return X[:, :0], np.stack([np.sum(X[:, :k] ** 2, axis=1),
+                                   np.sum(X[:, k:] ** 2, axis=1)], axis=1)
+    if isinstance(cone, Product):
+        dl = ambient_dim(cone.left)
+        xl, zl = _sampled_statistics(cone.left, X[:, :dl])
+        xr, zr = _sampled_statistics(cone.right, X[:, dl:])
+        return np.hstack([xl, xr]), np.hstack([zl, zr])
+    assert isinstance(cone, Polar)
+    return _sampled_statistics(cone.inner, X)
 
 
-@pytest.mark.parametrize("cone,split", [c[1:] for c in _CIRCULAR_SPLITS],
-                         ids=[c[0] for c in _CIRCULAR_SPLITS])
-def test_norms_block_has_one_circular_formula(cone, split):
-    # full rows and the sampled coordinates (x_1, ||z||^2) of the same rows
-    # go through one circular formula, so they give the same norms
+def _check_one_formula(cone):
+    # full rows and the sampled statistics of the same rows go through one
+    # formula per leaf, so they give the same norms and face dimensions
     X = np.random.default_rng(37).standard_normal((500, ambient_dim(cone)))
-    z = X[:, split + 1:]
-    Z = np.sum(z * z, axis=1)[:, None]
-    assert sampled_layout(cone)[0] == split + 1
-    s, t, _ = norms_block(cone, X)
-    s_sampled, t_sampled, _ = norms_block(cone, X[:, :split + 1], Z)
+    gauss, chi = _sampled_statistics(cone, X)
+    assert sampled_layout(cone) == (gauss.shape[1], chi.shape[1])
+    s, t, faces = norms_block(cone, X)
+    s_sampled, t_sampled, faces_sampled = norms_block(cone, gauss, chi)
     assert np.allclose(s_sampled, s, rtol=1e-12, atol=0.0)
     assert np.allclose(t_sampled, t, rtol=1e-12, atol=0.0)
+    assert (faces is None and faces_sampled is None) or np.array_equal(faces, faces_sampled)
     with pytest.raises(DimensionMismatchError):
-        norms_block(cone, X[:, :split + 1], np.hstack([Z, Z]))
+        norms_block(cone, gauss, np.hstack([chi, chi[:, :1]]))
     with pytest.raises(DimensionMismatchError):
-        norms_block(cone, X, Z)
+        norms_block(cone, X, chi)
+
+
+@pytest.mark.parametrize("cone", [Circular(8, math.pi / 6), Polar(Circular(6, 0.9)),
+                                  Product(Orthant(3), Circular(5, 0.7))],
+                         ids=["circ:8:pi/6", "polar(circ:6:0.9)", "prod(orthant:3,circ:5:0.7)"])
+def test_norms_block_has_one_circular_formula(cone):
+    _check_one_formula(cone)
+
+
+@pytest.mark.parametrize("cone", [
+    Orthant(6), Subspace(2, 5), Subspace(0, 3), Subspace(4, 4), Trivial(3),
+    Polar(Orthant(4)), Product(Orthant(3), Subspace(2, 5)),
+    Polar(Product(Subspace(1, 3), Product(Orthant(2), Trivial(2)))),
+], ids=cone_to_spec)
+def test_norms_block_has_one_formula_per_sampled_leaf(cone):
+    _check_one_formula(cone)
 
 
 def test_sampled_layout_lists_circular_leaves_left_to_right():
     cone = Product(Polar(Circular(4, 0.3)), Product(Psd(2), Circular(6, 0.5)))
-    assert sampled_layout(cone) == (1 + 3 + 1, (3, 5))
-    assert sampled_layout(Product(Orthant(3), Subspace(1, 4))) == (7, ())
+    assert sampled_layout(cone) == (1 + 3 + 1, 2)
+    X = np.zeros((2, 5))
+    assert np.array_equal(chi_square_dofs(cone, X), [[3.0, 5.0]] * 2)
+    # orthant and subspace leaves, left to right, each orthant's Gaussian
+    # column turned into its face dimension in place
+    cone = Product(Orthant(3), Product(Subspace(1, 4), Polar(Orthant(2))))
+    assert sampled_layout(cone) == (2, 6)
+    X = np.array([[-40.0, 40.0], [40.0, -40.0]])
+    assert np.array_equal(chi_square_dofs(cone, X),
+                          [[0.0, 3.0, 1.0, 3.0, 2.0, 0.0], [3.0, 0.0, 1.0, 3.0, 0.0, 2.0]])
+    assert np.array_equal(X, [[0.0, 2.0], [3.0, 0.0]])
+    assert sampled_layout(Product(Psd(2), Trivial(2))) == (3, 2)
 
 
 def test_generator_norms_block_memory_is_bounded():

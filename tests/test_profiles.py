@@ -576,7 +576,7 @@ def test_estimators_accept_a_summary_of_an_equal_cone():
     gens = np.eye(4)
     summary = run_summary(Generators(gens), cfg)
     a = estimate_profile_face(Generators(gens.copy()), cfg, summary=summary)
-    assert np.array_equal(a.v, estimate_profile_face(Orthant(4), cfg).v)
+    assert np.array_equal(a.v, estimate_profile_face(Generators(gens), cfg).v)
 
 
 def test_face_estimator_rejects_a_summary_without_face_counts():

@@ -1,5 +1,6 @@
 # Standard libraries
 import hashlib
+import itertools
 import math
 import sys
 
@@ -18,10 +19,13 @@ from conevol.cones import (
     Product,
     Psd,
     Subspace,
+    Trivial,
     ambient_dim,
+    chi_square_dofs,
     norms_block,
     sampled_layout,
 )
+from conevol.profiles import exact_profile, intrinsic_variance, statistical_dimension
 from conevol.sampling import (
     MomentAccumulator,
     MonteCarloConfig,
@@ -229,15 +233,21 @@ def test_resolve_workers_env(monkeypatch):
 # Full summary runs
 # ---------------------------------------------------------------------------
 
+# an orthant, a cone with no Gaussian column and one with Gaussian
+# columns and chi-square columns of fixed and of sampled degrees of freedom
+_SAMPLED_CONES = [Orthant(8), Subspace(3, 8), Product(Orthant(3), Circular(4, 0.6))]
+
+
 def test_run_summary_identical_across_worker_counts():
-    cfg = MonteCarloConfig(seed=11, total_samples=40_000, chunk_size=4096,
-                           reservoir_cap=2_000)
-    a = run_summary(Orthant(8), cfg, workers=1)
-    b = run_summary(Orthant(8), cfg, workers=4)
-    assert a.theta_moments == b.theta_moments
-    assert np.array_equal(a.face_hist, b.face_hist)
-    assert np.array_equal(a.reservoir_s, b.reservoir_s)
-    assert np.array_equal(a.reservoir_t, b.reservoir_t)
+    for cone, chunk in itertools.product(_SAMPLED_CONES, (1, 7, 777, 4096)):
+        cfg = MonteCarloConfig(seed=11, total_samples=40_000 if chunk > 777 else 3_000,
+                               chunk_size=chunk, reservoir_cap=2_000)
+        a = run_summary(cone, cfg, workers=1)
+        b = run_summary(cone, cfg, workers=4)
+        assert a.theta_moments == b.theta_moments, (cone, chunk)
+        assert np.array_equal(a.face_hist, b.face_hist)
+        assert np.array_equal(a.reservoir_s, b.reservoir_s)
+        assert np.array_equal(a.reservoir_t, b.reservoir_t)
 
 
 def test_map_chunks_returns_results_in_chunk_order():
@@ -247,29 +257,31 @@ def test_map_chunks_returns_results_in_chunk_order():
     assert got == cfg.chunks()
 
 
-_CONE = Product(Orthant(3), Circular(4, 0.6))
 _MC_PATHS = {
-    "phi_mc": lambda cfg: phi_mc(_CONE, preset_functionals()["min_a_10"], cfg),
-    "wills_mc_0.5": lambda cfg: wills_mc(_CONE, 0.5, cfg),
-    "wills_mc_1.5": lambda cfg: wills_mc(_CONE, 1.5, cfg),
-    "steiner_cdf_gaussian": lambda cfg: empirical_steiner_cdf(
-        _CONE, [0.5, 2.0, 8.0], cfg, kind="gaussian"),
-    "steiner_cdf_spherical": lambda cfg: empirical_steiner_cdf(
-        _CONE, [0.25, 0.5, 0.75], cfg, kind="spherical"),
-    "subspace_moment": lambda cfg: subspace_moment(
+    "phi_mc": lambda cone, cfg: phi_mc(cone, preset_functionals()["min_a_10"], cfg),
+    "wills_mc_0.5": lambda cone, cfg: wills_mc(cone, 0.5, cfg),
+    "wills_mc_1.5": lambda cone, cfg: wills_mc(cone, 1.5, cfg),
+    "steiner_cdf_gaussian": lambda cone, cfg: empirical_steiner_cdf(
+        cone, [0.5, 2.0, 8.0], cfg, kind="gaussian"),
+    "steiner_cdf_spherical": lambda cone, cfg: empirical_steiner_cdf(
+        cone, [0.25, 0.5, 0.75], cfg, kind="spherical"),
+    "subspace_moment": lambda cone, cfg: subspace_moment(
         preset_functionals()["min_a_10"], 3, 7, cfg),
 }
 
 
 @pytest.mark.parametrize("path", sorted(_MC_PATHS))
 def test_monte_carlo_paths_identical_across_worker_counts(monkeypatch, path):
-    cfg = MonteCarloConfig(seed=4, total_samples=5_000, chunk_size=1024)
-    assert len(cfg.chunks()) >= 4
-    monkeypatch.setenv("CONEVOL_THREADS", "1")
-    single = _MC_PATHS[path](cfg)
-    monkeypatch.setenv("CONEVOL_THREADS", "4")
-    multi = _MC_PATHS[path](cfg)
-    assert np.array_equal(np.asarray(single), np.asarray(multi))
+    for cone, chunk in itertools.product((Subspace(2, 5), Product(Orthant(3), Circular(4, 0.6))),
+                                         (1, 7, 777, 1024)):
+        cfg = MonteCarloConfig(seed=4, total_samples=5_000 if chunk > 7 else 600,
+                               chunk_size=chunk)
+        assert len(cfg.chunks()) >= 4
+        monkeypatch.setenv("CONEVOL_THREADS", "1")
+        single = _MC_PATHS[path](cone, cfg)
+        monkeypatch.setenv("CONEVOL_THREADS", "4")
+        multi = _MC_PATHS[path](cone, cfg)
+        assert np.array_equal(np.asarray(single), np.asarray(multi)), (cone, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +290,14 @@ def test_monte_carlo_paths_identical_across_worker_counts(monkeypatch, path):
 
 def _chunk_draws(cone, seed, chunk_index, count):
     """norms_block's arguments for all count rows of a chunk: its Gaussian
-    stream read in one gaussian_block call and, for a cone with circular
-    leaves, its chi-square stream in one chisquare call."""
-    width, dofs = sampled_layout(cone)
+    stream read in one gaussian_block call and, for a cone with chi-square
+    columns, its chi-square stream in one standard_gamma call."""
+    width, columns = sampled_layout(cone)
     X = _chunk_gaussians(seed, chunk_index, count, width)
-    if not dofs:
+    if not columns:
         return (X,)
-    rng = chunk_chi_square_rng(seed, chunk_index)
-    return X, rng.chisquare(np.asarray(dofs, dtype=float), size=(count, len(dofs)))
+    dofs = chi_square_dofs(cone, X)
+    return X, 2.0 * chunk_chi_square_rng(seed, chunk_index).standard_gamma(0.5 * dofs)
 
 
 def _reference_map_chunks(cone, config, fn):
@@ -362,21 +374,21 @@ def test_map_chunks_hands_fn_unshared_arrays(family, layout, workers):
 
 def test_map_chunks_threads_keep_their_own_buffers(monkeypatch):
     # more threads than cores, switching every microsecond: a block buffer
-    # shared between threads would be overwritten mid-block.  At 800 values
-    # a block is 100 rows in R^8, so chunks of 30 run three to a block and
-    # chunks of 250 in three blocks each.
-    monkeypatch.setattr(sampling, "_BLOCK_VALUES", 800)
-    cone = Orthant(8)
-    configs = [MonteCarloConfig(seed=29, total_samples=6_000, chunk_size=chunk)
-               for chunk in (30, 250)]
-    references = [_reference_map_chunks(cone, cfg, _chunk_record) for cfg in configs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cfg, reference in zip(configs, references):
-            assert map_chunks(cone, cfg, _chunk_record, workers=8) == reference
-    finally:
-        sys.setswitchinterval(interval)
+    # shared between threads would be overwritten mid-block.  A block is
+    # 100 rows, so chunks of 30 run three to a block and chunks of 250 in
+    # three blocks each.
+    for cone in [*_SAMPLED_CONES, Psd(3)]:
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", 100 * sum(sampled_layout(cone)))
+        configs = [MonteCarloConfig(seed=29, total_samples=6_000, chunk_size=chunk)
+                   for chunk in (30, 250)]
+        references = [_reference_map_chunks(cone, cfg, _chunk_record) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cfg, reference in zip(configs, references):
+                assert map_chunks(cone, cfg, _chunk_record, workers=8) == reference, cone
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # more generators than dimensions: a Gaussian 8x4 matrix spans all of R^4
@@ -412,20 +424,25 @@ def test_map_chunks_matches_reference_for_pointed_generators(monkeypatch, layout
 
 @pytest.mark.parametrize("block_values", [1, 1 << 24])
 def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
-    cone = Product(Orthant(3), Subspace(2, 5))
-    cfg = MonteCarloConfig(seed=8, total_samples=1_600, chunk_size=777, reservoir_cap=500)
     min_a = preset_functionals()["min_a_10"]
 
-    def results():
+    def results(cone, cfg):
         summary = run_summary(cone, cfg)
-        return (summary.theta_moments, summary.face_hist.tobytes(),
+        return (summary.theta_moments,
+                None if summary.face_hist is None else summary.face_hist.tobytes(),
                 summary.reservoir_s.tobytes(), summary.reservoir_t.tobytes(),
                 phi_mc(cone, min_a, cfg),
                 tuple(a.tobytes() for a in empirical_steiner_cdf(
                     cone, [0.25, 0.5, 0.75], cfg, kind="spherical")))
-    default = results()
+    cases = [(cone, MonteCarloConfig(seed=8, total_samples=1_600 if chunk > 7 else 300,
+                                     chunk_size=chunk, reservoir_cap=500))
+             for cone in (Product(Orthant(3), Subspace(2, 5)), Subspace(2, 5),
+                          Product(Orthant(3), Circular(4, 0.6)))
+             for chunk in (1, 7, 777)]
+    defaults = [results(*case) for case in cases]
     monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
-    assert results() == default
+    for case, default in zip(cases, defaults):
+        assert results(*case) == default, case
 
 
 def test_run_summary_contents():
@@ -449,6 +466,89 @@ def test_run_summary_smooth_cone_has_no_face_hist():
     summary = run_summary(Circular(5, 0.6), cfg)
     assert summary.face_hist is None
     assert summary.theta_moments.n == 2_000
+
+
+# ---------------------------------------------------------------------------
+# Sampled statistics of orthant and subspace leaves
+# ---------------------------------------------------------------------------
+
+def test_chi_square_columns_have_the_bits_of_chisquare():
+    # map_chunks draws chi-square columns as 2 * standard_gamma(dofs / 2),
+    # which also takes zero degrees of freedom; for positive ones it gives
+    # chisquare's bits, so cones whose only sampled leaves are circular kept
+    # their values
+    dofs = np.tile([3.0, 7.0, 1.0, 399.0], (500, 1))
+    expect = chunk_chi_square_rng(5, 2).chisquare(dofs)
+    assert np.array_equal(2.0 * chunk_chi_square_rng(5, 2).standard_gamma(0.5 * dofs), expect)
+
+
+def _binomial_pmf(d):
+    return np.array([math.comb(d, k) for k in range(d + 1)], dtype=float) / 2.0 ** d
+
+
+@pytest.mark.parametrize("cone, shift, d", [
+    (Orthant(1), 0, 1),
+    (Orthant(7), 0, 7),
+    (Orthant(400), 0, 400),
+    (Product(Orthant(3), Subspace(2, 5)), 2, 3),
+    (Product(Orthant(4), Product(Trivial(2), Orthant(6))), 0, 10),
+], ids=["orthant:1", "orthant:7", "orthant:400", "prod(orthant:3,subspace:2:5)",
+        "prod(orthant:4,prod(trivial:2,orthant:6))"])
+def test_face_histogram_is_binomial(cone, shift, d):
+    # the face dimension of an orthant leaf is Binomial(d, 1/2); a subspace
+    # adds its dimension and a trivial cone nothing.  Every bin with an
+    # expected count of at least 10 passes a z-test at 4, and the bins
+    # below that hold no more than a few samples altogether
+    n = 40_000
+    hist = run_summary(cone, MonteCarloConfig(seed=31, total_samples=n)).face_hist
+    expect = np.zeros(hist.size)
+    expect[shift:shift + d + 1] = n * _binomial_pmf(d)
+    big = expect >= 10.0
+    z = (hist[big] - expect[big]) / np.sqrt(expect[big] * (1.0 - expect[big] / n))
+    assert np.abs(z).max() <= 4.0, z
+    assert hist[~big].sum() <= expect[~big].sum() + 4.0 * math.sqrt(expect[~big].sum()) + 4.0
+
+
+def test_orthant_norms_given_face_dimension():
+    # given K = k, an orthant's s and t are chi-square(k) and chi-square(d - k):
+    # exactly 0 at k = 0 and k = d, with means k and d - k
+    d = 6
+    cfg = MonteCarloConfig(seed=37, total_samples=60_000)
+    s, t, k = (np.concatenate(a) for a in zip(*map_chunks(
+        Orthant(d), cfg, lambda index, s, t, fd: (s, t, fd))))
+    assert np.all(s[k == 0] == 0.0) and np.all(t[k == d] == 0.0)
+    assert np.all(s[k > 0] > 0.0) and np.all(t[k < d] > 0.0)
+    for j in range(d + 1):
+        n = np.count_nonzero(k == j)
+        for values, dof in ((s, j), (t, d - j)):
+            if dof:
+                z = (values[k == j].mean() - dof) / math.sqrt(2.0 * dof / n)
+                assert abs(z) <= 4.0, (j, dof, z)
+
+
+_LAW_CONES = [
+    ("orthant:7", Orthant(7)),
+    ("subspace:3:8", Subspace(3, 8)),
+    ("prod(orthant:3,subspace:2:5)", Product(Orthant(3), Subspace(2, 5))),
+    ("prod(orthant:4,orthant:6)", Product(Orthant(4), Orthant(6))),
+    ("polar(orthant:5)", Polar(Orthant(5))),
+    ("polar(prod(orthant:3,subspace:2:5))", Polar(Product(Orthant(3), Subspace(2, 5)))),
+    ("prod(trivial:2,polar(subspace:1:4))", Product(Trivial(2), Polar(Subspace(1, 4)))),
+]
+
+
+def test_moments_match_exact_profiles_over_seeds():
+    # delta and Var V of the sampled statistics against the exact profile,
+    # at every seed of a fixed set; the message lists every |z|
+    zs = {}
+    for (label, cone), seed in itertools.product(_LAW_CONES, (1, 2, 3)):
+        summary = run_summary(cone, MonteCarloConfig(seed=seed, total_samples=20_000))
+        exact = exact_profile(cone)
+        for name, (est, se), truth in (
+                ("delta", statistical_dimension(summary), exact.statistical_dimension),
+                ("var", intrinsic_variance(summary), exact.variance)):
+            zs[label, seed, name] = abs(est - truth) / se
+    assert max(zs.values()) <= 4.0, {key: round(z, 2) for key, z in zs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +579,17 @@ _DIGEST_PATHS = [
 # Re-pinned when the per-chunk SFC64 streams replaced the Philox ones,
 # which changed every draw; when the summary's two moment blocks (of s
 # and of t) became one of theta = s / (s + t), which left the reservoirs,
-# face histograms and other paths bit-identical; and when circular leaves
+# face histograms and other paths bit-identical; when circular leaves
 # began to draw ||z||^2 from a chi-square stream, which changed the three
 # cones with a circular leaf and left the orthant, subspace and psd cases
-# bit-identical.  The same digest came out with each chunk drawn as one
-# block, with 37-value and 2**24-value blocks and on three threads, and
-# any layout must reproduce it
-_MONTE_CARLO_SHA256 = "0655d6f4f2a7c5af6ff1722501a80dfad1c49fd24af962b5fdcbc4f675a03321"
+# bit-identical; and when orthant and subspace leaves began to draw
+# (K, chi-square(K), chi-square(d - K)) and two chi-square values, which
+# changed the orthant, subspace and product cases and the Monte Carlo
+# subspace_moment path, and left the circular, polar circular and psd
+# summaries and their other paths bit-identical.  The same digest came
+# out with 1-value, 37-value and 2**24-value blocks and on three threads,
+# and any layout must reproduce it
+_MONTE_CARLO_SHA256 = "25fcbb978a3e9f2cf1f6341b22c2028fb9cbe27caa13d99ee7c67ae14e963932"
 
 
 def _digest_cases():

@@ -1,5 +1,6 @@
 # Standard libraries
 import math
+import time
 from fractions import Fraction
 
 # External libraries
@@ -12,6 +13,7 @@ from conevol.special import (
     bennett_psi,
     beta_cdf,
     beta_cdf_family,
+    binomial_normal_thresholds,
     binomial_pmf,
     binomial_tail,
     chi_square_cdf_family,
@@ -269,6 +271,48 @@ def test_binomial_exact_rational_cross_check():
     assert binomial_pmf(n, 0.25, k) == pytest.approx(float(exact), rel=1e-13)
 
 
+def _normal_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 63, 64, 400, 1001])
+def test_binomial_normal_thresholds_invert_the_binomial_cdf(d):
+    # Phi(z_k) against P{Binomial(d, 1/2) <= k}, an exact integer sum over
+    # 2**d divided once (Python rounds int / int correctly).  Below 1e-12,
+    # where |z_k| > 7, one unit in z_k's last place moves Phi by more than
+    # 1e-14 relative, |z| * ulp(z), so the bound there is a few of those
+    z = binomial_normal_thresholds(d)
+    assert z.shape == (d,)
+    total = 0
+    for k in range(d):
+        total += math.comb(d, k)
+        cdf = total / 2 ** d
+        if cdf < 1e-300:
+            continue
+        tol = 1e-14 if cdf >= 1e-12 else 4.0 * abs(z[k]) * np.spacing(abs(z[k]))
+        assert abs(_normal_cdf(z[k]) / cdf - 1.0) <= tol, (k, cdf)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 400, 10_000])
+def test_binomial_normal_thresholds_are_antisymmetric_increasing_and_read_only(d):
+    z = binomial_normal_thresholds(d)
+    assert np.array_equal(z, -z[::-1])
+    assert np.all(np.diff(z) > 0.0) and np.all(np.isfinite(z))
+    assert binomial_normal_thresholds(d) is z
+    with pytest.raises(ValueError, match="read-only"):
+        z[0] = 0.0
+
+
+def test_binomial_normal_thresholds_build_quickly_at_the_largest_dimension():
+    # d = 10_000 is MAX_AMBIENT_DIM; best of three uncached builds
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        binomial_normal_thresholds.__wrapped__(10_000)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+
+
 def test_binomial_tail_edges():
     assert binomial_tail(7, 0.3, 0) == 1.0
     assert binomial_tail(7, 0.3, -2) == 1.0
@@ -309,6 +353,20 @@ def test_gauss_laguerre_gamma_moments():
     for m in range(1, 6):
         expect *= 1.5 + m
         assert float(rule.weights @ rule.nodes**m) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("alpha", [1.5, 3.5])
+def test_gauss_laguerre_is_exact_to_degree_2n_minus_1(n, alpha):
+    # only a Gauss rule for this alpha integrates x^(2n-1) exactly: the
+    # zeros of a quasi-orthogonal polynomial such as L_n^(alpha-1) with the
+    # alpha Christoffel weights stop at degree 2n - 2
+    rule = gauss_laguerre(n, alpha)
+    expect = 1.0
+    for m in range(1, 2 * n):
+        expect *= alpha + m
+        got = float(rule.weights @ rule.nodes ** m)
+        assert got == pytest.approx(expect, rel=1e-13), m
 
 
 def test_gauss_laguerre_is_memoized_and_read_only():

@@ -74,16 +74,16 @@ MUTANTS = (
            "np.where(x1 <= -nrm * ca, 0.0",
            ("tests/test_cones.py::test_norms_block_matches_rowwise_projection",)),
     Mutant("circular-chi-square-dof-d", "src/conevol/cones.py",
-           "dofs = [cone.d - 1]",
-           "dofs = [cone.d]",
+           "dofs[:, 0] = cone.d - 1",
+           "dofs[:, 0] = cone.d",
            ("tests/test_profiles.py::test_estimates_match_exact_circular_profiles",)),
     Mutant("orthant-chi-square-dofs-swapped", "src/conevol/cones.py",
            "dofs[:, 0] = k\n        dofs[:, 1] = cone.d - k",
            "dofs[:, 0] = cone.d - k\n        dofs[:, 1] = k",
            ("tests/test_sampling.py::test_orthant_norms_given_face_dimension",)),
     Mutant("subspace-chi-square-dofs-swapped", "src/conevol/cones.py",
-           "dofs = [k, ambient_dim(cone) - k]",
-           "dofs = [ambient_dim(cone) - k, k]",
+           "dofs[:, 0] = k\n        dofs[:, 1] = ambient_dim(cone) - k",
+           "dofs[:, 0] = ambient_dim(cone) - k\n        dofs[:, 1] = k",
            ("tests/test_sampling.py::test_moments_match_exact_profiles_over_seeds",)),
     Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
            "spawn_key=(chunk_index,)).spawn(1)[0]",

@@ -200,14 +200,15 @@ def vec_to_sym(v, n):
 
 
 def _vec_to_sym_block(x, n):
-    # (B, n(n+1)/2) -> (B, n, n)
+    # (B, n(n+1)/2) -> (B, n, n), lower triangles only: eigvalsh reads no
+    # other entry.  Dividing by 1 on the diagonal and sqrt 2 below it gives
+    # the bits vec_to_sym gives, without a copy of x
     iu, ju = _triu_indices(n)
-    off = iu != ju
-    vals = x.copy()
-    vals[:, off] /= _SQRT2
     s = np.zeros((x.shape[0], n, n))
-    s[:, iu, ju] = vals
-    s[:, ju, iu] = vals
+    s[:, ju, iu] = x
+    scale = np.full((n, n), _SQRT2)
+    np.fill_diagonal(scale, 1.0)
+    s /= scale
     return s
 
 
@@ -330,8 +331,8 @@ def _project_generators(cone, X):
     # one vector-matrix product per row keeps each row's bits independent
     # of the block it came in
     proj = np.matmul(tau[:, None, :], g)[:, 0]
-    thresh = _zero_threshold(np.sqrt(_sq_norms(X)))
-    weight = tau * np.sqrt(_sq_norms(g))
+    thresh = _zero_threshold(np.sqrt(np.einsum("ij,ij->i", X, X)))
+    weight = tau * np.sqrt(np.einsum("ij,ij->i", g, g))
     return proj, np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
 
 
@@ -350,8 +351,9 @@ def sampled_layout(cone):
       z = x_2..d: one Gaussian column and one chi-square column;
     - Orthant(d) through its face dimension K ~ Binomial(d, 1/2) and, given
       K = k, s ~ chi-square(k) and t ~ chi-square(d - k), independent (the
-      master Steiner formula of McCoy and Tropp): one Gaussian column,
-      which chi_square_dofs turns into K, and two chi-square columns;
+      master Steiner formula of McCoy and Tropp): one Gaussian column, a
+      normal x that stands for K = searchsorted(z, x), z the leaf's
+      special.binomial_normal_thresholds, and two chi-square columns;
     - Subspace(k, d) through s ~ chi-square(k) and t ~ chi-square(d - k),
       and Trivial(d) as Subspace(0, d): two chi-square columns.
 
@@ -373,50 +375,55 @@ def sampled_layout(cone):
     return ambient_dim(cone), 0
 
 
+def _orthant_face_dims(cone, x):
+    # K = searchsorted(z, x), the number of the leaf's thresholds
+    # special.binomial_normal_thresholds below a normal x: Binomial(d, 1/2)
+    return np.searchsorted(binomial_normal_thresholds(cone.d), x)
+
+
 def chi_square_dofs(cone, X):
     """Degrees of freedom of the chi-square columns of the rows whose
     sampled Gaussian columns are X, as a float array of shape (B, columns).
 
-    Each orthant leaf's Gaussian column x is replaced, in place, by its
-    face dimension K = searchsorted(z, x) with z the leaf's
-    special.binomial_normal_thresholds, which makes K Binomial(d, 1/2);
-    its columns are K and d - K.  A circular leaf's column is d - 1, and
-    a subspace's are k and d - k.
+    An orthant leaf's columns are K and d - K, K the face dimension its
+    normal x stands for; a circular leaf's column is d - 1, and a
+    subspace's are k and d - k.
     """
+    dofs = np.empty((X.shape[0], sampled_layout(cone)[1]))
+    _fill_chi_square_dofs(cone, X, dofs)
+    return dofs
+
+
+def _fill_chi_square_dofs(cone, X, dofs):
     if isinstance(cone, Orthant):
-        k = np.searchsorted(binomial_normal_thresholds(cone.d), X[:, 0])
-        X[:, 0] = k
-        dofs = np.empty((X.shape[0], 2))
+        k = _orthant_face_dims(cone, X[:, 0])
         dofs[:, 0] = k
         dofs[:, 1] = cone.d - k
-        return dofs
-    if isinstance(cone, Product):
-        wl = sampled_layout(cone.left)[0]
-        return np.hstack([chi_square_dofs(cone.left, X[:, :wl]),
-                          chi_square_dofs(cone.right, X[:, wl:])])
-    if isinstance(cone, Polar):
-        return chi_square_dofs(cone.inner, X)
-    if isinstance(cone, Circular):
-        dofs = [cone.d - 1]
+    elif isinstance(cone, Circular):
+        dofs[:, 0] = cone.d - 1
     elif isinstance(cone, (Subspace, Trivial)):
         k = _subspace_dim(cone)
-        dofs = [k, ambient_dim(cone) - k]
-    else:
-        dofs = []
-    return np.tile(np.array(dofs, dtype=float), (X.shape[0], 1))
+        dofs[:, 0] = k
+        dofs[:, 1] = ambient_dim(cone) - k
+    elif isinstance(cone, Product):
+        wl, cl = sampled_layout(cone.left)
+        _fill_chi_square_dofs(cone.left, X[:, :wl], dofs[:, :cl])
+        _fill_chi_square_dofs(cone.right, X[:, wl:], dofs[:, cl:])
+    elif isinstance(cone, Polar):
+        _fill_chi_square_dofs(cone.inner, X, dofs)
 
 
 def norms_block(cone, X, Z=None):
     """Squared projection / residual norms for a block of points.
 
     X has shape (B, d) and holds full rows.  Given Z, of shape (B, L), it
-    holds the sampled coordinates of sampled_layout(cone) instead: X the
-    Gaussian columns, with each orthant leaf's x already turned into its
-    face dimension K by chi_square_dofs, and Z the chi-square columns.
-    Full rows are reduced to that form first, so each cone has one
-    projection formula: a circular leaf's on (x_1, ||z||^2), an orthant's
-    on (K, ||x_+||^2, ||x_-||^2) and a subspace's on (||x_1..k||^2,
-    ||x_k+1..d||^2).
+    holds the sampled coordinates of sampled_layout(cone) instead, as
+    map_chunks draws them: X the Gaussian columns and Z the chi-square
+    columns.  Full rows are reduced to that form first, so each cone has
+    one projection formula: a circular leaf's on (x_1, ||z||^2), an
+    orthant's on (x, ||x_+||^2, ||x_-||^2), with x the threshold z_K at
+    the top of the bin of its face dimension K (z_d = inf), and a
+    subspace's on (||x_1..k||^2, ||x_k+1..d||^2).
 
     Returns (s, t, face_dims) where s[i] is ||proj_C(x_i)||^2, t[i] =
     ||x_i||^2 - s[i] is the squared distance to the cone, and face_dims
@@ -454,7 +461,8 @@ def _sampled_coordinates(cone, X):
         thresh = _zero_threshold(np.sqrt(s + t))[:, None]
         # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
         k = np.count_nonzero(X > thresh, axis=1)
-        return k[:, None].astype(float), np.stack([s, t], axis=1)
+        x = np.append(binomial_normal_thresholds(cone.d), np.inf)[k]
+        return x[:, None], np.stack([s, t], axis=1)
     if isinstance(cone, (Subspace, Trivial)):
         k = _subspace_dim(cone)
         return X[:, :0], np.stack([_sq_norms(X[:, :k]), _sq_norms(X[:, k:])], axis=1)
@@ -472,7 +480,7 @@ def _norms_block(cone, X, Z):
     if isinstance(cone, (Subspace, Trivial)):
         return Z[:, 0], Z[:, 1], np.full(X.shape[0], _subspace_dim(cone), dtype=np.int64)
     if isinstance(cone, Orthant):
-        return Z[:, 0], Z[:, 1], X[:, 0].astype(np.int64)
+        return Z[:, 0], Z[:, 1], _orthant_face_dims(cone, X[:, 0])
     if isinstance(cone, Circular):
         # from x_1 and r^2 = ||z||^2 alone: between the cone and its polar,
         # x projects onto the boundary ray of the plane of e_1 and x, along
@@ -489,11 +497,11 @@ def _norms_block(cone, X, Z):
         vals = np.linalg.eigvalsh(mats)
         pos = np.maximum(vals, 0.0)
         neg = vals - pos
-        return _sq_norms(pos), _sq_norms(neg), None
+        return np.einsum("ij,ij->i", pos, pos), np.einsum("ij,ij->i", neg, neg), None
     if isinstance(cone, Generators):
         proj, fd = _project_generators(cone, X)
         resid = X - proj
-        return _sq_norms(proj), _sq_norms(resid), fd
+        return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
     if isinstance(cone, Product):
         wl, cl = sampled_layout(cone.left)
         sl, tl, fl = _norms_block(cone.left, X[:, :wl], Z[:, :cl])

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bounds import (bennett_tails, circular_interlacing_tail, combined_tail,
                      exp_moment_bound, goe_variance_asymptotics)
-from .cones import (Circular, Orthant, Polar, Product, Psd, Subspace,
-                    ambient_dim, second_order_cone)
+from .cones import (Circular, Generators, Orthant, Polar, Product, Psd,
+                    Subspace, ambient_dim, second_order_cone)
 from .exceptions import ConeVolError
 from .profiles import (biorthogonal_coefficients,
                        estimate_profile_biorthogonal, estimate_profile_face,
@@ -33,10 +33,12 @@ from .steiner import (chi_bar_squared, empirical_steiner_cdf,
 _SCALES = {
     "full": dict(c1=200_000, c2=1_000_000, c3=100_000, c5=200_000,
                  c6=1_000_000, c7=1_000_000, c8=1_000_000, c9=200_000,
-                 c10=200_000, c11=250_000, c13=400_000, c14=30_000),
+                 c10=200_000, c11=250_000, c13=400_000, c14=30_000,
+                 gens=100_000),
     "quick": dict(c1=50_000, c2=150_000, c3=20_000, c5=30_000,
                   c6=200_000, c7=200_000, c8=100_000, c9=50_000,
-                  c10=50_000, c11=50_000, c13=100_000, c14=20_000),
+                  c10=50_000, c11=50_000, c13=100_000, c14=20_000,
+                  gens=50_000),
 }
 
 # cones exercised by the polarity / variance-bound regressions.  The
@@ -62,6 +64,28 @@ _IDENTITY_CONES = (
     ("orthant:8", Orthant(8)),
     ("prod(orthant:3,subspace:2:5)", Product(Orthant(3), Subspace(2, 5))),
 )
+
+# the same cones in generator form: the orthant as the cone of I_8, the
+# subspace as the cone of +-e_1, +-e_2 in R^5.  Sampled orthant and
+# subspace leaves draw their norms from the master Steiner law itself; a
+# generator cone is sampled as full Gaussian rows and projected by
+# nnls_solve, so its checks compare the formulas with real projections.
+# NNLS costs about 5 us a row, so they run on ns["gens"] samples
+_GENERATOR_FORMS = (
+    Generators(np.eye(8)),
+    Product(Generators(np.eye(3)), Generators(np.vstack([np.eye(2, 5), -np.eye(2, 5)]))),
+)
+
+
+def _identity_cases(ns, key, seeds, generator_seeds):
+    """(label, exact cone, sampled cone, seed, samples) for each identity
+    cone, sampled as it is on ns[key] samples, then in generator form."""
+    cases = [(label, cone, cone, seed, ns[key])
+             for (label, cone), seed in zip(_IDENTITY_CONES, seeds)]
+    cases += [(f"{label} as generators", cone, form, seed, ns["gens"])
+              for (label, cone), form, seed in zip(_IDENTITY_CONES, _GENERATOR_FORMS,
+                                                   generator_seeds)]
+    return cases
 
 
 @dataclass(frozen=True)
@@ -136,13 +160,13 @@ def _c06_steiner_cdfs(base, ns, workers, cache):
     grid_g = [0.5, 1.0, 2.0, 4.0, 8.0]
     grid_s = [0.25, 0.5, 0.75, 1.0]
     ok, parts = True, []
-    for (label, cone), seed in zip(_IDENTITY_CONES, (606, 609)):
-        prof = exact_profile(cone)
-        emp_g, _ = empirical_steiner_cdf(cone, grid_g, _config(base + seed, ns["c6"]),
+    for label, exact, cone, seed, n in _identity_cases(ns, "c6", (606, 609), (620, 623)):
+        prof = exact_profile(exact)
+        emp_g, _ = empirical_steiner_cdf(cone, grid_g, _config(base + seed, n),
                                          workers=workers)
         worst_g = max(abs(gaussian_steiner_cdf(prof, lam) - float(emp_g[i]))
                       for i, lam in enumerate(grid_g))
-        emp_s, _ = empirical_steiner_cdf(cone, grid_s, _config(base + seed + 1, ns["c6"]),
+        emp_s, _ = empirical_steiner_cdf(cone, grid_s, _config(base + seed + 1, n),
                                          kind="spherical", workers=workers)
         worst_s = max(abs(spherical_steiner_cdf(prof, lam) - float(emp_s[i]))
                       for i, lam in enumerate(grid_s))
@@ -151,29 +175,32 @@ def _c06_steiner_cdfs(base, ns, workers, cache):
                      f"spherical {worst_s:.2e}")
     # ||proj_C(g)||^2 is dist^2(g, polar C), so the chi-bar-squared law of the
     # product is the Gaussian Steiner CDF of its polar
-    label, cone = _IDENTITY_CONES[1]
-    law = chi_bar_squared(exact_profile(cone))
-    emp_c, _ = empirical_steiner_cdf(Polar(cone), grid_g, _config(base + 612, ns["c6"]),
-                                     workers=workers)
-    worst_c = max(abs(law.cdf(lam) - float(emp_c[i])) for i, lam in enumerate(grid_g))
-    ok = ok and worst_c <= 0.01
-    parts.append(f"{label} chi-bar-squared {worst_c:.2e}")
+    label, exact = _IDENTITY_CONES[1]
+    law = chi_bar_squared(exact_profile(exact))
+    for name, cone, seed, n in ((label, exact, 612, ns["c6"]),
+                                (f"{label} as generators", _GENERATOR_FORMS[1], 626,
+                                 ns["gens"])):
+        emp_c, _ = empirical_steiner_cdf(Polar(cone), grid_g, _config(base + seed, n),
+                                         workers=workers)
+        worst_c = max(abs(law.cdf(lam) - float(emp_c[i])) for i, lam in enumerate(grid_g))
+        ok = ok and worst_c <= 0.01
+        parts.append(f"{name} chi-bar-squared {worst_c:.2e}")
     return ok, "; ".join(parts) + " (tol 0.01)"
 
 
 def _c07_master_functionals(base, ns, workers, cache):
     presets = preset_functionals()
-    # min_a_10 is Monte Carlo on both sides, so the product runs the
-    # quadrature presets only
-    cases = ((_IDENTITY_CONES[0], 707, ("a", "a2", "exp_a4", "min_a_10")),
-             (_IDENTITY_CONES[1], 709, ("a", "a2", "exp_a4")))
+    # min_a_10 is Monte Carlo on both sides, so the product, the second of
+    # each pair of cases, runs the quadrature presets only
+    names = (("a", "a2", "exp_a4", "min_a_10"), ("a", "a2", "exp_a4"))
     worst_name, worst_z = "", 0.0
-    for (label, cone), seed, names in cases:
-        prof = exact_profile(cone)
-        for name in names:
+    for i, (label, exact, cone, seed, n) in enumerate(
+            _identity_cases(ns, "c7", (707, 709), (720, 722))):
+        prof = exact_profile(exact)
+        for name in names[i % 2]:
             f = presets[name]
-            mval, mse = master_phi(f, prof, _config(base + seed, ns["c7"]), workers=workers)
-            dval, dse = phi_mc(cone, f, _config(base + seed + 1, ns["c7"]), workers=workers)
+            mval, mse = master_phi(f, prof, _config(base + seed, n), workers=workers)
+            dval, dse = phi_mc(cone, f, _config(base + seed + 1, n), workers=workers)
             z = float(abs_z(mval - dval, math.hypot(mse, dse)))
             if z >= worst_z:
                 worst_name, worst_z = f"{name} on {label}", z
@@ -213,13 +240,19 @@ def _c09_product_rule(base, ns, workers, cache):
     conv = np.convolve(exact_profile(Orthant(4)).v, exact_profile(Orthant(6)).v)
     truth = exact_profile(Orthant(10)).v
     conv_err = float(np.max(np.abs(conv - truth)))
-    product = Product(Orthant(4), Orthant(6))
-    est = estimate_profile_face(product, _config(base + 909, ns["c9"]),
-                                workers=workers)
-    z = float(np.max(abs_z(est.v - truth, est.stderr)))
-    passed = conv_err <= 1e-12 and z <= 4.0
+    # the sampled product draws its face dimension as Binomial(4, 1/2) +
+    # Binomial(6, 1/2); its generator form counts it from NNLS projections
+    # of full Gaussian rows
+    zs = []
+    for cone, seed, n in ((Product(Orthant(4), Orthant(6)), 909, ns["c9"]),
+                          (Product(Generators(np.eye(4)), Generators(np.eye(6))), 911,
+                           ns["gens"])):
+        est = estimate_profile_face(cone, _config(base + seed, n), workers=workers)
+        zs.append(float(np.max(abs_z(est.v - truth, est.stderr))))
+    passed = conv_err <= 1e-12 and max(zs) <= 4.0
     return passed, (f"convolution err {conv_err:.1e} (tol 1e-12); "
-                    f"face estimate worst |z| {z:.2f} (tol 4)")
+                    f"face estimate worst |z| {zs[0]:.2f}, in generator form "
+                    f"{zs[1]:.2f} (tol 4)")
 
 
 def _regression_summaries(base, ns, workers, cache):
@@ -321,10 +354,11 @@ def _c12_tail_validity(base, ns, workers, cache):
 def _c13_wills(base, ns, workers, cache):
     # exact W(1/2): (3/4)^8 on orthant:8 and (1/2)^2 (3/4)^3 = 27/256 on the product
     ok, parts = True, []
-    for (label, cone), exact, seed in zip(_IDENTITY_CONES, (0.1001129150390625, 27 / 256),
-                                          (1313, 1314)):
-        poly = wills_functional(exact_profile(cone), 0.5)
-        mc, se = wills_mc(cone, 0.5, _config(base + seed, ns["c13"]), workers=workers)
+    cases = _identity_cases(ns, "c13", (1313, 1314), (1320, 1321))
+    exacts = (0.1001129150390625, 27 / 256) * 2
+    for (label, exact_cone, cone, seed, n), exact in zip(cases, exacts):
+        poly = wills_functional(exact_profile(exact_cone), 0.5)
+        mc, se = wills_mc(cone, 0.5, _config(base + seed, n), workers=workers)
         poly_err, mc_err = abs(poly - exact), abs(mc - poly)
         ok = ok and poly_err <= 1e-15 and mc_err <= 0.005
         parts.append(f"{label} polynomial err {poly_err:.1e}, mc err {mc_err:.2e} +- {se:.1e}")

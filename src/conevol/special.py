@@ -261,16 +261,32 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _log_normal_cdf(z):
-    # log Phi(z) for an array of z <= 0; below -36 erfc underflows, and the
-    # asymptotic series of the Mills ratio is exact to rounding there
-    out = np.empty_like(z)
-    near = z > -36.0
-    out[near] = np.log([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z[near].tolist()])
-    far = z[~near]
-    r = 1.0 / (far * far)
+    # log Phi(z) for z <= 0; below -36 erfc underflows, and the asymptotic
+    # series of the Mills ratio is exact to rounding there
+    if z > -36.0:
+        return math.log(0.5 * math.erfc(-z / math.sqrt(2.0)))
+    r = 1.0 / (z * z)
     series = 1.0 + r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (-945.0 + r * 10395.0)))))
-    out[~near] = -0.5 * far * far - np.log(-far) - _LOG_SQRT_2PI + np.log(series)
-    return out
+    return -0.5 * z * z - math.log(-z) - _LOG_SQRT_2PI + math.log(series)
+
+
+def _lower_normal_quantile(p, log_p):
+    # the z <= 0 with Phi(z) = P, given log P <= log 1/2 and P itself, or 0.0
+    # where P is too small to keep.  Newton on log Phi(z) = log P starts at
+    # -sqrt(-2 log P), left of the root; log Phi is concave, so the iterates
+    # rise to the root.  Where P is a normal float, a last Newton step on
+    # Phi(z) = P brings Phi(z) as close to P as a few units in z's last
+    # place allow
+    z = -math.sqrt(-2.0 * log_p)
+    while True:
+        log_phi = _log_normal_cdf(z)
+        step = (log_p - log_phi) * math.exp(log_phi + 0.5 * z * z + _LOG_SQRT_2PI)
+        z, before = z + step, z
+        if abs(step) <= 1e-15 * (1.0 + abs(before)):
+            break
+    if p > 0.0:
+        z += (p - 0.5 * math.erfc(-z / math.sqrt(2.0))) * math.exp(0.5 * z * z + _LOG_SQRT_2PI)
+    return z
 
 
 @lru_cache(maxsize=256)
@@ -279,41 +295,24 @@ def binomial_normal_thresholds(d):
 
     For a standard normal x, K = searchsorted(z, x), the number of
     thresholds below x, is Binomial(d, 1/2).  The CDF of the lower half
-    comes from exact integer sums of binomial coefficients; the upper
-    half mirrors it, z_{d-1-k} = -z_k, with z = 0 in the middle for odd d.
-    Each z_k solves log Phi(z) = log P by Newton's method from
-    -sqrt(-2 log P), left of the root; log Phi is concave, so the
-    iterates rise to the root.  Where P is a normal float, a last Newton
-    step on Phi(z) = P brings Phi(z_k) as close to P as a few units in
-    z_k's last place allow.  Memoized per d.
+    comes from exact integer sums of binomial coefficients, and each of
+    its z_k from Newton's method in scalar floats (_lower_normal_quantile);
+    the upper half mirrors it, z_{d-1-k} = -z_k, with z = 0 in the middle
+    for odd d.  Memoized per d.
     """
-    m = d // 2
-    p, log_p = np.empty(m), np.empty(m)
+    half = []
     scale = 1 << d
     coef, total = 1, 0
-    for k in range(m):
+    for k in range(d // 2):
         total += coef
         # below 2**-990 (about 1e-298) only log P is kept
         if total.bit_length() > d - 990:
-            p[k] = total / scale
-            log_p[k] = math.log(p[k])
+            p = total / scale
+            half.append(_lower_normal_quantile(p, math.log(p)))
         else:
-            p[k] = 0.0
-            log_p[k] = math.log(total) - d * math.log(2.0)
+            half.append(_lower_normal_quantile(0.0, math.log(total) - d * math.log(2.0)))
         coef = coef * (d - k) // (k + 1)
-    z = -np.sqrt(-2.0 * log_p)
-    live = np.arange(m)
-    while live.size:
-        zl = z[live]
-        log_phi = _log_normal_cdf(zl)
-        step = (log_p[live] - log_phi) * np.exp(log_phi + 0.5 * zl * zl + _LOG_SQRT_2PI)
-        z[live] = zl + step
-        live = live[np.abs(step) > 1e-15 * (1.0 + np.abs(zl))]
-    normal = p > 0.0
-    zn = z[normal]
-    phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in zn.tolist()])
-    z[normal] = zn + (p[normal] - phi) * np.exp(0.5 * zn * zn + _LOG_SQRT_2PI)
-    z = np.concatenate([z, [0.0] if d % 2 else [], -z[::-1]])
+    z = np.array(half + ([0.0] if d % 2 else []) + [-x for x in reversed(half)])
     z.setflags(write=False)
     return z
 

@@ -32,6 +32,7 @@ from conevol.cones import (
 )
 from conevol.exceptions import ConeSpecError, DimensionMismatchError
 from conevol.linalg import nnls_solve
+from conevol.special import binomial_normal_thresholds
 from nnls_oracle import active_ranks, pointed_wide_generators, reference_norms
 
 
@@ -311,12 +312,14 @@ def test_norms_block_matches_rowwise_projection(label):
 
 
 def _sampled_statistics(cone, X):
-    """The sampled coordinates of full rows X, leaf by leaf: (K) and
-    (||x_+||^2, ||x_-||^2) for an orthant, (x_1) and (||z||^2) for a
+    """The sampled coordinates of full rows X, leaf by leaf: (x) and
+    (||x_+||^2, ||x_-||^2) for an orthant, with x the threshold z_K that
+    stands for its face dimension K (z_d = inf), (x_1) and (||z||^2) for a
     circular cone, () and (||x_1..k||^2, ||x_k+1..d||^2) for a subspace."""
     if isinstance(cone, Orthant):
         pos, neg = np.maximum(X, 0.0), np.minimum(X, 0.0)
-        return (np.sum(X > 0.0, axis=1)[:, None].astype(float),
+        z = np.append(binomial_normal_thresholds(cone.d), np.inf)
+        return (z[np.sum(X > 0.0, axis=1)][:, None],
                 np.stack([np.sum(pos * pos, axis=1), np.sum(neg * neg, axis=1)], axis=1))
     if isinstance(cone, Circular):
         return X[:, :1], np.sum(X[:, 1:] ** 2, axis=1)[:, None]
@@ -371,14 +374,14 @@ def test_sampled_layout_lists_circular_leaves_left_to_right():
     assert sampled_layout(cone) == (1 + 3 + 1, 2)
     X = np.zeros((2, 5))
     assert np.array_equal(chi_square_dofs(cone, X), [[3.0, 5.0]] * 2)
-    # orthant and subspace leaves, left to right, each orthant's Gaussian
-    # column turned into its face dimension in place
+    # orthant and subspace leaves, left to right, each orthant's normal
+    # standing for its face dimension, which X keeps
     cone = Product(Orthant(3), Product(Subspace(1, 4), Polar(Orthant(2))))
     assert sampled_layout(cone) == (2, 6)
     X = np.array([[-40.0, 40.0], [40.0, -40.0]])
     assert np.array_equal(chi_square_dofs(cone, X),
                           [[0.0, 3.0, 1.0, 3.0, 2.0, 0.0], [3.0, 0.0, 1.0, 3.0, 0.0, 2.0]])
-    assert np.array_equal(X, [[0.0, 2.0], [3.0, 0.0]])
+    assert np.array_equal(X, [[-40.0, 40.0], [40.0, -40.0]])
     assert sampled_layout(Product(Psd(2), Trivial(2))) == (3, 2)
 
 

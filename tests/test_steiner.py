@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conevol.cones import Circular, Orthant, Product, Subspace, Trivial
+from conevol.cones import Circular, Generators, Orthant, Polar, Product, Subspace, Trivial
 from conevol.profiles import (
     exact_profile,
     profile_from_raw,
@@ -338,6 +338,46 @@ def test_wills_mc_direct_branch_and_unit_case():
     assert abs(est - 1.25 ** 6) < 4.0 * se
     with pytest.raises(ValueError):
         wills_mc(cone, 0.0, cfg)
+
+
+# Generator forms of an orthant and of a product that is not palindromic:
+# the orthant as the cone of I_6, the subspace as the cone of +-e_1, +-e_2
+# in R^5.  Sampled orthant and subspace leaves draw their norms from the
+# master Steiner law itself; a generator cone is sampled as full Gaussian
+# rows and projected by nnls_solve, so the Monte Carlo side of each
+# identity below comes from real projections
+_GENERATOR_FORMS = {
+    "orthant:6": (Orthant(6), Generators(np.eye(6))),
+    "prod(orthant:3,subspace:2:5)": (
+        Product(Orthant(3), Subspace(2, 5)),
+        Product(Generators(np.eye(3)), Generators(np.vstack([np.eye(2, 5), -np.eye(2, 5)])))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_GENERATOR_FORMS))
+def test_monte_carlo_identities_on_full_gaussian_rows(label):
+    exact, cone = _GENERATOR_FORMS[label]
+    prof = exact_profile(exact)
+    cfg = MonteCarloConfig(seed=18, total_samples=40_000)
+    grid = np.array([0.5, 1.0, 2.0, 4.0])
+    p, se = empirical_steiner_cdf(cone, grid, cfg)
+    truth = np.array([gaussian_steiner_cdf(prof, lam) for lam in grid])
+    assert np.all(np.abs(p - truth) < 4.0 * se + 1e-3)
+    q, qse = empirical_steiner_cdf(cone, np.array([0.25, 0.75]), cfg, kind="spherical")
+    struth = np.array([spherical_steiner_cdf(prof, lam) for lam in (0.25, 0.75)])
+    assert np.all(np.abs(q - struth) < 4.0 * qse + 1e-3)
+    # ||proj_C(g)||^2 is dist^2(g, polar C)
+    c, cse = empirical_steiner_cdf(Polar(cone), grid, cfg)
+    ctruth = np.array([chi_bar_squared(prof).cdf(lam) for lam in grid])
+    assert np.all(np.abs(c - ctruth) < 4.0 * cse + 1e-3)
+    for name in ("a", "min_a_10"):
+        f = preset_functionals()[name]
+        lhs, lhs_se = phi_mc(cone, f, MonteCarloConfig(seed=19, total_samples=40_000))
+        rhs, rhs_se = master_phi(f, prof, config=MonteCarloConfig(seed=79, total_samples=40_000))
+        assert abs(lhs - rhs) < 4.0 * math.hypot(lhs_se, rhs_se) + 1e-3
+    for lam in (0.5, 1.5):
+        est, se = wills_mc(cone, lam, MonteCarloConfig(seed=20, total_samples=40_000))
+        assert abs(est - wills_functional(prof, lam)) < 4.0 * se
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 _STEINER = "src/conevol/steiner.py"
 _NOT_PALINDROMIC = "tests/test_steiner.py::test_expansion_cdfs_on_profiles_that_are_not_palindromic"
 _SPECIAL = "src/conevol/special.py"
+_TRIDIAGONAL = "tests/test_sampling.py::test_tridiagonal_psd_matches_full_rows"
 _LAGUERRE = ("tests/test_special.py::test_gauss_laguerre_gamma_moments",
              "tests/test_special.py::test_gauss_laguerre_is_exact_to_degree_2n_minus_1",
              "tests/test_special.py::test_gauss_laguerre_400_nodes_matches_mpmath",
@@ -74,17 +75,25 @@ MUTANTS = (
            "np.where(x1 <= -nrm * ca, 0.0",
            ("tests/test_cones.py::test_norms_block_matches_rowwise_projection",)),
     Mutant("circular-chi-square-dof-d", "src/conevol/cones.py",
-           "dofs[:, 0] = cone.d - 1",
-           "dofs[:, 0] = cone.d",
+           "out.fill(cone.d - 1)",
+           "out.fill(cone.d)",
            ("tests/test_profiles.py::test_estimates_match_exact_circular_profiles",)),
     Mutant("orthant-chi-square-dofs-swapped", "src/conevol/cones.py",
-           "dofs[:, 0] = k\n        dofs[:, 1] = cone.d - k",
-           "dofs[:, 0] = cone.d - k\n        dofs[:, 1] = k",
+           "out[:, 0], out[:, 1] = k, cone.d - k",
+           "out[:, 0], out[:, 1] = cone.d - k, k",
            ("tests/test_sampling.py::test_orthant_norms_given_face_dimension",)),
     Mutant("subspace-chi-square-dofs-swapped", "src/conevol/cones.py",
-           "dofs[:, 0] = k\n        dofs[:, 1] = ambient_dim(cone) - k",
-           "dofs[:, 0] = ambient_dim(cone) - k\n        dofs[:, 1] = k",
+           "out[:, 0], out[:, 1] = k, ambient_dim(cone) - k",
+           "out[:, 0], out[:, 1] = ambient_dim(cone) - k, k",
            ("tests/test_sampling.py::test_moments_match_exact_profiles_over_seeds",)),
+    Mutant("psd-tridiagonal-missing-half", "src/conevol/cones.py",
+           "np.sqrt(z[rows] / 2)",
+           "np.sqrt(z[rows])",
+           (_TRIDIAGONAL,)),
+    Mutant("psd-tridiagonal-dofs-off-by-one", "src/conevol/cones.py",
+           "np.arange(cone.n - 1, 0, -1)",
+           "np.arange(cone.n, 1, -1)",
+           (_TRIDIAGONAL,)),
     Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
            "spawn_key=(chunk_index,)).spawn(1)[0]",
            "spawn_key=(chunk_index, 1))",

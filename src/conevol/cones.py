@@ -16,12 +16,13 @@ factor so that Euclidean norm equals Frobenius norm.
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConeSpecError, DimensionMismatchError, UnsupportedConeError
-from .linalg import nnls_solve
+from .linalg import _STACK_VALUES, nnls_solve
 from .special import binomial_normal_thresholds
 
 MAX_AMBIENT_DIM = 10_000
@@ -135,30 +136,14 @@ class Polar:
 
 def ambient_dim(cone):
     """Dimension of the space the cone lives in."""
-    if isinstance(cone, Subspace):
-        return cone.ambient
-    if isinstance(cone, (Orthant, Trivial)):
-        return cone.d
-    if isinstance(cone, Circular):
-        return cone.d
-    if isinstance(cone, Psd):
-        return cone.n * (cone.n + 1) // 2
-    if isinstance(cone, Generators):
-        return cone.matrix.shape[1]
-    if isinstance(cone, Product):
-        return ambient_dim(cone.left) + ambient_dim(cone.right)
-    if isinstance(cone, Polar):
-        return ambient_dim(cone.inner)
-    raise UnsupportedConeError(f"not a cone descriptor: {cone!r}")
+    return _fold(cone, lambda kind, leaf: kind.ambient(leaf), lambda a, b: a + b,
+                 lambda inner: inner)
 
 
 def supports_face_dim(cone):
     """True when per-sample face dimensions are defined (polyhedral variants)."""
-    if isinstance(cone, (Subspace, Orthant, Trivial, Generators)):
-        return True
-    if isinstance(cone, Product):
-        return supports_face_dim(cone.left) and supports_face_dim(cone.right)
-    return False
+    return _fold(cone, lambda kind, leaf: kind.faces, lambda a, b: a and b,
+                 lambda inner: False)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +153,14 @@ def supports_face_dim(cone):
 _SQRT2 = math.sqrt(2.0)
 
 
-def _triu_indices(n):
-    return np.triu_indices(n)
-
-
 def sym_to_vec(s):
     """Isometric vectorization of a symmetric matrix (off-diagonals * sqrt2)."""
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {s.shape}")
-    iu, ju = _triu_indices(n)
-    v = s[iu, ju].copy()
-    v[iu != ju] *= _SQRT2
-    return v
+    iu, ju = np.triu_indices(n)
+    return np.where(iu == ju, 1.0, _SQRT2) * s[iu, ju]
 
 
 def vec_to_sym(v, n):
@@ -189,26 +168,9 @@ def vec_to_sym(v, n):
     v = np.asarray(v, dtype=float)
     if v.shape != (n * (n + 1) // 2,):
         raise ValueError(f"expected length {n*(n+1)//2}, got {v.shape}")
-    iu, ju = _triu_indices(n)
+    iu, ju = np.triu_indices(n)
     s = np.zeros((n, n))
-    off = iu != ju
-    vals = v.copy()
-    vals[off] /= _SQRT2
-    s[iu, ju] = vals
-    s[ju, iu] = vals
-    return s
-
-
-def _vec_to_sym_block(x, n):
-    # (B, n(n+1)/2) -> (B, n, n), lower triangles only: eigvalsh reads no
-    # other entry.  Dividing by 1 on the diagonal and sqrt 2 below it gives
-    # the bits vec_to_sym gives, without a copy of x
-    iu, ju = _triu_indices(n)
-    s = np.zeros((x.shape[0], n, n))
-    s[:, ju, iu] = x
-    scale = np.full((n, n), _SQRT2)
-    np.fill_diagonal(scale, 1.0)
-    s /= scale
+    s[iu, ju] = s[ju, iu] = v / np.where(iu == ju, 1.0, _SQRT2)
     return s
 
 
@@ -244,50 +206,18 @@ def project(cone, x):
         raise DimensionMismatchError(f"point has shape {x.shape}, cone lives in R^{d}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point contains non-finite coordinates")
-    proj, fd = _project_vector(cone, x)
+    # each leaf gives (its coordinates, its projection, its face dimension)
+    parts = iter([(full, *kind.project(leaf, x[full])) for leaf, kind, _, _, full in _leaves(cone)])
+    _, proj, fd = _fold(cone, lambda kind, leaf: next(parts),
+                        lambda a, b: (slice(a[0].start, b[0].stop), np.concatenate([a[1], b[1]]),
+                                      _add_faces(a[2], b[2])),
+                        lambda inner: (inner[0], x[inner[0]] - inner[1], None))
     resid = x - proj
-    return ProjectionOutcome(
-        projection=proj,
-        residual=resid,
-        sq_norm_proj=float(proj @ proj),
-        sq_norm_residual=float(resid @ resid),
-        face_dim=fd,
-    )
+    return ProjectionOutcome(proj, resid, float(proj @ proj), float(resid @ resid), fd)
 
 
-def _project_vector(cone, x):
-    if isinstance(cone, Subspace):
-        proj = np.zeros_like(x)
-        proj[:cone.dim] = x[:cone.dim]
-        return proj, cone.dim
-    if isinstance(cone, Orthant):
-        proj = np.maximum(x, 0.0)
-        nx = math.sqrt(float(x @ x))
-        return proj, int(np.count_nonzero(proj > _zero_threshold(nx)))
-    if isinstance(cone, Trivial):
-        return np.zeros_like(x), 0
-    if isinstance(cone, Circular):
-        return _project_circular(cone, x), None
-    if isinstance(cone, Psd):
-        s = vec_to_sym(x, cone.n)
-        s = 0.5 * (s + s.T)
-        vals, vecs = np.linalg.eigh(s)
-        pos = np.maximum(vals, 0.0)
-        proj = (vecs * pos) @ vecs.T
-        return sym_to_vec(proj), None
-    if isinstance(cone, Generators):
-        proj, fd = _project_generators(cone, x[None])
-        return proj[0], int(fd[0])
-    if isinstance(cone, Product):
-        dl = ambient_dim(cone.left)
-        pl, fl = _project_vector(cone.left, x[:dl])
-        pr, fr = _project_vector(cone.right, x[dl:])
-        fd = fl + fr if (fl is not None and fr is not None) else None
-        return np.concatenate([pl, pr]), fd
-    if isinstance(cone, Polar):
-        inner_proj, _ = _project_vector(cone.inner, x)
-        return x - inner_proj, None
-    raise UnsupportedConeError(f"not a cone descriptor: {cone!r}")
+def _add_faces(left, right):
+    return left + right if (left is not None and right is not None) else None
 
 
 def _project_circular(cone, x):
@@ -296,20 +226,20 @@ def _project_circular(cone, x):
     z = x[1:]
     nrm = math.sqrt(float(x @ x))
     if x1 >= nrm * ca:
-        return x.copy()
+        return x.copy(), None
     if x1 <= -nrm * sa:
-        return np.zeros_like(x)
+        return np.zeros_like(x), None
     r = math.sqrt(float(z @ z))
     rho = x1 * ca + r * sa
     proj = np.empty_like(x)
     proj[0] = rho * ca
     proj[1:] = (rho * sa / r) * z
-    return proj
+    return proj, None
 
 
-def _subspace_dim(cone):
-    # Trivial(d) is sampled as Subspace(0, d)
-    return cone.dim if isinstance(cone, Subspace) else 0
+def _project_psd(cone, x):
+    vals, vecs = np.linalg.eigh(vec_to_sym(x, cone.n))
+    return sym_to_vec((vecs * np.maximum(vals, 0.0)) @ vecs.T), None
 
 
 def _sq_norms(X):
@@ -337,181 +267,268 @@ def _project_generators(cone, X):
 
 
 # ---------------------------------------------------------------------------
-# vectorized norms for the sampling hot path
+# leaf types, and vectorized norms for the sampling hot path
 # ---------------------------------------------------------------------------
+
+# One leaf type: ambient, faces, project and spec serve the functions of
+# those names (spec cone_to_spec), and columns, dofs(cone, x, out), sampled
+# and norms its sampled coordinates in sampled_layout, chi_square_dofs
+# (writing a leaf's columns to out) and norms_block.
+_Leaf = namedtuple("_Leaf", "ambient faces project spec columns dofs sampled norms")
+
+
+def _subspace_project(cone, x):
+    k = getattr(cone, "dim", 0)
+    return np.concatenate([x[:k], np.zeros(x.size - k)]), k
+
+
+def _subspace_dofs(cone, x, out):
+    k = getattr(cone, "dim", 0)
+    out[:, 0], out[:, 1] = k, ambient_dim(cone) - k
+    return k
+
+
+def _subspace_sampled(cone, X):
+    k = getattr(cone, "dim", 0)
+    return X[:, :0], np.stack([_sq_norms(X[:, :k]), _sq_norms(X[:, k:])], axis=1), k
+
+
+def _orthant_project(cone, x):
+    proj = np.maximum(x, 0.0)
+    return proj, int(np.count_nonzero(proj > _zero_threshold(math.sqrt(float(x @ x)))))
+
+
+def _orthant_dofs(cone, x, out):
+    # K = searchsorted(z, x), the number of the leaf's thresholds
+    # special.binomial_normal_thresholds below its normal x: Binomial(d, 1/2)
+    k = np.searchsorted(binomial_normal_thresholds(cone.d), x[:, 0])
+    out[:, 0], out[:, 1] = k, cone.d - k
+    return k
+
+
+def _orthant_sampled(cone, X):
+    # one temporary holds the positive, then the negative part
+    part = np.maximum(X, 0.0)
+    s = _sq_norms(part)
+    np.minimum(X, 0.0, out=part)
+    t = _sq_norms(part)
+    thresh = _zero_threshold(np.sqrt(s + t))[:, None]
+    # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
+    k = np.count_nonzero(X > thresh, axis=1)
+    x = np.append(binomial_normal_thresholds(cone.d), np.inf)[k]
+    return x[:, None], np.stack([s, t], axis=1), k
+
+
+def _circular_norms(cone, x, z, _):
+    # from x_1 and r^2 = ||z||^2 alone: between the cone and its polar,
+    # x projects onto the boundary ray of the plane of e_1 and x, along
+    # which it has length rho = x_1 cos(alpha) + r sin(alpha)
+    ca, sa = math.cos(cone.alpha), math.sin(cone.alpha)
+    x1, r2 = x[:, 0], z[:, 0]
+    sq = x1 * x1 + r2
+    nrm = np.sqrt(sq)
+    rho = x1 * ca + np.sqrt(r2) * sa
+    s = np.where(x1 >= nrm * ca, sq, np.where(x1 <= -nrm * sa, 0.0, rho * rho))
+    return s, sq - s, None
+
+
+def _matrix_slices(count, n):
+    # slices of count rows, each with one reused zeroed (rows, n, n) stack of
+    # about _STACK_VALUES entries: eigvalsh works matrix by matrix, so
+    # slices change no bits, and every slice writes the same entries
+    step = max(1, min(count, _STACK_VALUES // (n * n)))
+    mats = np.zeros((step, n, n))
+    for r0 in range(0, count, step):
+        rows = slice(r0, min(r0 + step, count))
+        yield rows, mats[:rows.stop - r0]
+
+
+def _psd_sampled(cone, X):
+    # full rows -> (eigenvalues, 0): a diagonal matrix is its own tridiagonal
+    # form.  eigvalsh reads only the lower triangles, filled as vec_to_sym
+    iu, ju = np.triu_indices(cone.n)
+    scale = np.where(iu == ju, 1.0, _SQRT2)
+    vals = np.empty((X.shape[0], cone.n))
+    for rows, mats in _matrix_slices(X.shape[0], cone.n):
+        mats[:, ju, iu] = X[rows] / scale
+        vals[rows] = np.linalg.eigvalsh(mats)
+    return vals, np.zeros((X.shape[0], cone.n - 1)), None
+
+
+def _psd_norms(cone, x, z, _):
+    # s and t: squared norms of the positive and negative eigenvalues of the
+    # tridiagonal matrices with diagonal x, subdiagonal sqrt(z / 2) (lower only)
+    n = cone.n
+    s, t = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for rows, mats in _matrix_slices(x.shape[0], n):
+        flat = mats.reshape(-1, n * n)
+        flat[:, ::n + 1] = x[rows]
+        flat[:, n::n + 1] = np.sqrt(z[rows] / 2)
+        vals = np.linalg.eigvalsh(mats)
+        pos = np.maximum(vals, 0.0)
+        neg = vals - pos
+        s[rows] = np.einsum("ij,ij->i", pos, pos)
+        t[rows] = np.einsum("ij,ij->i", neg, neg)
+    return s, t, None
+
+
+def _generator_project(cone, x):
+    proj, fd = _project_generators(cone, x[None])
+    return proj[0], int(fd[0])
+
+
+def _generator_norms(cone, x, z, _):
+    proj, fd = _project_generators(cone, x)
+    resid = x - proj
+    return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
+
+
+def _generator_spec(cone):
+    if not cone.source:
+        raise UnsupportedConeError("generator cone was not loaded from a file")
+    return f"gens:{cone.source}"
+
+
+_SUBSPACE = _Leaf(
+    ambient=lambda cone: cone.ambient, faces=True, project=_subspace_project,
+    spec=lambda cone: f"subspace:{cone.dim}:{cone.ambient}",
+    columns=lambda cone: (0, 2), dofs=_subspace_dofs, sampled=_subspace_sampled,
+    norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], np.full(x.shape[0], k, dtype=np.int64)))
+
+_LEAVES = {
+    Subspace: _SUBSPACE,
+    # Trivial(d) is Subspace(0, d): it has no dim, read as 0
+    Trivial: _SUBSPACE._replace(ambient=lambda cone: cone.d,
+                                spec=lambda cone: f"trivial:{cone.d}"),
+    Orthant: _Leaf(
+        ambient=lambda cone: cone.d, faces=True, project=_orthant_project,
+        spec=lambda cone: f"orthant:{cone.d}",
+        columns=lambda cone: (1, 2), dofs=_orthant_dofs, sampled=_orthant_sampled,
+        norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], k)),
+    Circular: _Leaf(
+        ambient=lambda cone: cone.d, faces=False, project=_project_circular,
+        spec=lambda cone: "circ:%d:%.17g" % (cone.d, cone.alpha),
+        columns=lambda cone: (1, 1), dofs=lambda cone, x, out: out.fill(cone.d - 1),
+        sampled=lambda cone, X: (X[:, :1], _sq_norms(X[:, 1:])[:, None], None),
+        norms=_circular_norms),
+    Psd: _Leaf(
+        ambient=lambda cone: cone.n * (cone.n + 1) // 2, faces=False, project=_project_psd,
+        spec=lambda cone: f"psd:{cone.n}", columns=lambda cone: (cone.n, cone.n - 1),
+        dofs=lambda cone, x, out: np.copyto(out, np.arange(cone.n - 1, 0, -1)),
+        sampled=_psd_sampled, norms=_psd_norms),
+    Generators: _Leaf(
+        ambient=lambda cone: cone.matrix.shape[1], faces=True,
+        project=_generator_project,
+        spec=_generator_spec, columns=lambda cone: (cone.matrix.shape[1], 0),
+        dofs=lambda cone, x, out: None, sampled=lambda cone, X: (X, X[:, :0], None),
+        norms=_generator_norms),
+}
+
+
+def _fold(cone, leaf, product, polar):
+    """The one Product/Polar recursion: leaf(kind, cone) on each leaf of a
+    cone, from left to right, kind its _Leaf, combined by
+    product(left, right) and polar(inner)."""
+    if isinstance(cone, Product):
+        left = _fold(cone.left, leaf, product, polar)
+        return product(left, _fold(cone.right, leaf, product, polar))
+    if isinstance(cone, Polar):
+        return polar(_fold(cone.inner, leaf, product, polar))
+    kind = _LEAVES.get(type(cone))
+    if kind is None:
+        raise UnsupportedConeError(f"not a cone descriptor: {cone!r}")
+    return leaf(kind, cone)
+
+
+def _leaves(cone):
+    # (leaf, kind, Gaussian columns, chi-square columns, full-row
+    # coordinates) of each leaf of a cone, from left to right
+    placed, g, c, a = [], 0, 0, 0
+    for kind, leaf in _fold(cone, lambda kind, leaf: [(kind, leaf)], list.__add__, list):
+        (width, columns), d = kind.columns(leaf), kind.ambient(leaf)
+        placed.append((leaf, kind, slice(g, g + width), slice(c, c + columns), slice(a, a + d)))
+        g, c, a = g + width, c + columns, a + d
+    return placed
+
 
 def sampled_layout(cone):
     """(Gaussian columns, chi-square columns) of the sampled coordinates
-    of a cone.
+    of a cone, its leaves listed from left to right.  A leaf is sampled as
+    the few statistics its norms depend on, not as its d coordinates:
 
-    A leaf whose norms depend on a Gaussian point only through a few
-    statistics is sampled as those statistics, not as its d coordinates:
-
-    - Circular(d, alpha) through x_1 and ||z||^2 ~ chi-square(d - 1),
-      z = x_2..d: one Gaussian column and one chi-square column;
-    - Orthant(d) through its face dimension K ~ Binomial(d, 1/2) and, given
-      K = k, s ~ chi-square(k) and t ~ chi-square(d - k), independent (the
-      master Steiner formula of McCoy and Tropp): one Gaussian column, a
-      normal x that stands for K = searchsorted(z, x), z the leaf's
+    - Circular(d, alpha): x_1 and ||z||^2 ~ chi-square(d - 1), z = x_2..d;
+    - Orthant(d): its face dimension K ~ Binomial(d, 1/2), then given K = k
+      s ~ chi-square(k) and t ~ chi-square(d - k), independent (the master
+      Steiner formula of McCoy and Tropp): one Gaussian column, a normal x
+      that stands for K = searchsorted(z, x), z the leaf's
       special.binomial_normal_thresholds, and two chi-square columns;
-    - Subspace(k, d) through s ~ chi-square(k) and t ~ chi-square(d - k),
-      and Trivial(d) as Subspace(0, d): two chi-square columns.
+    - Subspace(k, d), and Trivial(d) as Subspace(0, d): s ~ chi-square(k)
+      and t ~ chi-square(d - k), two chi-square columns;
+    - Psd(n): its eigenvalues follow the GOE law, as do those of the
+      symmetric tridiagonal matrix with N(0, 1) diagonal and subdiagonal
+      sqrt(chi-square(n - i) / 2), i = 1..n-1 (Dumitriu and Edelman,
+      "Matrix models for beta ensembles", J. Math. Phys. 43, 2002): n
+      Gaussian columns (the diagonal) and n - 1 chi-square columns with
+      degrees of freedom n - 1, ..., 1.
 
-    Psd and generator leaves keep their full Gaussian rows.  Columns list
-    the leaves from left to right.
+    Generator leaves keep their full Gaussian rows.
     """
-    if isinstance(cone, Orthant):
-        return 1, 2
-    if isinstance(cone, Circular):
-        return 1, 1
-    if isinstance(cone, (Subspace, Trivial)):
-        return 0, 2
-    if isinstance(cone, Product):
-        wl, cl = sampled_layout(cone.left)
-        wr, cr = sampled_layout(cone.right)
-        return wl + wr, cl + cr
-    if isinstance(cone, Polar):
-        return sampled_layout(cone.inner)
-    return ambient_dim(cone), 0
-
-
-def _orthant_face_dims(cone, x):
-    # K = searchsorted(z, x), the number of the leaf's thresholds
-    # special.binomial_normal_thresholds below a normal x: Binomial(d, 1/2)
-    return np.searchsorted(binomial_normal_thresholds(cone.d), x)
+    _, _, width, columns, _ = _leaves(cone)[-1]
+    return width.stop, columns.stop
 
 
 def chi_square_dofs(cone, X):
-    """Degrees of freedom of the chi-square columns of the rows whose
-    sampled Gaussian columns are X, as a float array of shape (B, columns).
-
-    An orthant leaf's columns are K and d - K, K the face dimension its
-    normal x stands for; a circular leaf's column is d - 1, and a
-    subspace's are k and d - k.
-    """
-    dofs = np.empty((X.shape[0], sampled_layout(cone)[1]))
-    _fill_chi_square_dofs(cone, X, dofs)
-    return dofs
-
-
-def _fill_chi_square_dofs(cone, X, dofs):
-    if isinstance(cone, Orthant):
-        k = _orthant_face_dims(cone, X[:, 0])
-        dofs[:, 0] = k
-        dofs[:, 1] = cone.d - k
-    elif isinstance(cone, Circular):
-        dofs[:, 0] = cone.d - 1
-    elif isinstance(cone, (Subspace, Trivial)):
-        k = _subspace_dim(cone)
-        dofs[:, 0] = k
-        dofs[:, 1] = ambient_dim(cone) - k
-    elif isinstance(cone, Product):
-        wl, cl = sampled_layout(cone.left)
-        _fill_chi_square_dofs(cone.left, X[:, :wl], dofs[:, :cl])
-        _fill_chi_square_dofs(cone.right, X[:, wl:], dofs[:, cl:])
-    elif isinstance(cone, Polar):
-        _fill_chi_square_dofs(cone.inner, X, dofs)
+    """(dofs, faces) for sampled Gaussian columns X: dofs, of shape (B,
+    columns), holds the degrees of freedom of the chi-square columns, and
+    faces what norms_block needs of them, one entry per leaf.  An orthant
+    leaf's columns are K and d - K, its entry K; a subspace's k and d - k,
+    entry k; a circular leaf's d - 1 and a psd leaf's n - 1, ..., 1, entry
+    None."""
+    leaves = _leaves(cone)
+    dofs = np.empty((X.shape[0], leaves[-1][3].stop))
+    return dofs, [kind.dofs(leaf, X[:, g], dofs[:, c]) for leaf, kind, g, c, _ in leaves]
 
 
-def norms_block(cone, X, Z=None):
+def norms_block(cone, X, Z=None, faces=None):
     """Squared projection / residual norms for a block of points.
 
     X has shape (B, d) and holds full rows.  Given Z, of shape (B, L), it
     holds the sampled coordinates of sampled_layout(cone) instead, as
-    map_chunks draws them: X the Gaussian columns and Z the chi-square
-    columns.  Full rows are reduced to that form first, so each cone has
-    one projection formula: a circular leaf's on (x_1, ||z||^2), an
-    orthant's on (x, ||x_+||^2, ||x_-||^2), with x the threshold z_K at
-    the top of the bin of its face dimension K (z_d = inf), and a
-    subspace's on (||x_1..k||^2, ||x_k+1..d||^2).
+    map_chunks draws them: X the Gaussian columns, Z the chi-square
+    columns and faces what chi_square_dofs gave for X (found again if not
+    given).  Full rows are reduced to that form first, so each leaf has one
+    projection formula: for an orthant, x is the threshold z_K at the top
+    of the bin of its face dimension K (z_d = inf), and a psd row becomes
+    the tridiagonal matrix (lambda, 0), lambda its eigenvalues.
 
     Returns (s, t, face_dims) where s[i] is ||proj_C(x_i)||^2, t[i] =
     ||x_i||^2 - s[i] is the squared distance to the cone, and face_dims
     is an int array or None when the variant has no face structure.
     Matches project() sample by sample.  A generator cone solves the
-    whole block with one nnls_solve call and counts each row's active
-    generators as its face dimension (see _project_generators); every row
-    gets the bits it would get alone, whatever block it comes in.
+    whole block with one nnls_solve call; every row gets the bits it would
+    get alone, whatever block it comes in.
     """
     X = np.asarray(X, dtype=float)
+    leaves = _leaves(cone)
+    width, columns, d = (s.stop for s in leaves[-1][2:])
     if Z is None:
-        if X.ndim != 2 or X.shape[1] != ambient_dim(cone):
-            raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{ambient_dim(cone)}")
-        X, Z = _sampled_coordinates(cone, X)
+        if X.ndim != 2 or X.shape[1] != d:
+            raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{d}")
+        x, z, faces = zip(*(kind.sampled(leaf, X[:, full]) for leaf, kind, _, _, full in leaves))
+        X, Z = (a[0] if len(a) == 1 else np.hstack(a) for a in (x, z))
     else:
-        width, columns = sampled_layout(cone)
         Z = np.asarray(Z, dtype=float)
         if X.ndim != 2 or X.shape[1] != width or Z.shape != (X.shape[0], columns):
             raise DimensionMismatchError(
                 f"blocks of shape {X.shape} and {Z.shape} do not fit {width} Gaussian "
                 f"and {columns} chi-square columns")
-    return _norms_block(cone, X, Z)
-
-
-def _sampled_coordinates(cone, X):
-    # full rows -> (sampled Gaussian columns, chi-square columns)
-    if isinstance(cone, Circular):
-        return X[:, :1], _sq_norms(X[:, 1:])[:, None]
-    if isinstance(cone, Orthant):
-        # one temporary holds the positive, then the negative part
-        part = np.maximum(X, 0.0)
-        s = _sq_norms(part)
-        np.minimum(X, 0.0, out=part)
-        t = _sq_norms(part)
-        thresh = _zero_threshold(np.sqrt(s + t))[:, None]
-        # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
-        k = np.count_nonzero(X > thresh, axis=1)
-        x = np.append(binomial_normal_thresholds(cone.d), np.inf)[k]
-        return x[:, None], np.stack([s, t], axis=1)
-    if isinstance(cone, (Subspace, Trivial)):
-        k = _subspace_dim(cone)
-        return X[:, :0], np.stack([_sq_norms(X[:, :k]), _sq_norms(X[:, k:])], axis=1)
-    if isinstance(cone, Product):
-        dl = ambient_dim(cone.left)
-        xl, zl = _sampled_coordinates(cone.left, X[:, :dl])
-        xr, zr = _sampled_coordinates(cone.right, X[:, dl:])
-        return np.hstack([xl, xr]), np.hstack([zl, zr])
-    if isinstance(cone, Polar):
-        return _sampled_coordinates(cone.inner, X)
-    return X, np.empty((X.shape[0], 0))
-
-
-def _norms_block(cone, X, Z):
-    if isinstance(cone, (Subspace, Trivial)):
-        return Z[:, 0], Z[:, 1], np.full(X.shape[0], _subspace_dim(cone), dtype=np.int64)
-    if isinstance(cone, Orthant):
-        return Z[:, 0], Z[:, 1], _orthant_face_dims(cone, X[:, 0])
-    if isinstance(cone, Circular):
-        # from x_1 and r^2 = ||z||^2 alone: between the cone and its polar,
-        # x projects onto the boundary ray of the plane of e_1 and x, along
-        # which it has length rho = x_1 cos(alpha) + r sin(alpha)
-        ca, sa = math.cos(cone.alpha), math.sin(cone.alpha)
-        x1, r2 = X[:, 0], Z[:, 0]
-        sq = x1 * x1 + r2
-        nrm = np.sqrt(sq)
-        rho = x1 * ca + np.sqrt(r2) * sa
-        s = np.where(x1 >= nrm * ca, sq, np.where(x1 <= -nrm * sa, 0.0, rho * rho))
-        return s, sq - s, None
-    if isinstance(cone, Psd):
-        mats = _vec_to_sym_block(X, cone.n)
-        vals = np.linalg.eigvalsh(mats)
-        pos = np.maximum(vals, 0.0)
-        neg = vals - pos
-        return np.einsum("ij,ij->i", pos, pos), np.einsum("ij,ij->i", neg, neg), None
-    if isinstance(cone, Generators):
-        proj, fd = _project_generators(cone, X)
-        resid = X - proj
-        return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
-    if isinstance(cone, Product):
-        wl, cl = sampled_layout(cone.left)
-        sl, tl, fl = _norms_block(cone.left, X[:, :wl], Z[:, :cl])
-        sr, tr, fr = _norms_block(cone.right, X[:, wl:], Z[:, cl:])
-        fd = fl + fr if (fl is not None and fr is not None) else None
-        return sl + sr, tl + tr, fd
-    if isinstance(cone, Polar):
-        s, t, _ = _norms_block(cone.inner, X, Z)
-        return t, s, None
-    raise UnsupportedConeError(f"not a cone descriptor: {cone!r}")
+        if faces is None:
+            faces = chi_square_dofs(cone, X)[1]
+    parts = iter([kind.norms(leaf, X[:, g], Z[:, c], face)
+                  for (leaf, kind, g, c, _), face in zip(leaves, faces)])
+    return _fold(cone, lambda kind, leaf: next(parts),
+                 lambda a, b: (a[0] + b[0], a[1] + b[1], _add_faces(a[2], b[2])),
+                 lambda inner: (inner[1], inner[0], None))
 
 
 # ---------------------------------------------------------------------------
@@ -681,22 +698,4 @@ def parse_cone_spec(text):
 
 def cone_to_spec(cone):
     """Print a cone descriptor so that parse_cone_spec round-trips it."""
-    if isinstance(cone, Orthant):
-        return f"orthant:{cone.d}"
-    if isinstance(cone, Subspace):
-        return f"subspace:{cone.dim}:{cone.ambient}"
-    if isinstance(cone, Circular):
-        return "circ:%d:%.17g" % (cone.d, cone.alpha)
-    if isinstance(cone, Psd):
-        return f"psd:{cone.n}"
-    if isinstance(cone, Trivial):
-        return f"trivial:{cone.d}"
-    if isinstance(cone, Generators):
-        if cone.source:
-            return f"gens:{cone.source}"
-        raise UnsupportedConeError("generator cone was not loaded from a file")
-    if isinstance(cone, Product):
-        return f"prod({cone_to_spec(cone.left)},{cone_to_spec(cone.right)})"
-    if isinstance(cone, Polar):
-        return f"polar({cone_to_spec(cone.inner)})"
-    raise UnsupportedConeError(f"cannot print a {type(cone).__name__}")
+    return _fold(cone, lambda kind, leaf: kind.spec(leaf), "prod({},{})".format, "polar({})".format)

@@ -21,8 +21,9 @@ from .exceptions import NonConvergenceError
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
-# a slice of solver rows is held to about this many values, the
-# budget of drawn values per sampling.map_chunks row block
+# a slice of solver rows, or of stacked psd matrices in cones, is held to
+# about this many values, the budget of drawn values per
+# sampling.map_chunks row block
 _STACK_VALUES = 1 << 17
 
 # a solve may take this many outer iterations per generator, and at least 12

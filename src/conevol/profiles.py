@@ -2,7 +2,8 @@
 
 The profile of a cone in R^d is the probability vector (v_0, ..., v_d)
 of its conic intrinsic volumes.  Exact profiles exist for subspaces,
-orthants, products and polars of those; everything else is estimated
+orthants, psd cones of order n <= 3, products and polars of those;
+everything else is estimated
 from the Gaussian projection stream, either through per-sample face
 dimensions (polyhedral cones), through a biorthogonal family of
 polynomials in theta = s / (s + t), the share of a Gaussian vector's
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import (Orthant, Polar, Product, Subspace, Trivial, ambient_dim,
+from .cones import (Orthant, Polar, Product, Psd, Subspace, Trivial, ambient_dim,
                     supports_face_dim)
 from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
@@ -88,10 +89,27 @@ def reverse_profile(profile):
         raw_v=None if profile.raw_v is None else profile.raw_v[::-1].copy())
 
 
+def _psd_profile(n):
+    """Psd(n) for n <= 3.  Psd(1) is the ray R_+.  Psd(2) is circ:3:pi/4 up
+    to an isometry: (1 - sin a, cos a, sin a, 1 - cos a) / 2 at a = pi/4.
+    Psd(3) is (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0, v1, v0), with
+    v0 = (pi - 2 sqrt 2) / (4 pi) and v1 = (sqrt 2 - 1) / 4, found by
+    integrating theta's moments over the direction of the GOE eigenvalue
+    vector, whose density on the sphere is proportional to |Vandermonde|.
+    """
+    r = math.sqrt(0.5)
+    if n == 1:
+        return [0.5, 0.5]
+    if n == 2:
+        return [0.5 * (1.0 - r), 0.5 * r, 0.5 * r, 0.5 * (1.0 - r)]
+    v0, v1 = (math.pi - 4.0 * r) / (4.0 * math.pi), (2.0 * r - 1.0) / 4.0
+    return [v0, v1, 0.25 - v0, 1.0 - r, 0.25 - v0, v1, v0]
+
+
 def exact_profile(cone):
-    """Closed-form profile for subspaces, orthants, trivial cones, and
-    products/polars built from them.  Raises UnsupportedConeError when no
-    closed form is available.
+    """Closed-form profile for subspaces, orthants, trivial cones, psd
+    cones of order n <= 3, and products/polars built from them.  Raises
+    UnsupportedConeError when no closed form is available.
     """
     if isinstance(cone, Subspace):
         v = np.zeros(cone.ambient + 1)
@@ -105,6 +123,9 @@ def exact_profile(cone):
         d = cone.d
         v = np.array([math.comb(d, k) / 2.0 ** d for k in range(d + 1)])
         return IntrinsicVolumeProfile(d, v, None, "exact")
+    if isinstance(cone, Psd) and cone.n <= 3:
+        return IntrinsicVolumeProfile(ambient_dim(cone), np.array(_psd_profile(cone.n)), None,
+                                      "exact")
     if isinstance(cone, Product):
         left = exact_profile(cone.left)
         right = exact_profile(cone.right)

@@ -22,18 +22,21 @@ takes one normal x from the Gaussian stream, turned into its face
 dimension K ~ Binomial(d, 1/2) by a table of normal thresholds, and
 s ~ chi-square(K) and t ~ chi-square(d - K) from the chi-square stream.
 A subspace, and a trivial cone as Subspace(0, d), takes s ~ chi-square(k)
-and t ~ chi-square(d - k) from the chi-square stream alone.  Psd and
-generator leaves take their full Gaussian rows.  K comes from the
-Gaussian stream, not from a third stream: a chunk's third key (chunk
-index, 1) would be another chunk's Gaussian key, and a binomial draw
-followed by the chi-square draws on one stream would make the values
-depend on how a chunk is split into blocks.  A cone without Gaussian
-columns builds no Gaussian stream, and one without chi-square columns
-no chi-square stream.  The draws are a function of (seed, chunk index,
-chunk size): changing chunk_size moves samples to other streams and
-changes every value, while the order in which chunks run, the worker
-thread that runs them and how a chunk's streams are split into reads
-never do.
+and t ~ chi-square(d - k) from the chi-square stream alone.  A psd leaf
+takes the symmetric tridiagonal matrix whose eigenvalues follow the GOE
+law of its point's matrix: its diagonal, n normals, from the Gaussian
+stream and its subdiagonal sqrt(z_i / 2), z_i ~ chi-square(n - i) for
+i = 1..n-1, from the chi-square stream.  Generator leaves take their full
+Gaussian rows.  K comes from the Gaussian stream, not from a third
+stream: a chunk's third key (chunk index, 1) would be another chunk's
+Gaussian key, and a binomial draw followed by the chi-square draws on
+one stream would make the values depend on how a chunk is split into
+blocks.  A cone without Gaussian columns builds no Gaussian stream, and
+one without chi-square columns no chi-square stream.  The draws are a
+function of (seed, chunk index, chunk size): changing chunk_size moves
+samples to other streams and changes every value, while the order in
+which chunks run, the worker thread that runs them and how a chunk's
+streams are split into reads never do.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
@@ -240,15 +243,20 @@ def map_chunks(cone, config, fn, workers=None):
     cones.sampled_layout(cone): its Gaussian columns from the chunk's
     Gaussian stream, with gaussian_block, then its chi-square columns from
     the chunk's chi-square stream, with one row-major
-    2 * standard_gamma(dofs / 2) call per block on the degrees of freedom
-    of cones.chi_square_dofs, so that a stream read in several blocks
-    gives the same values as one read.  That call gives the bits of
-    chisquare(dofs), and it also takes zero degrees of freedom (K = 0 or
-    K = d, Subspace(0, d), Subspace(d, d), Trivial(d)), which it draws as
-    0.  The s, t and face dimensions fn sees are sums over the leaves: an
-    orthant's two chi-square draws and K, a subspace's two draws and k, a
-    circular leaf's norms from x_1 and ||z||^2, and the norms of full psd
-    and generator rows.
+    2 * standard_gamma(dofs / 2) call per chunk and block on the degrees
+    of freedom cones.chi_square_dofs gives for the block, so that a stream
+    read in several blocks gives the same values as one read.  That call
+    gives the bits of chisquare(dofs), and it also takes zero degrees of
+    freedom (K = 0 or K = d, Subspace(0, d), Subspace(d, d), Trivial(d)),
+    which it draws as 0.  What chi_square_dofs found on the way (an
+    orthant's K) goes on to norms_block with the draws, so it is found
+    once.  The s, t and face dimensions fn sees are sums over the leaves:
+    an orthant's two chi-square draws and K, a subspace's two draws and k,
+    a circular leaf's norms from x_1 and ||z||^2, a psd leaf's from the
+    eigenvalues of its tridiagonal matrix, whose diagonal is n Gaussian
+    columns and whose subdiagonal is sqrt(z / 2) for n - 1 chi-square
+    columns with degrees of freedom n - 1, ..., 1, and the norms of full
+    generator rows.
 
     The streams are drawn and projected in row blocks of about
     _BLOCK_VALUES drawn values: a run of small chunks fills one block,
@@ -269,23 +277,31 @@ def map_chunks(cone, config, fn, workers=None):
     buffer_values = min(block_rows, config.total_samples) * width
     local = threading.local()
 
-    def draw(rngs, out, count):
-        # norms_block's arguments for the next count rows of a chunk
-        gauss, chi = rngs
-        X = out[:0].reshape(count, 0) if gauss is None else gaussian_block(gauss, out, count, width)
-        if chi is None:
-            return X, None
+    def block(chunks, out, rngs=None):
+        # norms of the next count rows of each (index, count) in chunks, from
+        # the chunk's own streams or, given, from the pair rngs read on; the
+        # Gaussian columns are drawn into out
+        total = sum(count for _, count in chunks)
+        X, r0 = out[:total * width].reshape(total, width), 0
+        for index, count in chunks:
+            if width:
+                gauss = rngs[0] if rngs else chunk_rng(config.seed, index)
+                gaussian_block(gauss, out[r0 * width:], count, width)
+            r0 += count
+        if not columns:
+            return norms_block(cone, X)
         # one array: the halved degrees of freedom are the gamma shapes, and
         # each draw overwrites the shape it was drawn with
-        Z = chi_square_dofs(cone, X)
+        Z, faces = chi_square_dofs(cone, X)
         Z *= 0.5
-        chi.standard_gamma(Z, out=Z)
+        r0 = 0
+        for index, count in chunks:
+            chi = rngs[1] if rngs else chunk_chi_square_rng(config.seed, index)
+            rows = Z[r0:r0 + count]
+            chi.standard_gamma(rows, out=rows)
+            r0 += count
         Z *= 2.0
-        return X, Z
-
-    def streams(index):
-        return (chunk_rng(config.seed, index) if width else None,
-                chunk_chi_square_rng(config.seed, index) if columns else None)
+        return norms_block(cone, X, Z, faces)
 
     def work(group):
         # one block buffer per worker thread, reused by each of its tasks;
@@ -296,17 +312,14 @@ def map_chunks(cone, config, fn, workers=None):
         total = sum(count for _, count in group)
         if total <= block_rows:
             # a run of chunks that fits in one block: each fills its own rows
-            r0, chi = 0, []
-            for index, count in group:
-                chi.append(draw(streams(index), buffer[r0 * width:], count)[1])
-                r0 += count
-            s, t, fd = norms_block(cone, buffer[:total * width].reshape(total, width),
-                                   np.concatenate(chi) if columns else None)
+            s, t, fd = block(group, buffer)
         else:
             # one chunk larger than a block: its streams are read a block at a time
-            rngs = streams(group[0][0])
+            index = group[0][0]
+            rngs = (chunk_rng(config.seed, index) if width else None,
+                    chunk_chi_square_rng(config.seed, index) if columns else None)
             step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
-            parts = [norms_block(cone, *draw(rngs, buffer, min(step, total - r0)))
+            parts = [block([(index, min(step, total - r0))], buffer, rngs)
                      for r0 in range(0, total, step)]
             s, t, fd = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
         results, r0 = [], 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conevol import cones
 from conevol.cones import (
     Circular,
     Generators,
@@ -370,19 +371,39 @@ def test_norms_block_has_one_formula_per_sampled_leaf(cone):
 
 
 def test_sampled_layout_lists_circular_leaves_left_to_right():
+    # a psd leaf takes the n diagonal entries of its tridiagonal form and
+    # the n - 1 chi-square columns of its subdiagonal
     cone = Product(Polar(Circular(4, 0.3)), Product(Psd(2), Circular(6, 0.5)))
-    assert sampled_layout(cone) == (1 + 3 + 1, 2)
-    X = np.zeros((2, 5))
-    assert np.array_equal(chi_square_dofs(cone, X), [[3.0, 5.0]] * 2)
+    assert sampled_layout(cone) == (1 + 2 + 1, 1 + 1 + 1)
+    X = np.zeros((2, 4))
+    assert np.array_equal(chi_square_dofs(cone, X)[0], [[3.0, 1.0, 5.0]] * 2)
     # orthant and subspace leaves, left to right, each orthant's normal
-    # standing for its face dimension, which X keeps
+    # standing for its face dimension, which X keeps and faces hands on
     cone = Product(Orthant(3), Product(Subspace(1, 4), Polar(Orthant(2))))
     assert sampled_layout(cone) == (2, 6)
     X = np.array([[-40.0, 40.0], [40.0, -40.0]])
-    assert np.array_equal(chi_square_dofs(cone, X),
-                          [[0.0, 3.0, 1.0, 3.0, 2.0, 0.0], [3.0, 0.0, 1.0, 3.0, 0.0, 2.0]])
+    dofs, faces = chi_square_dofs(cone, X)
+    assert np.array_equal(dofs, [[0.0, 3.0, 1.0, 3.0, 2.0, 0.0], [3.0, 0.0, 1.0, 3.0, 0.0, 2.0]])
+    assert np.array_equal(faces[0], [0, 3]) and faces[1] == 1 and np.array_equal(faces[2], [2, 0])
     assert np.array_equal(X, [[-40.0, 40.0], [40.0, -40.0]])
-    assert sampled_layout(Product(Psd(2), Trivial(2))) == (3, 2)
+    assert sampled_layout(Product(Psd(2), Trivial(2))) == (2, 1 + 2)
+    assert np.array_equal(chi_square_dofs(Psd(5), np.zeros((1, 5)))[0], [[4.0, 3.0, 2.0, 1.0]])
+    assert sampled_layout(Psd(1)) == (1, 0)
+
+
+def test_psd_norms_do_not_depend_on_matrix_slices(monkeypatch):
+    # psd leaves are projected in slices of about _STACK_VALUES matrix
+    # entries, and eigvalsh works matrix by matrix
+    cone = Product(Psd(4), Polar(Psd(3)))
+    X = np.random.default_rng(35).standard_normal((300, ambient_dim(cone)))
+    gauss = X[:, :7]
+    chi = 2.0 * np.random.default_rng(36).standard_gamma(0.5 * chi_square_dofs(cone, gauss)[0])
+    default = [norms_block(cone, X), norms_block(cone, gauss, chi)]
+    for entries in (1, 37, 1 << 24):
+        monkeypatch.setattr(cones, "_STACK_VALUES", entries)
+        for (s, t, _), (s0, t0, _) in zip([norms_block(cone, X), norms_block(cone, gauss, chi)],
+                                          default):
+            assert np.array_equal(s, s0) and np.array_equal(t, t0)
 
 
 def test_generator_norms_block_memory_is_bounded():

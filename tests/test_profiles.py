@@ -235,20 +235,37 @@ def test_estimates_match_exact_circular_profiles(cone, seed):
     assert float(np.max(abs_z(prof.raw_v - v, prof.stderr))) <= 4.0
 
 
-# psd:3 has the closed-form profile (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0,
-# v1, v0) with v0 = (pi - 2 sqrt 2) / (4 pi) and v1 = (sqrt 2 - 1) / 4, so
-# delta = 3 and Var V = 2 (8 v0 + 4 v1 + 1/4) = 1.727162
-_PSD3_V0 = (math.pi - 2.0 * math.sqrt(2.0)) / (4.0 * math.pi)
-_PSD3_VARIANCE = 2.0 * (8.0 * _PSD3_V0 + math.sqrt(2.0) - 1.0 + 0.25)
+def test_exact_psd_profiles():
+    # Psd(1) is the ray R_+, and Psd(2) is circ:3:pi/4 up to an isometry
+    assert np.array_equal(exact_profile(Psd(1)).v, exact_profile(Orthant(1)).v)
+    v2 = exact_profile(Psd(2)).v
+    assert np.max(np.abs(v2 - circular_oracle.circular_profile(3, math.pi / 4))) <= 1e-12
+    # psd:3: (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0, v1, v0) with
+    # v0 = (pi - 2 sqrt 2) / (4 pi) and v1 = (sqrt 2 - 1) / 4, so delta = 3
+    # and Var V = 2 (8 v0 + 4 v1 + 1/4) = 1.727162
+    prof = exact_profile(Psd(3))
+    v0, v1 = (math.pi - 2.0 * math.sqrt(2.0)) / (4.0 * math.pi), (math.sqrt(2.0) - 1.0) / 4.0
+    closed = [v0, v1, 0.25 - v0, 1.0 - 1.0 / math.sqrt(2.0), 0.25 - v0, v1, v0]
+    assert np.max(np.abs(prof.v - closed)) <= 1e-15
+    assert prof.statistical_dimension == pytest.approx(3.0, abs=1e-15)
+    assert prof.variance == pytest.approx(2.0 * (8.0 * v0 + 4.0 * v1 + 0.25), abs=1e-14)
+    for v in (v2, prof.v):
+        # total mass 1, and Gauss-Bonnet: the even and odd sums are 1/2 each
+        assert abs(v.sum() - 1.0) <= 1e-15
+        assert abs(v[0::2].sum() - 0.5) <= 1e-15 and abs(v[1::2].sum() - 0.5) <= 1e-15
+        assert np.array_equal(v, v[::-1])
+    with pytest.raises(UnsupportedConeError):
+        exact_profile(Psd(4))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_moment_estimators_match_psd3_closed_form(seed):
+    exact = exact_profile(Psd(3))
     summary = run_summary(Psd(3), MonteCarloConfig(seed=seed, total_samples=200_000))
     delta, delta_se = statistical_dimension(summary)
     var, var_se = intrinsic_variance(summary)
-    assert abs(delta - 3.0) <= 4.0 * delta_se
-    assert abs(var - _PSD3_VARIANCE) <= 4.0 * var_se
+    assert abs(delta - exact.statistical_dimension) <= 4.0 * delta_se
+    assert abs(var - exact.variance) <= 4.0 * var_se
 
 
 @pytest.mark.parametrize("polar, seed", [(False, 25), (True, 26)])

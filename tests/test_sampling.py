@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 
 # External libraries
 import numpy as np
@@ -296,8 +297,8 @@ def _chunk_draws(cone, seed, chunk_index, count):
     X = _chunk_gaussians(seed, chunk_index, count, width)
     if not columns:
         return (X,)
-    dofs = chi_square_dofs(cone, X)
-    return X, 2.0 * chunk_chi_square_rng(seed, chunk_index).standard_gamma(0.5 * dofs)
+    dofs, faces = chi_square_dofs(cone, X)
+    return X, 2.0 * chunk_chi_square_rng(seed, chunk_index).standard_gamma(0.5 * dofs), faces
 
 
 def _reference_map_chunks(cone, config, fn):
@@ -551,6 +552,60 @@ def test_moments_match_exact_profiles_over_seeds():
     assert max(zs.values()) <= 4.0, {key: round(z, 2) for key, z in zs.items()}
 
 
+# psd leaves are sampled as symmetric tridiagonal matrices (Dumitriu and
+# Edelman's model of the GOE); full rows are projected through the dense
+# eigenvalues of their own matrices, which does not rest on that model
+_PSD_CONES = [
+    ("psd:1", Psd(1)),
+    ("psd:2", Psd(2)),
+    ("psd:3", Psd(3)),
+    ("psd:5", Psd(5)),
+    ("prod(psd:3,orthant:4)", Product(Psd(3), Orthant(4))),
+    ("polar(psd:4)", Polar(Psd(4))),
+]
+
+
+def _theta_mean_and_variance(acc):
+    """((mean, se), (variance, se)) of theta from its moment accumulator."""
+    mu2, mu4 = acc.central_moment(2), acc.central_moment(4)
+    return (acc.mean, acc.se_mean), (acc.variance, math.sqrt(max(mu4 - mu2 * mu2, 0.0) / acc.n))
+
+
+@pytest.mark.parametrize("label, cone", _PSD_CONES, ids=[label for label, _ in _PSD_CONES])
+def test_tridiagonal_psd_matches_full_rows(label, cone):
+    # a two-sample test of theta = s / (s + t): run_summary's sampled rows
+    # against full Gaussian rows drawn here and projected by norms_block, at
+    # every seed of a fixed set; the message lists every |z|
+    zs = {}
+    for seed in (41, 42, 43):
+        sampled = run_summary(cone, MonteCarloConfig(seed=seed, total_samples=40_000))
+        X = np.random.default_rng(seed).standard_normal((40_000, ambient_dim(cone)))
+        s, t, _ = norms_block(cone, X)
+        full = MomentAccumulator.from_values(s / (s + t))
+        for name, (a, se_a), (b, se_b) in zip(("mean", "var"),
+                                              _theta_mean_and_variance(sampled.theta_moments),
+                                              _theta_mean_and_variance(full)):
+            zs[seed, name] = abs(a - b) / math.hypot(se_a, se_b)
+    assert max(zs.values()) <= 4.0, (label, {key: round(z, 2) for key, z in zs.items()})
+
+
+@pytest.mark.parametrize("n, total, bound", [(12, 20_000, 3_671_166), (28, 16_384, 3_562_358)])
+def test_psd_run_summary_memory_is_bounded(n, total, bound):
+    # a tridiagonal row draws 2n - 1 values, not n(n+1)/2, so a map_chunks
+    # block holds more rows than it did for full rows, and their n x n
+    # matrices would take up to 8.7 MB at n = 12; psd leaves are projected
+    # in slices of about 2**17 matrix entries.  The bounds are the peaks of
+    # the full-row sampler (tracemalloc, numpy 2.4)
+    run_summary(Psd(n), MonteCarloConfig(seed=1, total_samples=64))
+    tracemalloc.start()
+    try:
+        run_summary(Psd(n), MonteCarloConfig(seed=1, total_samples=total))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
+
+
 # ---------------------------------------------------------------------------
 # Pinned Monte Carlo digest
 # ---------------------------------------------------------------------------
@@ -586,10 +641,14 @@ _DIGEST_PATHS = [
 # (K, chi-square(K), chi-square(d - K)) and two chi-square values, which
 # changed the orthant, subspace and product cases and the Monte Carlo
 # subspace_moment path, and left the circular, polar circular and psd
-# summaries and their other paths bit-identical.  The same digest came
-# out with 1-value, 37-value and 2**24-value blocks and on three threads,
-# and any layout must reproduce it
-_MONTE_CARLO_SHA256 = "25fcbb978a3e9f2cf1f6341b22c2028fb9cbe27caa13d99ee7c67ae14e963932"
+# summaries and their other paths bit-identical; and when psd leaves began
+# to draw a tridiagonal matrix (n normals and chi-square(n - 1), ...,
+# chi-square(1)) in place of n(n+1)/2 normals, which changed the three
+# psd:3 cases and left every other case bit-identical, each hashed on its
+# own.  The same digest came out with 1-value, 37-value and 2**24-value
+# blocks, with psd matrix slices of 1, 37 and 2**24 entries and on three
+# threads, and any layout must reproduce it
+_MONTE_CARLO_SHA256 = "2b43045cdb01891c8a203d9d33b3e5ed9fd2fcd59dbbfd857e27d6a81888ae0d"
 
 
 def _digest_cases():

@@ -535,6 +535,11 @@ _LAW_CONES = [
     ("polar(orthant:5)", Polar(Orthant(5))),
     ("polar(prod(orthant:3,subspace:2:5))", Polar(Product(Orthant(3), Subspace(2, 5)))),
     ("prod(trivial:2,polar(subspace:1:4))", Product(Trivial(2), Polar(Subspace(1, 4)))),
+    # sampled as tridiagonal matrices, against the closed forms of Psd(2), Psd(3)
+    ("psd:2", Psd(2)),
+    ("prod(psd:3,orthant:2)", Product(Psd(3), Orthant(2))),
+    ("prod(psd:3,subspace:1:3)", Product(Psd(3), Subspace(1, 3))),
+    ("polar(psd:3)", Polar(Psd(3))),
 ]
 
 

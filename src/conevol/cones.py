@@ -510,7 +510,7 @@ def norms_block(cone, X, Z=None, faces=None):
     """
     X = np.asarray(X, dtype=float)
     leaves = _leaves(cone)
-    width, columns, d = (s.stop for s in leaves[-1][2:])
+    width, columns, d = (part.stop for part in leaves[-1][2:])
     if Z is None:
         if X.ndim != 2 or X.shape[1] != d:
             raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{d}")

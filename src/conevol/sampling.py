@@ -297,8 +297,8 @@ def map_chunks(cone, config, fn, workers=None):
         r0 = 0
         for index, count in chunks:
             chi = rngs[1] if rngs else chunk_chi_square_rng(config.seed, index)
-            rows = Z[r0:r0 + count]
-            chi.standard_gamma(rows, out=rows)
+            shapes = Z[r0:r0 + count]
+            chi.standard_gamma(shapes, out=shapes)
             r0 += count
         Z *= 2.0
         return norms_block(cone, X, Z, faces)

@@ -95,9 +95,13 @@ MUTANTS = (
            "np.arange(cone.n, 1, -1)",
            (_TRIDIAGONAL,)),
     Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
-           "spawn_key=(chunk_index,)).spawn(1)[0]",
-           "spawn_key=(chunk_index, 1))",
+           "(1 << 64), spawn_key=(chunk_index, 0))",
+           "(1 << 64), spawn_key=(chunk_index, 1))",
            ("tests/test_sampling.py::test_chi_square_streams_are_no_gaussian_streams",)),
+    Mutant("face-path-drops-subspace-dimension", "src/conevol/sampling.py",
+           "sum(chi_square_dofs(cone, X)[1], ",
+           "sum((f for f in chi_square_dofs(cone, X)[1] if np.ndim(f)), ",
+           ("tests/test_sampling.py::test_face_estimate_equals_the_estimate_from_a_summary",)),
     Mutant("intrinsic-variance-scale-inverted", "src/conevol/profiles.py",
            "(d + 2) / d",
            "d / (d + 2)",

@@ -146,6 +146,15 @@ def supports_face_dim(cone):
                  lambda inner: False)
 
 
+def faces_from_dofs(cone):
+    """True when chi_square_dofs gives the face dimension of every leaf, an
+    orthant's K and a subspace's or trivial cone's k: products of such
+    leaves, with no polar and no generator leaf, whose faces come from its
+    projection."""
+    return _fold(cone, lambda kind, leaf: kind.faces and not isinstance(leaf, Generators),
+                 lambda a, b: a and b, lambda inner: False)
+
+
 # ---------------------------------------------------------------------------
 # symmetric-matrix coordinates
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .cones import (Orthant, Polar, Product, Psd, Subspace, Trivial, ambient_dim
                     supports_face_dim)
 from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
-from .sampling import run_summary
+from .sampling import map_chunks, run_summary
 
 BIORTHOGONAL_MAX_DIM = 20
 # the biorthogonal functions are evaluated this many points at a time, so
@@ -246,16 +246,31 @@ def _summary_for(cone, config, workers, summary):
 
 
 def estimate_profile_face(cone, config, workers=None, summary=None):
-    """Profile from per-sample face dimensions (polyhedral cones only)."""
+    """Profile from per-sample face dimensions (polyhedral cones only).
+
+    v_k is the share of samples whose projection lies in the relative
+    interior of a k-dimensional face, from the summary's face histogram.
+    Without a summary the face dimensions are streamed alone
+    (sampling.map_chunks with faces_only) and counted chunk by chunk: an
+    orthant's or subspace's take no chi-square draws and no projection,
+    and no cone's take theta moments or a reservoir.  They come from the
+    same Gaussian stream as run_summary's, so the histogram, and the
+    profile, have the same bits as with summary=run_summary(cone, config).
+    """
     if not supports_face_dim(cone):
         raise UnsupportedConeError(
             f"{type(cone).__name__} has no face-dimension sampler; "
             "use the biorthogonal or mixture estimator")
-    summary = _summary_for(cone, config, workers, summary)
-    n = summary.count
-    v = summary.face_hist.astype(float) / n
+    if summary is None:
+        d, n = ambient_dim(cone), config.total_samples
+        hist = sum(map_chunks(cone, config, lambda index, fd: np.bincount(fd, minlength=d + 1),
+                              workers, faces_only=True))
+    else:
+        summary = _summary_for(cone, config, workers, summary)
+        d, n, hist = summary.dim, summary.count, summary.face_hist
+    v = hist.astype(float) / n
     stderr = np.sqrt(v * (1.0 - v) / n)
-    return profile_from_raw(summary.dim, v, stderr, "mc_face")
+    return profile_from_raw(d, v, stderr, "mc_face")
 
 
 def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):

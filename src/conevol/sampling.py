@@ -9,10 +9,11 @@ spawn key, so no two (seed, chunk index) pairs share a stream; list
 entropy [seed, chunk index] would not do, as numpy pads short entropy
 with zeros and [5, 7] and [5 + 7 * 2**32, 0] give the same stream.  The
 chi-square stream, chunk_chi_square_rng(seed, chunk index), is seeded
-by the first child of that SeedSequence, spawn_key (chunk index, 0).
-The key (chunk index, 1) would not do: a spawn key is mixed in as
-32-bit words, so it equals the key (chunk index + 2**32,) of another
-chunk's Gaussian stream; no Gaussian key ends in a zero word.
+by SeedSequence(seed mod 2**64, spawn_key=(chunk index, 0)), the first
+child of the Gaussian stream's SeedSequence, built from its key.  The
+key (chunk index, 1) would not do: a spawn key is mixed in as 32-bit
+words, so it equals the key (chunk index + 2**32,) of another chunk's
+Gaussian stream; no Gaussian key ends in a zero word.
 
 Each leaf of a cone is drawn in its sampled coordinates (see
 cones.sampled_layout), the few statistics its norms depend on, when it
@@ -32,7 +33,11 @@ stream: a chunk's third key (chunk index, 1) would be another chunk's
 Gaussian key, and a binomial draw followed by the chi-square draws on
 one stream would make the values depend on how a chunk is split into
 blocks.  A cone without Gaussian columns builds no Gaussian stream, and
-one without chi-square columns no chi-square stream.  The draws are a
+one without chi-square columns no chi-square stream.  A face estimate
+builds no chi-square stream: an orthant's K and a subspace's k are its
+face dimensions, so estimate_profile_face reads them off the Gaussian
+columns alone (map_chunks with faces_only), unless a generator leaf
+needs its projection for them.  The draws are a
 function of (seed, chunk index, chunk size): changing chunk_size moves
 samples to other streams and changes every value, while the order in
 which chunks run, the worker thread that runs them and how a chunk's
@@ -63,8 +68,8 @@ from functools import reduce
 
 import numpy as np
 
-from .cones import (ambient_dim, chi_square_dofs, norms_block, sampled_layout,
-                    supports_face_dim)
+from .cones import (ambient_dim, chi_square_dofs, faces_from_dofs, norms_block,
+                    sampled_layout, supports_face_dim)
 
 _BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
 
@@ -81,9 +86,10 @@ def chunk_rng(seed, chunk_index):
 
 def chunk_chi_square_rng(seed, chunk_index):
     """The chi-square stream of one chunk, read from the start: SFC64
-    seeded by the first child of chunk_rng's SeedSequence, whose spawn
-    key (chunk_index, 0) is no chunk's Gaussian key."""
-    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index,)).spawn(1)[0]
+    seeded by SeedSequence(seed mod 2**64, spawn_key=(chunk_index, 0)),
+    the first child of chunk_rng's SeedSequence, whose key is no chunk's
+    Gaussian key."""
+    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index, 0))
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -236,7 +242,7 @@ def _block_groups(chunks, block_rows):
     return groups + [run]
 
 
-def map_chunks(cone, config, fn, workers=None):
+def map_chunks(cone, config, fn, workers=None, faces_only=False):
     """fn(index, s, t, face_dims) for every chunk of the projection stream.
 
     Each row is drawn in the sampled coordinates of
@@ -258,6 +264,17 @@ def map_chunks(cone, config, fn, workers=None):
     columns with degrees of freedom n - 1, ..., 1, and the norms of full
     generator rows.
 
+    With faces_only, for a cone with face dimensions, fn(index,
+    face_dims) sees the face dimensions alone.  When every leaf is an
+    orthant, a subspace or a trivial cone (cones.faces_from_dofs), they are
+    the sums of the leaves' entries of chi_square_dofs, an orthant's K
+    and a subspace's k: the Gaussian columns are drawn as above, and no
+    chi-square stream, chi-square draw or norms_block call is made.  A
+    generator leaf finds its face dimensions by projection, so such a
+    cone takes the full path and fn sees only its face dimensions.  They
+    depend on the Gaussian stream only, which is read as it is without
+    faces_only, so they are those fn(index, s, t, face_dims) sees.
+
     The streams are drawn and projected in row blocks of about
     _BLOCK_VALUES drawn values: a run of small chunks fills one block,
     each chunk from its own streams, and shares one norms_block call; a
@@ -276,11 +293,14 @@ def map_chunks(cone, config, fn, workers=None):
     groups = _block_groups(config.chunks(), block_rows)
     buffer_values = min(block_rows, config.total_samples) * width
     local = threading.local()
+    # face dimensions read off chi_square_dofs: no chi-square columns drawn
+    direct = faces_only and faces_from_dofs(cone)
 
     def block(chunks, out, rngs=None):
-        # norms of the next count rows of each (index, count) in chunks, from
-        # the chunk's own streams or, given, from the pair rngs read on; the
-        # Gaussian columns are drawn into out
+        # (s, t, face dims), or (face dims,) for faces_only, of the next
+        # count rows of each (index, count) in chunks, from the chunk's own
+        # streams or, given, from the pair rngs read on; the Gaussian
+        # columns are drawn into out
         total = sum(count for _, count in chunks)
         X, r0 = out[:total * width].reshape(total, width), 0
         for index, count in chunks:
@@ -288,20 +308,24 @@ def map_chunks(cone, config, fn, workers=None):
                 gauss = rngs[0] if rngs else chunk_rng(config.seed, index)
                 gaussian_block(gauss, out[r0 * width:], count, width)
             r0 += count
+        if direct:
+            return (sum(chi_square_dofs(cone, X)[1], np.zeros(total, dtype=np.int64)),)
         if not columns:
-            return norms_block(cone, X)
-        # one array: the halved degrees of freedom are the gamma shapes, and
-        # each draw overwrites the shape it was drawn with
-        Z, faces = chi_square_dofs(cone, X)
-        Z *= 0.5
-        r0 = 0
-        for index, count in chunks:
-            chi = rngs[1] if rngs else chunk_chi_square_rng(config.seed, index)
-            shapes = Z[r0:r0 + count]
-            chi.standard_gamma(shapes, out=shapes)
-            r0 += count
-        Z *= 2.0
-        return norms_block(cone, X, Z, faces)
+            norms = norms_block(cone, X)
+        else:
+            # one array: the halved degrees of freedom are the gamma shapes,
+            # and each draw overwrites the shape it was drawn with
+            Z, faces = chi_square_dofs(cone, X)
+            Z *= 0.5
+            r0 = 0
+            for index, count in chunks:
+                chi = rngs[1] if rngs else chunk_chi_square_rng(config.seed, index)
+                shapes = Z[r0:r0 + count]
+                chi.standard_gamma(shapes, out=shapes)
+                r0 += count
+            Z *= 2.0
+            norms = norms_block(cone, X, Z, faces)
+        return norms[2:] if faces_only else norms
 
     def work(group):
         # one block buffer per worker thread, reused by each of its tasks;
@@ -312,20 +336,21 @@ def map_chunks(cone, config, fn, workers=None):
         total = sum(count for _, count in group)
         if total <= block_rows:
             # a run of chunks that fits in one block: each fills its own rows
-            s, t, fd = block(group, buffer)
+            arrays = block(group, buffer)
         else:
             # one chunk larger than a block: its streams are read a block at a time
             index = group[0][0]
             rngs = (chunk_rng(config.seed, index) if width else None,
-                    chunk_chi_square_rng(config.seed, index) if columns else None)
+                    chunk_chi_square_rng(config.seed, index) if columns and not direct
+                    else None)
             step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
             parts = [block([(index, min(step, total - r0))], buffer, rngs)
                      for r0 in range(0, total, step)]
-            s, t, fd = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+            arrays = [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
         results, r0 = [], 0
         for index, count in group:
             rows = slice(r0, r0 + count)
-            results.append(fn(index, s[rows], t[rows], None if fd is None else fd[rows]))
+            results.append(fn(index, *(None if a is None else a[rows] for a in arrays)))
             r0 += count
         return results
 

@@ -1,5 +1,6 @@
 # Standard libraries
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -440,6 +441,22 @@ def test_face_estimator_matches_exact_orthant():
     assert float(z.max()) < 4.0
     assert prof.provenance == "mc_face"
     assert float(prof.v.sum()) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_face_estimator_satisfies_gauss_bonnet():
+    # sum_k (-1)^k v_k = 0 for every cone that is not a subspace: the mean m
+    # of (-1)^K over the samples is 0, with the standard error of the
+    # per-sample values +-1, sqrt((1 - m^2) / n), at every seed of a fixed
+    # set; the message lists every |z|
+    cones = [("orthant:7", Orthant(7), 100_000),
+             ("prod(orthant:3,subspace:2:5)", Product(Orthant(3), Subspace(2, 5)), 100_000),
+             ("gens:I_5", Generators(np.eye(5)), 40_000)]
+    zs = {}
+    for (label, cone, n), seed in itertools.product(cones, (3, 4, 5)):
+        prof = estimate_profile_face(cone, MonteCarloConfig(seed=seed, total_samples=n))
+        m = float(np.dot((-1.0) ** np.arange(prof.d + 1), prof.raw_v))
+        zs[label, seed] = abs(m) / math.sqrt((1.0 - m * m) / n)
+    assert max(zs.values()) <= 4.0, {key: round(z, 2) for key, z in zs.items()}
 
 
 def test_face_estimator_requires_polyhedral_cone():

@@ -26,7 +26,12 @@ from conevol.cones import (
     norms_block,
     sampled_layout,
 )
-from conevol.profiles import exact_profile, intrinsic_variance, statistical_dimension
+from conevol.profiles import (
+    estimate_profile_face,
+    exact_profile,
+    intrinsic_variance,
+    statistical_dimension,
+)
 from conevol.sampling import (
     MomentAccumulator,
     MonteCarloConfig,
@@ -444,6 +449,63 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
     monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
     for case, default in zip(cases, defaults):
         assert results(*case) == default, case
+
+
+# face estimates stream face dimensions alone: an orthant's K, a subspace's
+# constant k (subspace:3:9 has no Gaussian column), a trivial cone's 0, and
+# a generator cone on the full path, whose faces come from NNLS
+_FACE_CONES = [Orthant(7), Subspace(3, 9), Trivial(4), Product(Orthant(3), Subspace(2, 5)),
+               Generators(np.eye(4))]
+_FACE_IDS = ["orthant:7", "subspace:3:9", "trivial:4", "prod(orthant:3,subspace:2:5)", "gens:I_4"]
+
+
+def _face_configs(cone, large=True):
+    """Chunk sizes 1, 7 and 777, and, if large, one chunk larger than a
+    block of the default size, so its streams are read in several blocks."""
+    sizes = [(1, 300), (7, 300), (777, 1_000)]
+    if large:
+        big = sampling._BLOCK_VALUES // sum(sampled_layout(cone)) + 611
+        sizes.append((big, big))
+    return [MonteCarloConfig(seed=8, total_samples=total, chunk_size=chunk)
+            for chunk, total in sizes]
+
+
+@pytest.mark.parametrize("cone", _FACE_CONES, ids=_FACE_IDS)
+def test_face_estimate_equals_the_estimate_from_a_summary(monkeypatch, cone):
+    # without a summary the face estimator draws only what the face
+    # dimensions need; it must give the bits of the run_summary estimate at
+    # every block size and thread count.  At 1- and 37-value blocks chunks
+    # 7 and 777 already span several blocks, so the large chunk, which
+    # would be read a few rows at a time, runs at the default and 2**24 only
+    configs = _face_configs(cone)
+    references = [estimate_profile_face(cone, cfg, summary=run_summary(cone, cfg))
+                  for cfg in configs]
+    default = sampling._BLOCK_VALUES
+    for block_values, threads in itertools.product((default, 1, 37, 1 << 24), ("1", "4")):
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
+        monkeypatch.setenv("CONEVOL_THREADS", threads)
+        for cfg, ref in zip(configs if block_values >= default else configs[:3], references):
+            got = estimate_profile_face(cone, cfg)
+            for name in ("v", "raw_v", "stderr"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (
+                    name, block_values, threads, cfg.chunk_size)
+
+
+def test_face_estimate_draws_no_chi_square_and_projects_nothing(monkeypatch):
+    # for a cone without a generator leaf, K and k come with the Gaussian
+    # columns: the face path builds no chi-square stream and calls no
+    # norms_block, on runs of small chunks and on a chunk read in blocks
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a face estimate drew chi-square values or projected")
+
+    monkeypatch.setattr(sampling, "chunk_chi_square_rng", forbidden)
+    monkeypatch.setattr(sampling, "norms_block", forbidden)
+    for cone in _FACE_CONES[:4]:
+        for cfg, workers in itertools.product(_face_configs(cone)[1:], (1, 3)):
+            assert estimate_profile_face(cone, cfg, workers=workers).d == ambient_dim(cone)
+    # a generator cone's faces still come from its projection
+    with pytest.raises(AssertionError, match="projected"):
+        estimate_profile_face(_FACE_CONES[4], _face_configs(_FACE_CONES[4], large=False)[1])
 
 
 def test_run_summary_contents():

@@ -94,6 +94,10 @@ MUTANTS = (
            "np.arange(cone.n - 1, 0, -1)",
            "np.arange(cone.n, 1, -1)",
            (_TRIDIAGONAL,)),
+    Mutant("psd-norms-residual-halved", "src/conevol/cones.py",
+           "neg = vals - pos",
+           "neg = 0.5 * (vals - pos)",
+           (_TRIDIAGONAL,)),
     Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
            "(1 << 64), spawn_key=(chunk_index, 0))",
            "(1 << 64), spawn_key=(chunk_index, 1))",

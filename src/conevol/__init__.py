@@ -11,7 +11,6 @@ entry point lives in :mod:`conevol.cli`.
 from .bounds import (
     TailBoundReport,
     bennett_tails,
-    chebyshev_tail,
     circular_approximations,
     circular_interlacing_tail,
     combined_tail,
@@ -33,7 +32,6 @@ from .cones import (
     cone_to_spec,
     load_generators,
     parse_cone_spec,
-    project,
     second_order_cone,
     supports_face_dim,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "UnsupportedConeError",
     "ambient_dim",
     "bennett_tails",
-    "chebyshev_tail",
     "chi_bar_squared",
     "circular_approximations",
     "circular_interlacing_tail",
@@ -126,7 +123,6 @@ __all__ = [
     "phi_mc",
     "preset_functionals",
     "product_tail",
-    "project",
     "resolve_workers",
     "reverse_profile",
     "run_summary",

@@ -21,9 +21,8 @@ from .special import bennett_psi, binomial_tail, tanh_sinh_rule
 
 __all__ = [
     "TailBoundReport", "variance_bound", "exp_moment_bound", "bennett_tails",
-    "combined_tail", "product_tail", "chebyshev_tail",
-    "circular_approximations", "circular_interlacing_tail",
-    "goe_variance_asymptotics",
+    "combined_tail", "product_tail", "circular_approximations",
+    "circular_interlacing_tail", "goe_variance_asymptotics",
 ]
 
 
@@ -105,13 +104,6 @@ def product_tail(lam, deltas):
             raise ValueError("statistical dimensions must be nonnegative")
         sigma2 += min(d_i, dp_i)
     return combined_tail(lam, sigma2, sigma2)
-
-
-def chebyshev_tail(lam_scaled):
-    """2/lam^2 for a deviation measured in units of sqrt(min(delta, delta_polar))."""
-    if not lam_scaled > 0.0:
-        raise ValueError("scaled deviation must be positive")
-    return 2.0 / (lam_scaled * lam_scaled)
 
 
 @dataclass(frozen=True)

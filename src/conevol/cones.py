@@ -1,17 +1,13 @@
-"""Cone descriptors and metric projections.
+"""Cone descriptors and the squared norms of their projections.
 
 A cone is described by a small immutable dataclass; composite cones are
-built with Product and Polar wrappers.  ``project`` maps a point to the
-nearest point of the cone and reports squared norms of the projection
-and the residual; the residual is simultaneously the projection onto the
-polar cone, so one projection call prices both sides of the
-decomposition x = proj_C(x) + proj_polar(x) with proj_C(x) orthogonal to
-proj_polar(x).
-
-Ambient points are plain float vectors (anything numpy can coerce).
-Points of the semidefinite cone live in the isometric vector coordinates
-produced by sym_to_vec, where off-diagonal entries carry a sqrt(2)
-factor so that Euclidean norm equals Frobenius norm.
+built with Product and Polar wrappers.  norms_block gives, for a block of
+Gaussian points drawn in the sampled coordinates of sampled_layout, the
+squared norms s = ||proj_C(x)||^2 and t = dist^2(x, C) of each point and,
+for polyhedral cones, the dimension of the face its projection lies in.
+The residual x - proj_C(x) is the projection onto the polar cone and is
+orthogonal to proj_C(x), so the polar cone's pair is (t, s): the pair
+(s, t) is all the general Steiner formula of McCoy and Tropp needs.
 """
 
 import math
@@ -74,7 +70,10 @@ def second_order_cone(d):
 
 @dataclass(frozen=True)
 class Psd:
-    """Positive semidefinite n x n matrices, in sym_to_vec coordinates."""
+    """Positive semidefinite n x n matrices.  A point is a symmetric
+    matrix in isometric vector coordinates: its upper triangle, row by
+    row, with the off-diagonal entries times sqrt(2), so that the
+    Euclidean norm is the Frobenius norm and ambient_dim is n(n+1)/2."""
     n: int
 
     def __post_init__(self):
@@ -156,139 +155,14 @@ def faces_from_dofs(cone):
 
 
 # ---------------------------------------------------------------------------
-# symmetric-matrix coordinates
-# ---------------------------------------------------------------------------
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def sym_to_vec(s):
-    """Isometric vectorization of a symmetric matrix (off-diagonals * sqrt2)."""
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {s.shape}")
-    iu, ju = np.triu_indices(n)
-    return np.where(iu == ju, 1.0, _SQRT2) * s[iu, ju]
-
-
-def vec_to_sym(v, n):
-    """Inverse of sym_to_vec."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n * (n + 1) // 2,):
-        raise ValueError(f"expected length {n*(n+1)//2}, got {v.shape}")
-    iu, ju = np.triu_indices(n)
-    s = np.zeros((n, n))
-    s[iu, ju] = s[ju, iu] = v / np.where(iu == ju, 1.0, _SQRT2)
-    return s
-
-
-# ---------------------------------------------------------------------------
-# projection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectionOutcome:
-    """Nearest point of the cone plus the complementary residual."""
-    projection: np.ndarray
-    residual: np.ndarray
-    sq_norm_proj: float
-    sq_norm_residual: float
-    face_dim: int | None = None
-
-
-def _zero_threshold(x_norm):
-    # activity threshold shared by projectors and face counting
-    return 1e-12 * (1.0 + x_norm)
-
-
-def project(cone, x):
-    """Metric projection of x onto the cone.
-
-    Returns a ProjectionOutcome; face_dim is filled in for polyhedral
-    variants (orthant, subspace, trivial, generators, and products of
-    those) and left as None otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    d = ambient_dim(cone)
-    if x.shape != (d,):
-        raise DimensionMismatchError(f"point has shape {x.shape}, cone lives in R^{d}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point contains non-finite coordinates")
-    # each leaf gives (its coordinates, its projection, its face dimension)
-    parts = iter([(full, *kind.project(leaf, x[full])) for leaf, kind, _, _, full in _leaves(cone)])
-    _, proj, fd = _fold(cone, lambda kind, leaf: next(parts),
-                        lambda a, b: (slice(a[0].start, b[0].stop), np.concatenate([a[1], b[1]]),
-                                      _add_faces(a[2], b[2])),
-                        lambda inner: (inner[0], x[inner[0]] - inner[1], None))
-    resid = x - proj
-    return ProjectionOutcome(proj, resid, float(proj @ proj), float(resid @ resid), fd)
-
-
-def _add_faces(left, right):
-    return left + right if (left is not None and right is not None) else None
-
-
-def _project_circular(cone, x):
-    ca, sa = math.cos(cone.alpha), math.sin(cone.alpha)
-    x1 = x[0]
-    z = x[1:]
-    nrm = math.sqrt(float(x @ x))
-    if x1 >= nrm * ca:
-        return x.copy(), None
-    if x1 <= -nrm * sa:
-        return np.zeros_like(x), None
-    r = math.sqrt(float(z @ z))
-    rho = x1 * ca + r * sa
-    proj = np.empty_like(x)
-    proj[0] = rho * ca
-    proj[1:] = (rho * sa / r) * z
-    return proj, None
-
-
-def _project_psd(cone, x):
-    vals, vecs = np.linalg.eigh(vec_to_sym(x, cone.n))
-    return sym_to_vec((vecs * np.maximum(vals, 0.0)) @ vecs.T), None
-
-
-def _sq_norms(X):
-    # squared norm of each row
-    return np.einsum("ij,ij->i", X, X)
-
-
-def _project_generators(cone, X):
-    """Projections of the rows of X onto a generator cone, and the face
-    dimension of each: the number of generators it puts weight on.
-
-    nnls_solve keeps its passive generators linearly independent, so that
-    count is their rank.  A generator counts when its contribution
-    tau_i * ||g_i|| to the projection clears the activity threshold,
-    which makes the count independent of the generators' lengths.
-    """
-    g = cone.matrix
-    tau = nnls_solve(g, X)
-    # one vector-matrix product per row keeps each row's bits independent
-    # of the block it came in
-    proj = np.matmul(tau[:, None, :], g)[:, 0]
-    thresh = _zero_threshold(np.sqrt(np.einsum("ij,ij->i", X, X)))
-    weight = tau * np.sqrt(np.einsum("ij,ij->i", g, g))
-    return proj, np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
 # leaf types, and vectorized norms for the sampling hot path
 # ---------------------------------------------------------------------------
 
-# One leaf type: ambient, faces, project and spec serve the functions of
-# those names (spec cone_to_spec), and columns, dofs(cone, x, out), sampled
-# and norms its sampled coordinates in sampled_layout, chi_square_dofs
-# (writing a leaf's columns to out) and norms_block.
-_Leaf = namedtuple("_Leaf", "ambient faces project spec columns dofs sampled norms")
-
-
-def _subspace_project(cone, x):
-    k = getattr(cone, "dim", 0)
-    return np.concatenate([x[:k], np.zeros(x.size - k)]), k
+# One leaf type: ambient, faces and spec serve the functions of those names
+# (spec cone_to_spec), and columns, dofs(cone, x, out) and norms its
+# sampled coordinates in sampled_layout, chi_square_dofs (writing a leaf's
+# columns to out) and norms_block.
+_Leaf = namedtuple("_Leaf", "ambient faces spec columns dofs norms")
 
 
 def _subspace_dofs(cone, x, out):
@@ -297,35 +171,12 @@ def _subspace_dofs(cone, x, out):
     return k
 
 
-def _subspace_sampled(cone, X):
-    k = getattr(cone, "dim", 0)
-    return X[:, :0], np.stack([_sq_norms(X[:, :k]), _sq_norms(X[:, k:])], axis=1), k
-
-
-def _orthant_project(cone, x):
-    proj = np.maximum(x, 0.0)
-    return proj, int(np.count_nonzero(proj > _zero_threshold(math.sqrt(float(x @ x)))))
-
-
 def _orthant_dofs(cone, x, out):
     # K = searchsorted(z, x), the number of the leaf's thresholds
     # special.binomial_normal_thresholds below its normal x: Binomial(d, 1/2)
     k = np.searchsorted(binomial_normal_thresholds(cone.d), x[:, 0])
     out[:, 0], out[:, 1] = k, cone.d - k
     return k
-
-
-def _orthant_sampled(cone, X):
-    # one temporary holds the positive, then the negative part
-    part = np.maximum(X, 0.0)
-    s = _sq_norms(part)
-    np.minimum(X, 0.0, out=part)
-    t = _sq_norms(part)
-    thresh = _zero_threshold(np.sqrt(s + t))[:, None]
-    # thresh > 0, so x > thresh exactly where max(x, 0) > thresh
-    k = np.count_nonzero(X > thresh, axis=1)
-    x = np.append(binomial_normal_thresholds(cone.d), np.inf)[k]
-    return x[:, None], np.stack([s, t], axis=1), k
 
 
 def _circular_norms(cone, x, z, _):
@@ -352,18 +203,6 @@ def _matrix_slices(count, n):
         yield rows, mats[:rows.stop - r0]
 
 
-def _psd_sampled(cone, X):
-    # full rows -> (eigenvalues, 0): a diagonal matrix is its own tridiagonal
-    # form.  eigvalsh reads only the lower triangles, filled as vec_to_sym
-    iu, ju = np.triu_indices(cone.n)
-    scale = np.where(iu == ju, 1.0, _SQRT2)
-    vals = np.empty((X.shape[0], cone.n))
-    for rows, mats in _matrix_slices(X.shape[0], cone.n):
-        mats[:, ju, iu] = X[rows] / scale
-        vals[rows] = np.linalg.eigvalsh(mats)
-    return vals, np.zeros((X.shape[0], cone.n - 1)), None
-
-
 def _psd_norms(cone, x, z, _):
     # s and t: squared norms of the positive and negative eigenvalues of the
     # tridiagonal matrices with diagonal x, subdiagonal sqrt(z / 2) (lower only)
@@ -381,15 +220,26 @@ def _psd_norms(cone, x, z, _):
     return s, t, None
 
 
-def _generator_project(cone, x):
-    proj, fd = _project_generators(cone, x[None])
-    return proj[0], int(fd[0])
-
-
 def _generator_norms(cone, x, z, _):
-    proj, fd = _project_generators(cone, x)
+    """Norms of the projections of the rows of x onto a generator cone,
+    and the face dimension of each: the number of generators it puts
+    weight on.
+
+    nnls_solve keeps its passive generators linearly independent, so that
+    count is their rank.  A generator counts when its contribution
+    tau_i * ||g_i|| to the projection exceeds 1e-12 * (1 + ||x||), which
+    makes the count independent of the generators' lengths.
+    """
+    g = cone.matrix
+    tau = nnls_solve(g, x)
+    # one vector-matrix product per row keeps each row's bits independent
+    # of the block it came in
+    proj = np.matmul(tau[:, None, :], g)[:, 0]
     resid = x - proj
-    return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), fd
+    thresh = 1e-12 * (1.0 + np.sqrt(np.einsum("ij,ij->i", x, x)))
+    weight = tau * np.sqrt(np.einsum("ij,ij->i", g, g))
+    faces = np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
+    return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), faces
 
 
 def _generator_spec(cone):
@@ -399,9 +249,9 @@ def _generator_spec(cone):
 
 
 _SUBSPACE = _Leaf(
-    ambient=lambda cone: cone.ambient, faces=True, project=_subspace_project,
+    ambient=lambda cone: cone.ambient, faces=True,
     spec=lambda cone: f"subspace:{cone.dim}:{cone.ambient}",
-    columns=lambda cone: (0, 2), dofs=_subspace_dofs, sampled=_subspace_sampled,
+    columns=lambda cone: (0, 2), dofs=_subspace_dofs,
     norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], np.full(x.shape[0], k, dtype=np.int64)))
 
 _LEAVES = {
@@ -410,27 +260,23 @@ _LEAVES = {
     Trivial: _SUBSPACE._replace(ambient=lambda cone: cone.d,
                                 spec=lambda cone: f"trivial:{cone.d}"),
     Orthant: _Leaf(
-        ambient=lambda cone: cone.d, faces=True, project=_orthant_project,
-        spec=lambda cone: f"orthant:{cone.d}",
-        columns=lambda cone: (1, 2), dofs=_orthant_dofs, sampled=_orthant_sampled,
+        ambient=lambda cone: cone.d, faces=True, spec=lambda cone: f"orthant:{cone.d}",
+        columns=lambda cone: (1, 2), dofs=_orthant_dofs,
         norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], k)),
     Circular: _Leaf(
-        ambient=lambda cone: cone.d, faces=False, project=_project_circular,
+        ambient=lambda cone: cone.d, faces=False,
         spec=lambda cone: "circ:%d:%.17g" % (cone.d, cone.alpha),
         columns=lambda cone: (1, 1), dofs=lambda cone, x, out: out.fill(cone.d - 1),
-        sampled=lambda cone, X: (X[:, :1], _sq_norms(X[:, 1:])[:, None], None),
         norms=_circular_norms),
     Psd: _Leaf(
-        ambient=lambda cone: cone.n * (cone.n + 1) // 2, faces=False, project=_project_psd,
+        ambient=lambda cone: cone.n * (cone.n + 1) // 2, faces=False,
         spec=lambda cone: f"psd:{cone.n}", columns=lambda cone: (cone.n, cone.n - 1),
         dofs=lambda cone, x, out: np.copyto(out, np.arange(cone.n - 1, 0, -1)),
-        sampled=_psd_sampled, norms=_psd_norms),
+        norms=_psd_norms),
     Generators: _Leaf(
         ambient=lambda cone: cone.matrix.shape[1], faces=True,
-        project=_generator_project,
         spec=_generator_spec, columns=lambda cone: (cone.matrix.shape[1], 0),
-        dofs=lambda cone, x, out: None, sampled=lambda cone, X: (X, X[:, :0], None),
-        norms=_generator_norms),
+        dofs=lambda cone, x, out: None, norms=_generator_norms),
 }
 
 
@@ -450,13 +296,13 @@ def _fold(cone, leaf, product, polar):
 
 
 def _leaves(cone):
-    # (leaf, kind, Gaussian columns, chi-square columns, full-row
-    # coordinates) of each leaf of a cone, from left to right
-    placed, g, c, a = [], 0, 0, 0
+    # (leaf, kind, Gaussian columns, chi-square columns) of each leaf of a
+    # cone, from left to right
+    placed, g, c = [], 0, 0
     for kind, leaf in _fold(cone, lambda kind, leaf: [(kind, leaf)], list.__add__, list):
-        (width, columns), d = kind.columns(leaf), kind.ambient(leaf)
-        placed.append((leaf, kind, slice(g, g + width), slice(c, c + columns), slice(a, a + d)))
-        g, c, a = g + width, c + columns, a + d
+        width, columns = kind.columns(leaf)
+        placed.append((leaf, kind, slice(g, g + width), slice(c, c + columns)))
+        g, c = g + width, c + columns
     return placed
 
 
@@ -482,7 +328,7 @@ def sampled_layout(cone):
 
     Generator leaves keep their full Gaussian rows.
     """
-    _, _, width, columns, _ = _leaves(cone)[-1]
+    _, _, width, columns = _leaves(cone)[-1]
     return width.stop, columns.stop
 
 
@@ -495,49 +341,44 @@ def chi_square_dofs(cone, X):
     None."""
     leaves = _leaves(cone)
     dofs = np.empty((X.shape[0], leaves[-1][3].stop))
-    return dofs, [kind.dofs(leaf, X[:, g], dofs[:, c]) for leaf, kind, g, c, _ in leaves]
+    return dofs, [kind.dofs(leaf, X[:, g], dofs[:, c]) for leaf, kind, g, c in leaves]
 
 
 def norms_block(cone, X, Z=None, faces=None):
     """Squared projection / residual norms for a block of points.
 
-    X has shape (B, d) and holds full rows.  Given Z, of shape (B, L), it
-    holds the sampled coordinates of sampled_layout(cone) instead, as
-    map_chunks draws them: X the Gaussian columns, Z the chi-square
-    columns and faces what chi_square_dofs gave for X (found again if not
-    given).  Full rows are reduced to that form first, so each leaf has one
-    projection formula: for an orthant, x is the threshold z_K at the top
-    of the bin of its face dimension K (z_d = inf), and a psd row becomes
-    the tridiagonal matrix (lambda, 0), lambda its eigenvalues.
+    The points are given in the sampled coordinates of
+    sampled_layout(cone), as map_chunks draws them: X, of shape (B, W),
+    the Gaussian columns and Z, of shape (B, L), the chi-square columns,
+    which a cone without chi-square columns (generator leaves, Psd(1)) may
+    leave out.  faces is what chi_square_dofs gave for X, found again if
+    not given.
 
     Returns (s, t, face_dims) where s[i] is ||proj_C(x_i)||^2, t[i] =
     ||x_i||^2 - s[i] is the squared distance to the cone, and face_dims
-    is an int array or None when the variant has no face structure.
-    Matches project() sample by sample.  A generator cone solves the
-    whole block with one nnls_solve call; every row gets the bits it would
-    get alone, whatever block it comes in.
+    is an int array or None when the variant has no face structure.  A
+    generator cone solves the whole block with one nnls_solve call; every
+    row gets the bits it would get alone, whatever block it comes in.
     """
     X = np.asarray(X, dtype=float)
+    Z = np.empty(X.shape[:1] + (0,)) if Z is None else np.asarray(Z, dtype=float)
     leaves = _leaves(cone)
-    width, columns, d = (part.stop for part in leaves[-1][2:])
-    if Z is None:
-        if X.ndim != 2 or X.shape[1] != d:
-            raise DimensionMismatchError(f"block shape {X.shape} does not fit R^{d}")
-        x, z, faces = zip(*(kind.sampled(leaf, X[:, full]) for leaf, kind, _, _, full in leaves))
-        X, Z = (a[0] if len(a) == 1 else np.hstack(a) for a in (x, z))
-    else:
-        Z = np.asarray(Z, dtype=float)
-        if X.ndim != 2 or X.shape[1] != width or Z.shape != (X.shape[0], columns):
-            raise DimensionMismatchError(
-                f"blocks of shape {X.shape} and {Z.shape} do not fit {width} Gaussian "
-                f"and {columns} chi-square columns")
-        if faces is None:
-            faces = chi_square_dofs(cone, X)[1]
+    width, columns = (part.stop for part in leaves[-1][2:])
+    if X.ndim != 2 or X.shape[1] != width or Z.shape != (X.shape[0], columns):
+        raise DimensionMismatchError(
+            f"blocks of shape {X.shape} and {Z.shape} do not fit {width} Gaussian "
+            f"and {columns} chi-square columns")
+    if faces is None:
+        faces = chi_square_dofs(cone, X)[1]
     parts = iter([kind.norms(leaf, X[:, g], Z[:, c], face)
-                  for (leaf, kind, g, c, _), face in zip(leaves, faces)])
+                  for (leaf, kind, g, c), face in zip(leaves, faces)])
     return _fold(cone, lambda kind, leaf: next(parts),
                  lambda a, b: (a[0] + b[0], a[1] + b[1], _add_faces(a[2], b[2])),
                  lambda inner: (inner[1], inner[0], None))
+
+
+def _add_faces(left, right):
+    return left + right if (left is not None and right is not None) else None
 
 
 # ---------------------------------------------------------------------------

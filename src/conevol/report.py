@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (bennett_tails, circular_interlacing_tail, combined_tail,
-                     exp_moment_bound, goe_variance_asymptotics)
+from .bounds import (bennett_tails, circular_approximations, circular_interlacing_tail,
+                     combined_tail, exp_moment_bound, goe_variance_asymptotics)
 from .cones import (Circular, Generators, Orthant, Polar, Product, Psd,
                     Subspace, ambient_dim, second_order_cone)
 from .exceptions import ConeVolError
@@ -126,9 +126,11 @@ def _c02_circular_moments(base, ns, workers, cache):
                           _config(base + 202, ns["c2"]), workers=workers)
     sdim, _ = statistical_dimension(summary)
     var, _ = intrinsic_variance(summary)
-    passed = abs(sdim - 16.5) <= 0.15 and abs(var - 23.25) <= 2.0
-    return passed, (f"sdim {sdim:.4f} (16.5 +- 0.15), "
-                    f"var {var:.3f} (23.25 +- 2.0)")
+    # the paper's approximations: 16.5 and 23.25, up to rounding
+    sdim_ref, var_ref, _, _ = circular_approximations(64, math.pi / 6)
+    passed = abs(sdim - sdim_ref) <= 0.15 and abs(var - var_ref) <= 2.0
+    return passed, (f"sdim {sdim:.4f} ({sdim_ref:g} +- 0.15), "
+                    f"var {var:.3f} ({var_ref:g} +- 2.0)")
 
 
 def _c03_psd_sdim(base, ns, workers, cache):

@@ -310,12 +310,10 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
             r0 += count
         if direct:
             return (sum(chi_square_dofs(cone, X)[1], np.zeros(total, dtype=np.int64)),)
-        if not columns:
-            norms = norms_block(cone, X)
-        else:
+        Z, faces = chi_square_dofs(cone, X)
+        if columns:
             # one array: the halved degrees of freedom are the gamma shapes,
             # and each draw overwrites the shape it was drawn with
-            Z, faces = chi_square_dofs(cone, X)
             Z *= 0.5
             r0 = 0
             for index, count in chunks:
@@ -324,7 +322,7 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
                 chi.standard_gamma(shapes, out=shapes)
                 r0 += count
             Z *= 2.0
-            norms = norms_block(cone, X, Z, faces)
+        norms = norms_block(cone, X, Z, faces)
         return norms[2:] if faces_only else norms
 
     def work(group):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conevol.bounds import (
     TailBoundReport,
     bennett_tails,
-    chebyshev_tail,
     circular_approximations,
     circular_interlacing_tail,
     combined_tail,
@@ -140,13 +139,6 @@ def test_product_tail_orthant_factorization():
             combined_tail(lam, 5.0, 5.0), rel=1e-15)
     with pytest.raises(ValueError):
         product_tail(1.0, [(2.0, -1.0)])
-
-
-def test_chebyshev_tail_values():
-    assert chebyshev_tail(2.0) == 0.5
-    assert chebyshev_tail(math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        chebyshev_tail(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,14 @@ from conevol.cones import (
     cone_to_spec,
     load_generators,
     norms_block,
-    project,
     sampled_layout,
     second_order_cone,
     supports_face_dim,
-    sym_to_vec,
-    vec_to_sym,
 )
 from conevol.exceptions import ConeSpecError, DimensionMismatchError
 from conevol.linalg import nnls_solve
-from conevol.special import binomial_normal_thresholds
 from nnls_oracle import active_ranks, pointed_wide_generators, reference_norms
+from projection_oracle import project, sampled, sym_to_vec, vec_to_sym
 
 
 def _vec(d, seed):
@@ -66,7 +63,8 @@ ALL_LABELS = sorted(
 
 
 # ---------------------------------------------------------------------------
-# Projection invariants shared by every cone type
+# The projection oracle (tests/projection_oracle.py): invariants shared by
+# every cone type
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -75,36 +73,36 @@ def test_projection_decomposition(label, seed):
     cone, d = _cone_and_dim(label)
     assert ambient_dim(cone) == d
     x = _vec(d, 17 * seed + 5)
-    out = project(cone, x)
-    # x splits into projection + residual
-    assert np.allclose(out.projection + out.residual, x, atol=1e-12)
-    # the two parts are orthogonal
-    assert abs(float(out.projection @ out.residual)) < 1e-9
-    # squared norms are consistent with the split
-    assert out.sq_norm_proj == pytest.approx(float(out.projection @ out.projection), abs=1e-10)
-    assert out.sq_norm_residual == pytest.approx(float(out.residual @ out.residual), abs=1e-10)
-    assert out.sq_norm_proj + out.sq_norm_residual == pytest.approx(float(x @ x), rel=1e-10)
+    p = project(cone, x)[0]
+    # x splits into the projection and a residual orthogonal to it, the
+    # projection of x onto the polar cone
+    assert abs(float(p @ (x - p))) < 1e-9
+    assert np.allclose(project(Polar(cone), x)[0], x - p, atol=1e-12)
+    assert float(p @ p) + float((x - p) @ (x - p)) == pytest.approx(float(x @ x), rel=1e-10)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_projection_idempotent_and_homogeneous(label):
     cone, d = _cone_and_dim(label)
     x = _vec(d, 99)
-    p = project(cone, x).projection
-    again = project(cone, p).projection
+    p = project(cone, x)[0]
+    again = project(cone, p)[0]
     assert np.allclose(again, p, atol=1e-9)
-    doubled = project(cone, 2.0 * x).projection
+    doubled = project(cone, 2.0 * x)[0]
     assert np.allclose(doubled, 2.0 * p, atol=1e-9)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_residual_is_polar_projection(label):
+    # the residual x - p lies in the polar cone: <x - p, c> <= 0 for the
+    # points c of the cone, here projections of other points; and the
+    # polar of the polar gives p back
     cone, d = _cone_and_dim(label)
     x = _vec(d, 7)
-    out = project(cone, x)
-    polar_out = project(Polar(cone), x)
-    assert np.allclose(polar_out.projection, out.residual, atol=1e-9)
-    assert np.allclose(polar_out.residual, out.projection, atol=1e-9)
+    p = project(cone, x)[0]
+    points = project(cone, np.random.default_rng(8).standard_normal((50, d)))[0]
+    assert np.all(points @ (x - p) <= 1e-9)
+    assert np.allclose(project(Polar(Polar(cone)), x)[0], p, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,11 +111,10 @@ def test_residual_is_polar_projection(label):
 def test_projection_invariants_property(x, label):
     cone = {"orthant": Orthant(5), "soc": second_order_cone(5),
             "subspace": Subspace(3, 5)}[label]
-    out = project(cone, x)
-    assert np.allclose(out.projection + out.residual, x, atol=1e-9)
-    assert float(out.projection @ out.residual) == pytest.approx(0.0, abs=1e-7)
+    p = project(cone, x)[0]
+    assert float(p @ (x - p)) == pytest.approx(0.0, abs=1e-7)
     # projection shrinks norms
-    assert out.sq_norm_proj <= float(x @ x) + 1e-9
+    assert float(p @ p) <= float(x @ x) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -125,25 +122,21 @@ def test_projection_invariants_property(x, label):
 # ---------------------------------------------------------------------------
 
 def test_orthant_projection_is_positive_part():
-    x = np.array([1.5, -2.0, 0.0, 3.0])
-    out = project(Orthant(4), x)
-    assert np.allclose(out.projection, [1.5, 0.0, 0.0, 3.0])
-    assert out.face_dim == 2
+    p, face = project(Orthant(4), np.array([1.5, -2.0, 0.0, 3.0]))
+    assert np.allclose(p, [1.5, 0.0, 0.0, 3.0])
+    assert face == 2
 
 
 def test_subspace_projection_zeroes_complement():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    out = project(Subspace(2, 4), x)
-    assert np.allclose(out.projection, [1.0, 2.0, 0.0, 0.0])
-    assert out.face_dim == 2
+    p, face = project(Subspace(2, 4), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.allclose(p, [1.0, 2.0, 0.0, 0.0])
+    assert face == 2
 
 
 def test_trivial_projection_is_zero():
-    x = np.array([1.0, -1.0])
-    out = project(Trivial(2), x)
-    assert np.allclose(out.projection, 0.0)
-    assert np.allclose(out.residual, x)
-    assert out.face_dim == 0
+    p, face = project(Trivial(2), np.array([1.0, -1.0]))
+    assert np.array_equal(p, [0.0, 0.0])
+    assert face == 0
 
 
 def _circular_grid_oracle(alpha, x, steps=200_001):
@@ -158,27 +151,27 @@ def _circular_grid_oracle(alpha, x, steps=200_001):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_circular_projection_against_grid_oracle(alpha, seed):
     x = _vec(2, seed)
-    out = project(Circular(2, alpha), x)
-    assert out.sq_norm_proj == pytest.approx(_circular_grid_oracle(alpha, x), abs=1e-6)
+    p = project(Circular(2, alpha), x)[0]
+    assert float(p @ p) == pytest.approx(_circular_grid_oracle(alpha, x), abs=1e-6)
 
 
 def test_circular_projection_interior_and_polar_points():
     cone = Circular(3, 0.5)
     inside = np.array([2.0, 0.1, 0.0])   # well inside the cone
-    assert np.allclose(project(cone, inside).projection, inside)
+    assert np.allclose(project(cone, inside)[0], inside)
     # deep in the polar cone: projection collapses to the apex
     anti = np.array([-5.0, 0.1, 0.1])
-    assert np.allclose(project(cone, anti).projection, 0.0, atol=1e-12)
+    assert np.allclose(project(cone, anti)[0], 0.0, atol=1e-12)
 
 
 def test_circular_degenerate_angles():
     ray = Circular(3, 0.0)
     x = np.array([2.0, 1.0, -1.0])
-    assert np.allclose(project(ray, x).projection, [2.0, 0.0, 0.0])
+    assert np.allclose(project(ray, x)[0], [2.0, 0.0, 0.0])
     half = Circular(3, math.pi / 2)
     # alpha = pi/2 is the halfspace x_1 >= 0
     y = np.array([-2.0, 1.0, -1.0])
-    assert np.allclose(project(half, y).projection, [0.0, 1.0, -1.0])
+    assert np.allclose(project(half, y)[0], [0.0, 1.0, -1.0])
 
 
 def test_psd_projection_is_eigenvalue_clip():
@@ -187,29 +180,28 @@ def test_psd_projection_is_eigenvalue_clip():
     s = 0.5 * (s + s.T)
     vals, vecs = np.linalg.eigh(s)
     clipped = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
-    out = project(Psd(3), sym_to_vec(s))
-    assert np.allclose(out.projection, sym_to_vec(clipped), atol=1e-9)
+    assert np.allclose(project(Psd(3), sym_to_vec(s))[0], sym_to_vec(clipped), atol=1e-9)
 
 
 def test_generators_of_orthant_match_closed_form():
     cone = Generators(np.eye(4))
     x = np.array([1.0, -2.0, 3.0, -0.5])
-    out = project(cone, x)
-    assert np.allclose(out.projection, np.maximum(x, 0.0), atol=1e-12)
-    assert out.face_dim == 2
+    p, face = project(cone, x)
+    assert np.allclose(p, np.maximum(x, 0.0), atol=1e-12)
+    assert face == 2
 
 
 def test_product_projection_splits_coordinates():
     cone = Product(Orthant(2), Subspace(1, 3))
     x = np.array([1.0, -1.0, 4.0, 5.0, 6.0])
-    out = project(cone, x)
-    assert np.allclose(out.projection, [1.0, 0.0, 4.0, 0.0, 0.0])
-    assert out.face_dim == 2
+    p, face = project(cone, x)
+    assert np.allclose(p, [1.0, 0.0, 4.0, 0.0, 0.0])
+    assert face == 2
 
 
 def test_polar_of_orthant_is_negative_orthant():
-    out = project(Polar(Orthant(3)), np.array([1.0, -2.0, 0.5]))
-    assert np.allclose(out.projection, [0.0, -2.0, 0.0])
+    p = project(Polar(Orthant(3)), np.array([1.0, -2.0, 0.5]))[0]
+    assert np.allclose(p, [0.0, -2.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +221,11 @@ def test_face_dimension_counts_active_coordinates():
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.standard_normal(7)
-        out = project(Orthant(7), x)
-        assert out.face_dim == int(np.sum(x > 0))
+        assert project(Orthant(7), x)[1] == int(np.sum(x > 0))
 
 
 def test_face_dimension_none_for_smooth_cones():
-    out = project(Circular(3, 0.4), np.array([1.0, 2.0, 0.0]))
-    assert out.face_dim is None
+    assert project(Circular(3, 0.4), np.array([1.0, 2.0, 0.0]))[1] is None
 
 
 def _with_singular_values(sv, d, rng):
@@ -297,68 +287,40 @@ def test_generator_face_dims_ignore_generator_lengths(lengths):
 # Batched norms
 # ---------------------------------------------------------------------------
 
+def _check_against_oracle(cone, rows, seed):
+    # norms_block on the sampled statistics of full rows against the
+    # oracle's projections of those rows, which share no code with it
+    X = np.random.default_rng(seed).standard_normal((rows, ambient_dim(cone)))
+    gauss, chi = sampled(cone, X)
+    assert sampled_layout(cone) == (gauss.shape[1], chi.shape[1])
+    s, t, faces = norms_block(cone, gauss, chi)
+    p, ref_faces = project(cone, X)
+    tol = 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X))
+    assert np.all(np.abs(s - np.einsum("ij,ij->i", p, p)) <= tol)
+    assert np.all(np.abs(t - np.einsum("ij,ij->i", X - p, X - p)) <= tol)
+    assert (faces is not None) == (ref_faces is not None) == supports_face_dim(cone)
+    assert faces is None or np.array_equal(faces, ref_faces)
+    # norms_block takes sampled rows only: full rows are the sampled rows
+    # of a cone without chi-square columns, and of no other
+    with pytest.raises(DimensionMismatchError):
+        norms_block(cone, gauss, np.hstack([chi, X[:, :1]]))
+    if chi.shape[1]:
+        with pytest.raises(DimensionMismatchError):
+            norms_block(cone, X)
+        with pytest.raises(DimensionMismatchError):
+            norms_block(cone, X, chi)
+
+
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_norms_block_matches_rowwise_projection(label):
-    cone, d = _cone_and_dim(label)
-    X = np.random.default_rng(31).standard_normal((40, d))
-    s, t, faces = norms_block(cone, X)
-    for i in range(X.shape[0]):
-        out = project(cone, X[i])
-        assert s[i] == pytest.approx(out.sq_norm_proj, rel=1e-9, abs=1e-9)
-        assert t[i] == pytest.approx(out.sq_norm_residual, rel=1e-9, abs=1e-9)
-        if faces is not None:
-            assert faces[i] == out.face_dim
-    if supports_face_dim(cone):
-        assert faces is not None
-
-
-def _sampled_statistics(cone, X):
-    """The sampled coordinates of full rows X, leaf by leaf: (x) and
-    (||x_+||^2, ||x_-||^2) for an orthant, with x the threshold z_K that
-    stands for its face dimension K (z_d = inf), (x_1) and (||z||^2) for a
-    circular cone, () and (||x_1..k||^2, ||x_k+1..d||^2) for a subspace."""
-    if isinstance(cone, Orthant):
-        pos, neg = np.maximum(X, 0.0), np.minimum(X, 0.0)
-        z = np.append(binomial_normal_thresholds(cone.d), np.inf)
-        return (z[np.sum(X > 0.0, axis=1)][:, None],
-                np.stack([np.sum(pos * pos, axis=1), np.sum(neg * neg, axis=1)], axis=1))
-    if isinstance(cone, Circular):
-        return X[:, :1], np.sum(X[:, 1:] ** 2, axis=1)[:, None]
-    if isinstance(cone, (Subspace, Trivial)):
-        k = cone.dim if isinstance(cone, Subspace) else 0
-        return X[:, :0], np.stack([np.sum(X[:, :k] ** 2, axis=1),
-                                   np.sum(X[:, k:] ** 2, axis=1)], axis=1)
-    if isinstance(cone, Product):
-        dl = ambient_dim(cone.left)
-        xl, zl = _sampled_statistics(cone.left, X[:, :dl])
-        xr, zr = _sampled_statistics(cone.right, X[:, dl:])
-        return np.hstack([xl, xr]), np.hstack([zl, zr])
-    assert isinstance(cone, Polar)
-    return _sampled_statistics(cone.inner, X)
-
-
-def _check_one_formula(cone):
-    # full rows and the sampled statistics of the same rows go through one
-    # formula per leaf, so they give the same norms and face dimensions
-    X = np.random.default_rng(37).standard_normal((500, ambient_dim(cone)))
-    gauss, chi = _sampled_statistics(cone, X)
-    assert sampled_layout(cone) == (gauss.shape[1], chi.shape[1])
-    s, t, faces = norms_block(cone, X)
-    s_sampled, t_sampled, faces_sampled = norms_block(cone, gauss, chi)
-    assert np.allclose(s_sampled, s, rtol=1e-12, atol=0.0)
-    assert np.allclose(t_sampled, t, rtol=1e-12, atol=0.0)
-    assert (faces is None and faces_sampled is None) or np.array_equal(faces, faces_sampled)
-    with pytest.raises(DimensionMismatchError):
-        norms_block(cone, gauss, np.hstack([chi, chi[:, :1]]))
-    with pytest.raises(DimensionMismatchError):
-        norms_block(cone, X, chi)
+    _check_against_oracle(_cone_and_dim(label)[0], 40, 31)
 
 
 @pytest.mark.parametrize("cone", [Circular(8, math.pi / 6), Polar(Circular(6, 0.9)),
                                   Product(Orthant(3), Circular(5, 0.7))],
                          ids=["circ:8:pi/6", "polar(circ:6:0.9)", "prod(orthant:3,circ:5:0.7)"])
 def test_norms_block_has_one_circular_formula(cone):
-    _check_one_formula(cone)
+    _check_against_oracle(cone, 500, 37)
 
 
 @pytest.mark.parametrize("cone", [
@@ -367,7 +329,7 @@ def test_norms_block_has_one_circular_formula(cone):
     Polar(Product(Subspace(1, 3), Product(Orthant(2), Trivial(2)))),
 ], ids=cone_to_spec)
 def test_norms_block_has_one_formula_per_sampled_leaf(cone):
-    _check_one_formula(cone)
+    _check_against_oracle(cone, 500, 37)
 
 
 def test_sampled_layout_lists_circular_leaves_left_to_right():
@@ -395,15 +357,13 @@ def test_psd_norms_do_not_depend_on_matrix_slices(monkeypatch):
     # psd leaves are projected in slices of about _STACK_VALUES matrix
     # entries, and eigvalsh works matrix by matrix
     cone = Product(Psd(4), Polar(Psd(3)))
-    X = np.random.default_rng(35).standard_normal((300, ambient_dim(cone)))
-    gauss = X[:, :7]
+    gauss = np.random.default_rng(35).standard_normal((300, ambient_dim(cone)))[:, :7]
     chi = 2.0 * np.random.default_rng(36).standard_gamma(0.5 * chi_square_dofs(cone, gauss)[0])
-    default = [norms_block(cone, X), norms_block(cone, gauss, chi)]
+    s0, t0, _ = norms_block(cone, gauss, chi)
     for entries in (1, 37, 1 << 24):
         monkeypatch.setattr(cones, "_STACK_VALUES", entries)
-        for (s, t, _), (s0, t0, _) in zip([norms_block(cone, X), norms_block(cone, gauss, chi)],
-                                          default):
-            assert np.array_equal(s, s0) and np.array_equal(t, t0)
+        s, t, _ = norms_block(cone, gauss, chi)
+        assert np.array_equal(s, s0) and np.array_equal(t, t0)
 
 
 def test_generator_norms_block_memory_is_bounded():

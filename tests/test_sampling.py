@@ -50,6 +50,7 @@ from conevol.steiner import (
     wills_mc,
 )
 from nnls_oracle import pointed_wide_generators, reference_norms
+from projection_oracle import project
 
 # ---------------------------------------------------------------------------
 # Per-chunk SFC64 streams
@@ -620,8 +621,9 @@ def test_moments_match_exact_profiles_over_seeds():
 
 
 # psd leaves are sampled as symmetric tridiagonal matrices (Dumitriu and
-# Edelman's model of the GOE); full rows are projected through the dense
-# eigenvalues of their own matrices, which does not rest on that model
+# Edelman's model of the GOE); full rows are projected by the projection
+# oracle through the dense eigenvalues of their own matrices, which rests
+# neither on that model nor on norms_block
 _PSD_CONES = [
     ("psd:1", Psd(1)),
     ("psd:2", Psd(2)),
@@ -641,19 +643,37 @@ def _theta_mean_and_variance(acc):
 @pytest.mark.parametrize("label, cone", _PSD_CONES, ids=[label for label, _ in _PSD_CONES])
 def test_tridiagonal_psd_matches_full_rows(label, cone):
     # a two-sample test of theta = s / (s + t): run_summary's sampled rows
-    # against full Gaussian rows drawn here and projected by norms_block, at
+    # against full Gaussian rows drawn here and projected by the oracle, at
     # every seed of a fixed set; the message lists every |z|
     zs = {}
     for seed in (41, 42, 43):
         sampled = run_summary(cone, MonteCarloConfig(seed=seed, total_samples=40_000))
         X = np.random.default_rng(seed).standard_normal((40_000, ambient_dim(cone)))
-        s, t, _ = norms_block(cone, X)
+        p = project(cone, X)[0]
+        s, t = (np.einsum("ij,ij->i", a, a) for a in (p, X - p))
         full = MomentAccumulator.from_values(s / (s + t))
         for name, (a, se_a), (b, se_b) in zip(("mean", "var"),
                                               _theta_mean_and_variance(sampled.theta_moments),
                                               _theta_mean_and_variance(full)):
             zs[seed, name] = abs(a - b) / math.hypot(se_a, se_b)
     assert max(zs.values()) <= 4.0, (label, {key: round(z, 2) for key, z in zs.items()})
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["psd:1", "polar(psd:1)"])
+def test_psd1_norms_are_the_parts_of_its_gaussian_column(polar):
+    # Psd(1) has one Gaussian column and no chi-square column, so map_chunks
+    # hands norms_block its rows as they are, and a 1 x 1 matrix is its own
+    # eigenvalue: s and t are the squared positive and negative parts of the
+    # chunk's Gaussian column, swapped for the polar cone
+    cone = Polar(Psd(1)) if polar else Psd(1)
+    big = sampling._BLOCK_VALUES + 611
+    for chunk, total in ((1, 300), (777, 2_000), (big, big)):
+        cfg = MonteCarloConfig(seed=9, total_samples=total, chunk_size=chunk)
+        for index, s, t in map_chunks(cone, cfg, lambda index, s, t, fd: (index, s, t)):
+            x = _chunk_gaussians(cfg.seed, index, s.shape[0], 1)[:, 0]
+            pos, neg = np.maximum(x, 0.0) ** 2, np.minimum(x, 0.0) ** 2
+            assert np.array_equal(s, neg if polar else pos), (chunk, index)
+            assert np.array_equal(t, pos if polar else neg), (chunk, index)
 
 
 @pytest.mark.parametrize("n, total, bound", [(12, 20_000, 3_671_166), (28, 16_384, 3_562_358)])

@@ -63,10 +63,11 @@ def _project_circular(alpha, x):
 
 def project(cone, x):
     """(projection, face dimension) of a point x, or of each point along
-    the last axis of x.  The face dimension is the number of active
-    coordinates, subspace axes or generators; a polar, a circular or a psd
-    cone has none (None), and neither has a product with such a factor.
-    A coordinate is active when it exceeds 1e-12 * (1 + ||x||)."""
+    the last axis of x.  The face dimension is a subspace's dimension,
+    the number of orthant coordinates of the projection above
+    1e-12 * (1 + ||x||), or the rank of the generators whose contribution
+    is above it; a polar, a circular or a psd cone has none (None), nor
+    has a product with such a factor."""
     x = np.asarray(x, dtype=float)
     if isinstance(cone, Product):
         d = ambient_dim(cone.left)

@@ -40,6 +40,8 @@ class Mutant(NamedTuple):
 _STEINER = "src/conevol/steiner.py"
 _NOT_PALINDROMIC = "tests/test_steiner.py::test_expansion_cdfs_on_profiles_that_are_not_palindromic"
 _SPECIAL = "src/conevol/special.py"
+_LINALG = "src/conevol/linalg.py"
+_PIVOTING = "tests/test_linalg.py::test_block_pivoting_matches_brute_force"
 _TRIDIAGONAL = "tests/test_sampling.py::test_tridiagonal_psd_matches_full_rows"
 _LAGUERRE = ("tests/test_special.py::test_gauss_laguerre_gamma_moments",
              "tests/test_special.py::test_gauss_laguerre_is_exact_to_degree_2n_minus_1",
@@ -103,9 +105,17 @@ MUTANTS = (
            "(1 << 64), spawn_key=(chunk_index, 1))",
            ("tests/test_sampling.py::test_chi_square_streams_are_no_gaussian_streams",)),
     Mutant("face-path-drops-subspace-dimension", "src/conevol/sampling.py",
-           "sum(chi_square_dofs(cone, X)[1], ",
-           "sum((f for f in chi_square_dofs(cone, X)[1] if np.ndim(f)), ",
+           "sum(chi_square_dofs(cone, X, fill=False)[1],",
+           "sum((f for f in chi_square_dofs(cone, X, fill=False)[1] if np.ndim(f)),",
            ("tests/test_sampling.py::test_face_estimate_equals_the_estimate_from_a_summary",)),
+    Mutant("pivoting-dual-test-flipped", _LINALG,
+           "y < -tol[:, None]",
+           "y > tol[:, None]",
+           (_PIVOTING,)),
+    Mutant("pivoting-inactive-rhs-kept", _LINALG,
+           "rhs = np.where(passive, c, 0.0)[..., None]",
+           "rhs = c[..., None]",
+           (_PIVOTING,)),
     Mutant("intrinsic-variance-scale-inverted", "src/conevol/profiles.py",
            "(d + 2) / d",
            "d / (d + 2)",

@@ -204,9 +204,11 @@ def _cmd_steiner(args, parser):
             rows.append([lam, mix, float(emp[i]), diff, se])
         header = ["lambda", "mixture", "mc", "diff", "se"]
     else:
-        for name, f in sorted(preset_functionals().items()):
+        presets = sorted(preset_functionals().items())
+        # one pass over the stream for every functional
+        direct = phi_mc(cone, [f for _, f in presets], config, workers=args.workers)
+        for (name, f), (dval, dse) in zip(presets, direct):
             mval, mse = master_phi(f, prof, config, workers=args.workers)
-            dval, dse = phi_mc(cone, f, config, workers=args.workers)
             se = math.hypot(mse, dse)
             diff = abs(mval - dval)
             bad = bad or diff > 4.0 * se + 0.01

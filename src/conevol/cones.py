@@ -161,13 +161,15 @@ def faces_from_dofs(cone):
 # One leaf type: ambient, faces and spec serve the functions of those names
 # (spec cone_to_spec), and columns, dofs(cone, x, out) and norms its
 # sampled coordinates in sampled_layout, chi_square_dofs (writing a leaf's
-# columns to out) and norms_block.
+# columns to out; the orthant and subspace entries also take out=None,
+# which writes nothing) and norms_block.
 _Leaf = namedtuple("_Leaf", "ambient faces spec columns dofs norms")
 
 
 def _subspace_dofs(cone, x, out):
     k = getattr(cone, "dim", 0)
-    out[:, 0], out[:, 1] = k, ambient_dim(cone) - k
+    if out is not None:
+        out[:, 0], out[:, 1] = k, ambient_dim(cone) - k
     return k
 
 
@@ -175,7 +177,8 @@ def _orthant_dofs(cone, x, out):
     # K = searchsorted(z, x), the number of the leaf's thresholds
     # special.binomial_normal_thresholds below its normal x: Binomial(d, 1/2)
     k = np.searchsorted(binomial_normal_thresholds(cone.d), x[:, 0])
-    out[:, 0], out[:, 1] = k, cone.d - k
+    if out is not None:
+        out[:, 0], out[:, 1] = k, cone.d - k
     return k
 
 
@@ -225,8 +228,11 @@ def _generator_norms(cone, x, z, _):
     and the face dimension of each: the number of generators it puts
     weight on.
 
-    nnls_solve keeps its passive generators linearly independent, so that
-    count is their rank.  A generator counts when its contribution
+    The passive generators of nnls_solve are linearly independent, so
+    that count is their rank: block principal pivoting runs only on
+    generator sets that well_conditioned_rows certifies independent, and
+    Lawson-Hanson's dual tolerance keeps a dependent generator out of the
+    passive set of the others.  A generator counts when its contribution
     tau_i * ||g_i|| to the projection exceeds 1e-12 * (1 + ||x||), which
     makes the count independent of the generators' lengths.
     """
@@ -332,16 +338,18 @@ def sampled_layout(cone):
     return width.stop, columns.stop
 
 
-def chi_square_dofs(cone, X):
+def chi_square_dofs(cone, X, fill=True):
     """(dofs, faces) for sampled Gaussian columns X: dofs, of shape (B,
     columns), holds the degrees of freedom of the chi-square columns, and
     faces what norms_block needs of them, one entry per leaf.  An orthant
     leaf's columns are K and d - K, its entry K; a subspace's k and d - k,
     entry k; a circular leaf's d - 1 and a psd leaf's n - 1, ..., 1, entry
-    None."""
+    None.  With fill=False, for a cone of faces_from_dofs, dofs is None
+    and only the faces are found."""
     leaves = _leaves(cone)
-    dofs = np.empty((X.shape[0], leaves[-1][3].stop))
-    return dofs, [kind.dofs(leaf, X[:, g], dofs[:, c]) for leaf, kind, g, c in leaves]
+    dofs = np.empty((X.shape[0], leaves[-1][3].stop)) if fill else None
+    return dofs, [kind.dofs(leaf, X[:, g], None if dofs is None else dofs[:, c])
+                  for leaf, kind, g, c in leaves]
 
 
 def norms_block(cone, X, Z=None, faces=None):

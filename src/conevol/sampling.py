@@ -268,10 +268,11 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     face_dims) sees the face dimensions alone.  When every leaf is an
     orthant, a subspace or a trivial cone (cones.faces_from_dofs), they are
     the sums of the leaves' entries of chi_square_dofs, an orthant's K
-    and a subspace's k: the Gaussian columns are drawn as above, and no
-    chi-square stream, chi-square draw or norms_block call is made.  A
-    generator leaf finds its face dimensions by projection, so such a
-    cone takes the full path and fn sees only its face dimensions.  They
+    and a subspace's k, found without filling its degrees of freedom: the
+    Gaussian columns are drawn as above, and no chi-square stream,
+    chi-square draw or norms_block call is made.  A generator leaf finds
+    its face dimensions by projection, so such a cone takes the full path
+    and fn sees only its face dimensions.  They
     depend on the Gaussian stream only, which is read as it is without
     faces_only, so they are those fn(index, s, t, face_dims) sees.
 
@@ -309,7 +310,8 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
                 gaussian_block(gauss, out[r0 * width:], count, width)
             r0 += count
         if direct:
-            return (sum(chi_square_dofs(cone, X)[1], np.zeros(total, dtype=np.int64)),)
+            return (sum(chi_square_dofs(cone, X, fill=False)[1],
+                        np.zeros(total, dtype=np.int64)),)
         Z, faces = chi_square_dofs(cone, X)
         if columns:
             # one array: the halved degrees of freedom are the gamma shapes,

@@ -168,14 +168,22 @@ def phi_mc(cone, f, config, workers=None):
     """Direct Monte Carlo (value, stderr) of E f(s, t) over the cone's
     Gaussian projection stream; the oracle side of the master identity.
 
+    f may also be a sequence of functionals: then the stream is drawn and
+    projected once, and the result is a list with one (value, stderr) per
+    functional, each the same as phi_mc gives for that functional alone.
+
     workers is passed to map_chunks, as by every Monte Carlo function
     here: it sets the thread count and never changes the result.
     """
+    fs = [f] if callable(f) else list(f)
     parts = map_chunks(cone, config,
-                       lambda index, s, t, fd: MomentAccumulator.from_values(f(s, t)),
+                       lambda index, s, t, fd: [MomentAccumulator.from_values(g(s, t))
+                                                for g in fs],
                        workers)
-    acc = reduce(MomentAccumulator.merge, parts, MomentAccumulator())
-    return acc.mean, acc.se_mean
+    accs = [reduce(MomentAccumulator.merge, column, MomentAccumulator())
+            for column in zip(*parts)]
+    results = [(acc.mean, acc.se_mean) for acc in accs]
+    return results[0] if callable(f) else results
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,12 @@ def test_nnls_block_rows_take_different_paths():
                            atol=1e-12 * (1.0 + float(b @ b)))
 
 
+def _rotated(d, seed):
+    """A random d x d rotation: Q of a Gaussian matrix, signs fixed by R."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
 def _near_ratio_generators(ratio, m, d, seed):
     """m <= d unit generators in R^d whose singular values span exactly
     ``ratio``: orthonormal but for the last, at angle 2 atan(ratio) from
@@ -185,17 +191,17 @@ def _near_ratio_generators(ratio, m, d, seed):
     g = np.eye(m, d)
     g[-1] = 0.0
     g[-1, 0], g[-1, m - 1] = math.cos(theta), math.sin(theta)
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    return g @ (q * np.sign(np.diag(r)))
+    return g @ _rotated(d, seed)
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
 def test_nnls_near_gram_ratio_matches_oracle(monkeypatch, factor):
-    # just above the certificate's ratio no row is tested; just below it
-    # every row tests its own passive Gram block, so rows whose passive
-    # set holds both near-parallel generators take the pseudoinverse and
-    # the rest solve the normal equations.  Either way every row matches
-    # the per-row lstsq oracle and its lone solve.
+    # just above the certificate's ratio the rows take block principal
+    # pivoting, which tests no passive Gram block; just below it they take
+    # Lawson-Hanson, and every row tests its own passive Gram block, so
+    # rows whose passive set holds both near-parallel generators take the
+    # pseudoinverse and the rest solve the normal equations.  Either way
+    # every row matches the per-row lstsq oracle and its lone solve.
     ratio = conevol.linalg._GRAM_RATIO
     a = _near_ratio_generators(factor * ratio, 5, 7, 0)
     certified = factor > 1.0
@@ -209,19 +215,97 @@ def test_nnls_near_gram_ratio_matches_oracle(monkeypatch, factor):
     verdicts = []
     gram_ok = conevol.linalg._gram_ok
 
-    def recording_gram_ok(g, certified_, d):
-        assert certified_ == certified
-        ok = gram_ok(g, certified_, d)
+    def recording_gram_ok(g, d):
+        ok = gram_ok(g, d)
         verdicts.extend(ok.tolist())
         return ok
 
     monkeypatch.setattr(conevol.linalg, "_gram_ok", recording_gram_ok)
     block = _solve_block(a, targets)
-    assert any(verdicts) and all(verdicts) == certified
+    if certified:
+        assert verdicts == []
+    else:
+        assert any(verdicts) and not all(verdicts)
     for b, tau in zip(targets, block):
         _assert_kkt(a, b, tau)
         assert np.allclose(a.T @ tau, a.T @ reference_nnls(a, b)[0], rtol=0.0,
                            atol=1e-12 * (1.0 + float(b @ b)))
+
+
+# certified generator sets: identities and rotated orthants up to d = 10,
+# random sets with m < d, and the near-ratio set just above the certificate
+_CERTIFIED = {
+    "I_3": np.eye(3),
+    "I_10": np.eye(10),
+    "rotated_6": _rotated(6, 1),
+    "rotated_10": _rotated(10, 2),
+    "random_3x5": np.random.default_rng(3).standard_normal((3, 5)),
+    "random_5x8": np.random.default_rng(4).standard_normal((5, 8)),
+    "random_7x9": np.random.default_rng(5).standard_normal((7, 9)),
+    "near_ratio": _near_ratio_generators(1.01 * conevol.linalg._GRAM_RATIO, 5, 7, 0),
+}
+
+
+def _certified_targets(a, seed):
+    # Gaussian targets, fits inside the cone, and targets near its faces
+    rng = np.random.default_rng(seed)
+    m, d = a.shape
+    inside = (a.T @ np.abs(rng.standard_normal((m, 6)))).T
+    face = inside * (rng.random((6, 1)) < 0.5) + 1e-3 * rng.standard_normal((6, d))
+    return np.vstack([rng.standard_normal((24, d)), inside, face, np.zeros((1, d))])
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_block_pivoting_matches_brute_force(monkeypatch, name):
+    # certified sets take block principal pivoting and never Lawson-Hanson;
+    # every row is optimal, as good as the exhaustive search, and the same
+    # bits alone as in its block
+    a = _CERTIFIED[name]
+    assert conevol.linalg.well_conditioned_rows(
+        a / np.linalg.norm(a, axis=1)[:, None], conevol.linalg._GRAM_RATIO)
+
+    def no_lawson_hanson(*args):
+        raise AssertionError("certified set sent to Lawson-Hanson")
+
+    monkeypatch.setattr(conevol.linalg, "_lawson_hanson", no_lawson_hanson)
+    targets = _certified_targets(a, 20)
+    block = _solve_block(a, targets)
+    for i, (b, tau) in enumerate(zip(targets, block)):
+        rnorm = _assert_kkt(a, b, tau)
+        # the exhaustive search costs 2^m lstsq calls a target
+        if i % 4 == 0:
+            assert rnorm <= _brute_force_nnls(a, b) + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_block_pivoting_by_murty_rule_alone_agrees(monkeypatch, name):
+    # with no backups every exchange is a single index by Murty's rule,
+    # which takes more passes to the same projections
+    a = _CERTIFIED[name]
+    targets = np.vstack([_certified_targets(a, 21),
+                         np.random.default_rng(22).standard_normal((200, a.shape[1]))])
+    full = nnls_solve(a, targets) @ a
+    monkeypatch.setattr(conevol.linalg, "_BACKUPS", 0)
+    murty = _solve_block(a, targets) @ a
+    scale = 1.0 + np.linalg.norm(targets, axis=1)[:, None]
+    assert np.all(np.abs(murty - full) <= 1e-12 * scale)
+
+
+def test_block_pivoting_pass_cap_raises(monkeypatch):
+    # by Murty's rule alone the identity gains one passive index per pass,
+    # so a target with 16 positive coordinates needs 16 passes, past a cap
+    # of 12; with backups the same target takes one pass
+    monkeypatch.setattr(conevol.linalg, "_PIVOTS_PER_GENERATOR", 0)
+    a = np.eye(16)
+    targets = np.vstack([-np.ones(16), np.ones(16), np.eye(16)[:3]])
+    assert np.array_equal(nnls_solve(a, targets), np.maximum(targets, 0.0))
+    monkeypatch.setattr(conevol.linalg, "_BACKUPS", 0)
+    with pytest.raises(NonConvergenceError):
+        nnls_solve(a, targets)
+    with pytest.raises(NonConvergenceError):
+        nnls_solve(a, targets[1])
+    easy = targets[[0, 2, 3, 4]]
+    assert np.array_equal(nnls_solve(a, easy), np.maximum(easy, 0.0))
 
 
 def test_nnls_block_shapes():
@@ -232,23 +316,28 @@ def test_nnls_block_shapes():
 
 
 def test_nnls_outer_cap_raises(monkeypatch):
-    # identity generators add one passive index per outer step, so a
-    # target with 16 positive coordinates needs 16 steps, past a cap of 12
+    # Lawson-Hanson adds one passive index per outer step, so on the
+    # identity generators plus -1 (17 in R^16, so not certified) a target
+    # with 16 positive coordinates needs 16 steps, past a cap of 12
     monkeypatch.setattr(conevol.linalg, "_OUTER_PER_GENERATOR", 0)
-    a = np.eye(16)
+    a = np.vstack([np.eye(16), -np.ones(16)])
+    assert not conevol.linalg.well_conditioned_rows(a, conevol.linalg._GRAM_RATIO)
     targets = np.vstack([-np.ones(16), np.ones(16), np.eye(16)[:3]])
     with pytest.raises(NonConvergenceError):
         nnls_solve(a, targets)
     with pytest.raises(NonConvergenceError):
         nnls_solve(a, targets[1])
     easy = targets[[0, 2, 3, 4]]
-    assert np.array_equal(nnls_solve(a, easy), np.maximum(easy, 0.0))
+    expected = np.zeros((4, 17))
+    expected[0, 16] = 1.0
+    expected[1:, :16] = np.eye(16)[:3]
+    assert np.array_equal(nnls_solve(a, easy), expected)
 
 
 def test_nnls_rejected_passive_solves_end_at_zero(monkeypatch):
     # a passive solve that is never accepted drops one passive index per
     # pass until the passive set is empty, which is always accepted
-    def rejecting_solve(a, gram, certified, passive, b, c):
+    def rejecting_solve(a, gram, passive, b, c):
         return np.where(passive, -1.0, 0.0)
 
     monkeypatch.setattr(conevol.linalg, "_passive_solve", rejecting_solve)
@@ -259,9 +348,10 @@ def test_nnls_rejected_passive_solves_end_at_zero(monkeypatch):
 
 
 def test_nnls_cap_exits_3(monkeypatch, tmp_path, capsys):
+    # Lawson-Hanson's cap: the identity plus -1 is not certified
     monkeypatch.setattr(conevol.linalg, "_OUTER_PER_GENERATOR", 0)
     path = tmp_path / "gens.csv"
-    np.savetxt(path, np.eye(24), delimiter=",")
+    np.savetxt(path, np.vstack([np.eye(24), -np.ones(24)]), delimiter=",")
     code = cli.main(["sdim", "--cone", f"gens:{path}", "--samples", "200"])
     assert code == 3
     assert "numerical guard" in capsys.readouterr().err

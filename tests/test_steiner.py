@@ -161,6 +161,20 @@ def test_master_phi_agrees_with_direct_sampling():
     assert abs(lhs - rhs) < 4.0 * math.hypot(lhs_se, rhs_se) + 1e-3
 
 
+@pytest.mark.parametrize("cone", [Orthant(6), Polar(Circular(5, 0.6)),
+                                  Generators(np.eye(3))])
+def test_phi_mc_on_a_sequence_matches_one_call_per_functional(cone):
+    # one pass for several functionals gives each the bits of its own pass,
+    # at any worker count and with chunks smaller and larger than a block
+    fs = list(preset_functionals().values())
+    for cfg in (MonteCarloConfig(seed=5, total_samples=3001, chunk_size=777),
+                MonteCarloConfig(seed=6, total_samples=70_000, chunk_size=70_000)):
+        alone = [phi_mc(cone, f, cfg) for f in fs]
+        assert phi_mc(cone, fs, cfg) == alone
+        assert phi_mc(cone, fs, cfg, workers=3) == alone
+        assert phi_mc(cone, tuple(fs[1:2]), cfg) == alone[1:2]
+
+
 # ---------------------------------------------------------------------------
 # Expansion CDFs
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ _STEINER = "src/conevol/steiner.py"
 _NOT_PALINDROMIC = "tests/test_steiner.py::test_expansion_cdfs_on_profiles_that_are_not_palindromic"
 _SPECIAL = "src/conevol/special.py"
 _LINALG = "src/conevol/linalg.py"
+_CLI = "src/conevol/cli.py"
 _PIVOTING = "tests/test_linalg.py::test_block_pivoting_matches_brute_force"
 _TRIDIAGONAL = "tests/test_sampling.py::test_tridiagonal_psd_matches_full_rows"
 _LAGUERRE = ("tests/test_special.py::test_gauss_laguerre_gamma_moments",
@@ -134,6 +135,14 @@ MUTANTS = (
            "np.diag(np.sqrt(i + alpha + 1.0))",
            "np.diag(np.sqrt(i + alpha))",
            _LAGUERRE),
+    Mutant("check-rule-loosened", _CLI,
+           "4.0 * se + 0.01",
+           "4.0 * se + 1.0",
+           ("tests/test_cli.py::test_checks_exit_4_on_a_wrong_profile",)),
+    Mutant("estimate-route-polyhedral-to-mixture", _CLI,
+           "estimate_profile_face if supports_face_dim(cone)",
+           "estimate_profile_mixture if supports_face_dim(cone)",
+           ("tests/test_cli.py::test_check_artifacts_are_pinned",)),
 )
 
 

@@ -7,8 +7,10 @@ where a subcommand supports both.  All floats in CSV artifacts are
 printed with 17 significant digits, and identical command lines produce
 byte-identical artifacts regardless of the worker count.
 
-Exit codes: 0 success, 2 malformed cone/flags, 3 numerical guard
-tripped, 4 consistency check failed.
+Exit codes: 0 success, 2 malformed cone/flags or unwritable --out, 3
+numerical guard tripped (JSON artifacts never carry NaN or Infinity), 4
+an identity check (steiner, product-check) found a row with |formula - mc|
+> 4*se + 0.01; wills prints both of its sides without that rule.
 """
 
 import argparse
@@ -41,14 +43,20 @@ def _fmt(x):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConeSpecError(f"{out_path}: cannot write artifact: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise NumericalGuardError(f"artifact holds a number that is not finite ({e})") from None
 
 
 def _csv_text(header, rows):
@@ -96,16 +104,27 @@ _ESTIMATORS = {
 }
 
 
+def _estimate(cone, config, workers):
+    """Face estimate for polyhedral cones, else the mixture fit."""
+    estimator = estimate_profile_face if supports_face_dim(cone) else estimate_profile_mixture
+    return estimator(cone, config, workers=workers)
+
+
 def _profile_for(cone, args, seed_shift=0):
-    """Best available profile: exact when supported, else face, else mixture."""
+    """Exact profile when supported, else _estimate at the shifted seed."""
     try:
         return exact_profile(cone)
     except UnsupportedConeError:
-        pass
-    config = dataclasses.replace(_mc_config(args), seed=args.seed + seed_shift)
-    if supports_face_dim(cone):
-        return estimate_profile_face(cone, config, workers=args.workers)
-    return estimate_profile_mixture(cone, config, workers=args.workers)
+        config = dataclasses.replace(_mc_config(args), seed=args.seed + seed_shift)
+        return _estimate(cone, config, args.workers)
+
+
+def _check(header, rows, out_path):
+    """Write rows of (label, formula, mc, se) as CSV, with diff = |formula - mc|
+    inserted before se; return 4 if any diff exceeds 4*se + 0.01, else 0."""
+    table = [[label, formula, mc, abs(formula - mc), se] for label, formula, mc, se in rows]
+    _emit(_csv_text(header, table), out_path)
+    return 4 if any(diff > 4.0 * se + 0.01 for *_, diff, se in table) else 0
 
 
 def _cmd_profile(args, parser):
@@ -149,6 +168,9 @@ def _cmd_tail(args, parser):
     d = ambient_dim(cone)
     grid = _parse_grid(args.lambda_grid)
     delta, delta_polar = args.delta, args.delta_polar
+    for flag, value in (("--delta", delta), ("--delta-polar", delta_polar)):
+        if value is not None and not 0.0 <= value <= d:
+            raise ConeSpecError(f"{flag} must lie in [0, {d}], got {value}")
     if delta is None and delta_polar is None:
         if args.samples < 1:
             parser.error("tail with --samples 0 needs --delta/--delta-polar")
@@ -158,15 +180,8 @@ def _cmd_tail(args, parser):
         delta = d - delta_polar
     elif delta_polar is None:
         delta_polar = d - delta
-    rows = []
-    for lam in grid:
-        rep = TailBoundReport.evaluate(lam, delta, delta_polar).as_dict()
-        rows.append([rep["lambda"], rep["upper_bennett"], rep["lower_bennett"],
-                     rep["combined"], rep["variance_bound"], rep["chebyshev"],
-                     rep["delta"], rep["delta_polar"]])
-    _emit(_csv_text(["lambda", "upper_bennett", "lower_bennett", "combined",
-                     "variance_bound", "chebyshev", "delta", "delta_polar"],
-                    rows), args.out)
+    reports = [TailBoundReport.evaluate(lam, delta, delta_polar).as_dict() for lam in grid]
+    _emit(_csv_text(list(reports[0]), [list(r.values()) for r in reports]), args.out)
     return 0
 
 
@@ -176,46 +191,35 @@ def _profile_se(profile, coeff):
     return math.sqrt(float(np.sum((coeff * profile.stderr) ** 2)))
 
 
+_DEFAULT_GRIDS = {"gaussian": [0.5, 1.0, 2.0, 4.0, 8.0], "spherical": [0.25, 0.5, 0.75, 1.0]}
+
+
 def _cmd_steiner(args, parser):
     cone = parse_cone_spec(args.cone)
     prof = _profile_for(cone, args, seed_shift=1)
     config = _mc_config(args)
-    rows, bad = [], False
-    if args.check in ("gaussian", "spherical"):
-        if args.lambda_grid:
-            grid = _parse_grid(args.lambda_grid)
-        elif args.check == "gaussian":
-            grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-        else:
-            grid = [0.25, 0.5, 0.75, 1.0]
-        emp, emp_se = empirical_steiner_cdf(cone, grid, config, kind=args.check,
-                                            workers=args.workers)
-        d = prof.d
-        for i, lam in enumerate(grid):
-            # the mixture row of gaussian_steiner_cdf or spherical_steiner_cdf
-            if args.check == "gaussian":
-                coeff = chi_square_cdf_family(d, lam)[::-1]
-            else:
-                coeff = beta_cdf_family(d, lam)
-            mix = float(np.dot(coeff, prof.v))
-            se = math.hypot(float(emp_se[i]), _profile_se(prof, coeff))
-            diff = abs(mix - float(emp[i]))
-            bad = bad or diff > 4.0 * se + 0.01
-            rows.append([lam, mix, float(emp[i]), diff, se])
-        header = ["lambda", "mixture", "mc", "diff", "se"]
-    else:
+    if args.check == "master":
         presets = sorted(preset_functionals().items())
         # one pass over the stream for every functional
         direct = phi_mc(cone, [f for _, f in presets], config, workers=args.workers)
+        rows = []
         for (name, f), (dval, dse) in zip(presets, direct):
             mval, mse = master_phi(f, prof, config, workers=args.workers)
-            se = math.hypot(mse, dse)
-            diff = abs(mval - dval)
-            bad = bad or diff > 4.0 * se + 0.01
-            rows.append([name, mval, dval, diff, se])
-        header = ["functional", "mixture", "mc", "diff", "se"]
-    _emit(_csv_text(header, rows), args.out)
-    return 4 if bad else 0
+            rows.append([name, mval, dval, math.hypot(mse, dse)])
+        return _check(["functional", "mixture", "mc", "diff", "se"], rows, args.out)
+    grid = _parse_grid(args.lambda_grid) if args.lambda_grid else _DEFAULT_GRIDS[args.check]
+    emp, emp_se = empirical_steiner_cdf(cone, grid, config, kind=args.check,
+                                        workers=args.workers)
+    rows = []
+    for lam, mc, mc_se in zip(grid, emp, emp_se):
+        # the mixture row of gaussian_steiner_cdf or spherical_steiner_cdf
+        if args.check == "gaussian":
+            coeff = chi_square_cdf_family(prof.d, lam)[::-1]
+        else:
+            coeff = beta_cdf_family(prof.d, lam)
+        rows.append([lam, float(np.dot(coeff, prof.v)), float(mc),
+                     math.hypot(float(mc_se), _profile_se(prof, coeff))])
+    return _check(["lambda", "mixture", "mc", "diff", "se"], rows, args.out)
 
 
 def _cmd_wills(args, parser):
@@ -238,21 +242,11 @@ def _cmd_product_check(args, parser):
     prof_l = _profile_for(left, args, seed_shift=1)
     prof_r = _profile_for(right, args, seed_shift=2)
     conv = np.convolve(prof_l.v, prof_r.v)
-    product = Product(left, right)
-    config = _mc_config(args)
-    if supports_face_dim(product):
-        direct = estimate_profile_face(product, config, workers=args.workers)
-    else:
-        direct = estimate_profile_mixture(product, config, workers=args.workers)
-    rows, bad = [], False
-    for k in range(ambient_dim(product) + 1):
-        se = 0.0 if direct.stderr is None else float(direct.stderr[k])
-        diff = abs(float(conv[k]) - float(direct.v[k]))
-        bad = bad or diff > 4.0 * se + 0.01
-        rows.append([k, float(conv[k]), float(direct.v[k]), diff, se])
-    _emit(_csv_text(["k", "convolution", "direct", "diff", "se"],
-                    [[str(r[0])] + r[1:] for r in rows]), args.out)
-    return 4 if bad else 0
+    direct = _estimate(Product(left, right), _mc_config(args), args.workers)
+    se = np.zeros(direct.d + 1) if direct.stderr is None else direct.stderr
+    rows = [[str(k), float(conv[k]), float(direct.v[k]), float(se[k])]
+            for k in range(direct.d + 1)]
+    return _check(["k", "convolution", "direct", "diff", "se"], rows, args.out)
 
 
 def _cmd_report(args, parser):

@@ -10,12 +10,14 @@ identities.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .cones import Subspace, ambient_dim
+from .exceptions import NumericalGuardError
 from .sampling import MomentAccumulator, MonteCarloConfig, chunk_rng, map_chunks
 from .special import beta_cdf_family, chi_square_cdf_family, gauss_laguerre
 
@@ -268,12 +270,26 @@ def chi_bar_squared(profile):
 # conic Wills functional
 # ---------------------------------------------------------------------------
 
+def _lam_power(lam, d):
+    """lam ** d for a finite lam > 0; NumericalGuardError if it overflows."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
+    try:
+        return float(lam) ** d
+    except OverflowError:
+        raise NumericalGuardError(f"lam ** d overflows at lam={lam}, d={d}") from None
+
+
 def wills_functional(profile, lam):
-    """Polynomial form: sum over k of lam^k v_k, for lam > 0."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    """Polynomial form: sum over k of lam^k v_k, for finite lam > 0.
+
+    NumericalGuardError when a power or the sum overflows."""
+    _lam_power(lam, profile.d)  # checks lam; lam ** d is the largest power when lam > 1
     powers = lam ** np.arange(profile.d + 1, dtype=float)
-    return float(np.dot(powers, profile.v))
+    value = float(np.dot(powers, profile.v))
+    if not math.isfinite(value):
+        raise NumericalGuardError(f"Wills polynomial at lam={lam} is not finite: {value}")
+    return value
 
 
 def wills_mc(cone, lam, config, workers=None):
@@ -286,10 +302,14 @@ def wills_mc(cone, lam, config, workers=None):
     scaled Gaussian N(0, s^2 I) with s^2 = 1/(1 - 2 xi) = 1/lam^2; the
     likelihood ratio cancels the growth exactly and leaves the bounded
     integrand s^d * exp(-xi * ||proj(g)||^2), same mean, finite variance.
+
+    NumericalGuardError when lam^d leaves the normal float range, which
+    would overflow the integrand, or when the estimate is not finite.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
     d = ambient_dim(cone)
+    scale = _lam_power(lam, d)
+    if scale < sys.float_info.min:
+        raise NumericalGuardError(f"lam ** d underflows at lam={lam}, d={d}")
     xi = 0.5 * (1.0 - lam * lam)
     if xi > 0.0:
         # s^2 = 1/lam^2; projections are positively homogeneous, so the
@@ -300,5 +320,8 @@ def wills_mc(cone, lam, config, workers=None):
         def integrand(s, t):
             return np.exp(xi * t)
     mean, se = phi_mc(cone, integrand, config, workers)
-    scale = lam ** d
-    return scale * mean, scale * se
+    value, err = scale * mean, scale * se
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NumericalGuardError(
+            f"Wills Monte Carlo estimate at lam={lam} is not finite: {value} +- {err}")
+    return value, err

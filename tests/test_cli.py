@@ -1,5 +1,7 @@
 # Standard libraries
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conevol import cli, steiner
+from conevol import cli, report, steiner
 from conevol.cli import cone_to_spec, main, parse_cone_spec
 from conevol.cones import (
     Circular,
@@ -29,7 +31,7 @@ from conevol.cones import (
     ambient_dim,
     second_order_cone,
 )
-from conevol.exceptions import ConeSpecError, UnsupportedConeError
+from conevol.exceptions import ConeSpecError, NumericalGuardError, UnsupportedConeError
 
 # ---------------------------------------------------------------------------
 # Cone descriptor grammar
@@ -238,6 +240,34 @@ def test_profile_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["d"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["sdim", "--cone", "orthant:4", "--samples", "1000"],
+    ["tail", "--cone", "orthant:4", "--samples", "0", "--delta", "2", "--lambda-grid", "0:1:1"],
+], ids=["json", "csv"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "artifact"
+    code, out, err = _run(capsys, [*argv, "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert f"{target}: cannot write artifact" in err
+
+
+def test_report_to_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # the battery is not under test here, only where its text goes
+    monkeypatch.setattr(report, "run_battery", lambda **_: [])
+    code, out, err = _run(capsys, ["report", "--scale", "quick", "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert f"{tmp_path}: cannot write artifact" in err
+
+
+def test_json_artifacts_refuse_numbers_that_are_not_finite():
+    assert cli._json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalGuardError, match="not finite"):
+            cli._json_text({"x": x})
+
+
 def test_bad_cone_spec_exits_2(capsys):
     code, _, err = _run(capsys, ["profile", "--cone", "orthant:-3"])
     assert code == 2
@@ -304,6 +334,16 @@ def test_tail_table_without_sampling(capsys):
     assert float(last["combined"]) == pytest.approx(1.0635030602611413)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "4.5"])
+@pytest.mark.parametrize("flag", ["--delta", "--delta-polar"])
+def test_tail_rejects_impossible_statistical_dimensions(capsys, flag, value):
+    code, out, err = _run(capsys, ["tail", "--cone", "orthant:4", "--samples", "0",
+                                   f"{flag}={value}", "--lambda-grid", "0:1:0.5"])
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must lie in [0, 4], got {float(value)}" in err
+
+
 def test_tail_without_delta_needs_samples(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tail", "--cone", "orthant:10", "--samples", "0",
@@ -342,6 +382,21 @@ def test_wills_values(capsys):
     payload = json.loads(out)
     assert payload["polynomial"] == pytest.approx(0.75 ** 8, rel=1e-12)
     assert abs(payload["mc"] - payload["polynomial"]) < 5.0 * payload["mc_se"]
+
+
+@pytest.mark.parametrize("cone, lam, expected", [
+    ("orthant:8", "1e300", 3),      # lam ** d overflows
+    ("orthant:200", "40", 3),       # so does the polynomial's top power
+    ("orthant:8", "1e-300", 3),     # lam ** d underflows the Monte Carlo scale
+    ("orthant:8", "inf", 2),
+    ("orthant:8", "nan", 2),
+])
+def test_wills_at_extreme_lambda_honours_exit_codes(capsys, cone, lam, expected):
+    code, out, err = _run(capsys, ["wills", "--cone", cone, "--lambda", lam,
+                                   "--samples", "1000"])
+    assert code == expected
+    assert out == ""
+    assert ("numerical guard:" if expected == 3 else "error:") in err
 
 
 def test_steiner_check_passes_for_orthant(capsys):
@@ -433,6 +488,22 @@ def test_product_check_agrees(capsys):
     assert len(rows) == 9
 
 
+def test_checks_exit_4_on_a_wrong_profile(capsys, monkeypatch):
+    # the reversed profile of a cone that is not palindromic breaks the
+    # identities by far more than the Monte Carlo error allows
+    cone = "prod(orthant:3,subspace:2:5)"
+    runs = (["steiner", "--check", "gaussian", "--cone", cone, "--samples", "4000"],
+            ["product-check", "--cone", cone, "--cone", "orthant:1", "--samples", "4000"])
+    assert [_run(capsys, argv)[0] for argv in runs] == [0, 0]
+    real = cli.exact_profile
+
+    def reversed_profile(c):
+        prof = real(c)
+        return dataclasses.replace(prof, v=prof.v[::-1])
+    monkeypatch.setattr(cli, "exact_profile", reversed_profile)
+    assert [_run(capsys, argv)[0] for argv in runs] == [4, 4]
+
+
 def test_product_check_needs_exactly_two_cones():
     with pytest.raises(SystemExit) as exc:
         main(["product-check", "--cone", "orthant:3", "--samples", "100"])
@@ -452,3 +523,50 @@ def test_csv_floats_use_full_precision(capsys):
     val = dict(zip(rows[0], rows[1]))["combined"]
     # 17 significant digits survive a float round trip exactly
     assert val == "%.17g" % float(val)
+
+
+# ---------------------------------------------------------------------------
+# Check artifacts, pinned
+# ---------------------------------------------------------------------------
+
+# a pointed generator cone in R^4 with three generators
+_PINNED_GENERATORS = "1,0,0,0\n1,1,0,0\n0,1,1,1\n"
+
+# stdout and exit code of every run below, hashed in order.  The runs cover
+# each estimator route (exact, face, mixture fit) behind each check command
+# and keep the product-check and psd:4 runs that exit 4 on an estimator's
+# error rather than the identity's; a change to any of these artifacts
+# must update the digest on purpose
+_PINNED_RUNS = (
+    ["steiner", "--check", "gaussian", "--cone", "orthant:5", "--samples", "4000"],
+    ["steiner", "--check", "spherical", "--cone", "circ:6:pi/5", "--samples", "4000"],
+    ["steiner", "--check", "master", "--cone", "prod(orthant:3,subspace:2:5)",
+     "--samples", "4000"],
+    ["steiner", "--check", "gaussian", "--cone", "gens:{gens}", "--samples", "4000"],
+    ["steiner", "--check", "gaussian", "--cone", "psd:4", "--samples", "20000"],
+    ["steiner", "--check", "spherical", "--cone", "polar(circ:5:pi/5)",
+     "--samples", "4000", "--lambda-grid", "0.1:0.9:0.2"],
+    ["product-check", "--cone", "orthant:3", "--cone", "orthant:4", "--samples", "4000"],
+    ["product-check", "--cone", "circ:5:pi/6", "--cone", "orthant:2", "--samples", "4000"],
+    ["product-check", "--cone", "psd:3", "--cone", "orthant:4", "--samples", "4000"],
+    ["wills", "--cone", "orthant:6", "--lambda", "0.5", "--samples", "4000"],
+    ["wills", "--cone", "circ:8:pi/6", "--lambda", "2", "--samples", "4000"],
+    ["tail", "--cone", "orthant:6", "--samples", "0", "--delta", "2.5",
+     "--lambda-grid", "0:3:0.5"],
+    ["tail", "--cone", "prod(orthant:3,subspace:2:5)", "--samples", "4000",
+     "--lambda-grid", "0.5:2:0.5"],
+    ["profile", "--cone", "polar(circ:5:pi/5)", "--method", "mixture",
+     "--samples", "4000", "--format", "csv"],
+)
+
+_PINNED_SHA256 = "88909d1f31b61962f9efe9bcb1f4097f7d18a0d45b68d3f42edcf27e9224b9d7"
+
+
+def test_check_artifacts_are_pinned(tmp_path, capsys):
+    gens = tmp_path / "gens.csv"
+    gens.write_text(_PINNED_GENERATORS)
+    digest = hashlib.sha256()
+    for argv in _PINNED_RUNS:
+        code, out, _ = _run(capsys, [a.format(gens=gens) for a in argv])
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == _PINNED_SHA256

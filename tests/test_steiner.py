@@ -11,6 +11,7 @@ from conevol.profiles import (
     profile_from_raw,
     reverse_profile,
 )
+from conevol.exceptions import NumericalGuardError
 from conevol.sampling import MonteCarloConfig
 from conevol import steiner
 from conevol.special import beta_cdf
@@ -352,6 +353,36 @@ def test_wills_mc_direct_branch_and_unit_case():
     assert abs(est - 1.25 ** 6) < 4.0 * se
     with pytest.raises(ValueError):
         wills_mc(cone, 0.0, cfg)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
+def test_wills_rejects_lambda_that_is_not_finite(lam):
+    with pytest.raises(ValueError, match="finite"):
+        wills_functional(exact_profile(Orthant(3)), lam)
+    with pytest.raises(ValueError, match="finite"):
+        wills_mc(Orthant(3), lam, MonteCarloConfig(seed=0, total_samples=100))
+
+
+def test_wills_functional_guards_overflow():
+    with pytest.raises(NumericalGuardError, match="overflows"):
+        wills_functional(exact_profile(Orthant(8)), 1e300)
+    with pytest.raises(NumericalGuardError, match="overflows"):
+        wills_functional(exact_profile(Orthant(200)), 40.0)
+    # tiny powers underflow to zero and leave v_0
+    assert wills_functional(exact_profile(Orthant(8)), 1e-300) == 0.5 ** 8
+
+
+@pytest.mark.parametrize("lam", [1e300, 1e-300])
+def test_wills_mc_guards_scale_outside_the_float_range(lam):
+    with pytest.raises(NumericalGuardError, match="flows at lam"):
+        wills_mc(Orthant(8), lam, MonteCarloConfig(seed=0, total_samples=100))
+
+
+@pytest.mark.parametrize("mean, se", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+def test_wills_mc_guards_estimates_that_are_not_finite(monkeypatch, mean, se):
+    monkeypatch.setattr(steiner, "phi_mc", lambda *args: (mean, se))
+    with pytest.raises(NumericalGuardError, match="not finite"):
+        wills_mc(Orthant(4), 0.5, MonteCarloConfig(seed=0, total_samples=100))
 
 
 # Generator forms of an orthant and of a product that is not palindromic:

@@ -44,6 +44,9 @@ _LINALG = "src/conevol/linalg.py"
 _CLI = "src/conevol/cli.py"
 _PIVOTING = "tests/test_linalg.py::test_block_pivoting_matches_brute_force"
 _TRIDIAGONAL = "tests/test_sampling.py::test_tridiagonal_psd_matches_full_rows"
+_SAMPLING = "src/conevol/sampling.py"
+_UNIT_REFERENCE = "tests/test_sampling.py::test_map_chunks_matches_whole_chunk_reference"
+_ROWS_BY_CHUNK = "tests/test_sampling.py::test_rows_do_not_depend_on_chunk_size"
 _LAGUERRE = ("tests/test_special.py::test_gauss_laguerre_gamma_moments",
              "tests/test_special.py::test_gauss_laguerre_is_exact_to_degree_2n_minus_1",
              "tests/test_special.py::test_gauss_laguerre_400_nodes_matches_mpmath",
@@ -101,11 +104,19 @@ MUTANTS = (
            "neg = vals - pos",
            "neg = 0.5 * (vals - pos)",
            (_TRIDIAGONAL,)),
-    Mutant("chi-square-stream-key-collides", "src/conevol/sampling.py",
-           "(1 << 64), spawn_key=(chunk_index, 0))",
-           "(1 << 64), spawn_key=(chunk_index, 1))",
+    Mutant("chi-square-stream-key-collides", _SAMPLING,
+           "(1 << 64), spawn_key=(unit, 0))",
+           "(1 << 64), spawn_key=(unit, 1))",
            ("tests/test_sampling.py::test_chi_square_streams_are_no_gaussian_streams",)),
-    Mutant("face-path-drops-subspace-dimension", "src/conevol/sampling.py",
+    Mutant("unit-key-from-chunk-index", _SAMPLING,
+           "unit_rng(config.seed, unit) if width",
+           "unit_rng(config.seed, unit * UNIT_ROWS // config.chunk_size) if width",
+           (_UNIT_REFERENCE, _ROWS_BY_CHUNK)),
+    Mutant("spanning-chunk-drops-first-piece", _SAMPLING,
+           "_join([arrays, *(a for _, a, _ in group)])",
+           "_join([*(a for _, a, _ in group)] or [arrays])",
+           (_UNIT_REFERENCE, _ROWS_BY_CHUNK)),
+    Mutant("face-path-drops-subspace-dimension", _SAMPLING,
            "sum(chi_square_dofs(cone, X, fill=False)[1],",
            "sum((f for f in chi_square_dofs(cone, X, fill=False)[1] if np.ndim(f)),",
            ("tests/test_sampling.py::test_face_estimate_equals_the_estimate_from_a_summary",)),

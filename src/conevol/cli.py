@@ -7,8 +7,9 @@ where a subcommand supports both.  All floats in CSV artifacts are
 printed with 17 significant digits, and identical command lines produce
 byte-identical artifacts regardless of the worker count.
 
-Exit codes: 0 success, 2 malformed cone/flags or unwritable --out, 3
-numerical guard tripped (JSON artifacts never carry NaN or Infinity), 4
+Exit codes: 0 success, 2 malformed cone/flags, fewer than two samples for
+an estimate with a standard error, or unwritable --out, 3 numerical guard
+tripped (JSON artifacts never carry NaN or Infinity), 4
 an identity check (steiner, product-check) found a row with |formula - mc|
 > 4*se + 0.01; wills prints both of its sides without that rule.
 """
@@ -251,6 +252,7 @@ def _cmd_product_check(args, parser):
 
 def _cmd_report(args, parser):
     from .report import format_results, run_battery
+    _emit("", args.out)   # an unwritable --out exits 2 before the battery runs
     results = run_battery(seed=args.seed, scale=args.scale, workers=args.workers)
     _emit(format_results(results), args.out)
     return 0 if all(r.passed for r in results) else 4
@@ -315,7 +317,9 @@ def build_parser():
     p.add_argument("--check", choices=("gaussian", "spherical", "master"),
                    required=True)
     p.add_argument("--lambda-grid", default=None, metavar="A:B:STEP",
-                   help="override the default grid 0.5,1,2,4,8")
+                   help="override the default grid (" + "; ".join(
+                       f"{check} {','.join(f'{lam:g}' for lam in grid)}"
+                       for check, grid in _DEFAULT_GRIDS.items()) + ")")
     p.set_defaults(handler=_cmd_steiner)
 
     p = sub.add_parser("wills", help="conic Wills functional")

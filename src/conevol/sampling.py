@@ -1,19 +1,19 @@
 """Deterministic Gaussian sampling and streaming moment summaries.
 
-Every Monte Carlo draw comes from numpy's SFC64 generator.  Each chunk
-of a run owns two streams, each read from the start in order.  The
-Gaussian stream, chunk_rng(seed, chunk index), is SFC64 seeded by
-SeedSequence with entropy seed mod 2**64 and spawn_key (chunk index,).
-SeedSequence pads the entropy to its full pool before it mixes in the
-spawn key, so no two (seed, chunk index) pairs share a stream; list
-entropy [seed, chunk index] would not do, as numpy pads short entropy
-with zeros and [5, 7] and [5 + 7 * 2**32, 0] give the same stream.  The
-chi-square stream, chunk_chi_square_rng(seed, chunk index), is seeded
-by SeedSequence(seed mod 2**64, spawn_key=(chunk index, 0)), the first
-child of the Gaussian stream's SeedSequence, built from its key.  The
-key (chunk index, 1) would not do: a spawn key is mixed in as 32-bit
-words, so it equals the key (chunk index + 2**32,) of another chunk's
-Gaussian stream; no Gaussian key ends in a zero word.
+Every Monte Carlo draw comes from numpy's SFC64 generator.  The rows of a
+run are cut into stream units of UNIT_ROWS consecutive rows: unit u holds
+the global rows u * UNIT_ROWS up to the next unit, and owns two streams,
+each read from the start in order.  The Gaussian stream, unit_rng(seed,
+u), is SFC64 seeded by SeedSequence with entropy seed mod 2**64 and
+spawn_key (u,).  SeedSequence pads the entropy to its full pool before it
+mixes in the spawn key, so no two (seed, u) pairs share a stream; list
+entropy [seed, u] would not do, as numpy pads short entropy with zeros
+and [5, 7] and [5 + 7 * 2**32, 0] give the same stream.  The chi-square
+stream, unit_chi_square_rng(seed, u), is seeded by SeedSequence(seed mod
+2**64, spawn_key=(u, 0)), the first child of the Gaussian stream's
+SeedSequence, built from its key.  The key (u, 1) would not do: a spawn
+key is mixed in as 32-bit words, so it equals the key (u + 2**32,) of
+another unit's Gaussian stream; no Gaussian key ends in a zero word.
 
 Each leaf of a cone is drawn in its sampled coordinates (see
 cones.sampled_layout), the few statistics its norms depend on, when it
@@ -29,42 +29,45 @@ law of its point's matrix: its diagonal, n normals, from the Gaussian
 stream and its subdiagonal sqrt(z_i / 2), z_i ~ chi-square(n - i) for
 i = 1..n-1, from the chi-square stream.  Generator leaves take their full
 Gaussian rows.  K comes from the Gaussian stream, not from a third
-stream: a chunk's third key (chunk index, 1) would be another chunk's
-Gaussian key, and a binomial draw followed by the chi-square draws on
-one stream would make the values depend on how a chunk is split into
-blocks.  A cone without Gaussian columns builds no Gaussian stream, and
-one without chi-square columns no chi-square stream.  A face estimate
-builds no chi-square stream: an orthant's K and a subspace's k are its
-face dimensions, so estimate_profile_face reads them off the Gaussian
-columns alone (map_chunks with faces_only), unless a generator leaf
-needs its projection for them.  The draws are a
-function of (seed, chunk index, chunk size): changing chunk_size moves
-samples to other streams and changes every value, while the order in
-which chunks run, the worker thread that runs them and how a chunk's
-streams are split into reads never do.
+stream: a unit's third key (u, 1) would be another unit's Gaussian key,
+and a binomial draw followed by the chi-square draws on one stream would
+make the values depend on how a unit is split into blocks.  A cone
+without Gaussian columns builds no Gaussian stream, and one without
+chi-square columns no chi-square stream.  A face estimate builds no
+chi-square stream: an orthant's K and a subspace's k are its face
+dimensions, so estimate_profile_face reads them off the Gaussian columns
+alone (map_chunks with faces_only), unless a generator leaf needs its
+projection for them.  The draws are a function of (seed, global row):
+chunk_size only decides how the rows are grouped for reduction, and
+neither it nor the order in which units run, the worker thread that runs
+them or how a unit's streams are split into reads changes a value.  At
+the default chunk_size, UNIT_ROWS, every chunk is one unit.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
 streams through one primitive, map_chunks.  It draws and projects the
 streams in row blocks of about _BLOCK_VALUES drawn values, whatever the
-chunk size: consecutive small chunks fill one block, a large chunk is
+chunk size: consecutive units that fit fill one block, a larger unit is
 read a block at a time, and each worker thread draws its Gaussian rows
 into one block buffer that it reuses for all of its blocks.  It runs the
 blocks on CONEVOL_THREADS worker threads unless a caller passes an
-explicit worker count, and returns the per-chunk results in chunk-index
-order.  Callers fold them left to right in that fixed order, moment sums
-(run_summary keeps those of theta = s / (s + t) only) with the exact
-pairwise-merge update formulas, so every result is a function of (seed,
-total_samples, chunk_size, reservoir_cap) only: bit-identical for any
-worker count and block size.
+explicit worker count, hands each chunk's rows to the caller whole, and
+returns the per-chunk results in chunk-index order.  Callers fold them
+left to right in that fixed order, moment sums (run_summary keeps those
+of theta = s / (s + t) only) with the exact pairwise-merge update
+formulas, so every result is a function of (seed, total_samples,
+chunk_size, reservoir_cap) only: bit-identical for any worker count and
+block size.
 """
 
+import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,25 +75,30 @@ from .cones import (ambient_dim, chi_square_dofs, faces_from_dofs, norms_block,
                     sampled_layout, supports_face_dim)
 
 _BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
+UNIT_ROWS = 1 << 14             # rows per stream unit; also the default chunk_size
 
 
-def chunk_rng(seed, chunk_index):
-    """The Gaussian stream of one chunk, as a Generator read from the
-    start: numpy's SFC64 seeded by SeedSequence(seed mod 2**64,
-    spawn_key=(chunk_index,)), so that distinct (seed, chunk_index)
-    pairs never share a stream.  The chunk's chi-square stream is
-    chunk_chi_square_rng."""
-    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index,))
+def unit_rng(seed, unit):
+    """The Gaussian stream of one stream unit, as a Generator read from
+    the start: numpy's SFC64 seeded by SeedSequence(seed mod 2**64,
+    spawn_key=(unit,)), so that distinct (seed, unit) pairs never share a
+    stream.  The unit's chi-square stream is unit_chi_square_rng."""
+    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(unit,))
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def chunk_chi_square_rng(seed, chunk_index):
-    """The chi-square stream of one chunk, read from the start: SFC64
-    seeded by SeedSequence(seed mod 2**64, spawn_key=(chunk_index, 0)),
-    the first child of chunk_rng's SeedSequence, whose key is no chunk's
-    Gaussian key."""
-    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(chunk_index, 0))
+def unit_chi_square_rng(seed, unit):
+    """The chi-square stream of one stream unit, read from the start: SFC64
+    seeded by SeedSequence(seed mod 2**64, spawn_key=(unit, 0)), the first
+    child of unit_rng's SeedSequence, whose key is no unit's Gaussian key."""
+    ss = np.random.SeedSequence(seed % (1 << 64), spawn_key=(unit, 0))
     return np.random.Generator(np.random.SFC64(ss))
+
+
+def _partition(total, size):
+    """(index, count) of consecutive runs of size rows, the last one short."""
+    full, rem = divmod(total, size)
+    return list(enumerate([size] * full + ([rem] if rem else [])))
 
 
 def gaussian_block(rng, out, count, dim):
@@ -115,7 +123,7 @@ class MonteCarloConfig:
     """
     seed: int
     total_samples: int
-    chunk_size: int = 1 << 14
+    chunk_size: int = UNIT_ROWS
     reservoir_cap: int = 100_000
 
     def __post_init__(self):
@@ -127,9 +135,11 @@ class MonteCarloConfig:
             raise ValueError("reservoir_cap must be positive")
 
     def chunks(self):
-        full, rem = divmod(self.total_samples, self.chunk_size)
-        sizes = [self.chunk_size] * full + ([rem] if rem else [])
-        return list(enumerate(sizes))
+        return _partition(self.total_samples, self.chunk_size)
+
+    def units(self):
+        """(unit, count) of the run's stream units, UNIT_ROWS rows each."""
+        return _partition(self.total_samples, UNIT_ROWS)
 
     @property
     def reservoir_stride(self):
@@ -229,11 +239,11 @@ def resolve_workers(workers=None):
     return 1
 
 
-def _block_groups(chunks, block_rows):
-    """Pool tasks for map_chunks: runs of consecutive chunks that fit in
-    one row block together, and every chunk larger than a block alone."""
+def _block_groups(units, block_rows):
+    """Pool tasks for map_chunks: runs of consecutive stream units that fit
+    in one row block together, and every unit larger than a block alone."""
     groups, run, rows = [], [], 0
-    for index, count in chunks:
+    for index, count in units:
         if run and rows + count > block_rows:
             groups.append(run)
             run, rows = [], 0
@@ -242,14 +252,43 @@ def _block_groups(chunks, block_rows):
     return groups + [run]
 
 
+def _join(pieces):
+    """One tuple of arrays from tuples that hold consecutive rows of them."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*pieces))
+
+
+def _by_chunk(blocks, row, chunk_size, total):
+    """(chunk index, arrays) for each chunk met in blocks, tuples of arrays
+    that hold consecutive rows from the global row `row` on, the first
+    array never None.  A chunk's rows that lie in several blocks are
+    joined; a chunk that starts before the blocks or ends after them
+    yields only its rows in them."""
+    index, held = row // chunk_size, []
+    for arrays in blocks:
+        r0, n = 0, arrays[0].shape[0]
+        while r0 < n:
+            end = min((index + 1) * chunk_size, total)
+            take = min(n - r0, end - row)
+            held.append(arrays if take == n else
+                        tuple(None if a is None else a[r0:r0 + take] for a in arrays))
+            r0, row = r0 + take, row + take
+            if row == end:
+                yield index, _join(held)
+                index, held = index + 1, []
+    if held:
+        yield index, _join(held)
+
+
 def map_chunks(cone, config, fn, workers=None, faces_only=False):
     """fn(index, s, t, face_dims) for every chunk of the projection stream.
 
     Each row is drawn in the sampled coordinates of
-    cones.sampled_layout(cone): its Gaussian columns from the chunk's
-    Gaussian stream, with gaussian_block, then its chi-square columns from
-    the chunk's chi-square stream, with one row-major
-    2 * standard_gamma(dofs / 2) call per chunk and block on the degrees
+    cones.sampled_layout(cone): its Gaussian columns from its stream
+    unit's Gaussian stream, with gaussian_block, then its chi-square
+    columns from the unit's chi-square stream, with one row-major
+    2 * standard_gamma(dofs / 2) call per unit and block on the degrees
     of freedom cones.chi_square_dofs gives for the block, so that a stream
     read in several blocks gives the same values as one read.  That call
     gives the bits of chisquare(dofs), and it also takes zero degrees of
@@ -277,36 +316,46 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     faces_only, so they are those fn(index, s, t, face_dims) sees.
 
     The streams are drawn and projected in row blocks of about
-    _BLOCK_VALUES drawn values: a run of small chunks fills one block,
-    each chunk from its own streams, and shares one norms_block call; a
-    chunk larger than a block reads its streams a block at a time, one
-    pool task, since a stream must be read in order, and its norms are
-    concatenated.  fn sees each chunk once, with that chunk's full arrays,
-    and the results come back as a list in chunk-index order, so a caller
-    that folds them left to right gets the same answer for any worker
-    count; every result is a function of (seed, total_samples,
-    chunk_size, reservoir_cap) only.  Block groups run on a thread pool
-    when resolve_workers(workers) asks for more than one thread and there
-    is more than one group.
+    _BLOCK_VALUES drawn values: a run of units that fits in a block fills
+    it, each unit from its own streams, and shares one norms_block call;
+    a unit larger than a block reads its streams a block at a time.
+    Either is one pool task, since a stream must be read in order.  A
+    row's values depend on (seed, global row) only, never on chunk_size.
+    fn sees each chunk once, with that chunk's full arrays: a chunk that
+    lies inside one task is reduced in that task, and one whose rows lie
+    in several tasks (a chunk_size that does not divide a task's rows, or
+    one larger than a task) is joined from their pieces and reduced by
+    the calling thread.  The results come back as a list in chunk-index
+    order, so a caller that folds them left to right gets the same answer
+    for any worker count; every result is a function of (seed,
+    total_samples, chunk_size, reservoir_cap) only.  Tasks run on a thread
+    pool when resolve_workers(workers) asks for more than one thread and
+    there is more than one task.
     """
     width, columns = sampled_layout(cone)
     block_rows = max(1, _BLOCK_VALUES // (width + columns))
-    groups = _block_groups(config.chunks(), block_rows)
-    buffer_values = min(block_rows, config.total_samples) * width
+    tasks = _block_groups(config.units(), block_rows)
+    size, rows_in_run = config.chunk_size, config.total_samples
+    buffer_values = min(block_rows, rows_in_run) * width
     local = threading.local()
     # face dimensions read off chi_square_dofs: no chi-square columns drawn
     direct = faces_only and faces_from_dofs(cone)
 
-    def block(chunks, out, rngs=None):
+    def streams(unit):
+        # the unit's (Gaussian, chi-square) streams, None where none is read
+        return (unit_rng(config.seed, unit) if width else None,
+                unit_chi_square_rng(config.seed, unit) if columns and not direct else None)
+
+    def block(units, out, rngs=None):
         # (s, t, face dims), or (face dims,) for faces_only, of the next
-        # count rows of each (index, count) in chunks, from the chunk's own
+        # count rows of each (unit, count) in units, from the unit's own
         # streams or, given, from the pair rngs read on; the Gaussian
         # columns are drawn into out
-        total = sum(count for _, count in chunks)
+        total = sum(count for _, count in units)
+        pairs = [rngs or streams(unit) for unit, _ in units]
         X, r0 = out[:total * width].reshape(total, width), 0
-        for index, count in chunks:
+        for (gauss, _), (_, count) in zip(pairs, units):
             if width:
-                gauss = rngs[0] if rngs else chunk_rng(config.seed, index)
                 gaussian_block(gauss, out[r0 * width:], count, width)
             r0 += count
         if direct:
@@ -318,8 +367,7 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
             # and each draw overwrites the shape it was drawn with
             Z *= 0.5
             r0 = 0
-            for index, count in chunks:
-                chi = rngs[1] if rngs else chunk_chi_square_rng(config.seed, index)
+            for (_, chi), (_, count) in zip(pairs, units):
                 shapes = Z[r0:r0 + count]
                 chi.standard_gamma(shapes, out=shapes)
                 r0 += count
@@ -327,38 +375,50 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
         norms = norms_block(cone, X, Z, faces)
         return norms[2:] if faces_only else norms
 
-    def work(group):
-        # one block buffer per worker thread, reused by each of its tasks;
+    def work(units):
+        # (index, None, fn's result) for each chunk inside the task's rows,
+        # (index, arrays, None) for the task's rows of any other chunk.  One
+        # block buffer per worker thread, reused by each of its tasks;
         # norms_block returns new arrays, so what fn sees never aliases it
         buffer = getattr(local, "buffer", None)
         if buffer is None:
             buffer = local.buffer = np.empty(buffer_values)
-        total = sum(count for _, count in group)
+        total = sum(count for _, count in units)
         if total <= block_rows:
-            # a run of chunks that fits in one block: each fills its own rows
-            arrays = block(group, buffer)
+            # a run of units that fits in one block: each fills its own rows
+            blocks = [block(units, buffer)]
         else:
-            # one chunk larger than a block: its streams are read a block at a time
-            index = group[0][0]
-            rngs = (chunk_rng(config.seed, index) if width else None,
-                    chunk_chi_square_rng(config.seed, index) if columns and not direct
-                    else None)
+            # one unit larger than a block: its streams are read a block at a time
+            rngs = streams(units[0][0])
             step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
-            parts = [block([(index, min(step, total - r0))], buffer, rngs)
-                     for r0 in range(0, total, step)]
-            arrays = [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
-        results, r0 = [], 0
-        for index, count in group:
-            rows = slice(r0, r0 + count)
-            results.append(fn(index, *(None if a is None else a[rows] for a in arrays)))
-            r0 += count
+            blocks = (block([(units[0][0], min(step, total - r0))], buffer, rngs)
+                      for r0 in range(0, total, step))
+        first = units[0][0] * UNIT_ROWS
+        entries = []
+        for index, arrays in _by_chunk(blocks, first, size, rows_in_run):
+            if first <= index * size and min(index * size + size, rows_in_run) <= first + total:
+                entries.append((index, None, fn(index, *arrays)))
+            else:
+                entries.append((index, arrays, None))
+        return entries
+
+    def collect(done):
+        # every chunk's result in chunk order; the pieces of a chunk are
+        # consecutive entries, joined here in row order
+        results = []
+        for index, group in itertools.groupby(itertools.chain.from_iterable(done),
+                                              key=itemgetter(0)):
+            _, arrays, result = next(group)
+            if arrays is not None:
+                result = fn(index, *_join([arrays, *(a for _, a, _ in group)]))
+            results.append(result)
         return results
 
     nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(groups) == 1:
-        return [r for group in groups for r in work(group)]
+    if nworkers == 1 or len(tasks) == 1:
+        return collect(map(work, tasks))
     with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return [r for results in pool.map(work, groups) for r in results]
+        return collect(pool.map(work, tasks))
 
 
 def run_summary(cone, config, workers=None):

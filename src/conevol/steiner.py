@@ -18,7 +18,7 @@ import numpy as np
 
 from .cones import Subspace, ambient_dim
 from .exceptions import NumericalGuardError
-from .sampling import MomentAccumulator, MonteCarloConfig, chunk_rng, map_chunks
+from .sampling import MomentAccumulator, MonteCarloConfig, map_chunks, unit_rng
 from .special import beta_cdf_family, chi_square_cdf_family, gauss_laguerre
 
 GROWTH_TAGS = ("bounded", "poly", "exp")
@@ -244,15 +244,16 @@ class ChiBarSquared:
     def sample(self, config):
         """Deterministic draws, length config.total_samples.
 
-        Chunk i of config draws from chunk_rng(seed, i): its mixture
-        indices by inverting the profile's CDF at uniforms, then one
-        chi-square variate per sample with a positive index.
+        Stream unit u of config (sampling.UNIT_ROWS samples) draws from
+        unit_rng(seed, u): its mixture indices by inverting the profile's
+        CDF at uniforms, then one chi-square variate per sample with a
+        positive index.  The draws do not depend on config.chunk_size.
         """
         cum = np.cumsum(np.asarray(self.profile.v, dtype=float))
         cum[-1] = 1.0
         parts = []
-        for index, count in config.chunks():
-            rng = chunk_rng(config.seed, index)
+        for unit, count in config.units():
+            rng = unit_rng(config.seed, unit)
             # side="right" never draws a zero-weight index; u < 1 = cum[-1] keeps dof <= d
             dof = np.searchsorted(cum, rng.random(count), side="right")
             draws = np.zeros(count)

@@ -222,6 +222,17 @@ def test_profile_biorth_one_sample_exits_2(capsys):
     assert "error:" in err and "at least 2" in err
 
 
+@pytest.mark.parametrize("argv", [["sdim"], ["var"], ["profile", "--method", "face"]],
+                         ids=["sdim", "var", "profile-face"])
+def test_one_sample_estimates_exit_2(capsys, argv):
+    # one sample has no spread: its standard error would read 0, as if the
+    # estimate were exact
+    code, out, err = _run(capsys, [*argv, "--cone", "orthant:3", "--samples", "1"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "at least 2" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_profile_reservoir_cap_must_be_positive(capsys, cap):
     code, out, err = _run(capsys, ["profile", "--cone", "orthant:3", "--method", "biorth",
@@ -253,12 +264,24 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
 
 
 def test_report_to_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
-    # the battery is not under test here, only where its text goes
-    monkeypatch.setattr(report, "run_battery", lambda **_: [])
+    # an unwritable --out fails before the battery runs, not after it
+    def battery(**_):
+        raise AssertionError("the battery ran before --out was checked")
+
+    monkeypatch.setattr(report, "run_battery", battery)
     code, out, err = _run(capsys, ["report", "--scale", "quick", "--out", str(tmp_path)])
     assert code == 2
     assert out == ""
     assert f"{tmp_path}: cannot write artifact" in err
+
+
+def test_steiner_help_states_every_default_grid(capsys):
+    with pytest.raises(SystemExit):
+        main(["steiner", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for check, grid in cli._DEFAULT_GRIDS.items():
+        assert f"{check} {','.join(f'{lam:g}' for lam in grid)}" in text, check
+    assert "spherical 0.25,0.5,0.75,1" in text
 
 
 def test_json_artifacts_refuse_numbers_that_are_not_finite():

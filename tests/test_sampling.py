@@ -33,14 +33,15 @@ from conevol.profiles import (
     statistical_dimension,
 )
 from conevol.sampling import (
+    UNIT_ROWS,
     MomentAccumulator,
     MonteCarloConfig,
-    chunk_chi_square_rng,
-    chunk_rng,
     gaussian_block,
     map_chunks,
     resolve_workers,
     run_summary,
+    unit_chi_square_rng,
+    unit_rng,
 )
 from conevol.steiner import (
     empirical_steiner_cdf,
@@ -53,64 +54,77 @@ from nnls_oracle import pointed_wide_generators, reference_norms
 from projection_oracle import project
 
 # ---------------------------------------------------------------------------
-# Per-chunk SFC64 streams
+# Per-unit SFC64 streams
 # ---------------------------------------------------------------------------
 
-def _chunk_gaussians(seed, chunk_index, count, dim):
-    """All count rows of a chunk's Gaussian stream, read in one call."""
-    return gaussian_block(chunk_rng(seed, chunk_index), np.empty(count * dim), count, dim)
+def _unit_gaussians(seed, unit, count, dim):
+    """The first count rows of a stream unit's Gaussian stream, read in one call."""
+    return gaussian_block(unit_rng(seed, unit), np.empty(count * dim), count, dim)
 
 
-def test_chunk_rng_streams_depend_on_seed_and_chunk():
-    a = chunk_rng(123, 4).random(1000)
-    assert np.array_equal(a, chunk_rng(123, 4).random(1000))
-    assert not np.array_equal(a, chunk_rng(124, 4).random(1000))
-    assert not np.array_equal(a, chunk_rng(123, 5).random(1000))
+def _run_gaussians(config, dim):
+    """Every row of a run's Gaussian columns, unit after unit."""
+    return np.concatenate([_unit_gaussians(config.seed, unit, count, dim)
+                           for unit, count in config.units()])
+
+
+def test_unit_rng_streams_depend_on_seed_and_unit():
+    a = unit_rng(123, 4).random(1000)
+    assert np.array_equal(a, unit_rng(123, 4).random(1000))
+    assert not np.array_equal(a, unit_rng(124, 4).random(1000))
+    assert not np.array_equal(a, unit_rng(123, 5).random(1000))
     # seeds are taken mod 2**64
-    assert np.array_equal(chunk_rng(-1, 0).random(8), chunk_rng(2**64 - 1, 0).random(8))
+    assert np.array_equal(unit_rng(-1, 0).random(8), unit_rng(2**64 - 1, 0).random(8))
 
 
-def test_chunk_rng_streams_do_not_collide_across_seed_and_chunk():
-    # list entropy SeedSequence([seed, chunk]) gives these two the same
+def test_unit_rng_streams_do_not_collide_across_seed_and_unit():
+    # list entropy SeedSequence([seed, unit]) gives these two the same
     # stream, since numpy pads short entropy with zeros; the spawn key does not
-    assert not np.array_equal(chunk_rng(5, 7).random(8), chunk_rng(5 + 7 * 2**32, 0).random(8))
+    assert not np.array_equal(unit_rng(5, 7).random(8), unit_rng(5 + 7 * 2**32, 0).random(8))
 
 
 def test_chi_square_streams_are_no_gaussian_streams():
     # a spawn key is mixed in as 32-bit words, so the key (7, 1) is the key
-    # (7 + 2**32,) of another chunk's Gaussian stream; the chi-square
+    # (7 + 2**32,) of another unit's Gaussian stream; the chi-square
     # stream's key (7, 0) ends in a zero word, which no Gaussian key does
     def sfc64(seed, key):
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
-    assert np.array_equal(sfc64(5, (7, 1)).random(8), chunk_rng(5, 7 + 2**32).random(8))
-    assert np.array_equal(sfc64(5, (7, 0)).random(8), chunk_chi_square_rng(5, 7).random(8))
+    assert np.array_equal(sfc64(5, (7, 1)).random(8), unit_rng(5, 7 + 2**32).random(8))
+    assert np.array_equal(sfc64(5, (7, 0)).random(8), unit_chi_square_rng(5, 7).random(8))
     for seed, index in [(5, 7), (0, 0), (2**64 - 1, 2**32 - 1)]:
-        chi = chunk_chi_square_rng(seed, index).random(8)
-        assert np.array_equal(chi, chunk_chi_square_rng(seed, index).random(8))
+        chi = unit_chi_square_rng(seed, index).random(8)
+        assert np.array_equal(chi, unit_chi_square_rng(seed, index).random(8))
         for other in (index, index + 2**32):
-            assert not np.array_equal(chi, chunk_rng(seed, other).random(8))
+            assert not np.array_equal(chi, unit_rng(seed, other).random(8))
 
 
-# (seed, chunk_index, count, dim, reads): the chunk's rows read in `reads`
+def test_config_units_partition_the_run():
+    assert MonteCarloConfig(seed=0, total_samples=40_000, chunk_size=7).units() == [
+        (0, UNIT_ROWS), (1, UNIT_ROWS), (2, 40_000 - 2 * UNIT_ROWS)]
+    assert MonteCarloConfig(seed=0, total_samples=5).units() == [(0, 5)]
+    assert MonteCarloConfig(seed=0, total_samples=1).chunk_size == UNIT_ROWS
+
+
+# (seed, unit, count, dim, reads): the unit's first rows read in `reads`
 # gaussian_block calls of near-equal size, which give the same values as
 # one call
 _PINNED_CASES = [
     (0, 0, 1, 1, 1),                  # count 1, a single coordinate
     (7, 0, 1, 5, 1),                  # count 1, odd dim
-    (3, 2, 1000, 400, 1),             # dim 400, chunk_index > 0
+    (3, 2, 1000, 400, 1),             # dim 400, unit > 0
     (11, 1, 9, 16384, 1),             # dim 2**14
     (2**64 - 1, 5, 333, 31, 4),       # largest seed, odd dim, four reads
     (1, 3, 20000, 8, 7),              # seven reads
 ]
 # SHA-256 of the blocks above, computed with numpy 2.4.6 and equal to one
-# Generator(SFC64(SeedSequence(seed, spawn_key=(chunk_index,))))
+# Generator(SFC64(SeedSequence(seed, spawn_key=(unit,))))
 # .standard_normal((count, dim)) call per case; a numpy release that
 # changes that stream fails here
 _PINNED_SHA256 = "e1189068a665be561f0535291983a0e4a88a5f169017b88e0f61355d50361b4a"
 
 
-def _sliced_block(seed, chunk_index, count, dim, reads):
-    rng, out = chunk_rng(seed, chunk_index), np.empty(count * dim)
+def _sliced_block(seed, unit, count, dim, reads):
+    rng, out = unit_rng(seed, unit), np.empty(count * dim)
     edges = np.linspace(0, count, reads + 1).astype(int)
     for r0, r1 in zip(edges[:-1], edges[1:]):
         gaussian_block(rng, out[r0 * dim:], r1 - r0, dim)
@@ -126,18 +140,18 @@ def test_philox_stream_digest_is_pinned():
 
 def test_sliced_reads_match_one_read():
     for case in _PINNED_CASES:
-        assert np.array_equal(_sliced_block(*case), _chunk_gaussians(*case[:4]))
+        assert np.array_equal(_sliced_block(*case), _unit_gaussians(*case[:4]))
 
 
 def test_gaussian_block_moments():
-    g = _chunk_gaussians(0, 0, 60_000, 3)
+    g = _unit_gaussians(0, 0, 60_000, 3)
     assert abs(g.mean()) < 0.01
     assert np.std(g) == pytest.approx(1.0, abs=0.01)
-    assert _chunk_gaussians(0, 0, 10, 5).shape == (10, 5)
+    assert _unit_gaussians(0, 0, 10, 5).shape == (10, 5)
 
 
 def test_gaussian_block_draws_past_two_to_the_fourteen_dimensions():
-    row = _chunk_gaussians(0, 0, 1, (1 << 14) + 1)
+    row = _unit_gaussians(0, 0, 1, (1 << 14) + 1)
     assert row.shape == (1, (1 << 14) + 1)
     assert np.all(np.isfinite(row))
     assert abs(float(row.mean())) < 0.05
@@ -295,21 +309,31 @@ def test_monte_carlo_paths_identical_across_worker_counts(monkeypatch, path):
 # Row-block layout of map_chunks
 # ---------------------------------------------------------------------------
 
-def _chunk_draws(cone, seed, chunk_index, count):
-    """norms_block's arguments for all count rows of a chunk: its Gaussian
-    stream read in one gaussian_block call and, for a cone with chi-square
-    columns, its chi-square stream in one standard_gamma call."""
+def _unit_draws(cone, seed, unit, count):
+    """norms_block's arguments for all count rows of a stream unit: its
+    Gaussian stream read in one gaussian_block call and, for a cone with
+    chi-square columns, its chi-square stream in one standard_gamma call."""
     width, columns = sampled_layout(cone)
-    X = _chunk_gaussians(seed, chunk_index, count, width)
+    X = _unit_gaussians(seed, unit, count, width)
     if not columns:
         return (X,)
     dofs, faces = chi_square_dofs(cone, X)
-    return X, 2.0 * chunk_chi_square_rng(seed, chunk_index).standard_gamma(0.5 * dofs), faces
+    return X, 2.0 * unit_chi_square_rng(seed, unit).standard_gamma(0.5 * dofs), faces
+
+
+def _reference_rows(cone, config):
+    """(s, t, face dims) of every row of a run: one read of each unit's
+    streams and one norms_block per whole unit."""
+    norms = [norms_block(cone, *_unit_draws(cone, config.seed, unit, count))
+             for unit, count in config.units()]
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*norms))
 
 
 def _reference_map_chunks(cone, config, fn):
-    """map_chunks as one read of each stream and one norms_block per whole chunk."""
-    return [fn(index, *norms_block(cone, *_chunk_draws(cone, config.seed, index, count)))
+    """map_chunks as whole-unit reads and projections, then fn on each chunk's rows."""
+    rows, size = _reference_rows(cone, config), config.chunk_size
+    return [fn(index, *(None if a is None else a[index * size:index * size + count]
+                        for a in rows))
             for index, count in config.chunks()]
 
 
@@ -332,15 +356,20 @@ def _cone_of(family, d):
     }[family]()
 
 
-# (chunk_size, total_samples, d): the first three coalesce runs of
-# chunks into one row block (2**17 values hold 16384 rows at d=8), the
-# last two draw each chunk in several blocks; all end in a partial chunk
+# (chunk_size, total_samples, d): every run ends in a partial chunk.  At
+# d = 8 a row draws 2 to 5 values, so a 2**17-value block holds one to
+# four 2**14-row stream units; psd:11 (d = 64) reads a unit in three blocks and
+# psd:28 (d = 400) in two.  Chunks of 777 rows span units and pool tasks,
+# and a 65536-row chunk spans four units
 _LAYOUTS = [
     (1, 300, 8),
     (7, 1000, 8),
     (1024, 40_000, 8),
     (16384, 20_000, 64),
     (1024, 2_500, 400),
+    (777, 40_000, 8),
+    (777, 20_000, 64),
+    (65_536, 70_000, 8),
 ]
 
 
@@ -348,11 +377,35 @@ _LAYOUTS = [
 @pytest.mark.parametrize("layout", _LAYOUTS, ids=str)
 @pytest.mark.parametrize("family", ["orthant", "subspace", "circ", "psd", "prod", "polar"])
 def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
+    # fn sees each whole chunk, cut from rows drawn and projected a whole
+    # stream unit at a time
     chunk, total, d = layout
     cone = _cone_of(family, d)
     cfg = MonteCarloConfig(seed=17, total_samples=total, chunk_size=chunk)
     assert map_chunks(cone, cfg, _chunk_record, workers) == _reference_map_chunks(
         cone, cfg, _chunk_record)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("block_rows", [None, 3001], ids=["default-blocks", "3001-row-blocks"])
+@pytest.mark.parametrize("cone", [Orthant(8), Subspace(3, 8), Psd(3),
+                                  Product(Orthant(3), Circular(4, 0.6))],
+                         ids=["orthant:8", "subspace:3:8", "psd:3", "prod(orthant:3,circ:4:0.6)"])
+def test_rows_do_not_depend_on_chunk_size(monkeypatch, cone, block_rows, workers):
+    # every row comes from its stream unit, so chunk_size only groups the
+    # rows: the concatenated (s, t, faces) rows are the same at every chunk
+    # size, from 1 row to chunks that span three units, and with 3001-row
+    # blocks, which read each unit in several blocks
+    if block_rows:
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_rows * sum(sampled_layout(cone)))
+    rows = []
+    for chunk in (1, 7, 777, 1024, UNIT_ROWS, 40_000):
+        cfg = MonteCarloConfig(seed=43, total_samples=41_000, chunk_size=chunk)
+        parts = map_chunks(cone, cfg, lambda index, s, t, fd: (s, t, fd), workers)
+        rows.append([None if a[0] is None else np.concatenate(a) for a in zip(*parts)])
+    for other in rows[1:]:
+        for a, b in zip(rows[0], other):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -462,7 +515,8 @@ _FACE_IDS = ["orthant:7", "subspace:3:9", "trivial:4", "prod(orthant:3,subspace:
 
 def _face_configs(cone, large=True):
     """Chunk sizes 1, 7 and 777, and, if large, one chunk larger than a
-    block of the default size, so its streams are read in several blocks."""
+    block of the default size, so its rows span several stream units and
+    pool tasks."""
     sizes = [(1, 300), (7, 300), (777, 1_000)]
     if large:
         big = sampling._BLOCK_VALUES // sum(sampled_layout(cone)) + 611
@@ -495,11 +549,11 @@ def test_face_estimate_equals_the_estimate_from_a_summary(monkeypatch, cone):
 def test_face_estimate_draws_no_chi_square_and_projects_nothing(monkeypatch):
     # for a cone without a generator leaf, K and k come with the Gaussian
     # columns: the face path builds no chi-square stream and calls no
-    # norms_block, on runs of small chunks and on a chunk read in blocks
+    # norms_block, on runs of small chunks and on a chunk that spans units
     def forbidden(*args, **kwargs):
         raise AssertionError("a face estimate drew chi-square values or projected")
 
-    monkeypatch.setattr(sampling, "chunk_chi_square_rng", forbidden)
+    monkeypatch.setattr(sampling, "unit_chi_square_rng", forbidden)
     monkeypatch.setattr(sampling, "norms_block", forbidden)
     for cone in _FACE_CONES[:4]:
         for cfg, workers in itertools.product(_face_configs(cone)[1:], (1, 3)):
@@ -542,8 +596,8 @@ def test_chi_square_columns_have_the_bits_of_chisquare():
     # chisquare's bits, so cones whose only sampled leaves are circular kept
     # their values
     dofs = np.tile([3.0, 7.0, 1.0, 399.0], (500, 1))
-    expect = chunk_chi_square_rng(5, 2).chisquare(dofs)
-    assert np.array_equal(2.0 * chunk_chi_square_rng(5, 2).standard_gamma(0.5 * dofs), expect)
+    expect = unit_chi_square_rng(5, 2).chisquare(dofs)
+    assert np.array_equal(2.0 * unit_chi_square_rng(5, 2).standard_gamma(0.5 * dofs), expect)
 
 
 def _binomial_pmf(d):
@@ -664,16 +718,17 @@ def test_psd1_norms_are_the_parts_of_its_gaussian_column(polar):
     # Psd(1) has one Gaussian column and no chi-square column, so map_chunks
     # hands norms_block its rows as they are, and a 1 x 1 matrix is its own
     # eigenvalue: s and t are the squared positive and negative parts of the
-    # chunk's Gaussian column, swapped for the polar cone
+    # run's Gaussian column, swapped for the polar cone
     cone = Polar(Psd(1)) if polar else Psd(1)
     big = sampling._BLOCK_VALUES + 611
-    for chunk, total in ((1, 300), (777, 2_000), (big, big)):
+    for chunk, total in ((1, 300), (777, 20_000), (big, big)):
         cfg = MonteCarloConfig(seed=9, total_samples=total, chunk_size=chunk)
-        for index, s, t in map_chunks(cone, cfg, lambda index, s, t, fd: (index, s, t)):
-            x = _chunk_gaussians(cfg.seed, index, s.shape[0], 1)[:, 0]
-            pos, neg = np.maximum(x, 0.0) ** 2, np.minimum(x, 0.0) ** 2
-            assert np.array_equal(s, neg if polar else pos), (chunk, index)
-            assert np.array_equal(t, pos if polar else neg), (chunk, index)
+        s, t = (np.concatenate(a) for a in zip(*map_chunks(
+            cone, cfg, lambda index, s, t, fd: (s, t))))
+        x = _run_gaussians(cfg, 1)[:, 0]
+        pos, neg = np.maximum(x, 0.0) ** 2, np.minimum(x, 0.0) ** 2
+        assert np.array_equal(s, neg if polar else pos), chunk
+        assert np.array_equal(t, pos if polar else neg), chunk
 
 
 @pytest.mark.parametrize("n, total, bound", [(12, 20_000, 3_671_166), (28, 16_384, 3_562_358)])
@@ -717,25 +772,30 @@ _DIGEST_PATHS = [
     lambda cone, cfg: empirical_steiner_cdf(cone, [0.25, 0.5, 0.75], cfg, kind="spherical"),
     lambda cone, cfg: subspace_moment(_MIN_A_10, 3, 11, cfg),
 ]
-# SHA-256 of every result of the six cones other than the generator cones.
-# Re-pinned when the per-chunk SFC64 streams replaced the Philox ones,
-# which changed every draw; when the summary's two moment blocks (of s
-# and of t) became one of theta = s / (s + t), which left the reservoirs,
-# face histograms and other paths bit-identical; when circular leaves
-# began to draw ||z||^2 from a chi-square stream, which changed the three
-# cones with a circular leaf and left the orthant, subspace and psd cases
-# bit-identical; and when orthant and subspace leaves began to draw
-# (K, chi-square(K), chi-square(d - K)) and two chi-square values, which
-# changed the orthant, subspace and product cases and the Monte Carlo
-# subspace_moment path, and left the circular, polar circular and psd
-# summaries and their other paths bit-identical; and when psd leaves began
-# to draw a tridiagonal matrix (n normals and chi-square(n - 1), ...,
-# chi-square(1)) in place of n(n+1)/2 normals, which changed the three
-# psd:3 cases and left every other case bit-identical, each hashed on its
-# own.  The same digest came out with 1-value, 37-value and 2**24-value
-# blocks, with psd matrix slices of 1, 37 and 2**24 entries and on three
-# threads, and any layout must reproduce it
-_MONTE_CARLO_SHA256 = "2b43045cdb01891c8a203d9d33b3e5ed9fd2fcd59dbbfd857e27d6a81888ae0d"
+# SHA-256 of every result of the six cones other than the generator cones,
+# in two halves: the cases at chunk size 2**14, one stream unit per chunk,
+# and those at 1024 and 777.  Re-pinned when the per-chunk SFC64 streams
+# replaced the Philox ones, which changed every draw; when the summary's
+# two moment blocks (of s and of t) became one of theta = s / (s + t),
+# which left the reservoirs, face histograms and other paths
+# bit-identical; when circular leaves began to draw ||z||^2 from a
+# chi-square stream, which changed the three cones with a circular leaf and
+# left the orthant, subspace and psd cases bit-identical; and when orthant
+# and subspace leaves began to draw (K, chi-square(K), chi-square(d - K))
+# and two chi-square values, which changed the orthant, subspace and
+# product cases and the Monte Carlo subspace_moment path, and left the
+# circular, polar circular and psd summaries and their other paths
+# bit-identical; and when psd leaves began to draw a tridiagonal matrix (n
+# normals and chi-square(n - 1), ..., chi-square(1)) in place of n(n+1)/2
+# normals, which changed the three psd:3 cases and left every other case
+# bit-identical, each hashed on its own.  When the streams were keyed by
+# stream unit in place of chunk, the 2**14 half kept its digest and the
+# 1024 and 777 half was re-pinned, once map_chunks matched the whole-unit
+# reference at those chunk sizes.  The same digests came out with 1-value,
+# 37-value and 2**24-value blocks, with psd matrix slices of 1, 37 and
+# 2**24 entries and on three threads, and any layout must reproduce them
+_UNIT_CHUNK_SHA256 = "48ac813f92a70cbbdaa0554ff30bd336579bebf639a62227712e33b191ff908e"
+_SMALL_CHUNK_SHA256 = "41eae46cdd59a8e9f5bf50a490205a619a649b897c2abfceb1cdb3a945f34267"
 
 
 def _digest_cases():
@@ -765,15 +825,24 @@ def _summary_bytes(summary):
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
-def test_monte_carlo_digest_is_pinned():
-    # run_summary plus one other Monte Carlo path for every case
+def _digest(unit_chunks):
+    """SHA-256 of run_summary and one other Monte Carlo path for every
+    non-generator case at chunk size 2**14, or at the other chunk sizes."""
     digest = hashlib.sha256()
     for cone, cfg, path in _digest_cases():
-        if isinstance(cone, Generators):
+        if isinstance(cone, Generators) or (cfg.chunk_size == UNIT_ROWS) != unit_chunks:
             continue
         digest.update(_summary_bytes(run_summary(cone, cfg)))
         digest.update(np.asarray(path(cone, cfg), dtype=float).tobytes())
-    assert digest.hexdigest() == _MONTE_CARLO_SHA256
+    return digest.hexdigest()
+
+
+def test_monte_carlo_digest_is_pinned():
+    assert _digest(unit_chunks=True) == _UNIT_CHUNK_SHA256
+
+
+def test_small_chunk_monte_carlo_digest_is_pinned():
+    assert _digest(unit_chunks=False) == _SMALL_CHUNK_SHA256
 
 
 def test_generator_cone_matches_per_row_oracle():
@@ -786,8 +855,9 @@ def test_generator_cone_matches_per_row_oracle():
             continue
         d = ambient_dim(cone)
         got = map_chunks(cone, cfg, lambda index, s, t, fd: (s, t, fd))
+        rows = _run_gaussians(cfg, d)
         for (index, count), (s, t, fd) in zip(cfg.chunks(), got):
-            X = _chunk_gaussians(cfg.seed, index, count, d)
+            X = rows[index * cfg.chunk_size:index * cfg.chunk_size + count]
             ref_s, ref_t, ref_fd = reference_norms(cone.matrix, X)
             tol = 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X))
             assert np.all(np.abs(s - ref_s) <= tol)

@@ -290,6 +290,14 @@ def test_chi_bar_squared_sampler_moments():
     assert np.array_equal(x, law.sample(cfg))
 
 
+def test_chi_bar_squared_sample_does_not_depend_on_chunk_size():
+    # the draws come from 2**14-sample stream units, whatever the chunk size
+    law = chi_bar_squared(exact_profile(Orthant(5)))
+    draws = [law.sample(MonteCarloConfig(seed=3, total_samples=40_000, chunk_size=chunk))
+             for chunk in (1 << 14, 1, 777, 40_000)]
+    assert all(np.array_equal(draws[0], other) for other in draws[1:])
+
+
 def test_chi_bar_squared_sampler_point_mass():
     x = chi_bar_squared(exact_profile(Trivial(4))).sample(
         MonteCarloConfig(seed=1, total_samples=100))

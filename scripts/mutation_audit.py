@@ -112,10 +112,14 @@ MUTANTS = (
            "unit_rng(config.seed, unit) if width",
            "unit_rng(config.seed, unit * UNIT_ROWS // config.chunk_size) if width",
            (_UNIT_REFERENCE, _ROWS_BY_CHUNK)),
-    Mutant("spanning-chunk-drops-first-piece", _SAMPLING,
-           "_join([arrays, *(a for _, a, _ in group)])",
-           "_join([*(a for _, a, _ in group)] or [arrays])",
-           (_UNIT_REFERENCE, _ROWS_BY_CHUNK)),
+    Mutant("unit-drops-first-block", _SAMPLING,
+           "for r0 in range(0, count, step)])",
+           "for r0 in range(0, count, step)][count > step:])",
+           (_UNIT_REFERENCE,)),
+    Mutant("chunk-index-restarts-per-unit", _SAMPLING,
+           "first = unit * UNIT_ROWS // size",
+           "first = 0 * unit",
+           (_UNIT_REFERENCE,)),
     Mutant("face-path-drops-subspace-dimension", _SAMPLING,
            "sum(chi_square_dofs(cone, X, fill=False)[1],",
            "sum((f for f in chi_square_dofs(cone, X, fill=False)[1] if np.ndim(f)),",

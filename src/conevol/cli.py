@@ -7,9 +7,9 @@ where a subcommand supports both.  All floats in CSV artifacts are
 printed with 17 significant digits, and identical command lines produce
 byte-identical artifacts regardless of the worker count.
 
-Exit codes: 0 success, 2 malformed cone/flags, fewer than two samples for
-an estimate with a standard error, or unwritable --out, 3 numerical guard
-tripped (JSON artifacts never carry NaN or Infinity), 4
+Exit codes: 0 success, 2 malformed cone/flags, a Monte Carlo run of fewer
+than two samples (or a reservoir thinned to one), or unwritable --out, 3
+numerical guard tripped (JSON artifacts never carry NaN or Infinity), 4
 an identity check (steiner, product-check) found a row with |formula - mc|
 > 4*se + 0.01; wills prints both of its sides without that rule.
 """

@@ -141,22 +141,13 @@ def exact_profile(cone):
 # summary-level statistics
 # ---------------------------------------------------------------------------
 
-def _check_samples(n, what):
-    """ValueError below two samples: one sample has no spread, so its
-    standard error would read 0, as if the estimate were exact."""
-    if n < 2:
-        raise ValueError(f"{what} needs at least 2 samples for its standard errors, got {n}")
-
-
 def statistical_dimension(summary):
     """Estimate and standard error of delta = E V from a summary.
 
     E[d theta] = E V, since theta = s / (s + t) has mean k / d given V = k;
     unlike s = R^2 theta, d theta carries no chi-square radial noise.
-    ValueError for a summary of fewer than two samples.
     """
     d, acc = summary.dim, summary.theta_moments
-    _check_samples(acc.n, "the statistical dimension estimate")
     return d * acc.mean, d * acc.se_mean
 
 
@@ -168,10 +159,8 @@ def intrinsic_variance(summary):
         Var X = Var V * d / (d + 2) + 2 delta (d - delta) / (d + 2),
     which is inverted with the sample mean and variance of X.  The
     standard error is the delta method's on the central moments of X.
-    ValueError for a summary of fewer than two samples.
     """
     d, acc = summary.dim, summary.theta_moments
-    _check_samples(acc.n, "the intrinsic variance estimate")
     mean, scale = d * acc.mean, (d + 2) / d
     est = scale * d * d * acc.variance - 2.0 * mean * (d - mean) / d
     # the estimate's gradient in the sample variance and the mean of X
@@ -267,7 +256,6 @@ def estimate_profile_face(cone, config, workers=None, summary=None):
     and no cone's take theta moments or a reservoir.  They come from the
     same Gaussian stream as run_summary's, so the histogram, and the
     profile, have the same bits as with summary=run_summary(cone, config).
-    ValueError for fewer than two samples.
     """
     if not supports_face_dim(cone):
         raise UnsupportedConeError(
@@ -280,7 +268,6 @@ def estimate_profile_face(cone, config, workers=None, summary=None):
     else:
         summary = _summary_for(cone, config, workers, summary)
         d, n, hist = summary.dim, summary.count, summary.face_hist
-    _check_samples(n, "the face estimator")
     v = hist.astype(float) / n
     stderr = np.sqrt(v * (1.0 - v) / n)
     return profile_from_raw(d, v, stderr, "mc_face")
@@ -303,7 +290,10 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     summary = _summary_for(cone, config, workers, summary)
     s = summary.reservoir_s
     n = s.size
-    _check_samples(n, "the biorthogonal estimator's reservoir")
+    if n < 2:
+        # a run has at least two samples, but reservoir_cap can thin it to one
+        raise ValueError(f"the biorthogonal estimator's reservoir needs at least 2 samples "
+                         f"for its standard errors, got {n}")
     x = 2.0 * s / (s + summary.reservoir_t) - 1.0
     values = np.empty((n, d + 1))
     for start in range(0, n, _EVAL_BLOCK):

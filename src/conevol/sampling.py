@@ -38,36 +38,33 @@ chi-square stream: an orthant's K and a subspace's k are its face
 dimensions, so estimate_profile_face reads them off the Gaussian columns
 alone (map_chunks with faces_only), unless a generator leaf needs its
 projection for them.  The draws are a function of (seed, global row):
-chunk_size only decides how the rows are grouped for reduction, and
-neither it nor the order in which units run, the worker thread that runs
-them or how a unit's streams are split into reads changes a value.  At
-the default chunk_size, UNIT_ROWS, every chunk is one unit.
+chunk_size, which divides UNIT_ROWS, only decides how a unit's rows are
+grouped for reduction, and neither it nor the order in which units run,
+the worker thread that runs them or how a unit's streams are split into
+reads changes a value.  At the default chunk_size, UNIT_ROWS, every chunk
+is one unit.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
-streams through one primitive, map_chunks.  It draws and projects the
-streams in row blocks of about _BLOCK_VALUES drawn values, whatever the
-chunk size: consecutive units that fit fill one block, a larger unit is
-read a block at a time, and each worker thread draws its Gaussian rows
-into one block buffer that it reuses for all of its blocks.  It runs the
-blocks on CONEVOL_THREADS worker threads unless a caller passes an
-explicit worker count, hands each chunk's rows to the caller whole, and
-returns the per-chunk results in chunk-index order.  Callers fold them
-left to right in that fixed order, moment sums (run_summary keeps those
-of theta = s / (s + t) only) with the exact pairwise-merge update
-formulas, so every result is a function of (seed, total_samples,
-chunk_size, reservoir_cap) only: bit-identical for any worker count and
-block size.
+streams through one primitive, map_chunks.  Each stream unit is one pool
+task, run on CONEVOL_THREADS worker threads unless a caller passes an
+explicit worker count.  A task reads its unit's streams in row blocks of
+about _BLOCK_VALUES drawn values, whatever the chunk size, drawing the
+Gaussian rows into one block buffer per worker thread, and hands each of
+the unit's chunks to the caller whole.  map_chunks returns the per-chunk
+results in chunk-index order.  Callers fold them left to right in that
+fixed order, moment sums (run_summary keeps those of theta = s / (s + t)
+only) with the exact pairwise-merge update formulas, so every result is a
+function of (seed, total_samples, chunk_size, reservoir_cap) only:
+bit-identical for any worker count and block size.
 """
 
-import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
 
 import numpy as np
 
@@ -95,12 +92,6 @@ def unit_chi_square_rng(seed, unit):
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _partition(total, size):
-    """(index, count) of consecutive runs of size rows, the last one short."""
-    full, rem = divmod(total, size)
-    return list(enumerate([size] * full + ([rem] if rem else [])))
-
-
 def gaussian_block(rng, out, count, dim):
     """The next count rows of dim standard normals from the stream rng.
 
@@ -119,7 +110,10 @@ class MonteCarloConfig:
     """Knobs that determine a sampling run.
 
     Summaries depend only on (seed, total_samples, chunk_size,
-    reservoir_cap); worker counts change wall time, never results.
+    reservoir_cap); worker counts change wall time, never results.  A run
+    has at least two samples, since one has no spread and its standard
+    errors would read 0, and chunk_size divides UNIT_ROWS (a power of two
+    up to 2**14), so that every chunk lies inside one stream unit.
     """
     seed: int
     total_samples: int
@@ -127,19 +121,20 @@ class MonteCarloConfig:
     reservoir_cap: int = 100_000
 
     def __post_init__(self):
-        if self.total_samples < 1:
-            raise ValueError("total_samples must be positive")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        if self.total_samples < 2:
+            raise ValueError("a Monte Carlo run needs at least 2 samples for its standard "
+                             f"errors, got {self.total_samples}")
+        if self.chunk_size < 1 or UNIT_ROWS % self.chunk_size:
+            raise ValueError(f"chunk_size must divide {UNIT_ROWS} (a power of two up to "
+                             f"2**14), got {self.chunk_size}")
         if self.reservoir_cap < 1:
             raise ValueError("reservoir_cap must be positive")
 
-    def chunks(self):
-        return _partition(self.total_samples, self.chunk_size)
-
     def units(self):
-        """(unit, count) of the run's stream units, UNIT_ROWS rows each."""
-        return _partition(self.total_samples, UNIT_ROWS)
+        """(unit, count) of the run's stream units, UNIT_ROWS rows each, the
+        last one short."""
+        full, rem = divmod(self.total_samples, UNIT_ROWS)
+        return list(enumerate([UNIT_ROWS] * full + ([rem] if rem else [])))
 
     @property
     def reservoir_stride(self):
@@ -239,46 +234,11 @@ def resolve_workers(workers=None):
     return 1
 
 
-def _block_groups(units, block_rows):
-    """Pool tasks for map_chunks: runs of consecutive stream units that fit
-    in one row block together, and every unit larger than a block alone."""
-    groups, run, rows = [], [], 0
-    for index, count in units:
-        if run and rows + count > block_rows:
-            groups.append(run)
-            run, rows = [], 0
-        run.append((index, count))
-        rows += count
-    return groups + [run]
-
-
 def _join(pieces):
     """One tuple of arrays from tuples that hold consecutive rows of them."""
     if len(pieces) == 1:
         return pieces[0]
     return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*pieces))
-
-
-def _by_chunk(blocks, row, chunk_size, total):
-    """(chunk index, arrays) for each chunk met in blocks, tuples of arrays
-    that hold consecutive rows from the global row `row` on, the first
-    array never None.  A chunk's rows that lie in several blocks are
-    joined; a chunk that starts before the blocks or ends after them
-    yields only its rows in them."""
-    index, held = row // chunk_size, []
-    for arrays in blocks:
-        r0, n = 0, arrays[0].shape[0]
-        while r0 < n:
-            end = min((index + 1) * chunk_size, total)
-            take = min(n - r0, end - row)
-            held.append(arrays if take == n else
-                        tuple(None if a is None else a[r0:r0 + take] for a in arrays))
-            r0, row = r0 + take, row + take
-            if row == end:
-                yield index, _join(held)
-                index, held = index + 1, []
-    if held:
-        yield index, _join(held)
 
 
 def map_chunks(cone, config, fn, workers=None, faces_only=False):
@@ -288,7 +248,7 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     cones.sampled_layout(cone): its Gaussian columns from its stream
     unit's Gaussian stream, with gaussian_block, then its chi-square
     columns from the unit's chi-square stream, with one row-major
-    2 * standard_gamma(dofs / 2) call per unit and block on the degrees
+    2 * standard_gamma(dofs / 2) call per block on the degrees
     of freedom cones.chi_square_dofs gives for the block, so that a stream
     read in several blocks gives the same values as one read.  That call
     gives the bits of chisquare(dofs), and it also takes zero degrees of
@@ -315,110 +275,72 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     depend on the Gaussian stream only, which is read as it is without
     faces_only, so they are those fn(index, s, t, face_dims) sees.
 
-    The streams are drawn and projected in row blocks of about
-    _BLOCK_VALUES drawn values: a run of units that fits in a block fills
-    it, each unit from its own streams, and shares one norms_block call;
-    a unit larger than a block reads its streams a block at a time.
-    Either is one pool task, since a stream must be read in order.  A
-    row's values depend on (seed, global row) only, never on chunk_size.
-    fn sees each chunk once, with that chunk's full arrays: a chunk that
-    lies inside one task is reduced in that task, and one whose rows lie
-    in several tasks (a chunk_size that does not divide a task's rows, or
-    one larger than a task) is joined from their pieces and reduced by
-    the calling thread.  The results come back as a list in chunk-index
+    Each stream unit is one pool task, since its streams must be read in
+    order.  A task reads them in near-equal row blocks of at most about
+    _BLOCK_VALUES drawn values, one norms_block call each, joins the
+    blocks' rows and calls fn on each chunk_size slice of them, with
+    chunk index unit * UNIT_ROWS // chunk_size + j for its j-th slice.
+    chunk_size divides UNIT_ROWS, so every chunk lies inside one unit.  A
+    row's values depend on (seed, global row) only, never on chunk_size or
+    the block size.  The results come back as a list in chunk-index
     order, so a caller that folds them left to right gets the same answer
     for any worker count; every result is a function of (seed,
     total_samples, chunk_size, reservoir_cap) only.  Tasks run on a thread
     pool when resolve_workers(workers) asks for more than one thread and
-    there is more than one task.
+    there is more than one unit.
     """
     width, columns = sampled_layout(cone)
     block_rows = max(1, _BLOCK_VALUES // (width + columns))
-    tasks = _block_groups(config.units(), block_rows)
-    size, rows_in_run = config.chunk_size, config.total_samples
-    buffer_values = min(block_rows, rows_in_run) * width
+    units, size = config.units(), config.chunk_size
+    buffer_values = min(block_rows, units[0][1]) * width
     local = threading.local()
     # face dimensions read off chi_square_dofs: no chi-square columns drawn
     direct = faces_only and faces_from_dofs(cone)
 
-    def streams(unit):
-        # the unit's (Gaussian, chi-square) streams, None where none is read
-        return (unit_rng(config.seed, unit) if width else None,
-                unit_chi_square_rng(config.seed, unit) if columns and not direct else None)
-
-    def block(units, out, rngs=None):
+    def block(gauss, chi, out, count):
         # (s, t, face dims), or (face dims,) for faces_only, of the next
-        # count rows of each (unit, count) in units, from the unit's own
-        # streams or, given, from the pair rngs read on; the Gaussian
-        # columns are drawn into out
-        total = sum(count for _, count in units)
-        pairs = [rngs or streams(unit) for unit, _ in units]
-        X, r0 = out[:total * width].reshape(total, width), 0
-        for (gauss, _), (_, count) in zip(pairs, units):
-            if width:
-                gaussian_block(gauss, out[r0 * width:], count, width)
-            r0 += count
+        # count rows of a unit, read on from its streams gauss and chi; the
+        # Gaussian columns are drawn into out
+        X = out[:count * width].reshape(count, width)
+        if width:
+            gaussian_block(gauss, out, count, width)
         if direct:
             return (sum(chi_square_dofs(cone, X, fill=False)[1],
-                        np.zeros(total, dtype=np.int64)),)
+                        np.zeros(count, dtype=np.int64)),)
         Z, faces = chi_square_dofs(cone, X)
         if columns:
             # one array: the halved degrees of freedom are the gamma shapes,
             # and each draw overwrites the shape it was drawn with
             Z *= 0.5
-            r0 = 0
-            for (_, chi), (_, count) in zip(pairs, units):
-                shapes = Z[r0:r0 + count]
-                chi.standard_gamma(shapes, out=shapes)
-                r0 += count
+            chi.standard_gamma(Z, out=Z)
             Z *= 2.0
         norms = norms_block(cone, X, Z, faces)
         return norms[2:] if faces_only else norms
 
-    def work(units):
-        # (index, None, fn's result) for each chunk inside the task's rows,
-        # (index, arrays, None) for the task's rows of any other chunk.  One
-        # block buffer per worker thread, reused by each of its tasks;
-        # norms_block returns new arrays, so what fn sees never aliases it
+    def work(task):
+        # fn's result for each chunk of one unit, in chunk order.  One block
+        # buffer per worker thread, reused by each of its tasks; norms_block
+        # returns new arrays, so what fn sees never aliases it
+        unit, count = task
         buffer = getattr(local, "buffer", None)
         if buffer is None:
             buffer = local.buffer = np.empty(buffer_values)
-        total = sum(count for _, count in units)
-        if total <= block_rows:
-            # a run of units that fits in one block: each fills its own rows
-            blocks = [block(units, buffer)]
-        else:
-            # one unit larger than a block: its streams are read a block at a time
-            rngs = streams(units[0][0])
-            step = -(-total // -(-total // block_rows))   # near-equal blocks of <= block_rows
-            blocks = (block([(units[0][0], min(step, total - r0))], buffer, rngs)
-                      for r0 in range(0, total, step))
-        first = units[0][0] * UNIT_ROWS
-        entries = []
-        for index, arrays in _by_chunk(blocks, first, size, rows_in_run):
-            if first <= index * size and min(index * size + size, rows_in_run) <= first + total:
-                entries.append((index, None, fn(index, *arrays)))
-            else:
-                entries.append((index, arrays, None))
-        return entries
-
-    def collect(done):
-        # every chunk's result in chunk order; the pieces of a chunk are
-        # consecutive entries, joined here in row order
-        results = []
-        for index, group in itertools.groupby(itertools.chain.from_iterable(done),
-                                              key=itemgetter(0)):
-            _, arrays, result = next(group)
-            if arrays is not None:
-                result = fn(index, *_join([arrays, *(a for _, a, _ in group)]))
-            results.append(result)
-        return results
+        gauss = unit_rng(config.seed, unit) if width else None
+        chi = unit_chi_square_rng(config.seed, unit) if columns and not direct else None
+        step = -(-count // -(-count // block_rows))   # near-equal blocks of <= block_rows
+        arrays = _join([block(gauss, chi, buffer, min(step, count - r0))
+                        for r0 in range(0, count, step)])
+        first = unit * UNIT_ROWS // size
+        return [fn(first + j, *(None if a is None else a[r0:r0 + size] for a in arrays))
+                for j, r0 in enumerate(range(0, count, size))]
 
     nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(tasks) == 1:
-        return collect(map(work, tasks))
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return collect(pool.map(work, tasks))
+    if nworkers == 1 or len(units) == 1:
+        done = map(work, units)
+    else:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            done = list(pool.map(work, units))
+    return [result for results in done for result in results]
 
 
 def run_summary(cone, config, workers=None):

@@ -222,8 +222,9 @@ def test_profile_biorth_one_sample_exits_2(capsys):
     assert "error:" in err and "at least 2" in err
 
 
-@pytest.mark.parametrize("argv", [["sdim"], ["var"], ["profile", "--method", "face"]],
-                         ids=["sdim", "var", "profile-face"])
+@pytest.mark.parametrize("argv", [["sdim"], ["var"], ["profile", "--method", "face"],
+                                  ["wills", "--lambda", "1.5"], ["steiner", "--check", "gaussian"]],
+                         ids=["sdim", "var", "profile-face", "wills", "steiner-gaussian"])
 def test_one_sample_estimates_exit_2(capsys, argv):
     # one sample has no spread: its standard error would read 0, as if the
     # estimate were exact

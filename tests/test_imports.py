@@ -4,9 +4,9 @@ module-level definition in src/conevol is used somewhere in src/.
 The repository has no linter, so this test is the unused-import lint.  It
 scans src/conevol, scripts/ and tests/.  The package ``__init__.py`` is
 skipped because its imports are the package's re-exports.  The
-dead-definition scan keeps src/ free of functions and classes whose only
-caller is their own test; a name the package ``__init__.py`` re-exports
-counts as used.
+dead-definition scan keeps src/ free of functions, classes and methods
+whose only caller is their own test; a name the package ``__init__.py``
+re-exports counts as used.
 """
 
 # Standard libraries
@@ -62,26 +62,42 @@ def _names_used(tree):
     return used
 
 
+def _definitions(tree):
+    """(name, node) of every module-level def or class of a module tree, and
+    ("Class.method", node) of every non-dunder method of such a class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (item.name.startswith("__")
+                                                        and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _dead_definitions(sources):
-    """(module, name) of every module-level def or class in ``sources``
-    (module name -> source text) that no code outside its own body uses."""
+    """(module, name) of every definition of _definitions in ``sources``
+    (module name -> source text) that no code outside its own body uses.
+    A method counts as used wherever its name is read as a name or an
+    attribute."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
-    dead = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if used[node.name] == _names_used(node)[node.name]:
-                    dead.append((module, node.name))
-    return sorted(dead)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name, node in _definitions(tree)
+                  if used[node.name] == _names_used(node)[node.name])
 
 
 def test_scanner_flags_a_dead_definition():
     sources = {
         "a": "def used():\n    return 1\n\ndef only_itself(n):\n    return only_itself(n - 1)\n",
         "b": "from .a import used\n\nclass Unused:\n    pass\n\nx = used()\n",
+        "c": ("class Box:\n    def __len__(self):\n        return 0\n\n"
+              "    def read(self):\n        return 1\n\n"
+              "    def spare(self):\n        return self.spare()\n\nBox().read()\n"),
     }
-    assert _dead_definitions(sources) == [("a", "only_itself"), ("b", "Unused")]
+    assert _dead_definitions(sources) == [("a", "only_itself"), ("b", "Unused"),
+                                          ("c", "Box.spare")]
 
 
 def test_src_has_no_dead_definitions():

@@ -515,12 +515,11 @@ def test_biorthogonal_stderr_covers_evaluation_round_off(cone):
 
 
 def test_biorthogonal_estimator_rejects_one_sample_reservoir():
-    # a one-sample reservoir has no sample standard deviation: one sample
-    # drawn, or 100 drawn and thinned to one
-    for total, cap in [(1, 100_000), (100, 1)]:
-        cfg = MonteCarloConfig(seed=0, total_samples=total, reservoir_cap=cap)
-        with pytest.raises(ValueError, match="at least 2"):
-            estimate_profile_biorthogonal(Orthant(3), cfg)
+    # a one-sample reservoir has no sample standard deviation: 100 drawn
+    # and thinned to one (a one-sample run is a config error)
+    cfg = MonteCarloConfig(seed=0, total_samples=100, reservoir_cap=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        estimate_profile_biorthogonal(Orthant(3), cfg)
     two = estimate_profile_biorthogonal(Orthant(3), MonteCarloConfig(seed=0, total_samples=2))
     assert np.all(np.isfinite(two.stderr))
 

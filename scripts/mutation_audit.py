@@ -124,6 +124,11 @@ MUTANTS = (
            "sum(chi_square_dofs(cone, X, fill=False)[1],",
            "sum((f for f in chi_square_dofs(cone, X, fill=False)[1] if np.ndim(f)),",
            ("tests/test_sampling.py::test_face_estimate_equals_the_estimate_from_a_summary",)),
+    # keeps every bit but projects: only the test that forbids projection sees it
+    Mutant("face-route-projects", _SAMPLING,
+           "direct = faces_only and faces_from_dofs(cone)",
+           "direct = False",
+           ("tests/test_sampling.py::test_face_estimate_draws_no_chi_square_and_projects_nothing",)),
     Mutant("pivoting-dual-test-flipped", _LINALG,
            "y < -tol[:, None]",
            "y > tol[:, None]",

@@ -2,8 +2,9 @@
 
 For a polyhedral cone this sweeps deviation levels and writes, per level, the
 Bennett upper/lower tail bounds, the combined two-sided bound, the Chebyshev
-fallback, and the empirical two-sided tail frequency from face-dimension
-samples.  The output is the data behind the usual bound-vs-truth figure:
+fallback, and the empirical two-sided tail frequency from the face
+estimate (profiles.estimate_profile_face) at the same Monte Carlo
+configuration.  The output is the data behind the usual bound-vs-truth figure:
 
     python scripts/tail_bound_sweep.py --cone orthant:32 --samples 200000 \
         --lam-max 12 --out sweep.csv
@@ -19,6 +20,7 @@ from conevol import (
     MonteCarloConfig,
     TailBoundReport,
     ambient_dim,
+    estimate_profile_face,
     parse_cone_spec,
     run_summary,
     statistical_dimension,
@@ -41,12 +43,9 @@ def main(argv=None):
         ap.error("empirical sweep needs a cone with face-dimension sampling")
     d = ambient_dim(cone)
     config = MonteCarloConfig(seed=args.seed, total_samples=args.samples)
-    summary = run_summary(cone, config)
-    delta, _ = statistical_dimension(summary)
+    delta, _ = statistical_dimension(run_summary(cone, config))
     delta = min(max(delta, 1e-9), d - 1e-9)
-
-    counts = np.asarray(summary.face_hist, dtype=float)
-    total = counts.sum()
+    freqs = estimate_profile_face(cone, config).raw_v
     ks = np.arange(d + 1, dtype=float)
 
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -57,7 +56,7 @@ def main(argv=None):
     ])
     for lam in np.linspace(0.0, args.lam_max, args.steps + 1):
         report = TailBoundReport.evaluate(lam, delta, d - delta)
-        freq = counts[np.abs(ks - delta) >= lam].sum() / total
+        freq = freqs[np.abs(ks - delta) >= lam].sum()
         writer.writerow(["%.17g" % x for x in (
             lam, freq, report.upper_bennett, report.lower_bennett,
             report.combined, report.chebyshev,

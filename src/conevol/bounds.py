@@ -189,19 +189,22 @@ def _goe_kernel(s, t):
     return np.log((p + q) / (2.0 * np.abs(s - t))) / math.pi ** 2
 
 
+_GOE_STEP = 0.008     # tanh-sinh step of both integrals of _goe_kernel_integral
+
+
 @lru_cache(maxsize=None)
-def _goe_kernel_integral(step=0.008):
+def _goe_kernel_integral():
     # double integral of 4st * kernel over [0,2]^2; the inner integral is
     # split at the logarithmic diagonal singularity so tanh-sinh sees it
     # only as an endpoint, which it absorbs.
-    nodes_t, weights_t = tanh_sinh_rule(0.0, 2.0, step)
+    nodes_t, weights_t = tanh_sinh_rule(0.0, 2.0, _GOE_STEP)
     total = 0.0
     for t, wt in zip(nodes_t, weights_t):
         parts = 0.0
         for a, b in ((0.0, t), (t, 2.0)):
             if b - a < 1e-14:
                 continue
-            s, ws = tanh_sinh_rule(a, b, step)
+            s, ws = tanh_sinh_rule(a, b, _GOE_STEP)
             # extreme nodes can round to exactly t; their weights are
             # O(1e-16) so dropping them costs nothing
             good = s != t

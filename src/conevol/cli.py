@@ -92,9 +92,8 @@ def _parse_grid(text):
     return [a + i * step for i in range(int(span) + 1)]
 
 
-def _mc_config(args, samples=None):
-    n = args.samples if samples is None else samples
-    return MonteCarloConfig(seed=args.seed, total_samples=n,
+def _mc_config(args):
+    return MonteCarloConfig(seed=args.seed, total_samples=args.samples,
                             reservoir_cap=getattr(args, "reservoir_cap", 100_000))
 
 
@@ -173,8 +172,8 @@ def _cmd_tail(args, parser):
         if value is not None and not 0.0 <= value <= d:
             raise ConeSpecError(f"{flag} must lie in [0, {d}], got {value}")
     if delta is None and delta_polar is None:
-        if args.samples < 1:
-            parser.error("tail with --samples 0 needs --delta/--delta-polar")
+        if args.samples < 2:
+            parser.error("tail with fewer than 2 samples needs --delta/--delta-polar")
         delta, _ = statistical_dimension(run_summary(cone, _mc_config(args),
                                                      workers=args.workers))
     if delta is None:
@@ -267,16 +266,19 @@ def build_parser():
                "Angles in radians; pi fractions like pi/6 are accepted.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=100_000):
-        p.add_argument("--cone", required=True, help="cone description (see grammar)")
-        p.add_argument("--samples", type=int, default=samples,
-                       help=f"Monte Carlo sample count (default {samples})")
+    def run_flags(p):
+        p.add_argument("--samples", type=int, default=100_000,
+                       help="Monte Carlo sample count (default 100000)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--workers", type=int, default=None,
                        help="worker threads (default: CONEVOL_THREADS or 1); "
                             "never changes output values")
         p.add_argument("--out", default=None, help="write the artifact to PATH "
                        "instead of stdout")
+
+    def common(p):
+        p.add_argument("--cone", required=True, help="cone description (see grammar)")
+        run_flags(p)
 
     p = sub.add_parser("profile", help="intrinsic volume profile",
                        description="Profile artifact columns (csv): k, v, stderr.")
@@ -334,10 +336,7 @@ def build_parser():
                     "if any |diff| > 4*se + 0.01.")
     p.add_argument("--cone", action="append", required=True,
                    help="factor cone; give the flag exactly twice")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
+    run_flags(p)
     p.set_defaults(handler=_cmd_product_check)
 
     p = sub.add_parser("report", help="full acceptance battery")

@@ -233,42 +233,25 @@ def biorthogonal_coefficients(d):
 # profile estimators
 # ---------------------------------------------------------------------------
 
-def _summary_for(cone, config, workers, summary):
-    """The given summary, checked against the cone, else a fresh run."""
-    if summary is None:
-        return run_summary(cone, config, workers=workers)
-    if summary.dim != ambient_dim(cone):
-        raise DimensionMismatchError(
-            f"summary is of a cone in R^{summary.dim}, cone lives in R^{ambient_dim(cone)}")
-    if summary.cone != cone:
-        raise UnsupportedConeError(f"summary is of {summary.cone!r}, not of {cone!r}")
-    return summary
-
-
-def estimate_profile_face(cone, config, workers=None, summary=None):
+def estimate_profile_face(cone, config, workers=None):
     """Profile from per-sample face dimensions (polyhedral cones only).
 
     v_k is the share of samples whose projection lies in the relative
-    interior of a k-dimensional face, from the summary's face histogram.
-    Without a summary the face dimensions are streamed alone
-    (sampling.map_chunks with faces_only) and counted chunk by chunk: an
-    orthant's or subspace's take no chi-square draws and no projection,
-    and no cone's take theta moments or a reservoir.  They come from the
-    same Gaussian stream as run_summary's, so the histogram, and the
-    profile, have the same bits as with summary=run_summary(cone, config).
+    interior of a k-dimensional face.  The face dimensions are streamed
+    alone (sampling.map_chunks with faces_only) and counted chunk by
+    chunk: an orthant's or subspace's take no chi-square draws and no
+    projection, and no cone's take theta moments or a reservoir.  They
+    come from the same Gaussian stream as run_summary's, so they are the
+    face dimensions of the rows run_summary projects.
     """
     if not supports_face_dim(cone):
         raise UnsupportedConeError(
             f"{type(cone).__name__} has no face-dimension sampler; "
             "use the biorthogonal or mixture estimator")
-    if summary is None:
-        d, n = ambient_dim(cone), config.total_samples
-        hist = sum(map_chunks(cone, config, lambda index, fd: np.bincount(fd, minlength=d + 1),
-                              workers, faces_only=True))
-    else:
-        summary = _summary_for(cone, config, workers, summary)
-        d, n, hist = summary.dim, summary.count, summary.face_hist
-    v = hist.astype(float) / n
+    d, n = ambient_dim(cone), config.total_samples
+    hist = sum(map_chunks(cone, config, lambda index, fd: np.bincount(fd, minlength=d + 1),
+                          workers, faces_only=True))
+    v = hist / n
     stderr = np.sqrt(v * (1.0 - v) / n)
     return profile_from_raw(d, v, stderr, "mc_face")
 
@@ -284,10 +267,18 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     samples, and never below eps * sum_n |c_kn|, the float64 evaluation
     error of h_k = sum_n c_kn P*_n(theta) with |P*_n| <= 1 on [0, 1]: a
     constant theta (a subspace of dimension 0 or d) has zero spread.
+    Given summary, run_summary's of an equal cone, it reads that in place
+    of a fresh run.
     """
     d = ambient_dim(cone)
     coef = biorthogonal_coefficients(d)
-    summary = _summary_for(cone, config, workers, summary)
+    if summary is None:
+        summary = run_summary(cone, config, workers=workers)
+    elif summary.dim != d:
+        raise DimensionMismatchError(
+            f"summary is of a cone in R^{summary.dim}, cone lives in R^{d}")
+    elif summary.cone != cone:
+        raise UnsupportedConeError(f"summary is of {summary.cone!r}, not of {cone!r}")
     s = summary.reservoir_s
     n = s.size
     if n < 2:
@@ -311,7 +302,7 @@ def mixture_design_matrix(d, thresholds):
     return np.array([chi_square_cdf_family(d, lam) for lam in thresholds])
 
 
-def estimate_profile_mixture(cone, config, workers=None, summary=None):
+def estimate_profile_mixture(cone, config, workers=None):
     """Profile from a nonnegative fit of the chi-square mixture CDF.
 
     The retained squared projection norms give an empirical CDF; it is
@@ -321,10 +312,7 @@ def estimate_profile_mixture(cone, config, workers=None, summary=None):
     """
     from .linalg import nnls_solve
     d = ambient_dim(cone)
-    summary = _summary_for(cone, config, workers, summary)
-    s = np.sort(summary.reservoir_s)
-    if s.size == 0:
-        raise ValueError("summary has an empty reservoir")
+    s = np.sort(run_summary(cone, config, workers=workers).reservoir_s)
     m = 4 * (d + 1)
     probs = (np.arange(m) + 1.0) / (m + 1.0)
     thresholds = np.quantile(s, probs)

@@ -45,18 +45,20 @@ reads changes a value.  At the default chunk_size, UNIT_ROWS, every chunk
 is one unit.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
-empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner)
-streams through one primitive, map_chunks.  Each stream unit is one pool
-task, run on CONEVOL_THREADS worker threads unless a caller passes an
-explicit worker count.  A task reads its unit's streams in row blocks of
-about _BLOCK_VALUES drawn values, whatever the chunk size, drawing the
-Gaussian rows into one block buffer per worker thread, and hands each of
-the unit's chunks to the caller whole.  map_chunks returns the per-chunk
-results in chunk-index order.  Callers fold them left to right in that
-fixed order, moment sums (run_summary keeps those of theta = s / (s + t)
-only) with the exact pairwise-merge update formulas, so every result is a
-function of (seed, total_samples, chunk_size, reservoir_cap) only:
-bit-identical for any worker count and block size.
+empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner;
+estimate_profile_face in profiles) streams through one primitive,
+map_chunks.  It hands a chunk's (s, t) to every path but the face
+estimate, and its face dimensions alone to that one.  Each stream unit
+is one pool task, run on CONEVOL_THREADS worker threads unless a caller
+passes an explicit worker count.  A task reads its unit's streams in row
+blocks of about _BLOCK_VALUES drawn values, whatever the chunk size,
+drawing the Gaussian rows into one block buffer per worker thread, and
+hands each of the unit's chunks to the caller whole.  map_chunks returns
+the per-chunk results in chunk-index order.  Callers fold them left to
+right in that fixed order, moment sums (run_summary keeps those of theta
+= s / (s + t) only) with the exact pairwise-merge update formulas, so
+every result is a function of (seed, total_samples, chunk_size,
+reservoir_cap) only: bit-identical for any worker count and block size.
 """
 
 import math
@@ -69,7 +71,7 @@ from functools import reduce
 import numpy as np
 
 from .cones import (ambient_dim, chi_square_dofs, faces_from_dofs, norms_block,
-                    sampled_layout, supports_face_dim)
+                    sampled_layout)
 
 _BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
 UNIT_ROWS = 1 << 14             # rows per stream unit; also the default chunk_size
@@ -206,14 +208,13 @@ class SampleSummary:
     theta is Beta(k/2, (d-k)/2) and independent of the chi-square radius,
     so they alone give the mean and variance of V (see
     profiles.intrinsic_variance).  cone is the cone that was sampled;
-    estimators given a summary check it against the cone they are asked
-    about.
+    the biorthogonal estimator, given a summary, checks it against the
+    cone it is asked about.
     """
     cone: object
     dim: int
     count: int
     theta_moments: MomentAccumulator
-    face_hist: np.ndarray | None
     reservoir_s: np.ndarray
     reservoir_t: np.ndarray
     reservoir_stride: int
@@ -238,11 +239,12 @@ def _join(pieces):
     """One tuple of arrays from tuples that hold consecutive rows of them."""
     if len(pieces) == 1:
         return pieces[0]
-    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*pieces))
+    return tuple(map(np.concatenate, zip(*pieces)))
 
 
 def map_chunks(cone, config, fn, workers=None, faces_only=False):
-    """fn(index, s, t, face_dims) for every chunk of the projection stream.
+    """fn(index, s, t) for every chunk of the projection stream, or, with
+    faces_only, fn(index, face_dims).
 
     Each row is drawn in the sampled coordinates of
     cones.sampled_layout(cone): its Gaussian columns from its stream
@@ -255,25 +257,24 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     freedom (K = 0 or K = d, Subspace(0, d), Subspace(d, d), Trivial(d)),
     which it draws as 0.  What chi_square_dofs found on the way (an
     orthant's K) goes on to norms_block with the draws, so it is found
-    once.  The s, t and face dimensions fn sees are sums over the leaves:
-    an orthant's two chi-square draws and K, a subspace's two draws and k,
-    a circular leaf's norms from x_1 and ||z||^2, a psd leaf's from the
-    eigenvalues of its tridiagonal matrix, whose diagonal is n Gaussian
-    columns and whose subdiagonal is sqrt(z / 2) for n - 1 chi-square
-    columns with degrees of freedom n - 1, ..., 1, and the norms of full
-    generator rows.
+    once.  The s and t fn sees are sums over the leaves: an orthant's two
+    chi-square draws, a subspace's two draws, a circular leaf's norms from
+    x_1 and ||z||^2, a psd leaf's from the eigenvalues of its tridiagonal
+    matrix, whose diagonal is n Gaussian columns and whose subdiagonal is
+    sqrt(z / 2) for n - 1 chi-square columns with degrees of freedom
+    n - 1, ..., 1, and the norms of full generator rows.
 
-    With faces_only, for a cone with face dimensions, fn(index,
-    face_dims) sees the face dimensions alone.  When every leaf is an
+    faces_only is for a cone with face dimensions (cones.supports_face_dim),
+    and fn sees them alone, never with s and t.  When every leaf is an
     orthant, a subspace or a trivial cone (cones.faces_from_dofs), they are
     the sums of the leaves' entries of chi_square_dofs, an orthant's K
     and a subspace's k, found without filling its degrees of freedom: the
     Gaussian columns are drawn as above, and no chi-square stream,
     chi-square draw or norms_block call is made.  A generator leaf finds
-    its face dimensions by projection, so such a cone takes the full path
-    and fn sees only its face dimensions.  They
-    depend on the Gaussian stream only, which is read as it is without
-    faces_only, so they are those fn(index, s, t, face_dims) sees.
+    its face dimensions by projection, so such a cone takes the full path.
+    They depend on the Gaussian stream only, which is read as it is
+    without faces_only, so they belong to the rows whose s and t fn sees
+    without it.
 
     Each stream unit is one pool task, since its streams must be read in
     order.  A task reads them in near-equal row blocks of at most about
@@ -298,9 +299,9 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     direct = faces_only and faces_from_dofs(cone)
 
     def block(gauss, chi, out, count):
-        # (s, t, face dims), or (face dims,) for faces_only, of the next
-        # count rows of a unit, read on from its streams gauss and chi; the
-        # Gaussian columns are drawn into out
+        # (s, t), or (face dims,) for faces_only, of the next count rows of
+        # a unit, read on from its streams gauss and chi; the Gaussian
+        # columns are drawn into out
         X = out[:count * width].reshape(count, width)
         if width:
             gaussian_block(gauss, out, count, width)
@@ -315,7 +316,7 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
             chi.standard_gamma(Z, out=Z)
             Z *= 2.0
         norms = norms_block(cone, X, Z, faces)
-        return norms[2:] if faces_only else norms
+        return norms[2:] if faces_only else norms[:2]
 
     def work(task):
         # fn's result for each chunk of one unit, in chunk order.  One block
@@ -331,7 +332,7 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
         arrays = _join([block(gauss, chi, buffer, min(step, count - r0))
                         for r0 in range(0, count, step)])
         first = unit * UNIT_ROWS // size
-        return [fn(first + j, *(None if a is None else a[r0:r0 + size] for a in arrays))
+        return [fn(first + j, *(a[r0:r0 + size] for a in arrays))
                 for j, r0 in enumerate(range(0, count, size))]
 
     nworkers = resolve_workers(workers)
@@ -348,29 +349,25 @@ def run_summary(cone, config, workers=None):
 
     Returns a SampleSummary with exact-merged central moments up to
     order four of theta = s / (s + t), where s = ||proj(g)||^2 and t =
-    dist^2(g, cone), a face dimension histogram for polyhedral cones, and
-    a stride-thinned reservoir of retained (s, t) pairs for the profile
-    estimators.
+    dist^2(g, cone), and a stride-thinned reservoir of retained (s, t)
+    pairs for the profile estimators.  Face dimensions are no part of it:
+    profiles.estimate_profile_face streams them alone.
     """
-    dim = ambient_dim(cone)
-    want_faces = supports_face_dim(cone)
     stride = config.reservoir_stride
 
-    def summarize(index, s, t, fd):
-        hist = np.bincount(fd, minlength=dim + 1).astype(np.int64) if want_faces else None
+    def summarize(index, s, t):
         theta = s + t
         np.divide(s, theta, out=theta)
         # keep every stride-th sample of the whole stream, by global index
         keep = np.arange((-index * config.chunk_size) % stride, s.shape[0], stride)
-        return MomentAccumulator.from_values(theta), hist, s[keep], t[keep]
+        return MomentAccumulator.from_values(theta), s[keep], t[keep]
 
-    parts, hists, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
+    parts, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
     return SampleSummary(
         cone=cone,
-        dim=dim,
+        dim=ambient_dim(cone),
         count=config.total_samples,
         theta_moments=reduce(MomentAccumulator.merge, parts, MomentAccumulator()),
-        face_hist=sum(hists) if want_faces else None,
         reservoir_s=np.concatenate(res_s),
         reservoir_t=np.concatenate(res_t),
         reservoir_stride=config.reservoir_stride,

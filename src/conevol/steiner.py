@@ -179,8 +179,7 @@ def phi_mc(cone, f, config, workers=None):
     """
     fs = [f] if callable(f) else list(f)
     parts = map_chunks(cone, config,
-                       lambda index, s, t, fd: [MomentAccumulator.from_values(g(s, t))
-                                                for g in fs],
+                       lambda index, s, t: [MomentAccumulator.from_values(g(s, t)) for g in fs],
                        workers)
     accs = [reduce(MomentAccumulator.merge, column, MomentAccumulator())
             for column in zip(*parts)]
@@ -219,7 +218,7 @@ def empirical_steiner_cdf(cone, lam_grid, config, kind="gaussian", workers=None)
         raise ValueError(f"kind must be gaussian or spherical, got {kind!r}")
     lam_grid = np.asarray(lam_grid, dtype=float)
 
-    def count_below(index, s, t, fd):
+    def count_below(index, s, t):
         vals = t if kind == "gaussian" else t / (s + t)
         return (vals[None, :] <= lam_grid[:, None]).sum(axis=1)
 

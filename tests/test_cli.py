@@ -285,6 +285,20 @@ def test_steiner_help_states_every_default_grid(capsys):
     assert "spherical 0.25,0.5,0.75,1" in text
 
 
+def test_product_check_help_documents_its_run_flags(capsys):
+    # product-check takes the run flags of every other sampling subcommand,
+    # with the same help text
+    helps = []
+    for command in ("product-check", "sdim"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps.append(" ".join(capsys.readouterr().out.split()))
+    for text in ("Monte Carlo sample count (default 100000)", "RNG seed (default 0)",
+                 "worker threads (default: CONEVOL_THREADS or 1); never changes output values",
+                 "write the artifact to PATH instead of stdout"):
+        assert all(text in help_text for help_text in helps), text
+
+
 def test_json_artifacts_refuse_numbers_that_are_not_finite():
     assert cli._json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
     for x in (math.nan, math.inf, -math.inf):
@@ -369,10 +383,13 @@ def test_tail_rejects_impossible_statistical_dimensions(capsys, flag, value):
 
 
 def test_tail_without_delta_needs_samples(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["tail", "--cone", "orthant:10", "--samples", "0",
-              "--lambda-grid", "0:2:1"])
-    assert exc.value.code == 2
+    # a run needs two samples, so one sample gets the same hint as none
+    for samples in ("0", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["tail", "--cone", "orthant:10", "--samples", samples,
+                  "--lambda-grid", "0:2:1"])
+        assert exc.value.code == 2
+        assert "needs --delta/--delta-polar" in capsys.readouterr().err, samples
 
 
 def test_tail_estimates_deltas_when_sampling(capsys):

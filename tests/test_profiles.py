@@ -569,30 +569,18 @@ def test_mixture_estimator_works_past_biorthogonal_cap():
     assert abs(prof.statistical_dimension - approx) < 1.0
 
 
-def test_estimators_can_share_a_summary():
-    cfg = MonteCarloConfig(seed=6, total_samples=20_000)
-    summary = run_summary(Orthant(6), cfg)
-    a = estimate_profile_face(Orthant(6), cfg, summary=summary)
-    b = estimate_profile_face(Orthant(6), cfg)
-    assert np.array_equal(a.v, b.v)
-
-
 def test_estimators_reject_a_summary_of_another_dimension():
     cfg = MonteCarloConfig(seed=6, total_samples=2_000)
     summary = run_summary(Orthant(5), cfg)
-    for estimate in (estimate_profile_face, estimate_profile_biorthogonal,
-                     estimate_profile_mixture):
-        with pytest.raises(DimensionMismatchError):
-            estimate(Orthant(6), cfg, summary=summary)
+    with pytest.raises(DimensionMismatchError):
+        estimate_profile_biorthogonal(Orthant(6), cfg, summary=summary)
 
 
 def test_estimators_reject_a_summary_of_another_cone():
     cfg = MonteCarloConfig(seed=6, total_samples=2_000)
     summary = run_summary(Subspace(2, 5), cfg)
-    for estimate in (estimate_profile_face, estimate_profile_biorthogonal,
-                     estimate_profile_mixture):
-        with pytest.raises(UnsupportedConeError, match="Subspace"):
-            estimate(Orthant(5), cfg, summary=summary)
+    with pytest.raises(UnsupportedConeError, match="Subspace"):
+        estimate_profile_biorthogonal(Orthant(5), cfg, summary=summary)
     circ = run_summary(Circular(5, 0.6), cfg)
     with pytest.raises(UnsupportedConeError):
         estimate_profile_biorthogonal(Polar(Circular(5, 0.6)), cfg, summary=circ)
@@ -608,12 +596,5 @@ def test_estimators_accept_a_summary_of_an_equal_cone():
     assert np.array_equal(a.v, b.v)
     gens = np.eye(4)
     summary = run_summary(Generators(gens), cfg)
-    a = estimate_profile_face(Generators(gens.copy()), cfg, summary=summary)
-    assert np.array_equal(a.v, estimate_profile_face(Generators(gens), cfg).v)
-
-
-def test_face_estimator_rejects_a_summary_without_face_counts():
-    cfg = MonteCarloConfig(seed=6, total_samples=2_000)
-    summary = run_summary(Circular(5, 0.6), cfg)
-    with pytest.raises(UnsupportedConeError):
-        estimate_profile_face(Orthant(5), cfg, summary=summary)
+    a = estimate_profile_biorthogonal(Generators(gens.copy()), cfg, summary=summary)
+    assert np.array_equal(a.v, estimate_profile_biorthogonal(Generators(gens), cfg).v)

@@ -25,6 +25,7 @@ from conevol.cones import (
     chi_square_dofs,
     norms_block,
     sampled_layout,
+    supports_face_dim,
 )
 from conevol.profiles import (
     estimate_profile_face,
@@ -282,15 +283,13 @@ def test_run_summary_identical_across_worker_counts():
         a = run_summary(cone, cfg, workers=1)
         b = run_summary(cone, cfg, workers=4)
         assert a.theta_moments == b.theta_moments, (cone, chunk)
-        assert np.array_equal(a.face_hist, b.face_hist)
         assert np.array_equal(a.reservoir_s, b.reservoir_s)
         assert np.array_equal(a.reservoir_t, b.reservoir_t)
 
 
 def test_map_chunks_returns_results_in_chunk_order():
     cfg = MonteCarloConfig(seed=1, total_samples=5_000, chunk_size=1024)
-    got = map_chunks(Orthant(3), cfg, lambda index, s, t, fd: (index, s.shape[0]),
-                     workers=3)
+    got = map_chunks(Orthant(3), cfg, lambda index, s, t: (index, s.shape[0]), workers=3)
     assert got == _chunks(cfg)
 
 
@@ -339,24 +338,46 @@ def _unit_draws(cone, seed, unit, count):
 
 def _reference_rows(cone, config):
     """(s, t, face dims) of every row of a run: one read of each unit's
-    streams and one norms_block per whole unit."""
+    streams and one norms_block per whole unit.  Face dims are None for a
+    cone without them."""
     norms = [norms_block(cone, *_unit_draws(cone, config.seed, unit, count))
              for unit, count in config.units()]
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*norms))
 
 
-def _reference_map_chunks(cone, config, fn):
-    """map_chunks as whole-unit reads and projections, then fn on each chunk's rows."""
-    rows, size = _reference_rows(cone, config), config.chunk_size
-    return [fn(index, *(None if a is None else a[index * size:index * size + count]
-                        for a in rows))
+def _reference_map_chunks(cone, config, fn, faces_only=False):
+    """map_chunks as whole-unit reads and projections, then fn on each
+    chunk's (s, t) rows, or on its face dims with faces_only."""
+    s, t, faces = _reference_rows(cone, config)
+    rows, size = (faces,) if faces_only else (s, t), config.chunk_size
+    return [fn(index, *(a[index * size:index * size + count] for a in rows))
             for index, count in _chunks(config)]
 
 
-def _chunk_record(index, s, t, fd):
-    # everything a fold could read, including the reductions run_summary does
-    return (index, s.tobytes(), t.tobytes(), None if fd is None else fd.tobytes(),
-            MomentAccumulator.from_values(s), MomentAccumulator.from_values(t / (s + t)))
+def _modes(cone):
+    """The faces_only values map_chunks takes for the cone."""
+    return (False, True) if supports_face_dim(cone) else (False,)
+
+
+def _chunk_record(index, *arrays):
+    # everything a fold could read: the (s, t) or face dims fn sees, and for
+    # (s, t) the reductions run_summary does
+    record = (index, *((a.dtype, a.tobytes()) for a in arrays))
+    if len(arrays) == 2:
+        s, t = arrays
+        record += (MomentAccumulator.from_values(s), MomentAccumulator.from_values(t / (s + t)))
+    return record
+
+
+def _map_rows(cone, config, workers=None):
+    """map_chunks's s and t of every row of a run and, for a cone with face
+    dims, its faces_only face dims, each joined over the chunks."""
+    rows = [np.concatenate(a) for a in zip(*map_chunks(
+        cone, config, lambda index, s, t: (s, t), workers))]
+    if supports_face_dim(cone):
+        rows.append(np.concatenate(map_chunks(cone, config, lambda index, fd: fd, workers,
+                                              faces_only=True)))
+    return rows
 
 
 def _cone_of(family, d):
@@ -393,12 +414,14 @@ _LAYOUTS = [
 @pytest.mark.parametrize("family", ["orthant", "subspace", "circ", "psd", "prod", "polar"])
 def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
     # fn sees each whole chunk, cut from rows drawn and projected a whole
-    # stream unit at a time
+    # stream unit at a time: its (s, t), and for an orthant or a subspace
+    # its face dims with faces_only
     chunk, total, d = layout
     cone = _cone_of(family, d)
     cfg = MonteCarloConfig(seed=17, total_samples=total, chunk_size=chunk)
-    assert map_chunks(cone, cfg, _chunk_record, workers) == _reference_map_chunks(
-        cone, cfg, _chunk_record)
+    for faces_only in _modes(cone):
+        assert map_chunks(cone, cfg, _chunk_record, workers, faces_only) == (
+            _reference_map_chunks(cone, cfg, _chunk_record, faces_only)), faces_only
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -408,19 +431,18 @@ def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
                          ids=["orthant:8", "subspace:3:8", "psd:3", "prod(orthant:3,circ:4:0.6)"])
 def test_rows_do_not_depend_on_chunk_size(monkeypatch, cone, block_rows, workers):
     # every row comes from its stream unit, so chunk_size only groups the
-    # rows: the concatenated (s, t, faces) rows are the same at every chunk
-    # size, from 1 row to a whole unit, and with 3001-row blocks, which read
-    # each unit in several blocks
+    # rows: the concatenated (s, t) rows, and the faces_only face dims, are
+    # the same at every chunk size, from 1 row to a whole unit, and with
+    # 3001-row blocks, which read each unit in several blocks
     if block_rows:
         monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_rows * sum(sampled_layout(cone)))
-    rows = []
-    for chunk in (1, 8, 512, 1024, UNIT_ROWS):
-        cfg = MonteCarloConfig(seed=43, total_samples=41_000, chunk_size=chunk)
-        parts = map_chunks(cone, cfg, lambda index, s, t, fd: (s, t, fd), workers)
-        rows.append([None if a[0] is None else np.concatenate(a) for a in zip(*parts)])
+    rows = [_map_rows(cone, MonteCarloConfig(seed=43, total_samples=41_000, chunk_size=chunk),
+                      workers)
+            for chunk in (1, 8, 512, 1024, UNIT_ROWS)]
     for other in rows[1:]:
+        assert len(other) == len(rows[0])
         for a, b in zip(rows[0], other):
-            assert (a is None and b is None) or np.array_equal(a, b)
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -429,22 +451,23 @@ def test_rows_do_not_depend_on_chunk_size(monkeypatch, cone, block_rows, workers
 def test_map_chunks_hands_fn_unshared_arrays(family, layout, workers):
     # map_chunks reuses one block buffer per worker thread: three units of
     # small chunks in the first layout, a unit read in several blocks in
-    # the second.  Arrays fn keeps must neither share memory with another
-    # chunk's nor change after fn returns.
+    # the second.  Arrays fn keeps, (s, t) or faces_only face dims, must
+    # neither share memory with another chunk's nor change after fn returns.
     chunk, total, d = layout
+    cone = _cone_of(family, d)
     cfg = MonteCarloConfig(seed=19, total_samples=total, chunk_size=chunk)
-    kept = []
+    for faces_only in _modes(cone):
+        kept = []
 
-    def keep(index, s, t, fd):
-        arrays = [a for a in (s, t, fd) if a is not None]
-        kept.append((index, arrays, [a.copy() for a in arrays]))
+        def keep(index, *arrays):
+            kept.append((index, arrays, [a.copy() for a in arrays]))
 
-    map_chunks(_cone_of(family, d), cfg, keep, workers)
-    assert sorted(index for index, _, _ in kept) == [i for i, _ in _chunks(cfg)]
-    for n, (index, arrays, copies) in enumerate(kept):
-        assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
-        for _, others, _ in kept[n + 1:]:
-            assert not any(np.shares_memory(a, b) for a in arrays for b in others)
+        map_chunks(cone, cfg, keep, workers, faces_only)
+        assert sorted(index for index, _, _ in kept) == [i for i, _ in _chunks(cfg)]
+        for n, (index, arrays, copies) in enumerate(kept):
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+            for _, others, _ in kept[n + 1:]:
+                assert not any(np.shares_memory(a, b) for a in arrays for b in others)
 
 
 def test_map_chunks_threads_keep_their_own_buffers(monkeypatch):
@@ -454,15 +477,16 @@ def test_map_chunks_threads_keep_their_own_buffers(monkeypatch):
     # three to a block and chunks of 256 span three blocks each.
     for cone in [*_SAMPLED_CONES, Psd(3)]:
         monkeypatch.setattr(sampling, "_BLOCK_VALUES", 100 * sum(sampled_layout(cone)))
-        configs = [MonteCarloConfig(seed=29, total_samples=2 * UNIT_ROWS + 6_000,
-                                    chunk_size=chunk)
-                   for chunk in (32, 256)]
-        references = [_reference_map_chunks(cone, cfg, _chunk_record) for cfg in configs]
+        cases = [(MonteCarloConfig(seed=29, total_samples=2 * UNIT_ROWS + 6_000,
+                                   chunk_size=chunk), faces_only)
+                 for chunk in (32, 256) for faces_only in _modes(cone)]
+        references = [_reference_map_chunks(cone, cfg, _chunk_record, faces_only)
+                      for cfg, faces_only in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for cfg, reference in zip(configs, references):
-                assert map_chunks(cone, cfg, _chunk_record, workers=8) == reference, cone
+            for (cfg, faces_only), reference in zip(cases, references):
+                assert map_chunks(cone, cfg, _chunk_record, 8, faces_only) == reference, cone
         finally:
             sys.setswitchinterval(interval)
 
@@ -480,10 +504,11 @@ def _check_generator_layout(monkeypatch, cone, layout, workers):
     # one block
     chunk, total = layout
     cfg = MonteCarloConfig(seed=23, total_samples=total, chunk_size=chunk)
-    reference = _reference_map_chunks(cone, cfg, _chunk_record)
-    for block_values in (64, 1 << 24):
-        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
-        assert map_chunks(cone, cfg, _chunk_record, workers) == reference
+    for faces_only in (False, True):
+        reference = _reference_map_chunks(cone, cfg, _chunk_record, faces_only)
+        for block_values in (64, 1 << 24):
+            monkeypatch.setattr(sampling, "_BLOCK_VALUES", block_values)
+            assert map_chunks(cone, cfg, _chunk_record, workers, faces_only) == reference
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -505,7 +530,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
     def results(cone, cfg):
         summary = run_summary(cone, cfg)
         return (summary.theta_moments,
-                None if summary.face_hist is None else summary.face_hist.tobytes(),
+                estimate_profile_face(cone, cfg).raw_v.tobytes()
+                if supports_face_dim(cone) else None,
                 summary.reservoir_s.tobytes(), summary.reservoir_t.tobytes(),
                 phi_mc(cone, min_a, cfg),
                 tuple(a.tobytes() for a in empirical_steiner_cdf(
@@ -537,12 +563,14 @@ def _face_configs():
 
 @pytest.mark.parametrize("cone", _FACE_CONES, ids=_FACE_IDS)
 def test_face_estimate_equals_the_estimate_from_a_summary(monkeypatch, cone):
-    # without a summary the face estimator draws only what the face
-    # dimensions need; it must give the bits of the run_summary estimate at
-    # every block size and thread count.  At 1- and 37-value blocks chunks
-    # 8 and 512 span several blocks
+    # the face estimator draws only what the face dimensions need; its raw
+    # profile must be the share of each face dimension among the rows drawn
+    # and projected a whole stream unit at a time, at every block size and
+    # thread count.  At 1- and 37-value blocks chunks 8 and 512 span
+    # several blocks
     configs = _face_configs()
-    references = [estimate_profile_face(cone, cfg, summary=run_summary(cone, cfg))
+    d = ambient_dim(cone)
+    references = [np.bincount(_reference_rows(cone, cfg)[2], minlength=d + 1) / cfg.total_samples
                   for cfg in configs]
     default = sampling._BLOCK_VALUES
     for block_values, threads in itertools.product((default, 1, 37, 1 << 24), ("1", "4")):
@@ -550,9 +578,8 @@ def test_face_estimate_equals_the_estimate_from_a_summary(monkeypatch, cone):
         monkeypatch.setenv("CONEVOL_THREADS", threads)
         for cfg, ref in zip(configs, references):
             got = estimate_profile_face(cone, cfg)
-            for name in ("v", "raw_v", "stderr"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), (
-                    name, block_values, threads, cfg.chunk_size)
+            assert np.array_equal(got.raw_v, ref), (block_values, threads, cfg.chunk_size)
+            assert np.array_equal(got.stderr, np.sqrt(ref * (1.0 - ref) / cfg.total_samples))
 
 
 def test_face_estimate_draws_no_chi_square_and_projects_nothing(monkeypatch):
@@ -577,7 +604,9 @@ def test_run_summary_contents():
     summary = run_summary(Orthant(6), cfg)
     assert summary.count == 20_000
     assert summary.dim == 6
-    assert int(summary.face_hist.sum()) == 20_000
+    # the face counts of the same rows, through the face estimate
+    counts = 20_000 * estimate_profile_face(Orthant(6), cfg).raw_v
+    assert np.array_equal(counts, np.rint(counts)) and counts.sum() == 20_000
     # theta = s / (s + t) lies in [0, 1], with mean delta / d = 1/2
     assert 0.0 <= summary.theta_moments.mean <= 1.0
     assert 6 * summary.theta_moments.mean == pytest.approx(3.0, abs=0.1)
@@ -586,13 +615,6 @@ def test_run_summary_contents():
     assert summary.reservoir_s.shape == (expected_rows,)
     assert summary.reservoir_t.shape == (expected_rows,)
     assert summary.reservoir_stride == stride
-
-
-def test_run_summary_smooth_cone_has_no_face_hist():
-    cfg = MonteCarloConfig(seed=5, total_samples=2_000)
-    summary = run_summary(Circular(5, 0.6), cfg)
-    assert summary.face_hist is None
-    assert summary.theta_moments.n == 2_000
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +649,7 @@ def test_face_histogram_is_binomial(cone, shift, d):
     # expected count of at least 10 passes a z-test at 4, and the bins
     # below that hold no more than a few samples altogether
     n = 40_000
-    hist = run_summary(cone, MonteCarloConfig(seed=31, total_samples=n)).face_hist
+    hist = n * estimate_profile_face(cone, MonteCarloConfig(seed=31, total_samples=n)).raw_v
     expect = np.zeros(hist.size)
     expect[shift:shift + d + 1] = n * _binomial_pmf(d)
     big = expect >= 10.0
@@ -641,8 +663,7 @@ def test_orthant_norms_given_face_dimension():
     # exactly 0 at k = 0 and k = d, with means k and d - k
     d = 6
     cfg = MonteCarloConfig(seed=37, total_samples=60_000)
-    s, t, k = (np.concatenate(a) for a in zip(*map_chunks(
-        Orthant(d), cfg, lambda index, s, t, fd: (s, t, fd))))
+    s, t, k = _map_rows(Orthant(d), cfg)
     assert np.all(s[k == 0] == 0.0) and np.all(t[k == d] == 0.0)
     assert np.all(s[k > 0] > 0.0) and np.all(t[k < d] > 0.0)
     for j in range(d + 1):
@@ -732,8 +753,7 @@ def test_psd1_norms_are_the_parts_of_its_gaussian_column(polar):
     big = sampling._BLOCK_VALUES + 611
     for chunk, total in ((1, 300), (512, 20_000), (UNIT_ROWS, big)):
         cfg = MonteCarloConfig(seed=9, total_samples=total, chunk_size=chunk)
-        s, t = (np.concatenate(a) for a in zip(*map_chunks(
-            cone, cfg, lambda index, s, t, fd: (s, t))))
+        s, t = _map_rows(cone, cfg)
         x = _run_gaussians(cfg, 1)[:, 0]
         pos, neg = np.maximum(x, 0.0) ** 2, np.minimum(x, 0.0) ** 2
         assert np.array_equal(s, neg if polar else pos), chunk
@@ -827,23 +847,28 @@ def _digest_cases():
             case += 1
 
 
-def _summary_bytes(summary):
+def _summary_bytes(cone, config):
+    """run_summary's moments and reservoirs and, for a cone with face dims,
+    the face counts map_chunks gives with faces_only."""
+    summary = run_summary(cone, config)
     acc = summary.theta_moments
     moments = [getattr(acc, f) for f in ("n", "mean", "m2", "m3", "m4")]
     parts = [np.asarray(moments, dtype=float), summary.reservoir_s, summary.reservoir_t]
-    if summary.face_hist is not None:
-        parts.append(summary.face_hist)
+    if supports_face_dim(cone):
+        d = ambient_dim(cone)
+        parts.append(sum(map_chunks(cone, config, lambda index, fd: np.bincount(fd, minlength=d + 1),
+                                    faces_only=True)))
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
 def _digest(unit_chunks):
-    """SHA-256 of run_summary and one other Monte Carlo path for every
+    """SHA-256 of _summary_bytes and one other Monte Carlo path for every
     non-generator case at chunk size 2**14, or at the other chunk sizes."""
     digest = hashlib.sha256()
     for cone, cfg, path in _digest_cases():
         if isinstance(cone, Generators) or (cfg.chunk_size == UNIT_ROWS) != unit_chunks:
             continue
-        digest.update(_summary_bytes(run_summary(cone, cfg)))
+        digest.update(_summary_bytes(cone, cfg))
         digest.update(np.asarray(path(cone, cfg), dtype=float).tobytes())
     return digest.hexdigest()
 
@@ -865,9 +890,10 @@ def test_generator_cone_matches_per_row_oracle():
         if not isinstance(cone, Generators):
             continue
         d = ambient_dim(cone)
-        got = map_chunks(cone, cfg, lambda index, s, t, fd: (s, t, fd))
+        got = zip(map_chunks(cone, cfg, lambda index, s, t: (s, t)),
+                  map_chunks(cone, cfg, lambda index, fd: fd, faces_only=True))
         rows = _run_gaussians(cfg, d)
-        for (index, count), (s, t, fd) in zip(_chunks(cfg), got):
+        for (index, count), ((s, t), fd) in zip(_chunks(cfg), got):
             X = rows[index * cfg.chunk_size:index * cfg.chunk_size + count]
             ref_s, ref_t, ref_fd = reference_norms(cone.matrix, X)
             tol = 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X))

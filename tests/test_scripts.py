@@ -1,4 +1,5 @@
-"""Smoke tests: the figure scripts in scripts/ run and write a CSV, and the
+"""Smoke tests: the figure scripts in scripts/ run and write a CSV, the
+tail sweep's empirical column is the face estimate's tail, and the
 mutation audit's mutants still apply to the code and name existing tests."""
 
 # Standard libraries
@@ -12,7 +13,11 @@ import sys
 from pathlib import Path
 
 # External libraries
+import numpy as np
 import pytest
+
+from conevol import (MonteCarloConfig, Orthant, estimate_profile_face, run_summary,
+                     statistical_dimension)
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,6 +44,22 @@ def test_script_writes_a_csv(name, args, header, rows):
     assert table[0] == header
     assert len(table) == rows + 1
     assert all(len(row) == len(header) for row in table)
+
+
+def test_tail_bound_sweep_reads_the_face_estimate():
+    # the empirical column reads 1 at lambda = 0, never increases, and is
+    # the two-sided tail of the face estimate at the script's configuration
+    table = _run_script("tail_bound_sweep.py", "--cone", "orthant:4", "--samples", "2000",
+                        "--lam-max", "2", "--steps", "4")
+    lams, empirical = (np.array([float(row[i]) for row in table[1:]]) for i in (0, 1))
+    cone, cfg = Orthant(4), MonteCarloConfig(seed=0, total_samples=2000)
+    delta = min(max(statistical_dimension(run_summary(cone, cfg))[0], 1e-9), 4 - 1e-9)
+    raw_v = estimate_profile_face(cone, cfg).raw_v
+    expect = [raw_v[np.abs(np.arange(5) - delta) >= lam].sum() for lam in lams]
+    assert empirical[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.diff(empirical) <= 0.0)
+    assert 0.0 < empirical[-1] < empirical[1] < 1.0
+    assert np.allclose(empirical, expect, rtol=0.0, atol=1e-15)
 
 
 def test_mutation_audit_mutants_apply_once_and_name_existing_killers():

@@ -147,6 +147,14 @@ MUTANTS = (
            "np.maximum(stderr, floor)",
            "stderr",
            ("tests/test_profiles.py::test_biorthogonal_stderr_covers_evaluation_round_off",)),
+    Mutant("legendre-recurrence-factor-shifted", "src/conevol/profiles.py",
+           "nxt *= 2 * j + 1",
+           "nxt *= 2 * j - 1",
+           ("tests/test_profiles.py::test_biorthogonal_estimator_matches_the_legvander_reference",)),
+    Mutant("binomial-tail-starts-past-k", _SPECIAL,
+           "np.arange(k, n + 1)",
+           "np.arange(k + 1, n + 1)",
+           ("tests/test_special.py::test_binomial_tail_matches_exact_sums",)),
     Mutant("laguerre-ratio-unsquared", _SPECIAL,
            "t = t / (r * r) + 1.0",
            "t = t / r + 1.0",

@@ -13,8 +13,9 @@ direction of the Gaussian vector only, so it carries none of the
 chi-square radial noise, and by the spherical Steiner formula it is
 Beta(k/2, (d-k)/2) given V = k; the mean and variance of V follow from
 its first four moments alone.  The polynomials come from one exact
-integer inverse per d, are stored on shifted Legendre polynomials in
-float64 and are evaluated by matrix products.
+integer inverse per d and are stored on shifted Legendre polynomials in
+float64; they are evaluated as matrix products with Legendre rows built
+by Bonnet's recurrence, one row per degree, a block of points at a time.
 """
 
 import math
@@ -23,15 +24,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import (Orthant, Polar, Product, Psd, Subspace, Trivial, ambient_dim,
-                    supports_face_dim)
+from .cones import Orthant, Polar, Product, Psd, Subspace, Trivial, ambient_dim
 from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
 from .sampling import map_chunks, run_summary
 
 BIORTHOGONAL_MAX_DIM = 20
-# the biorthogonal functions are evaluated this many points at a time, so
-# no Vandermonde matrix of the whole reservoir sits beside their values
+# the biorthogonal functions are evaluated this many points at a time: the
+# Legendre rows of one block (8 (d + 2) _EVAL_BLOCK bytes, 1.4 MB at d = 20)
+# are reused for the next, so only the function values span the reservoir
 _EVAL_BLOCK = 1 << 13
 
 
@@ -242,12 +243,9 @@ def estimate_profile_face(cone, config, workers=None):
     chunk: an orthant's or subspace's take no chi-square draws and no
     projection, and no cone's take theta moments or a reservoir.  They
     come from the same Gaussian stream as run_summary's, so they are the
-    face dimensions of the rows run_summary projects.
+    face dimensions of the rows run_summary projects.  Any other cone
+    raises UnsupportedConeError from map_chunks, before a row is drawn.
     """
-    if not supports_face_dim(cone):
-        raise UnsupportedConeError(
-            f"{type(cone).__name__} has no face-dimension sampler; "
-            "use the biorthogonal or mixture estimator")
     d, n = ambient_dim(cone), config.total_samples
     hist = sum(map_chunks(cone, config, lambda index, fd: np.bincount(fd, minlength=d + 1),
                           workers, faces_only=True))
@@ -286,13 +284,29 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
         raise ValueError(f"the biorthogonal estimator's reservoir needs at least 2 samples "
                          f"for its standard errors, got {n}")
     x = 2.0 * s / (s + summary.reservoir_t) - 1.0
-    values = np.empty((n, d + 1))
+    values = np.empty((d + 1, n))
+    # P_0..P_d of one block as contiguous rows, then one spare row
+    buffer = np.empty((d + 2) * min(n, _EVAL_BLOCK))
     for start in range(0, n, _EVAL_BLOCK):
-        block = slice(start, start + _EVAL_BLOCK)
-        values[block] = np.polynomial.legendre.legvander(x[block], d) @ coef.T
-    raw = values.mean(axis=0)
-    values -= raw
-    stderr = np.sqrt(np.einsum("ij,ij->j", values, values) / ((n - 1) * n))
+        xb = x[start:start + _EVAL_BLOCK]
+        m = xb.size
+        rows = buffer[:(d + 1) * m].reshape(d + 1, m)
+        spare = buffer[(d + 1) * m:(d + 2) * m]
+        rows[0] = 1.0
+        rows[1] = xb
+        # Bonnet's recurrence in legvander's order, so with its bits:
+        # P_{j+1} = ((P_j x) (2j+1) - P_{j-1} j) / (j+1)
+        for j in range(1, d):
+            nxt = rows[j + 1]
+            np.multiply(rows[j], xb, out=nxt)
+            nxt *= 2 * j + 1
+            np.multiply(rows[j - 1], j, out=spare)
+            nxt -= spare
+            nxt /= j + 1
+        np.matmul(coef, rows, out=values[:, start:start + m])
+    raw = values.mean(axis=1)
+    values -= raw[:, None]
+    stderr = np.sqrt(np.einsum("ij,ij->i", values, values) / ((n - 1) * n))
     floor = np.finfo(float).eps * np.abs(coef).sum(axis=1)
     return profile_from_raw(d, raw, np.maximum(stderr, floor), "mc_biorthogonal")
 

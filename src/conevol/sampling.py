@@ -71,7 +71,8 @@ from functools import reduce
 import numpy as np
 
 from .cones import (ambient_dim, chi_square_dofs, faces_from_dofs, norms_block,
-                    sampled_layout)
+                    sampled_layout, supports_face_dim)
+from .exceptions import UnsupportedConeError
 
 _BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
 UNIT_ROWS = 1 << 14             # rows per stream unit; also the default chunk_size
@@ -265,7 +266,8 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     n - 1, ..., 1, and the norms of full generator rows.
 
     faces_only is for a cone with face dimensions (cones.supports_face_dim),
-    and fn sees them alone, never with s and t.  When every leaf is an
+    and fn sees them alone, never with s and t; any other cone raises
+    UnsupportedConeError before a row is drawn.  When every leaf is an
     orthant, a subspace or a trivial cone (cones.faces_from_dofs), they are
     the sums of the leaves' entries of chi_square_dofs, an orthant's K
     and a subspace's k, found without filling its degrees of freedom: the
@@ -290,6 +292,10 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     pool when resolve_workers(workers) asks for more than one thread and
     there is more than one unit.
     """
+    if faces_only and not supports_face_dim(cone):
+        raise UnsupportedConeError(
+            f"{type(cone).__name__} has no face-dimension sampler; "
+            "use the biorthogonal or mixture estimator")
     width, columns = sampled_layout(cone)
     block_rows = max(1, _BLOCK_VALUES // (width + columns))
     units, size = config.units(), config.chunk_size

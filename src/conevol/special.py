@@ -12,6 +12,7 @@ what the mixture sums over k use.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -232,20 +233,22 @@ def bennett_psi(u):
 
 
 def binomial_pmf(n, p, k):
-    """P{Binomial(n, p) = k}, computed in log space."""
-    if not 0 <= k <= n:
+    """P{Binomial(n, p) = k}, computed in log space.  An integer array k
+    gives the array of its terms."""
+    k = np.asarray(k)
+    if k.size and not (k.min() >= 0 and k.max() <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    log_pmf = (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    if p == 0.0 or p == 1.0:
+        pmf = (k == (0 if p == 0.0 else n)) * 1.0
+    else:
+        # log j! = lgamma((2j + 2) / 2) for j = 0..n
+        log_fact = _half_lgamma(2 * operator.index(n) + 2)[2::2]
+        rest = n - k
+        pmf = np.exp(log_fact[n] - log_fact[k] - log_fact[rest]
+                     + k * math.log(p) + rest * math.log1p(-p))
+    return pmf if pmf.ndim else float(pmf)
 
 
 def binomial_tail(n, p, k):
@@ -254,7 +257,7 @@ def binomial_tail(n, p, k):
         return 1.0
     if k > n:
         return 0.0
-    return min(1.0, math.fsum(binomial_pmf(n, p, j) for j in range(k, n + 1)))
+    return min(1.0, math.fsum(binomial_pmf(n, p, np.arange(k, n + 1)).tolist()))
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

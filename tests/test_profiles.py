@@ -26,6 +26,7 @@ from conevol.exceptions import (
     UnsupportedConeError,
 )
 from conevol.profiles import (
+    _EVAL_BLOCK,
     IntrinsicVolumeProfile,
     biorthogonal_coefficients,
     estimate_profile_biorthogonal,
@@ -512,6 +513,32 @@ def test_biorthogonal_stderr_covers_evaluation_round_off(cone):
     floor = np.finfo(float).eps * np.abs(biorthogonal_coefficients(prof.d)).sum(axis=1)
     assert np.all(prof.stderr >= floor)
     assert np.all(abs_z(prof.raw_v - exact_profile(cone).v, prof.stderr) <= 1.0)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_biorthogonal_estimator_matches_the_legvander_reference(d):
+    # the estimator builds its Legendre rows by recurrence, a block of
+    # _EVAL_BLOCK points at a time; against legvander's values over the
+    # whole reservoir only the summation order differs: within 4 eps
+    # sum_n |c_kn| for raw_v, and 1e-12 relative, or the floor, for stderr.
+    # Reservoirs of 2, one short of a block, one past it and a short fourth
+    # block; the subspaces put every theta on the atom 0 or 1
+    coef = biorthogonal_coefficients(d)
+    floor = np.finfo(float).eps * np.abs(coef).sum(axis=1)
+    for n in (2, _EVAL_BLOCK - 1, _EVAL_BLOCK + 1, 3 * _EVAL_BLOCK + 5):
+        cfg = MonteCarloConfig(seed=d, total_samples=n)
+        for cone in (Orthant(d), Subspace(0, d), Subspace(d, d)):
+            summary = run_summary(cone, cfg)
+            prof = estimate_profile_biorthogonal(cone, cfg, summary=summary)
+            values = evaluate_system(coef, summary.reservoir_s
+                                     / (summary.reservoir_s + summary.reservoir_t))
+            assert values.shape == (n, d + 1)
+            raw = values.mean(axis=0)
+            spread = values.std(axis=0, ddof=1) / math.sqrt(n)
+            stderr = np.maximum(spread, floor)
+            assert np.all(np.abs(prof.raw_v - raw) <= 4.0 * floor), (n, cone)
+            assert np.all(np.abs(prof.stderr - stderr) <= np.maximum(1e-12 * stderr, floor)), (
+                n, cone)
 
 
 def test_biorthogonal_estimator_rejects_one_sample_reservoir():

@@ -27,6 +27,7 @@ from conevol.cones import (
     sampled_layout,
     supports_face_dim,
 )
+from conevol.exceptions import UnsupportedConeError
 from conevol.profiles import (
     estimate_profile_face,
     exact_profile,
@@ -422,6 +423,18 @@ def test_map_chunks_matches_whole_chunk_reference(family, layout, workers):
     for faces_only in _modes(cone):
         assert map_chunks(cone, cfg, _chunk_record, workers, faces_only) == (
             _reference_map_chunks(cone, cfg, _chunk_record, faces_only)), faces_only
+
+
+@pytest.mark.parametrize("cone", [Polar(Orthant(3)), Product(Orthant(3), Circular(4, 0.6))],
+                         ids=["polar(orthant:3)", "prod(orthant:3,circ:4:0.6)"])
+def test_map_chunks_faces_only_rejects_a_cone_without_face_dims(monkeypatch, cone):
+    # the cone is checked once, before any stream is read, not in each task
+    drawn = []
+    monkeypatch.setattr(sampling, "gaussian_block", lambda *args: drawn.append(args))
+    cfg = MonteCarloConfig(seed=0, total_samples=100, chunk_size=32)
+    with pytest.raises(UnsupportedConeError, match="no face-dimension sampler"):
+        map_chunks(cone, cfg, lambda index, fd: fd, 3, faces_only=True)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("workers", [1, 3])

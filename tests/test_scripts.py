@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conevol import (MonteCarloConfig, Orthant, estimate_profile_face, run_summary,
-                     statistical_dimension)
+from conevol import MonteCarloConfig, Orthant, estimate_profile_face
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,8 +52,8 @@ def test_tail_bound_sweep_reads_the_face_estimate():
                         "--lam-max", "2", "--steps", "4")
     lams, empirical = (np.array([float(row[i]) for row in table[1:]]) for i in (0, 1))
     cone, cfg = Orthant(4), MonteCarloConfig(seed=0, total_samples=2000)
-    delta = min(max(statistical_dimension(run_summary(cone, cfg))[0], 1e-9), 4 - 1e-9)
     raw_v = estimate_profile_face(cone, cfg).raw_v
+    delta = min(max(float(np.arange(5.0) @ raw_v), 1e-9), 4 - 1e-9)
     expect = [raw_v[np.abs(np.arange(5) - delta) >= lam].sum() for lam in lams]
     assert empirical[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.diff(empirical) <= 0.0)

@@ -271,6 +271,37 @@ def test_binomial_exact_rational_cross_check():
     assert binomial_pmf(n, 0.25, k) == pytest.approx(float(exact), rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [0.25, 0.5, math.sin(0.7) ** 2, 0.75])
+def test_binomial_tail_matches_exact_sums(p):
+    # a float p is a dyadic rational a / 2^e, so each tail times 2^(e n) is
+    # an integer suffix sum of C(n, j) a^j (2^e - a)^(n-j), and Python
+    # rounds int / int correctly.  Every k, at n from 1 to 400 (both
+    # parities, powers of two and their neighbours); p >= 1/4 keeps every
+    # tail above 1e-241, in the normal floats
+    q = Fraction(p)
+    a, b = q.numerator, q.denominator - q.numerator
+    for n in (1, 2, 3, 4, 7, 8, 31, 64, 99, 100, 127, 199, 256, 400):
+        terms = [math.comb(n, j) * a ** j * b ** (n - j) for j in range(n + 1)]
+        total, scale = 0, q.denominator ** n
+        for k in range(n, -1, -1):
+            total += terms[k]
+            want = total / scale
+            assert abs(binomial_tail(n, p, k) - want) <= 1e-12 * want, (n, k)
+        assert binomial_tail(n, p, n + 1) == 0.0
+
+
+def test_binomial_pmf_takes_an_array_of_k():
+    k = np.arange(13)
+    assert np.array_equal(binomial_pmf(12, 0.25, k),
+                          [binomial_pmf(12, 0.25, int(j)) for j in k])
+    assert np.array_equal(binomial_pmf(12, 1.0, k), k == 12)
+    assert binomial_pmf(np.int64(12), 0.25, np.int64(5)) == binomial_pmf(12, 0.25, 5)
+    with pytest.raises(ValueError, match="0 <= k <= n"):
+        binomial_pmf(12, 0.25, np.arange(-1, 3))
+    with pytest.raises(ValueError, match="0 <= k <= n"):
+        binomial_pmf(12, 0.25, np.arange(11, 14))
+
+
 def _normal_cdf(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 

@@ -163,6 +163,14 @@ MUTANTS = (
            "np.diag(np.sqrt(i + alpha + 1.0))",
            "np.diag(np.sqrt(i + alpha))",
            _LAGUERRE),
+    Mutant("parser-trailing-keeps-space", "src/conevol/cones.py",
+           "    parsed = cone()\n    pos = _SPACE.match(text, pos).end()\n",
+           "    parsed = cone()\n",
+           ("tests/test_cli.py::test_parse_matches_recorded_table",)),
+    Mutant("exact-profile-polar-unreversed", "src/conevol/profiles.py",
+           "                 reverse_profile)",
+           "                 lambda inner: inner)",
+           ("tests/test_profiles.py::test_exact_profiles_match_recorded_table",)),
     Mutant("check-rule-loosened", _CLI,
            "4.0 * se + 0.01",
            "4.0 * se + 1.0",

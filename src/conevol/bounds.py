@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import NonConvergenceError, UnsupportedConeError
-from .special import bennett_psi, binomial_tail, tanh_sinh_rule
+from .special import bennett_psi, binomial_pmf, tanh_sinh_rule
 
 __all__ = [
     "TailBoundReport", "variance_bound", "exp_moment_bound", "bennett_tails",
@@ -176,8 +176,12 @@ def circular_interlacing_tail(d, alpha, k):
     n = d // 2 - 1
     if not 0 <= k <= n + 1:
         raise ValueError(f"need 0 <= k <= {n + 1}, got {k}")
-    q = math.sin(alpha) ** 2
-    return binomial_tail(n, q, k), binomial_tail(n, q, k - 1)
+    if k == 0:
+        return 1.0, 1.0
+    # both tails sum one array of binomial terms, as binomial_tail does:
+    # P{Y >= k} its terms from k, P{Y >= k-1} all of them, and P{Y >= 0} = 1
+    terms = binomial_pmf(n, math.sin(alpha) ** 2, np.arange(k - 1, n + 1)).tolist()
+    return min(1.0, math.fsum(terms[1:])), 1.0 if k == 1 else min(1.0, math.fsum(terms))
 
 
 def _goe_kernel(s, t):

@@ -8,6 +8,13 @@ for polyhedral cones, the dimension of the face its projection lies in.
 The residual x - proj_C(x) is the projection onto the polar cone and is
 orthogonal to proj_C(x), so the polar cone's pair is (t, s): the pair
 (s, t) is all the general Steiner formula of McCoy and Tropp needs.
+
+Everything per family lives in one leaf table, _LEAVES, with one entry
+per leaf type: its spec grammar (keyword, field readers, constructor),
+which parse_cone_spec reads, its closed-form profile, which
+profiles.exact_profile folds over a cone's leaves, and its sampled
+coordinates and norms.  _fold is the one recursion through Product and
+Polar.
 """
 
 import math
@@ -155,15 +162,99 @@ def faces_from_dofs(cone):
 
 
 # ---------------------------------------------------------------------------
-# leaf types, and vectorized norms for the sampling hot path
+# generator matrices from disk
+# ---------------------------------------------------------------------------
+
+def load_generators(path):
+    """Read a generator matrix from CSV: one generator per row, no header.
+
+    A path that cannot be read (missing, a directory, no permission)
+    raises ConeSpecError naming it.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise ConeSpecError(f"{path}: cannot read generator file: {e.strerror or e}") from None
+    rows = []
+    width = None
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ConeSpecError(
+                    f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
+            parsed = []
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ConeSpecError(
+                        f"{path}: row {lineno}, column {col}: not a number: {cell.strip()!r}") from None
+            rows.append(parsed)
+    if not rows:
+        raise ConeSpecError(f"{path}: no generator rows found")
+    return Generators(np.array(rows), source=str(path))
+
+
+# ---------------------------------------------------------------------------
+# leaf types: grammar, closed forms, and vectorized norms for the sampling
+# hot path
 # ---------------------------------------------------------------------------
 
 # One leaf type: ambient, faces and spec serve the functions of those names
-# (spec cone_to_spec), and columns, dofs(cone, x, out) and norms its
-# sampled coordinates in sampled_layout, chi_square_dofs (writing a leaf's
-# columns to out; the orthant and subspace entries also take out=None,
-# which writes nothing) and norms_block.
-_Leaf = namedtuple("_Leaf", "ambient faces spec columns dofs norms")
+# (spec cone_to_spec); grammar, (keyword, field readers, constructor),
+# serves parse_cone_spec, and profile, the closed-form profile v_0..v_d of
+# a leaf or None where it has none, profiles.exact_profile; columns,
+# dofs(cone, x, out) and norms serve its sampled coordinates in
+# sampled_layout, chi_square_dofs (writing a leaf's columns to out; the
+# orthant and subspace entries also take out=None, which writes nothing)
+# and norms_block.
+_Leaf = namedtuple("_Leaf", "ambient faces spec grammar profile columns dofs norms")
+
+_PI_FORM = re.compile(r"^(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$", re.IGNORECASE)
+
+
+def _angle(token):
+    # radians, or a pi fraction: pi/6, 0.5pi, 2pi/8
+    m = _PI_FORM.match(token)
+    if not m:
+        return float(token)
+    num, den = (float(g) if g else 1.0 for g in m.groups())
+    return num * math.pi / den
+
+
+# field readers: (read, what the token must be); a reader fails with
+# ValueError, or ZeroDivisionError for a pi fraction over 0
+_INTEGER = (int, "an integer")
+_ANGLE = (_angle, "an angle in radians or a pi fraction")
+_PATH = (str, "a path")
+
+
+def _subspace_profile(cone):
+    v = np.zeros(ambient_dim(cone) + 1)
+    v[getattr(cone, "dim", 0)] = 1.0
+    return v
+
+
+def _psd_profile(cone):
+    """Psd(n) for n <= 3, None above.  Psd(1) is the ray R_+.  Psd(2) is
+    circ:3:pi/4 up to an isometry: (1 - sin a, cos a, sin a, 1 - cos a) / 2
+    at a = pi/4.  Psd(3) is (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0, v1,
+    v0), with v0 = (pi - 2 sqrt 2) / (4 pi) and v1 = (sqrt 2 - 1) / 4,
+    found by integrating theta's moments over the direction of the GOE
+    eigenvalue vector, whose density on the sphere is proportional to
+    |Vandermonde|.
+    """
+    r = math.sqrt(0.5)
+    v0, v1 = (math.pi - 4.0 * r) / (4.0 * math.pi), (2.0 * r - 1.0) / 4.0
+    return {1: [0.5, 0.5],
+            2: [0.5 * (1.0 - r), 0.5 * r, 0.5 * r, 0.5 * (1.0 - r)],
+            3: [v0, v1, 0.25 - v0, 1.0 - r, 0.25 - v0, v1, v0]}.get(cone.n)
 
 
 def _subspace_dofs(cone, x, out):
@@ -257,6 +348,7 @@ def _generator_spec(cone):
 _SUBSPACE = _Leaf(
     ambient=lambda cone: cone.ambient, faces=True,
     spec=lambda cone: f"subspace:{cone.dim}:{cone.ambient}",
+    grammar=("subspace", (_INTEGER, _INTEGER), Subspace), profile=_subspace_profile,
     columns=lambda cone: (0, 2), dofs=_subspace_dofs,
     norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], np.full(x.shape[0], k, dtype=np.int64)))
 
@@ -264,26 +356,36 @@ _LEAVES = {
     Subspace: _SUBSPACE,
     # Trivial(d) is Subspace(0, d): it has no dim, read as 0
     Trivial: _SUBSPACE._replace(ambient=lambda cone: cone.d,
-                                spec=lambda cone: f"trivial:{cone.d}"),
+                                spec=lambda cone: f"trivial:{cone.d}",
+                                grammar=("trivial", (_INTEGER,), Trivial)),
     Orthant: _Leaf(
         ambient=lambda cone: cone.d, faces=True, spec=lambda cone: f"orthant:{cone.d}",
+        grammar=("orthant", (_INTEGER,), Orthant),
+        profile=lambda cone: [math.comb(cone.d, k) / 2.0 ** cone.d for k in range(cone.d + 1)],
         columns=lambda cone: (1, 2), dofs=_orthant_dofs,
         norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], k)),
     Circular: _Leaf(
         ambient=lambda cone: cone.d, faces=False,
         spec=lambda cone: "circ:%d:%.17g" % (cone.d, cone.alpha),
+        grammar=("circ", (_INTEGER, _ANGLE), Circular), profile=None,
         columns=lambda cone: (1, 1), dofs=lambda cone, x, out: out.fill(cone.d - 1),
         norms=_circular_norms),
     Psd: _Leaf(
         ambient=lambda cone: cone.n * (cone.n + 1) // 2, faces=False,
-        spec=lambda cone: f"psd:{cone.n}", columns=lambda cone: (cone.n, cone.n - 1),
+        spec=lambda cone: f"psd:{cone.n}", grammar=("psd", (_INTEGER,), Psd),
+        profile=_psd_profile, columns=lambda cone: (cone.n, cone.n - 1),
         dofs=lambda cone, x, out: np.copyto(out, np.arange(cone.n - 1, 0, -1)),
         norms=_psd_norms),
     Generators: _Leaf(
-        ambient=lambda cone: cone.matrix.shape[1], faces=True,
-        spec=_generator_spec, columns=lambda cone: (cone.matrix.shape[1], 0),
+        ambient=lambda cone: cone.matrix.shape[1], faces=True, spec=_generator_spec,
+        grammar=("gens", (_PATH,), load_generators), profile=None,
+        columns=lambda cone: (cone.matrix.shape[1], 0),
         dofs=lambda cone, x, out: None, norms=_generator_norms),
 }
+
+# keyword: (field readers, constructor); soc:D is circ:D:pi/4
+_GRAMMAR = {kind.grammar[0]: kind.grammar[1:] for kind in _LEAVES.values()}
+_GRAMMAR["soc"] = ((_INTEGER,), second_order_cone)
 
 
 def _fold(cone, leaf, product, polar):
@@ -390,46 +492,6 @@ def _add_faces(left, right):
 
 
 # ---------------------------------------------------------------------------
-# generator matrices from disk
-# ---------------------------------------------------------------------------
-
-def load_generators(path):
-    """Read a generator matrix from CSV: one generator per row, no header.
-
-    A path that cannot be read (missing, a directory, no permission)
-    raises ConeSpecError naming it.
-    """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise ConeSpecError(f"{path}: cannot read generator file: {e.strerror or e}") from None
-    rows = []
-    width = None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ConeSpecError(
-                    f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ConeSpecError(
-                        f"{path}: row {lineno}, column {col}: not a number: {cell.strip()!r}") from None
-            rows.append(parsed)
-    if not rows:
-        raise ConeSpecError(f"{path}: no generator rows found")
-    return Generators(np.array(rows), source=str(path))
-
-
-# ---------------------------------------------------------------------------
 # cone descriptions
 # ---------------------------------------------------------------------------
 #
@@ -438,120 +500,77 @@ def load_generators(path):
 #
 #     cone := orthant:D | subspace:K:D | circ:D:ALPHA | soc:D | psd:N
 #           | trivial:D | gens:PATH | polar(cone) | prod(cone, cone)
+#
+# Each leaf keyword, with its fields and constructor, is the grammar of its
+# _LEAVES entry.
 
+_SPACE = re.compile(r"\s*")
 _WORD = re.compile(r"[a-z-]+")
-_PI_FORM = re.compile(r"^(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$", re.IGNORECASE)
-
-
-class _ConeParser:
-    """Recursive-descent parser for the cone grammar above."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, msg):
-        raise ConeSpecError(f"cone spec error at byte {self.pos}: {msg}")
-
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch):
-        self.ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def token(self):
-        self.ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and not self.text[self.pos].isspace()
-               and self.text[self.pos] not in ",():"):
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a value")
-        return self.text[start:self.pos]
-
-    def integer(self):
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            self.fail(f"expected an integer, got {tok!r}")
-
-    def angle(self):
-        tok = self.token()
-        m = _PI_FORM.match(tok)
-        if m:
-            num = float(m.group(1)) if m.group(1) else 1.0
-            den = float(m.group(2)) if m.group(2) else 1.0
-            return num * math.pi / den
-        try:
-            return float(tok)
-        except ValueError:
-            self.fail(f"expected an angle in radians or a pi fraction, got {tok!r}")
-
-    def cone(self):
-        self.ws()
-        start = self.pos
-        m = _WORD.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a cone keyword")
-        head = m.group(0)
-        self.pos = m.end()
-        try:
-            if head == "polar":
-                self.expect("(")
-                inner = self.cone()
-                self.expect(")")
-                return Polar(inner)
-            if head == "prod":
-                self.expect("(")
-                left = self.cone()
-                self.expect(",")
-                right = self.cone()
-                self.expect(")")
-                return Product(left, right)
-            self.expect(":")
-            if head == "orthant":
-                return Orthant(self.integer())
-            if head == "subspace":
-                k = self.integer()
-                self.expect(":")
-                return Subspace(k, self.integer())
-            if head == "circ":
-                d = self.integer()
-                self.expect(":")
-                return Circular(d, self.angle())
-            if head == "soc":
-                return second_order_cone(self.integer())
-            if head == "psd":
-                return Psd(self.integer())
-            if head == "trivial":
-                return Trivial(self.integer())
-            if head == "gens":
-                return load_generators(self.token())
-        except ConeSpecError as e:
-            if "at byte" in str(e):
-                raise
-            # constructor-level complaint: annotate with the position
-            raise ConeSpecError(f"cone spec error at byte {start}: {e}") from None
-        self.pos = start
-        self.fail(f"unknown cone keyword {head!r}")
+_TOKEN = re.compile(r"[^\s,():]+")
 
 
 def parse_cone_spec(text):
-    """Parse a cone description; raises ConeSpecError with a byte offset."""
+    """Parse a cone description; raises ConeSpecError with a byte offset:
+    that of a leaf's keyword when its constructor rejects the fields, else
+    the byte the parser stopped at."""
     if not isinstance(text, str) or not text.strip():
         raise ConeSpecError("cone spec error at byte 0: empty cone description")
-    p = _ConeParser(text)
-    cone = p.cone()
-    p.ws()
-    if p.pos != len(p.text):
-        p.fail(f"trailing input {p.text[p.pos:]!r}")
-    return cone
+    pos = 0
+
+    def fail(msg, at=None):
+        raise ConeSpecError(f"cone spec error at byte {pos if at is None else at}: {msg}") from None
+
+    def take(pattern, what):
+        # past whitespace, then past the match of pattern, which must come next
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
+        m = pattern.match(text, pos)
+        if not m:
+            fail(f"expected {what}")
+        pos = m.end()
+        return m.group()
+
+    def expect(ch):
+        take(re.compile(re.escape(ch)), repr(ch))
+
+    def cone():
+        head = take(_WORD, "a cone keyword")
+        start = pos - len(head)
+        if head == "polar":
+            expect("(")
+            inner = cone()
+            expect(")")
+            return Polar(inner)
+        if head == "prod":
+            expect("(")
+            left = cone()
+            expect(",")
+            right = cone()
+            expect(")")
+            return Product(left, right)
+        expect(":")
+        if head not in _GRAMMAR:
+            fail(f"unknown cone keyword {head!r}", start)
+        readers, build = _GRAMMAR[head]
+        fields = []
+        for read, what in readers:
+            if fields:
+                expect(":")
+            tok = take(_TOKEN, "a value")
+            try:
+                fields.append(read(tok))
+            except (ValueError, ZeroDivisionError):
+                fail(f"expected {what}, got {tok!r}")
+        try:
+            return build(*fields)
+        except ConeSpecError as e:
+            fail(str(e), start)
+
+    parsed = cone()
+    pos = _SPACE.match(text, pos).end()
+    if pos != len(text):
+        fail(f"trailing input {text[pos:]!r}")
+    return parsed
 
 
 def cone_to_spec(cone):

@@ -2,9 +2,9 @@
 
 The profile of a cone in R^d is the probability vector (v_0, ..., v_d)
 of its conic intrinsic volumes.  Exact profiles exist for subspaces,
-orthants, psd cones of order n <= 3, products and polars of those;
-everything else is estimated
-from the Gaussian projection stream, either through per-sample face
+orthants, psd cones of order n <= 3, products and polars of those, from
+the closed forms of the cones module's leaf table; everything else is
+estimated from the Gaussian projection stream, either through per-sample face
 dimensions (polyhedral cones), through a biorthogonal family of
 polynomials in theta = s / (s + t), the share of a Gaussian vector's
 squared norm that projects onto the cone, or through a nonnegative least
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import Orthant, Polar, Product, Psd, Subspace, Trivial, ambient_dim
+from .cones import _fold, ambient_dim
 from .exceptions import (ConditioningError, DimensionMismatchError,
                          UnsupportedConeError)
 from .sampling import map_chunks, run_summary
@@ -90,52 +90,25 @@ def reverse_profile(profile):
         raw_v=None if profile.raw_v is None else profile.raw_v[::-1].copy())
 
 
-def _psd_profile(n):
-    """Psd(n) for n <= 3.  Psd(1) is the ray R_+.  Psd(2) is circ:3:pi/4 up
-    to an isometry: (1 - sin a, cos a, sin a, 1 - cos a) / 2 at a = pi/4.
-    Psd(3) is (v0, v1, 1/4 - v0, 1 - 1/sqrt 2, 1/4 - v0, v1, v0), with
-    v0 = (pi - 2 sqrt 2) / (4 pi) and v1 = (sqrt 2 - 1) / 4, found by
-    integrating theta's moments over the direction of the GOE eigenvalue
-    vector, whose density on the sphere is proportional to |Vandermonde|.
-    """
-    r = math.sqrt(0.5)
-    if n == 1:
-        return [0.5, 0.5]
-    if n == 2:
-        return [0.5 * (1.0 - r), 0.5 * r, 0.5 * r, 0.5 * (1.0 - r)]
-    v0, v1 = (math.pi - 4.0 * r) / (4.0 * math.pi), (2.0 * r - 1.0) / 4.0
-    return [v0, v1, 0.25 - v0, 1.0 - r, 0.25 - v0, v1, v0]
-
-
 def exact_profile(cone):
-    """Closed-form profile for subspaces, orthants, trivial cones, psd
-    cones of order n <= 3, and products/polars built from them.  Raises
-    UnsupportedConeError when no closed form is available.
+    """Closed-form profile of a cone whose leaves all have one in the leaf
+    table (subspaces, orthants, trivial cones, psd cones of order n <= 3):
+    the profile of a product is the convolution of its factors', that of a
+    polar its inner profile reversed.  Raises UnsupportedConeError at the
+    first leaf without a closed form.
     """
-    if isinstance(cone, Subspace):
-        v = np.zeros(cone.ambient + 1)
-        v[cone.dim] = 1.0
-        return IntrinsicVolumeProfile(cone.ambient, v, None, "exact")
-    if isinstance(cone, Trivial):
-        v = np.zeros(cone.d + 1)
-        v[0] = 1.0
-        return IntrinsicVolumeProfile(cone.d, v, None, "exact")
-    if isinstance(cone, Orthant):
-        d = cone.d
-        v = np.array([math.comb(d, k) / 2.0 ** d for k in range(d + 1)])
-        return IntrinsicVolumeProfile(d, v, None, "exact")
-    if isinstance(cone, Psd) and cone.n <= 3:
-        return IntrinsicVolumeProfile(ambient_dim(cone), np.array(_psd_profile(cone.n)), None,
-                                      "exact")
-    if isinstance(cone, Product):
-        left = exact_profile(cone.left)
-        right = exact_profile(cone.right)
-        v = np.convolve(left.v, right.v)
-        return IntrinsicVolumeProfile(left.d + right.d, v, None, "exact")
-    if isinstance(cone, Polar):
-        return reverse_profile(exact_profile(cone.inner))
-    raise UnsupportedConeError(
-        f"no closed-form profile for {type(cone).__name__}; use an estimator")
+    return _fold(cone, _leaf_profile,
+                 lambda left, right: IntrinsicVolumeProfile(
+                     left.d + right.d, np.convolve(left.v, right.v), None, "exact"),
+                 reverse_profile)
+
+
+def _leaf_profile(kind, leaf):
+    v = kind.profile and kind.profile(leaf)
+    if v is None:
+        raise UnsupportedConeError(
+            f"no closed-form profile for {type(leaf).__name__}; use an estimator")
+    return IntrinsicVolumeProfile(len(v) - 1, v, None, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +234,11 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
     for the functions of biorthogonal_coefficients; samples at the atoms
     theta = 0 and 1 go through the same functions, which need no special
     case there.  Standard errors are the sample standard deviations of the
-    function values over sqrt(n), so the reservoir must hold at least two
-    samples, and never below eps * sum_n |c_kn|, the float64 evaluation
-    error of h_k = sum_n c_kn P*_n(theta) with |P*_n| <= 1 on [0, 1]: a
-    constant theta (a subspace of dimension 0 or d) has zero spread.
+    function values over sqrt(n), n >= 2 the reservoir's samples (a
+    MonteCarloConfig's reservoir_cap is at least 2), and never below
+    eps * sum_n |c_kn|, the float64 evaluation error of
+    h_k = sum_n c_kn P*_n(theta) with |P*_n| <= 1 on [0, 1]: a constant
+    theta (a subspace of dimension 0 or d) has zero spread.
     Given summary, run_summary's of an equal cone, it reads that in place
     of a fresh run.
     """
@@ -279,10 +253,6 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
         raise UnsupportedConeError(f"summary is of {summary.cone!r}, not of {cone!r}")
     s = summary.reservoir_s
     n = s.size
-    if n < 2:
-        # a run has at least two samples, but reservoir_cap can thin it to one
-        raise ValueError(f"the biorthogonal estimator's reservoir needs at least 2 samples "
-                         f"for its standard errors, got {n}")
     x = 2.0 * s / (s + summary.reservoir_t) - 1.0
     values = np.empty((d + 1, n))
     # P_0..P_d of one block as contiguous rows, then one spare row

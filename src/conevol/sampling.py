@@ -115,8 +115,10 @@ class MonteCarloConfig:
     Summaries depend only on (seed, total_samples, chunk_size,
     reservoir_cap); worker counts change wall time, never results.  A run
     has at least two samples, since one has no spread and its standard
-    errors would read 0, and chunk_size divides UNIT_ROWS (a power of two
-    up to 2**14), so that every chunk lies inside one stream unit.
+    errors would read 0, and so has its reservoir: it keeps
+    ceil(total_samples / stride) >= 2 of them when reservoir_cap >= 2.
+    chunk_size divides UNIT_ROWS (a power of two up to 2**14), so that
+    every chunk lies inside one stream unit.
     """
     seed: int
     total_samples: int
@@ -130,8 +132,9 @@ class MonteCarloConfig:
         if self.chunk_size < 1 or UNIT_ROWS % self.chunk_size:
             raise ValueError(f"chunk_size must divide {UNIT_ROWS} (a power of two up to "
                              f"2**14), got {self.chunk_size}")
-        if self.reservoir_cap < 1:
-            raise ValueError("reservoir_cap must be positive")
+        if self.reservoir_cap < 2:
+            raise ValueError("reservoir_cap must be at least 2 for the reservoir's standard "
+                             f"errors, got {self.reservoir_cap}")
 
     def units(self):
         """(unit, count) of the run's stream units, UNIT_ROWS rows each, the

@@ -113,7 +113,9 @@ def _half_lgamma_table(size):
 
 def _half_lgamma(n):
     # lgamma(j/2) for j = 0..n (inf at j = 0), cut from a table that is built
-    # on first use and again at the next power of two when outgrown
+    # on first use and again at the next power of two when outgrown; n may
+    # be a numpy integer
+    n = operator.index(n)
     return _half_lgamma_table(1 << max(6, n.bit_length()))[:n + 1]
 
 
@@ -244,7 +246,7 @@ def binomial_pmf(n, p, k):
         pmf = (k == (0 if p == 0.0 else n)) * 1.0
     else:
         # log j! = lgamma((2j + 2) / 2) for j = 0..n
-        log_fact = _half_lgamma(2 * operator.index(n) + 2)[2::2]
+        log_fact = _half_lgamma(2 * n + 2)[2::2]
         rest = n - k
         pmf = np.exp(log_fact[n] - log_fact[k] - log_fact[rest]
                      + k * math.log(p) + rest * math.log1p(-p))

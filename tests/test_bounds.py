@@ -18,6 +18,7 @@ from conevol.bounds import (
     variance_bound,
 )
 from conevol.exceptions import UnsupportedConeError
+from conevol.special import binomial_tail
 
 # Exact Binomial(10, 1/2) tails for the orthant in R^10, the sharpest
 # available truth the bounds have to dominate.
@@ -212,6 +213,18 @@ def test_circular_interlacing_values():
     assert upper == pytest.approx(0.004106948630950372, rel=1e-11)
     assert lower <= upper
     assert circular_interlacing_tail(64, math.pi / 6, 0) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 64, 200])
+def test_circular_interlacing_is_the_two_binomial_tails(d):
+    # both ends of the bracket come from one array of binomial terms; they
+    # must keep binomial_tail's bits, the k = 0 and k = n + 1 ends included
+    n = d // 2 - 1
+    for alpha in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+        q = math.sin(alpha) ** 2
+        for k in range(n + 2):
+            assert circular_interlacing_tail(d, alpha, k) == (
+                binomial_tail(n, q, k), binomial_tail(n, q, k - 1)), (alpha, k)
 
 
 def test_circular_interlacing_validation():

@@ -94,6 +94,191 @@ def test_parse_rejects_invalid_dimensions_with_position():
         raise AssertionError("expected a parse failure")
 
 
+# Each valid spec maps to the repr of its cone and each malformed one to its
+# full ConeSpecError text.  The table was recorded from the per-keyword
+# recursive-descent parser that the table-driven one replaced; only the
+# pi/0 rows are new, where that parser divided by zero.
+_SPEC_TABLE = [
+    ('orthant:10', 'Orthant(d=10)'),
+    (' orthant : 10 ', 'Orthant(d=10)'),
+    ('\northant:\n3\n', 'Orthant(d=3)'),
+    ('\torthant:3', 'Orthant(d=3)'),
+    ('orthant:3 ', 'Orthant(d=3)'),
+    ('subspace:3:8', 'Subspace(dim=3, ambient=8)'),
+    ('subspace : 0 : 5', 'Subspace(dim=0, ambient=5)'),
+    ('subspace:5:5', 'Subspace(dim=5, ambient=5)'),
+    ('circ:6:0.5', 'Circular(d=6, alpha=0.5)'),
+    ('circ:6:pi/6', 'Circular(d=6, alpha=0.5235987755982988)'),
+    ('circ:6:0.5pi', 'Circular(d=6, alpha=1.5707963267948966)'),
+    ('circ:6:2pi/8', 'Circular(d=6, alpha=0.7853981633974483)'),
+    ('circ:6:PI/4', 'Circular(d=6, alpha=0.7853981633974483)'),
+    ('circ:6:Pi/3', 'Circular(d=6, alpha=1.0471975511965976)'),
+    ('circ:6:pi/2', 'Circular(d=6, alpha=1.5707963267948966)'),
+    ('circ:6:0', 'Circular(d=6, alpha=0.0)'),
+    ('circ:6:0.pi/3', 'Circular(d=6, alpha=0.0)'),
+    ('circ:6:1.5707963267948966', 'Circular(d=6, alpha=1.5707963267948966)'),
+    ('circ:6:1e-3', 'Circular(d=6, alpha=0.001)'),
+    ('circ:6:pi/2.5', 'Circular(d=6, alpha=1.2566370614359172)'),
+    ('circ:2:pi/4', 'Circular(d=2, alpha=0.7853981633974483)'),
+    ('circ:6:.5', 'Circular(d=6, alpha=0.5)'),
+    ('circ:6:-0.0', 'Circular(d=6, alpha=-0.0)'),
+    ('circ:6:1_0e-1', 'Circular(d=6, alpha=1.0)'),
+    ('soc:5', 'Circular(d=5, alpha=0.7853981633974483)'),
+    ('soc:2', 'Circular(d=2, alpha=0.7853981633974483)'),
+    ('psd:1', 'Psd(n=1)'),
+    ('psd:3', 'Psd(n=3)'),
+    ('psd:4', 'Psd(n=4)'),
+    ('trivial:2', 'Trivial(d=2)'),
+    ('orthant:1_0', 'Orthant(d=10)'),
+    ('orthant:+3', 'Orthant(d=3)'),
+    ('orthant:0003', 'Orthant(d=3)'),
+    ('orthant:٣', 'Orthant(d=3)'),
+    ('polar(orthant:4)', 'Polar(inner=Orthant(d=4))'),
+    ('polar( polar( soc:5 ) )',
+     'Polar(inner=Polar(inner=Circular(d=5, alpha=0.7853981633974483)))'),
+    ('prod(orthant:2,polar(circ:3:0.7))',
+     'Product(left=Orthant(d=2), right=Polar(inner=Circular(d=3, alpha=0.7)))'),
+    ('prod( orthant:4 , circ:8:pi/6 )',
+     'Product(left=Orthant(d=4), right=Circular(d=8, alpha=0.5235987755982988))'),
+    ('prod(prod(orthant:1,subspace:2:3),trivial:2)',
+     'Product(left=Product(left=Orthant(d=1),'
+     ' right=Subspace(dim=2, ambient=3)), right=Trivial(d=2))'),
+    ('polar(prod(polar(trivial:2),orthant:3))',
+     'Polar(inner=Product(left=Polar(inner=Trivial(d=2)), right=Orthant(d=3)))'),
+    ('prod(\n  psd:2,\n  circ:4:pi/5\n)',
+     'Product(left=Psd(n=2), right=Circular(d=4, alpha=0.6283185307179586))'),
+    ('', 'cone spec error at byte 0: empty cone description'),
+    ('   ', 'cone spec error at byte 0: empty cone description'),
+    ('\n', 'cone spec error at byte 0: empty cone description'),
+    (None, 'cone spec error at byte 0: empty cone description'),
+    (3, 'cone spec error at byte 0: empty cone description'),
+    ('Orthant:3', 'cone spec error at byte 0: expected a cone keyword'),
+    ('CIRC:3:0.5', 'cone spec error at byte 0: expected a cone keyword'),
+    ('orthant3:4', "cone spec error at byte 7: expected ':'"),
+    ('foo(3)', "cone spec error at byte 3: expected ':'"),
+    ('foo:3', "cone spec error at byte 0: unknown cone keyword 'foo'"),
+    ('  foo:3', "cone spec error at byte 2: unknown cone keyword 'foo'"),
+    ('polar-x:3', "cone spec error at byte 0: unknown cone keyword 'polar-x'"),
+    ('orthant', "cone spec error at byte 7: expected ':'"),
+    ('orthant:', 'cone spec error at byte 8: expected a value'),
+    ('orthant::3', 'cone spec error at byte 8: expected a value'),
+    ('orthant:3:', "cone spec error at byte 9: trailing input ':'"),
+    ('orthant:3:4', "cone spec error at byte 9: trailing input ':4'"),
+    ('orthant:zebra', "cone spec error at byte 13: expected an integer, got 'zebra'"),
+    ('orthant:3.0', "cone spec error at byte 11: expected an integer, got '3.0'"),
+    ('orthant:-3',
+     'cone spec error at byte 0: dimension must be an integer in [1, 10000], got -3'),
+    ('orthant:0', 'cone spec error at byte 0: dimension must be an integer in [1, 10000], got 0'),
+    ('orthant:10001',
+     'cone spec error at byte 0: dimension must be an integer in [1, 10000], got 10001'),
+    ('orthant:99999999999999999999999',
+     'cone spec error at byte 0: dimension must be an integer in'
+     ' [1, 10000], got 99999999999999999999999'),
+    ('orthant:3\x00', "cone spec error at byte 10: expected an integer, got '3\\x00'"),
+    ('subspace:3', "cone spec error at byte 10: expected ':'"),
+    ('subspace:9:8', 'cone spec error at byte 0: subspace dimension must lie in [0, 8], got 9'),
+    ('subspace:-1:8', 'cone spec error at byte 0: subspace dimension must lie in [0, 8], got -1'),
+    ('subspace:3:8:1', "cone spec error at byte 12: trailing input ':1'"),
+    ('circ:1:0.5', 'cone spec error at byte 0: dimension must be an integer in [2, 10000], got 1'),
+    ('circ:6', "cone spec error at byte 6: expected ':'"),
+    ('circ:6:', 'cone spec error at byte 7: expected a value'),
+    ('circ:6:pi', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got 3.141592653589793'),
+    ('circ:6:3pi/4',
+     'cone spec error at byte 0: alpha must lie in [0, pi/2], got 2.356194490192345'),
+    ('circ:6:nan', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got nan'),
+    ('circ:6:NaN', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got nan'),
+    ('circ:6:inf', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got inf'),
+    ('circ:6:-inf', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got -inf'),
+    ('circ:6:-0.1', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got -0.1'),
+    ('circ:6:1_0', 'cone spec error at byte 0: alpha must lie in [0, pi/2], got 10.0'),
+    ('circ:6:pix',
+     "cone spec error at byte 10: expected an angle in radians or a pi fraction, got 'pix'"),
+    ('circ:6:pi/',
+     "cone spec error at byte 10: expected an angle in radians or a pi fraction, got 'pi/'"),
+    ('circ:6:/2',
+     "cone spec error at byte 9: expected an angle in radians or a pi fraction, got '/2'"),
+    ('circ:6:2*pi',
+     "cone spec error at byte 11: expected an angle in radians or a pi fraction, got '2*pi'"),
+    ('soc:1', 'cone spec error at byte 0: dimension must be an integer in [2, 10000], got 1'),
+    ('soc:5:1', "cone spec error at byte 5: trailing input ':1'"),
+    ('psd:0', 'cone spec error at byte 0: matrix order must be a positive integer, got 0'),
+    ('psd:142',
+     'cone spec error at byte 0: dimension must be an integer in [1, 10000], got 10153'),
+    ('psd:x', "cone spec error at byte 5: expected an integer, got 'x'"),
+    ('trivial:0', 'cone spec error at byte 0: dimension must be an integer in [1, 10000], got 0'),
+    ('polar', "cone spec error at byte 5: expected '('"),
+    ('polar(', 'cone spec error at byte 6: expected a cone keyword'),
+    ('polar()', 'cone spec error at byte 6: expected a cone keyword'),
+    ('polar(orthant:3', "cone spec error at byte 15: expected ')'"),
+    ('polar(orthant:3))', "cone spec error at byte 16: trailing input ')'"),
+    ('polar((orthant:3))', 'cone spec error at byte 6: expected a cone keyword'),
+    ('polar orthant:3', "cone spec error at byte 6: expected '('"),
+    ('polar:3', "cone spec error at byte 5: expected '('"),
+    ('prod(orthant:3)', "cone spec error at byte 14: expected ','"),
+    ('prod(orthant:3,)', 'cone spec error at byte 15: expected a cone keyword'),
+    ('prod(orthant:3,orthant:2', "cone spec error at byte 24: expected ')'"),
+    ('prod(orthant:3,orthant:2,orthant:1)', "cone spec error at byte 24: expected ')'"),
+    ('prod(,orthant:3)', 'cone spec error at byte 5: expected a cone keyword'),
+    ('prod orthant:3', "cone spec error at byte 5: expected '('"),
+    ('prod(orthant:0,orthant:3)',
+     'cone spec error at byte 5: dimension must be an integer in [1, 10000], got 0'),
+    ('polar(prod(orthant:3,foo:1))', "cone spec error at byte 21: unknown cone keyword 'foo'"),
+    ('polar(prod(orthant:3,\n circ:9:7))',
+     'cone spec error at byte 23: alpha must lie in [0, pi/2], got 7.0'),
+    ('orthant:3 orthant:4', "cone spec error at byte 10: trailing input 'orthant:4'"),
+    ('orthant:3)', "cone spec error at byte 9: trailing input ')'"),
+    ('orthant:3,', "cone spec error at byte 9: trailing input ','"),
+    ('(orthant:3)', 'cone spec error at byte 0: expected a cone keyword'),
+    (':3', 'cone spec error at byte 0: expected a cone keyword'),
+    ('123', 'cone spec error at byte 0: expected a cone keyword'),
+    ('orthant :3 x', "cone spec error at byte 11: trailing input 'x'"),
+    ('gens:', 'cone spec error at byte 5: expected a value'),
+    ('gens', "cone spec error at byte 4: expected ':'"),
+    ("circ:6:pi/0",
+     "cone spec error at byte 11: expected an angle in radians or a pi fraction, got 'pi/0'"),
+    ("circ:6:pi/00",
+     "cone spec error at byte 12: expected an angle in radians or a pi fraction, got 'pi/00'"),
+    ("circ:6:2pi/0.0",
+     "cone spec error at byte 14: expected an angle in radians or a pi fraction, got '2pi/0.0'"),
+    ("prod(orthant:3, circ:2:pi/0)",
+     "cone spec error at byte 27: expected an angle in radians or a pi fraction, got 'pi/0'"),
+]
+
+
+def test_parse_matches_recorded_table():
+    assert len(_SPEC_TABLE) >= 80
+    for spec, expected in _SPEC_TABLE:
+        try:
+            got = repr(parse_cone_spec(spec))
+        except ConeSpecError as e:
+            got = str(e)
+        assert got == expected, spec
+
+
+def test_parse_generator_specs(tmp_path):
+    # gens: takes the token up to the next delimiter as a path; a file that
+    # cannot be read or parsed is reported at the byte of its keyword
+    path = tmp_path / "g.csv"
+    path.write_text("1,0\n0,2\n")
+    cone = parse_cone_spec(f"gens:{path}")
+    assert cone == Generators(np.array([[1.0, 0.0], [0.0, 2.0]])) and cone.source == str(path)
+    assert parse_cone_spec(f" prod( gens : {path} , orthant:1)") == Product(cone, Orthant(1))
+    missing = tmp_path / "missing.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3\n")
+    for spec, message in [
+            (f"gens:{missing}",
+             f"at byte 0: {missing}: cannot read generator file: No such file or directory"),
+            (f"polar(gens:{missing})",
+             f"at byte 6: {missing}: cannot read generator file: No such file or directory"),
+            (f"gens:{tmp_path}", f"at byte 0: {tmp_path}: cannot read generator file: Is a directory"),
+            (f"gens:{bad}", f"at byte 0: {bad}: row 2 has 1 columns, expected 2"),
+            (f"gens:{path}:3", f"at byte {len(str(path)) + 5}: trailing input ':3'")]:
+        with pytest.raises(ConeSpecError) as info:
+            parse_cone_spec(spec)
+        assert str(info.value) == f"cone spec error {message}"
+
+
 def test_print_round_trips_all_constructions(tmp_path):
     cones = [
         Orthant(7),
@@ -234,13 +419,22 @@ def test_one_sample_estimates_exit_2(capsys, argv):
     assert "error:" in err and "at least 2" in err
 
 
-@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("cap", ["0", "-5", "1"])
 def test_profile_reservoir_cap_must_be_positive(capsys, cap):
     code, out, err = _run(capsys, ["profile", "--cone", "orthant:3", "--method", "biorth",
                                    "--samples", "1000", "--reservoir-cap", cap])
     assert code == 2
     assert out == ""
-    assert "reservoir_cap must be positive" in err
+    assert "reservoir_cap must be at least 2" in err
+
+
+def test_profile_mixture_reservoir_cap_one_exits_2(capsys):
+    # a one-sample reservoir used to give the mixture fit v = (0, 1, 0, ...)
+    code, out, err = _run(capsys, ["profile", "--cone", "circ:6:0.5", "--method", "mixture",
+                                   "--reservoir-cap", "1", "--samples", "1000"])
+    assert code == 2
+    assert out == ""
+    assert "reservoir_cap must be at least 2" in err
 
 
 def test_profile_out_writes_file(tmp_path, capsys):
@@ -310,6 +504,15 @@ def test_bad_cone_spec_exits_2(capsys):
     code, _, err = _run(capsys, ["profile", "--cone", "orthant:-3"])
     assert code == 2
     assert "at byte" in err
+
+
+@pytest.mark.parametrize("angle", ["pi/0", "pi/00"])
+def test_pi_over_zero_angle_exits_2(capsys, angle):
+    code, out, err = _run(capsys, ["profile", "--cone", f"circ:3:{angle}"])
+    assert code == 2
+    assert out == ""
+    assert f"at byte {7 + len(angle)}: expected an angle" in err and repr(angle) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -19,6 +19,7 @@ from conevol.cones import (
     Psd,
     Subspace,
     Trivial,
+    parse_cone_spec,
 )
 from conevol.exceptions import (
     ConditioningError,
@@ -89,6 +90,52 @@ def test_polar_profile_reverses_orders():
 def test_exact_profile_unavailable_for_smooth_cones():
     with pytest.raises(UnsupportedConeError):
         exact_profile(Circular(4, 0.3))
+
+
+# d, provenance and the first 16 hex digits of the SHA-256 of v's bytes, as
+# recorded from the per-type exact_profile that the fold over the leaf
+# table replaced
+_EXACT_TABLE = [
+    ('orthant:1', 1, 'exact', '606e5166986dd9f1'),
+    ('orthant:10', 10, 'exact', '172b6b15136d224c'),
+    ('orthant:30', 30, 'exact', 'e4aeac918534a74e'),
+    ('subspace:0:5', 5, 'exact', '78c19f52f7328f8e'),
+    ('subspace:3:8', 8, 'exact', '4d386f9e14586783'),
+    ('subspace:5:5', 5, 'exact', '7246ae77314c13a1'),
+    ('trivial:1', 1, 'exact', '3239b05c38b825eb'),
+    ('trivial:4', 4, 'exact', 'dfa15abd36e7b5ba'),
+    ('psd:1', 1, 'exact', '606e5166986dd9f1'),
+    ('psd:2', 3, 'exact', 'fafc8e753a6fedbc'),
+    ('psd:3', 6, 'exact', '937f520d68388f80'),
+    ('polar(orthant:4)', 4, 'exact+reversed', '3e4ee6ae058a89b0'),
+    ('polar(subspace:1:4)', 4, 'exact+reversed', '1890da88d463a362'),
+    ('polar(polar(orthant:3))', 3, 'exact+reversed+reversed', '3817446477c8b330'),
+    ('polar(psd:3)', 6, 'exact+reversed', '937f520d68388f80'),
+    ('prod(orthant:2,orthant:3)', 5, 'exact', '6fd293df5ee59e40'),
+    ('prod(orthant:3,subspace:2:5)', 8, 'exact', 'c907d5113f6a16fa'),
+    ('prod(subspace:2:2,orthant:2)', 4, 'exact', '3dfdb199b3a6da23'),
+    ('polar(prod(polar(trivial:2),orthant:3))', 5, 'exact+reversed', '5f7e5ffdf7a8652d'),
+    ('prod(polar(subspace:1:3),prod(psd:2,orthant:2))', 8, 'exact', '63b5a3f1fe47660d'),
+    ('polar(polar(polar(prod(psd:3,trivial:1))))',
+     7, 'exact+reversed+reversed+reversed', '6f0184bdfdcb8188'),
+    (Orthant(np.int64(6)), 6, 'exact', '7d3d16f61bff4007'),
+    (Subspace(np.int64(2), np.int64(5)), 5, 'exact', '518fe3fcd7b88f5b'),
+    (Psd(np.int64(3)), 6, 'exact', '937f520d68388f80'),
+]
+
+
+def test_exact_profile_dimension_is_an_int():
+    for cone in (Orthant(np.int64(6)), Psd(np.int64(3)),
+                 Product(Subspace(np.int64(2), np.int64(5)), Polar(Trivial(np.int64(2))))):
+        assert type(exact_profile(cone).d) is int
+
+
+def test_exact_profiles_match_recorded_table():
+    for cone, d, provenance, digest in _EXACT_TABLE:
+        prof = exact_profile(parse_cone_spec(cone) if isinstance(cone, str) else cone)
+        assert prof.v.dtype == float and prof.raw_v is None and prof.stderr is None, cone
+        assert (prof.d, prof.provenance) == (d, provenance), cone
+        assert hashlib.sha256(prof.v.tobytes()).hexdigest()[:16] == digest, cone
 
 
 @given(d=st.integers(min_value=1, max_value=30))
@@ -542,11 +589,10 @@ def test_biorthogonal_estimator_matches_the_legvander_reference(d):
 
 
 def test_biorthogonal_estimator_rejects_one_sample_reservoir():
-    # a one-sample reservoir has no sample standard deviation: 100 drawn
-    # and thinned to one (a one-sample run is a config error)
-    cfg = MonteCarloConfig(seed=0, total_samples=100, reservoir_cap=1)
-    with pytest.raises(ValueError, match="at least 2"):
-        estimate_profile_biorthogonal(Orthant(3), cfg)
+    # a one-sample reservoir has no sample standard deviation, so a cap that
+    # would thin a run to one sample is a config error, as a one-sample run is
+    with pytest.raises(ValueError, match="reservoir_cap must be at least 2"):
+        MonteCarloConfig(seed=0, total_samples=100, reservoir_cap=1)
     two = estimate_profile_biorthogonal(Orthant(3), MonteCarloConfig(seed=0, total_samples=2))
     assert np.all(np.isfinite(two.stderr))
 

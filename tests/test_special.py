@@ -290,6 +290,14 @@ def test_binomial_tail_matches_exact_sums(p):
         assert binomial_tail(n, p, n + 1) == 0.0
 
 
+def test_cdf_families_take_a_numpy_integer_d():
+    for lam in (0.3, 2.0, 30.0):
+        assert np.array_equal(chi_square_cdf_family(np.int64(8), lam),
+                              chi_square_cdf_family(8, lam))
+    for lam in (0.0, 0.3, 1.0):
+        assert np.array_equal(beta_cdf_family(np.int64(8), lam), beta_cdf_family(8, lam))
+
+
 def test_binomial_pmf_takes_an_array_of_k():
     k = np.arange(13)
     assert np.array_equal(binomial_pmf(12, 0.25, k),

@@ -7,6 +7,7 @@ import pytest
 
 from conevol.cones import Circular, Generators, Orthant, Polar, Product, Subspace, Trivial
 from conevol.profiles import (
+    IntrinsicVolumeProfile,
     exact_profile,
     profile_from_raw,
     reverse_profile,
@@ -264,6 +265,17 @@ def test_empirical_steiner_cdf_deterministic():
 # ---------------------------------------------------------------------------
 # Chi-bar-squared mixture law
 # ---------------------------------------------------------------------------
+
+def test_steiner_cdfs_take_a_numpy_integer_d():
+    # cone constructors take numpy integers, and a profile may carry one
+    prof = exact_profile(Orthant(8))
+    wide = IntrinsicVolumeProfile(np.int64(8), prof.v, None, "exact")
+    for lam in (0.5, 1.0, 8.0):
+        assert gaussian_steiner_cdf(wide, lam) == gaussian_steiner_cdf(prof, lam)
+    for lam in (0.0, 0.3, 1.0):
+        assert spherical_steiner_cdf(wide, lam) == spherical_steiner_cdf(prof, lam)
+    assert chi_bar_squared(wide).cdf(2.0) == chi_bar_squared(prof).cdf(2.0)
+
 
 def test_chi_bar_squared_cdf_is_polar_expansion():
     prof = exact_profile(Orthant(7))

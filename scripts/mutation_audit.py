@@ -120,6 +120,11 @@ MUTANTS = (
            "first = unit * UNIT_ROWS // size",
            "first = 0 * unit",
            (_UNIT_REFERENCE,)),
+    Mutant("reservoir-thinned-per-chunk", _SAMPLING,
+           "values[(-index * self.chunk_size) % stride::stride]",
+           "values[::stride]",
+           ("tests/test_profiles.py::test_estimator_digest_is_pinned",
+            "tests/test_sampling.py::test_small_chunk_monte_carlo_digest_is_pinned")),
     Mutant("face-path-drops-subspace-dimension", _SAMPLING,
            "sum(chi_square_dofs(cone, X, fill=False)[1],",
            "sum((f for f in chi_square_dofs(cone, X, fill=False)[1] if np.ndim(f)),",

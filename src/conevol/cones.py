@@ -168,13 +168,14 @@ def faces_from_dofs(cone):
 def load_generators(path):
     """Read a generator matrix from CSV: one generator per row, no header.
 
-    A path that cannot be read (missing, a directory, no permission)
-    raises ConeSpecError naming it.
+    A path that cannot be read (missing, a directory, no permission, an
+    embedded NUL byte) raises ConeSpecError naming it.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise ConeSpecError(f"{path}: cannot read generator file: {e.strerror or e}") from None
+    except (OSError, ValueError) as e:   # ValueError: a NUL byte in the path
+        reason = getattr(e, "strerror", None) or e
+        raise ConeSpecError(f"{path}: cannot read generator file: {reason}") from None
     rows = []
     width = None
     with fh:

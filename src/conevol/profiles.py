@@ -228,13 +228,14 @@ def estimate_profile_face(cone, config, workers=None):
 
 
 def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
-    """Profile from the biorthogonal functions of the retained stream.
+    """Profile from the biorthogonal functions of the theta reservoir.
 
-    v_k is the retained-sample mean of h_k(theta), theta = s / (s + t),
-    for the functions of biorthogonal_coefficients; samples at the atoms
-    theta = 0 and 1 go through the same functions, which need no special
-    case there.  Standard errors are the sample standard deviations of the
-    function values over sqrt(n), n >= 2 the reservoir's samples (a
+    v_k is the mean of h_k(theta), theta = s / (s + t), over the
+    summary's theta_reservoir, for the functions of
+    biorthogonal_coefficients; samples at the atoms theta = 0 and 1 go
+    through the same functions, which need no special case there.
+    Standard errors are the sample standard deviations of the function
+    values over sqrt(n), n >= 2 the reservoir's samples (a
     MonteCarloConfig's reservoir_cap is at least 2), and never below
     eps * sum_n |c_kn|, the float64 evaluation error of
     h_k = sum_n c_kn P*_n(theta) with |P*_n| <= 1 on [0, 1]: a constant
@@ -251,9 +252,9 @@ def estimate_profile_biorthogonal(cone, config, workers=None, summary=None):
             f"summary is of a cone in R^{summary.dim}, cone lives in R^{d}")
     elif summary.cone != cone:
         raise UnsupportedConeError(f"summary is of {summary.cone!r}, not of {cone!r}")
-    s = summary.reservoir_s
-    n = s.size
-    x = 2.0 * s / (s + summary.reservoir_t) - 1.0
+    theta = summary.theta_reservoir
+    n = theta.size
+    x = 2.0 * theta - 1.0
     values = np.empty((d + 1, n))
     # P_0..P_d of one block as contiguous rows, then one spare row
     buffer = np.empty((d + 2) * min(n, _EVAL_BLOCK))
@@ -289,14 +290,16 @@ def mixture_design_matrix(d, thresholds):
 def estimate_profile_mixture(cone, config, workers=None):
     """Profile from a nonnegative fit of the chi-square mixture CDF.
 
-    The retained squared projection norms give an empirical CDF; it is
-    matched at 4(d+1) empirical quantile thresholds by nonnegative least
-    squares over the mixture weights.  Works in any dimension but does
-    not come with per-coordinate standard errors.
+    The squared projection norms s of the rows config.thin keeps, streamed
+    through map_chunks (no run_summary: theta cannot give them), give an
+    empirical CDF; it is matched at 4(d+1) empirical quantile thresholds
+    by nonnegative least squares over the mixture weights.  Works in any
+    dimension but does not come with per-coordinate standard errors.
     """
     from .linalg import nnls_solve
     d = ambient_dim(cone)
-    s = np.sort(run_summary(cone, config, workers=workers).reservoir_s)
+    s = np.sort(np.concatenate(map_chunks(cone, config, lambda index, s, t: config.thin(index, s),
+                                          workers)))
     m = 4 * (d + 1)
     probs = (np.arange(m) + 1.0) / (m + 1.0)
     thresholds = np.quantile(s, probs)

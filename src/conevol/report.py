@@ -376,7 +376,7 @@ def _determinism_blob(seed, workers, n):
     summary = run_summary(Circular(16, math.pi / 6), config, workers=workers)
     acc = summary.theta_moments
     parts.extend("%.17g" % x for x in
-                 (acc.mean, acc.m2, acc.m3, acc.m4, float(summary.reservoir_s.sum())))
+                 (acc.mean, acc.m2, acc.m3, acc.m4, float(summary.theta_reservoir.sum())))
     prof_b = estimate_profile_biorthogonal(Orthant(8), config, workers=workers)
     parts.extend("%.17g" % x for x in prof_b.raw_v)
     law = chi_bar_squared(exact_profile(Orthant(8)))

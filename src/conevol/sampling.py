@@ -46,17 +46,19 @@ is one unit.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner;
-estimate_profile_face in profiles) streams through one primitive,
-map_chunks.  It hands a chunk's (s, t) to every path but the face
-estimate, and its face dimensions alone to that one.  Each stream unit
-is one pool task, run on CONEVOL_THREADS worker threads unless a caller
-passes an explicit worker count.  A task reads its unit's streams in row
-blocks of about _BLOCK_VALUES drawn values, whatever the chunk size,
-drawing the Gaussian rows into one block buffer per worker thread, and
-hands each of the unit's chunks to the caller whole.  map_chunks returns
-the per-chunk results in chunk-index order.  Callers fold them left to
-right in that fixed order, moment sums (run_summary keeps those of theta
-= s / (s + t) only) with the exact pairwise-merge update formulas, so
+estimate_profile_face and estimate_profile_mixture in profiles) streams
+through one primitive, map_chunks.  It hands a chunk's (s, t) to every
+path but the face estimate, and its face dimensions alone to that one.
+Each stream unit is one pool task, run on CONEVOL_THREADS worker threads
+unless a caller passes an explicit worker count.  A task reads its
+unit's streams in row blocks of about _BLOCK_VALUES drawn values,
+whatever the chunk size, drawing the Gaussian rows into one block buffer
+per worker thread, and hands each of the unit's chunks to the caller
+whole.  map_chunks returns the per-chunk results in chunk-index order.
+Callers fold them left to right in that fixed order, moment sums
+(run_summary keeps those of theta = s / (s + t) only) with the exact
+pairwise-merge update formulas, and reservoirs (run_summary's of theta,
+the mixture fit's of s) by one thinning rule, MonteCarloConfig.thin, so
 every result is a function of (seed, total_samples, chunk_size,
 reservoir_cap) only: bit-identical for any worker count and block size.
 """
@@ -115,7 +117,7 @@ class MonteCarloConfig:
     Summaries depend only on (seed, total_samples, chunk_size,
     reservoir_cap); worker counts change wall time, never results.  A run
     has at least two samples, since one has no spread and its standard
-    errors would read 0, and so has its reservoir: it keeps
+    errors would read 0, and so has its reservoir, the rows thin keeps:
     ceil(total_samples / stride) >= 2 of them when reservoir_cap >= 2.
     chunk_size divides UNIT_ROWS (a power of two up to 2**14), so that
     every chunk lies inside one stream unit.
@@ -145,6 +147,12 @@ class MonteCarloConfig:
     @property
     def reservoir_stride(self):
         return max(1, -(-self.total_samples // self.reservoir_cap))
+
+    def thin(self, index, values):
+        """A copy of the reservoir's rows of chunk index's values: every
+        reservoir_stride-th row of the whole run, from global row 0."""
+        stride = self.reservoir_stride
+        return values[(-index * self.chunk_size) % stride::stride].copy()
 
 
 @dataclass
@@ -206,24 +214,21 @@ class MomentAccumulator:
 
 @dataclass
 class SampleSummary:
-    """Streaming summary of the squared projection / residual norms.
+    """Streaming summary of theta = s / (s + t), the share of a Gaussian
+    vector's squared norm that projects onto the cone.
 
-    theta_moments are the moments of theta = s / (s + t).  Given V = k,
-    theta is Beta(k/2, (d-k)/2) and independent of the chi-square radius,
-    so they alone give the mean and variance of V (see
-    profiles.intrinsic_variance).  cone is the cone that was sampled;
-    the biorthogonal estimator, given a summary, checks it against the
-    cone it is asked about.
+    Given V = k, theta is Beta(k/2, (d-k)/2) and independent of the
+    chi-square radius, so theta_moments, its moments, alone give the mean
+    and variance of V (see profiles.intrinsic_variance), and
+    theta_reservoir, the theta of the rows MonteCarloConfig.thin keeps,
+    alone gives the biorthogonal profile.  cone is the cone that was
+    sampled; the biorthogonal estimator, given a summary, checks it
+    against the cone it is asked about.
     """
     cone: object
     dim: int
-    count: int
     theta_moments: MomentAccumulator
-    reservoir_s: np.ndarray
-    reservoir_t: np.ndarray
-    reservoir_stride: int
-    seed: int
-    chunk_size: int
+    theta_reservoir: np.ndarray
 
 
 def resolve_workers(workers=None):
@@ -358,28 +363,20 @@ def run_summary(cone, config, workers=None):
 
     Returns a SampleSummary with exact-merged central moments up to
     order four of theta = s / (s + t), where s = ||proj(g)||^2 and t =
-    dist^2(g, cone), and a stride-thinned reservoir of retained (s, t)
-    pairs for the profile estimators.  Face dimensions are no part of it:
-    profiles.estimate_profile_face streams them alone.
+    dist^2(g, cone), and the theta of the rows config.thin keeps.  s and
+    t themselves are no part of it: profiles.estimate_profile_mixture
+    streams its own thinned s, and profiles.estimate_profile_face its face
+    dimensions.
     """
-    stride = config.reservoir_stride
-
     def summarize(index, s, t):
         theta = s + t
         np.divide(s, theta, out=theta)
-        # keep every stride-th sample of the whole stream, by global index
-        keep = np.arange((-index * config.chunk_size) % stride, s.shape[0], stride)
-        return MomentAccumulator.from_values(theta), s[keep], t[keep]
+        return MomentAccumulator.from_values(theta), config.thin(index, theta)
 
-    parts, res_s, res_t = zip(*map_chunks(cone, config, summarize, workers))
+    parts, kept = zip(*map_chunks(cone, config, summarize, workers))
     return SampleSummary(
         cone=cone,
         dim=ambient_dim(cone),
-        count=config.total_samples,
         theta_moments=reduce(MomentAccumulator.merge, parts, MomentAccumulator()),
-        reservoir_s=np.concatenate(res_s),
-        reservoir_t=np.concatenate(res_t),
-        reservoir_stride=config.reservoir_stride,
-        seed=config.seed,
-        chunk_size=config.chunk_size,
+        theta_reservoir=np.concatenate(kept),
     )

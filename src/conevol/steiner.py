@@ -151,15 +151,15 @@ def master_phi(f, profile, config=None, workers=None):
 
     The profile is treated as a vector of fixed weights; only Monte
     Carlo moment error enters the stderr.  Non-smooth functionals get an
-    independent sample stream per coefficient.
+    independent sample stream per coefficient: coefficient k runs on
+    config, or _DEFAULT_MC without one, at seed + 7919 k.
     """
     d = profile.d
+    config = config or _DEFAULT_MC
     total = 0.0
     var = 0.0
     for k in range(d + 1):
-        cfg_k = None
-        if config is not None:
-            cfg_k = replace(config, seed=config.seed + 7919 * k)
+        cfg_k = replace(config, seed=config.seed + 7919 * k)
         value, se = subspace_moment(f, k, d, config=cfg_k, workers=workers)
         total += profile.v[k] * value
         var += (profile.v[k] * se) ** 2

@@ -272,6 +272,8 @@ def test_parse_generator_specs(tmp_path):
             (f"polar(gens:{missing})",
              f"at byte 6: {missing}: cannot read generator file: No such file or directory"),
             (f"gens:{tmp_path}", f"at byte 0: {tmp_path}: cannot read generator file: Is a directory"),
+            ("prod(orthant:1,gens:a\x00b)",
+             "at byte 15: a\x00b: cannot read generator file: embedded null byte"),
             (f"gens:{bad}", f"at byte 0: {bad}: row 2 has 1 columns, expected 2"),
             (f"gens:{path}:3", f"at byte {len(str(path)) + 5}: trailing input ':3'")]:
         with pytest.raises(ConeSpecError) as info:

@@ -40,6 +40,7 @@ from conevol.profiles import (
     reverse_profile,
     statistical_dimension,
 )
+from conevol import profiles, sampling
 from conevol.report import abs_z
 from conevol.sampling import MonteCarloConfig, run_summary
 import circular_oracle
@@ -544,7 +545,7 @@ def test_biorthogonal_estimator_matches_profiles_that_are_not_palindromic(cone, 
     # standard error of d theta, about 0.01 against 0.3-0.6 per coordinate:
     # this is what sees h_k and h_(d-k) mixed up (delta against d - delta)
     d = prof.d
-    theta = summary.reservoir_s / (summary.reservoir_s + summary.reservoir_t)
+    theta = summary.theta_reservoir
     se = d * theta.std(ddof=1) / math.sqrt(theta.size)
     delta = float(np.arange(d + 1) @ prof.raw_v)
     assert float(abs_z(delta - truth.statistical_dimension, se)) <= 4.0
@@ -577,8 +578,7 @@ def test_biorthogonal_estimator_matches_the_legvander_reference(d):
         for cone in (Orthant(d), Subspace(0, d), Subspace(d, d)):
             summary = run_summary(cone, cfg)
             prof = estimate_profile_biorthogonal(cone, cfg, summary=summary)
-            values = evaluate_system(coef, summary.reservoir_s
-                                     / (summary.reservoir_s + summary.reservoir_t))
+            values = evaluate_system(coef, summary.theta_reservoir)
             assert values.shape == (n, d + 1)
             raw = values.mean(axis=0)
             spread = values.std(axis=0, ddof=1) / math.sqrt(n)
@@ -634,6 +634,19 @@ def test_mixture_estimator_subspace_concentrates():
     assert float(np.sum(prof.v) - prof.v[3]) < 0.01
 
 
+def test_mixture_estimator_streams_its_own_s(monkeypatch):
+    # the fit reads s, which a summary of theta does not hold, so it draws
+    # its thinned s through map_chunks and never runs run_summary
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the mixture fit ran run_summary")
+
+    monkeypatch.setattr(sampling, "run_summary", forbidden)
+    monkeypatch.setattr(profiles, "run_summary", forbidden)
+    cfg = MonteCarloConfig(seed=2, total_samples=3001, chunk_size=512, reservoir_cap=1000)
+    prof = estimate_profile_mixture(Orthant(5), cfg)
+    assert prof.provenance == "mc_mixture" and prof.d == 5
+
+
 def test_mixture_estimator_works_past_biorthogonal_cap():
     cfg = MonteCarloConfig(seed=4, total_samples=30_000)
     prof = estimate_profile_mixture(Circular(24, math.pi / 3), cfg)
@@ -671,3 +684,31 @@ def test_estimators_accept_a_summary_of_an_equal_cone():
     summary = run_summary(Generators(gens), cfg)
     a = estimate_profile_biorthogonal(Generators(gens.copy()), cfg, summary=summary)
     assert np.array_equal(a.v, estimate_profile_biorthogonal(Generators(gens), cfg).v)
+
+
+# the biorthogonal estimate (a fresh run and one from a summary) and the
+# mixture fit over cones x (chunk_size, total_samples, reservoir_cap), with
+# reservoir strides 1, 4, 13 and 9; at strides 13 and 9 the kept rows sit at
+# a different offset in almost every chunk, and the last two configs span
+# two stream units
+_ESTIMATOR_CONES = [Orthant(6), Subspace(2, 6), Circular(7, 0.5), Psd(3),
+                    Product(Orthant(3), Circular(4, 0.6)), Polar(Circular(5, 0.6)),
+                    Product(Subspace(1, 3), Orthant(2)), Polar(Orthant(4))]
+_ESTIMATOR_CONFIGS = [(16384, 3001, 100_000), (512, 3001, 1000), (8, 1203, 97),
+                      (1024, 17_000, 2000)]
+_ESTIMATOR_SHA256 = "f6b1023855799327d9f2734f6dbd1e1c6d7bc879ce41e307b994723bcd0641e2"
+
+
+def test_estimator_digest_is_pinned():
+    digest = hashlib.sha256()
+    for i, (cone, (chunk, total, cap)) in enumerate(
+            itertools.product(_ESTIMATOR_CONES, _ESTIMATOR_CONFIGS)):
+        cfg = MonteCarloConfig(seed=3400 + i, total_samples=total, chunk_size=chunk,
+                               reservoir_cap=cap)
+        fresh = estimate_profile_biorthogonal(cone, cfg)
+        from_summary = estimate_profile_biorthogonal(cone, cfg, summary=run_summary(cone, cfg))
+        mixture = estimate_profile_mixture(cone, cfg)
+        for a in (fresh.raw_v, fresh.stderr, from_summary.raw_v, from_summary.stderr,
+                  mixture.raw_v):
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == _ESTIMATOR_SHA256

@@ -1,4 +1,5 @@
 # Standard libraries
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -38,6 +39,7 @@ from conevol.sampling import (
     UNIT_ROWS,
     MomentAccumulator,
     MonteCarloConfig,
+    SampleSummary,
     gaussian_block,
     map_chunks,
     resolve_workers,
@@ -284,8 +286,7 @@ def test_run_summary_identical_across_worker_counts():
         a = run_summary(cone, cfg, workers=1)
         b = run_summary(cone, cfg, workers=4)
         assert a.theta_moments == b.theta_moments, (cone, chunk)
-        assert np.array_equal(a.reservoir_s, b.reservoir_s)
-        assert np.array_equal(a.reservoir_t, b.reservoir_t)
+        assert np.array_equal(a.theta_reservoir, b.theta_reservoir)
 
 
 def test_map_chunks_returns_results_in_chunk_order():
@@ -545,7 +546,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
         return (summary.theta_moments,
                 estimate_profile_face(cone, cfg).raw_v.tobytes()
                 if supports_face_dim(cone) else None,
-                summary.reservoir_s.tobytes(), summary.reservoir_t.tobytes(),
+                summary.theta_reservoir.tobytes(),
                 phi_mc(cone, min_a, cfg),
                 tuple(a.tobytes() for a in empirical_steiner_cdf(
                     cone, [0.25, 0.5, 0.75], cfg, kind="spherical")))
@@ -613,21 +614,21 @@ def test_face_estimate_draws_no_chi_square_and_projects_nothing(monkeypatch):
 
 
 def test_run_summary_contents():
+    # a summary of theta alone: its moments and its thinned sample
+    assert [f.name for f in dataclasses.fields(SampleSummary)] == [
+        "cone", "dim", "theta_moments", "theta_reservoir"]
     cfg = MonteCarloConfig(seed=2, total_samples=20_000, reservoir_cap=512)
     summary = run_summary(Orthant(6), cfg)
-    assert summary.count == 20_000
-    assert summary.dim == 6
+    assert summary.theta_moments.n == 20_000
+    assert summary.cone == Orthant(6) and summary.dim == 6
     # the face counts of the same rows, through the face estimate
     counts = 20_000 * estimate_profile_face(Orthant(6), cfg).raw_v
     assert np.array_equal(counts, np.rint(counts)) and counts.sum() == 20_000
     # theta = s / (s + t) lies in [0, 1], with mean delta / d = 1/2
     assert 0.0 <= summary.theta_moments.mean <= 1.0
     assert 6 * summary.theta_moments.mean == pytest.approx(3.0, abs=0.1)
-    stride = cfg.reservoir_stride
-    expected_rows = -(-20_000 // stride)
-    assert summary.reservoir_s.shape == (expected_rows,)
-    assert summary.reservoir_t.shape == (expected_rows,)
-    assert summary.reservoir_stride == stride
+    assert summary.theta_reservoir.shape == (-(-20_000 // cfg.reservoir_stride),)
+    assert np.all((summary.theta_reservoir >= 0.0) & (summary.theta_reservoir <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -861,12 +862,17 @@ def _digest_cases():
 
 
 def _summary_bytes(cone, config):
-    """run_summary's moments and reservoirs and, for a cone with face dims,
-    the face counts map_chunks gives with faces_only."""
+    """run_summary's moments, the (s, t) of every reservoir_stride-th row
+    of the stream from row 0, whose s / (s + t) must be run_summary's theta
+    reservoir, and, for a cone with face dims, the face counts map_chunks
+    gives with faces_only."""
     summary = run_summary(cone, config)
     acc = summary.theta_moments
     moments = [getattr(acc, f) for f in ("n", "mean", "m2", "m3", "m4")]
-    parts = [np.asarray(moments, dtype=float), summary.reservoir_s, summary.reservoir_t]
+    s, t = (np.concatenate(a)[::config.reservoir_stride]
+            for a in zip(*map_chunks(cone, config, lambda index, s, t: (s, t))))
+    assert np.array_equal(summary.theta_reservoir, s / (s + t))
+    parts = [np.asarray(moments, dtype=float), s, t]
     if supports_face_dim(cone):
         d = ambient_dim(cone)
         parts.append(sum(map_chunks(cone, config, lambda index, fd: np.bincount(fd, minlength=d + 1),

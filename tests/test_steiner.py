@@ -1,4 +1,5 @@
 # Standard libraries
+import dataclasses
 import math
 
 # External libraries
@@ -161,6 +162,29 @@ def test_master_phi_agrees_with_direct_sampling():
     lhs, lhs_se = phi_mc(cone, f, cfg)
     rhs, rhs_se = master_phi(f, prof, config=MonteCarloConfig(seed=77, total_samples=100_000))
     assert abs(lhs - rhs) < 4.0 * math.hypot(lhs_se, rhs_se) + 1e-3
+
+
+def test_master_phi_gives_each_coefficient_its_own_stream(monkeypatch):
+    # a non-smooth functional samples every coefficient k of the profile;
+    # with a config or without one, k runs at seed + 7919 k, so no two
+    # coefficients share a stream
+    seen = []
+
+    def record(cone, f, config, workers=None):
+        seen.append((cone.dim, config))
+        return 1.0, 0.5
+
+    monkeypatch.setattr(steiner, "phi_mc", record)
+    f = preset_functionals()["min_a_10"]
+    prof = exact_profile(Orthant(3))
+    for config in (None, MonteCarloConfig(seed=5, total_samples=1_000, chunk_size=512)):
+        seen.clear()
+        value, se = master_phi(f, prof, config=config)
+        base = config or steiner._DEFAULT_MC
+        assert seen == [(k, dataclasses.replace(base, seed=base.seed + 7919 * k))
+                        for k in range(4)]
+        assert value == pytest.approx(1.0)
+        assert se == pytest.approx(0.5 * math.sqrt(np.sum(prof.v ** 2)))
 
 
 @pytest.mark.parametrize("cone", [Orthant(6), Polar(Circular(5, 0.6)),

@@ -84,9 +84,12 @@ MUTANTS = (
            "out.fill(cone.d - 1)",
            "out.fill(cone.d)",
            ("tests/test_profiles.py::test_estimates_match_exact_circular_profiles",)),
+    # orthant and subspace leaves share their dofs, so the orthant's s and t
+    # are swapped in its norms, which has the same effect on the orthant alone
     Mutant("orthant-chi-square-dofs-swapped", "src/conevol/cones.py",
-           "out[:, 0], out[:, 1] = k, cone.d - k",
-           "out[:, 0], out[:, 1] = cone.d - k, k",
+           "columns=lambda cone: (1, 2), dofs=_split_dofs, norms=_split_norms)",
+           "columns=lambda cone: (1, 2), dofs=_split_dofs,"
+           " norms=lambda cone, x, z: (z[:, 1], z[:, 0]))",
            ("tests/test_sampling.py::test_orthant_norms_given_face_dimension",)),
     Mutant("subspace-chi-square-dofs-swapped", "src/conevol/cones.py",
            "out[:, 0], out[:, 1] = k, ambient_dim(cone) - k",
@@ -125,15 +128,23 @@ MUTANTS = (
            "values[::stride]",
            ("tests/test_profiles.py::test_estimator_digest_is_pinned",
             "tests/test_sampling.py::test_small_chunk_monte_carlo_digest_is_pinned")),
-    Mutant("face-path-drops-subspace-dimension", _SAMPLING,
-           "sum(chi_square_dofs(cone, X, fill=False)[1],",
-           "sum((f for f in chi_square_dofs(cone, X, fill=False)[1] if np.ndim(f)),",
-           ("tests/test_sampling.py::test_face_estimate_equals_the_estimate_from_a_summary",)),
-    # keeps every bit but projects: only the test that forbids projection sees it
-    Mutant("face-route-projects", _SAMPLING,
-           "direct = faces_only and faces_from_dofs(cone)",
-           "direct = False",
-           ("tests/test_sampling.py::test_face_estimate_draws_no_chi_square_and_projects_nothing",)),
+    Mutant("face-path-drops-subspace-dimension", "src/conevol/cones.py",
+           'faces=lambda cone, x: getattr(cone, "dim", 0),',
+           "faces=lambda cone, x: 0,",
+           ("tests/test_sampling.py::test_face_histogram_is_binomial",
+            "tests/test_cones.py::test_norms_block_has_one_formula_per_sampled_leaf")),
+    Mutant("product-drops-generator-faces", "src/conevol/cones.py",
+           "for leaf, kind, g, _ in _leaves(cone)),",
+           "for leaf, kind, g, _ in _leaves(cone)"
+           " if leaf is cone or not isinstance(leaf, Generators)),",
+           ("tests/test_sampling.py::test_face_estimate_digest_is_pinned",)),
+    # keeps every bit but builds the chi-square stream on the face route:
+    # only the tests that forbid it see it
+    Mutant("face-route-builds-chi-square-stream", _SAMPLING,
+           "if columns and not faces_only else None",
+           "if columns else None",
+           ("tests/test_sampling.py::test_face_estimate_draws_no_chi_square_and_projects_nothing",
+            "tests/test_sampling.py::test_generator_face_estimate_draws_no_chi_square")),
     Mutant("pivoting-dual-test-flipped", _LINALG,
            "y < -tol[:, None]",
            "y > tol[:, None]",

@@ -94,7 +94,8 @@ def _parse_grid(text):
 
 def _mc_config(args):
     return MonteCarloConfig(seed=args.seed, total_samples=args.samples,
-                            reservoir_cap=getattr(args, "reservoir_cap", 100_000))
+                            reservoir_cap=getattr(args, "reservoir_cap",
+                                                  MonteCarloConfig.reservoir_cap))
 
 
 _ESTIMATORS = {
@@ -286,8 +287,8 @@ def build_parser():
     p.add_argument("--method", choices=("exact", "face", "biorth", "mixture"),
                    default="exact")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--reservoir-cap", type=int, default=100_000,
-                   help="retained-sample cap for biorth/mixture (default 100000)")
+    p.add_argument("--reservoir-cap", type=int, default=MonteCarloConfig.reservoir_cap,
+                   help="retained-sample cap for biorth/mixture (default %(default)s)")
     p.set_defaults(handler=_cmd_profile)
 
     p = sub.add_parser("sdim", help="statistical dimension estimate")

@@ -3,18 +3,20 @@
 A cone is described by a small immutable dataclass; composite cones are
 built with Product and Polar wrappers.  norms_block gives, for a block of
 Gaussian points drawn in the sampled coordinates of sampled_layout, the
-squared norms s = ||proj_C(x)||^2 and t = dist^2(x, C) of each point and,
-for polyhedral cones, the dimension of the face its projection lies in.
+squared norms s = ||proj_C(x)||^2 and t = dist^2(x, C) of each point.
 The residual x - proj_C(x) is the projection onto the polar cone and is
 orthogonal to proj_C(x), so the polar cone's pair is (t, s): the pair
 (s, t) is all the general Steiner formula of McCoy and Tropp needs.
+face_dims gives, for polyhedral cones, the dimension of the face each
+projection lies in, a separate statistic, from the Gaussian coordinates
+alone.
 
 Everything per family lives in one leaf table, _LEAVES, with one entry
 per leaf type: its spec grammar (keyword, field readers, constructor),
 which parse_cone_spec reads, its closed-form profile, which
 profiles.exact_profile folds over a cone's leaves, and its sampled
-coordinates and norms.  _fold is the one recursion through Product and
-Polar.
+coordinates, face dimensions and norms.  _fold is the one recursion
+through Product and Polar.
 """
 
 import math
@@ -148,17 +150,8 @@ def ambient_dim(cone):
 
 def supports_face_dim(cone):
     """True when per-sample face dimensions are defined (polyhedral variants)."""
-    return _fold(cone, lambda kind, leaf: kind.faces, lambda a, b: a and b,
+    return _fold(cone, lambda kind, leaf: kind.faces is not None, lambda a, b: a and b,
                  lambda inner: False)
-
-
-def faces_from_dofs(cone):
-    """True when chi_square_dofs gives the face dimension of every leaf, an
-    orthant's K and a subspace's or trivial cone's k: products of such
-    leaves, with no polar and no generator leaf, whose faces come from its
-    projection."""
-    return _fold(cone, lambda kind, leaf: kind.faces and not isinstance(leaf, Generators),
-                 lambda a, b: a and b, lambda inner: False)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +200,17 @@ def load_generators(path):
 # hot path
 # ---------------------------------------------------------------------------
 
-# One leaf type: ambient, faces and spec serve the functions of those names
-# (spec cone_to_spec); grammar, (keyword, field readers, constructor),
-# serves parse_cone_spec, and profile, the closed-form profile v_0..v_d of
-# a leaf or None where it has none, profiles.exact_profile; columns,
-# dofs(cone, x, out) and norms serve its sampled coordinates in
-# sampled_layout, chi_square_dofs (writing a leaf's columns to out; the
-# orthant and subspace entries also take out=None, which writes nothing)
-# and norms_block.
+# One leaf type: ambient and spec serve the functions of those names (spec
+# cone_to_spec); grammar, (keyword, field readers, constructor), serves
+# parse_cone_spec, and profile, the closed-form profile v_0..v_d of a leaf
+# or None where it has none, profiles.exact_profile; columns serves its
+# sampled coordinates in sampled_layout; faces(cone, x), the face
+# dimensions of the rows x of its Gaussian columns, or None for a leaf
+# without faces, serves face_dims and supports_face_dim; dofs(cone, x, out)
+# writes the degrees of freedom of its chi-square columns to out for
+# chi_square_dofs; and norms(cone, x, z), its (s, t) from its Gaussian
+# columns x and chi-square columns z, serves norms_block.  Only a generator
+# leaf projects to find its faces.
 _Leaf = namedtuple("_Leaf", "ambient faces spec grammar profile columns dofs norms")
 
 _PI_FORM = re.compile(r"^(\d+(?:\.\d*)?)?pi(?:/(\d+(?:\.\d*)?))?$", re.IGNORECASE)
@@ -258,23 +254,24 @@ def _psd_profile(cone):
             3: [v0, v1, 0.25 - v0, 1.0 - r, 0.25 - v0, v1, v0]}.get(cone.n)
 
 
-def _subspace_dofs(cone, x, out):
-    k = getattr(cone, "dim", 0)
-    if out is not None:
-        out[:, 0], out[:, 1] = k, ambient_dim(cone) - k
-    return k
-
-
-def _orthant_dofs(cone, x, out):
+def _orthant_faces(cone, x):
     # K = searchsorted(z, x), the number of the leaf's thresholds
     # special.binomial_normal_thresholds below its normal x: Binomial(d, 1/2)
-    k = np.searchsorted(binomial_normal_thresholds(cone.d), x[:, 0])
-    if out is not None:
-        out[:, 0], out[:, 1] = k, cone.d - k
-    return k
+    return np.searchsorted(binomial_normal_thresholds(cone.d), x[:, 0])
 
 
-def _circular_norms(cone, x, z, _):
+def _split_dofs(cone, x, out):
+    # an orthant's or subspace's s ~ chi-square(k) and t ~ chi-square(d - k),
+    # k its face dimension
+    k = _LEAVES[type(cone)].faces(cone, x)
+    out[:, 0], out[:, 1] = k, ambient_dim(cone) - k
+
+
+def _split_norms(cone, x, z):
+    return z[:, 0], z[:, 1]
+
+
+def _circular_norms(cone, x, z):
     # from x_1 and r^2 = ||z||^2 alone: between the cone and its polar,
     # x projects onto the boundary ray of the plane of e_1 and x, along
     # which it has length rho = x_1 cos(alpha) + r sin(alpha)
@@ -284,7 +281,7 @@ def _circular_norms(cone, x, z, _):
     nrm = np.sqrt(sq)
     rho = x1 * ca + np.sqrt(r2) * sa
     s = np.where(x1 >= nrm * ca, sq, np.where(x1 <= -nrm * sa, 0.0, rho * rho))
-    return s, sq - s, None
+    return s, sq - s
 
 
 def _matrix_slices(count, n):
@@ -298,7 +295,7 @@ def _matrix_slices(count, n):
         yield rows, mats[:rows.stop - r0]
 
 
-def _psd_norms(cone, x, z, _):
+def _psd_norms(cone, x, z):
     # s and t: squared norms of the positive and negative eigenvalues of the
     # tridiagonal matrices with diagonal x, subdiagonal sqrt(z / 2) (lower only)
     n = cone.n
@@ -312,13 +309,12 @@ def _psd_norms(cone, x, z, _):
         neg = vals - pos
         s[rows] = np.einsum("ij,ij->i", pos, pos)
         t[rows] = np.einsum("ij,ij->i", neg, neg)
-    return s, t, None
+    return s, t
 
 
-def _generator_norms(cone, x, z, _):
-    """Norms of the projections of the rows of x onto a generator cone,
-    and the face dimension of each: the number of generators it puts
-    weight on.
+def _generator_faces(cone, x):
+    """The face dimension of the projection of each row of x onto a
+    generator cone: the number of generators it puts weight on.
 
     The passive generators of nnls_solve are linearly independent, so
     that count is their rank: block principal pivoting runs only on
@@ -329,15 +325,17 @@ def _generator_norms(cone, x, z, _):
     makes the count independent of the generators' lengths.
     """
     g = cone.matrix
-    tau = nnls_solve(g, x)
+    weight = nnls_solve(g, x) * np.sqrt(np.einsum("ij,ij->i", g, g))
+    thresh = 1e-12 * (1.0 + np.sqrt(np.einsum("ij,ij->i", x, x)))
+    return np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
+
+
+def _generator_norms(cone, x, z):
     # one vector-matrix product per row keeps each row's bits independent
     # of the block it came in
-    proj = np.matmul(tau[:, None, :], g)[:, 0]
+    proj = np.matmul(nnls_solve(cone.matrix, x)[:, None, :], cone.matrix)[:, 0]
     resid = x - proj
-    thresh = 1e-12 * (1.0 + np.sqrt(np.einsum("ij,ij->i", x, x)))
-    weight = tau * np.sqrt(np.einsum("ij,ij->i", g, g))
-    faces = np.count_nonzero(weight > thresh[:, None], axis=1).astype(np.int64)
-    return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid), faces
+    return np.einsum("ij,ij->i", proj, proj), np.einsum("ij,ij->i", resid, resid)
 
 
 def _generator_spec(cone):
@@ -347,11 +345,10 @@ def _generator_spec(cone):
 
 
 _SUBSPACE = _Leaf(
-    ambient=lambda cone: cone.ambient, faces=True,
+    ambient=lambda cone: cone.ambient, faces=lambda cone, x: getattr(cone, "dim", 0),
     spec=lambda cone: f"subspace:{cone.dim}:{cone.ambient}",
     grammar=("subspace", (_INTEGER, _INTEGER), Subspace), profile=_subspace_profile,
-    columns=lambda cone: (0, 2), dofs=_subspace_dofs,
-    norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], np.full(x.shape[0], k, dtype=np.int64)))
+    columns=lambda cone: (0, 2), dofs=_split_dofs, norms=_split_norms)
 
 _LEAVES = {
     Subspace: _SUBSPACE,
@@ -360,25 +357,24 @@ _LEAVES = {
                                 spec=lambda cone: f"trivial:{cone.d}",
                                 grammar=("trivial", (_INTEGER,), Trivial)),
     Orthant: _Leaf(
-        ambient=lambda cone: cone.d, faces=True, spec=lambda cone: f"orthant:{cone.d}",
+        ambient=lambda cone: cone.d, faces=_orthant_faces, spec=lambda cone: f"orthant:{cone.d}",
         grammar=("orthant", (_INTEGER,), Orthant),
         profile=lambda cone: [math.comb(cone.d, k) / 2.0 ** cone.d for k in range(cone.d + 1)],
-        columns=lambda cone: (1, 2), dofs=_orthant_dofs,
-        norms=lambda cone, x, z, k: (z[:, 0], z[:, 1], k)),
+        columns=lambda cone: (1, 2), dofs=_split_dofs, norms=_split_norms),
     Circular: _Leaf(
-        ambient=lambda cone: cone.d, faces=False,
+        ambient=lambda cone: cone.d, faces=None,
         spec=lambda cone: "circ:%d:%.17g" % (cone.d, cone.alpha),
         grammar=("circ", (_INTEGER, _ANGLE), Circular), profile=None,
         columns=lambda cone: (1, 1), dofs=lambda cone, x, out: out.fill(cone.d - 1),
         norms=_circular_norms),
     Psd: _Leaf(
-        ambient=lambda cone: cone.n * (cone.n + 1) // 2, faces=False,
+        ambient=lambda cone: cone.n * (cone.n + 1) // 2, faces=None,
         spec=lambda cone: f"psd:{cone.n}", grammar=("psd", (_INTEGER,), Psd),
         profile=_psd_profile, columns=lambda cone: (cone.n, cone.n - 1),
         dofs=lambda cone, x, out: np.copyto(out, np.arange(cone.n - 1, 0, -1)),
         norms=_psd_norms),
     Generators: _Leaf(
-        ambient=lambda cone: cone.matrix.shape[1], faces=True, spec=_generator_spec,
+        ambient=lambda cone: cone.matrix.shape[1], faces=_generator_faces, spec=_generator_spec,
         grammar=("gens", (_PATH,), load_generators), profile=None,
         columns=lambda cone: (cone.matrix.shape[1], 0),
         dofs=lambda cone, x, out: None, norms=_generator_norms),
@@ -441,35 +437,44 @@ def sampled_layout(cone):
     return width.stop, columns.stop
 
 
-def chi_square_dofs(cone, X, fill=True):
-    """(dofs, faces) for sampled Gaussian columns X: dofs, of shape (B,
-    columns), holds the degrees of freedom of the chi-square columns, and
-    faces what norms_block needs of them, one entry per leaf.  An orthant
-    leaf's columns are K and d - K, its entry K; a subspace's k and d - k,
-    entry k; a circular leaf's d - 1 and a psd leaf's n - 1, ..., 1, entry
-    None.  With fill=False, for a cone of faces_from_dofs, dofs is None
-    and only the faces are found."""
+def chi_square_dofs(cone, X):
+    """The degrees of freedom, of shape (B, columns), of the chi-square
+    columns for sampled Gaussian columns X: an orthant leaf's K and d - K,
+    a subspace's k and d - k, a circular leaf's d - 1 and a psd leaf's
+    n - 1, ..., 1."""
     leaves = _leaves(cone)
-    dofs = np.empty((X.shape[0], leaves[-1][3].stop)) if fill else None
-    return dofs, [kind.dofs(leaf, X[:, g], None if dofs is None else dofs[:, c])
-                  for leaf, kind, g, c in leaves]
+    dofs = np.empty((X.shape[0], leaves[-1][3].stop))
+    for leaf, kind, g, c in leaves:
+        kind.dofs(leaf, X[:, g], dofs[:, c])
+    return dofs
 
 
-def norms_block(cone, X, Z=None, faces=None):
+def face_dims(cone, X):
+    """The dimension of the face of a cone of supports_face_dim that the
+    projection of each point lies in, from its sampled Gaussian columns X
+    alone: the sum over the leaves of an orthant's K, a subspace's or
+    trivial cone's k and a generator leaf's count of weighted generators,
+    for which it alone projects (one nnls_solve call per block).  Any other
+    cone raises UnsupportedConeError."""
+    if not supports_face_dim(cone):
+        raise UnsupportedConeError(f"{type(cone).__name__} has no face dimensions")
+    return sum((kind.faces(leaf, X[:, g]) for leaf, kind, g, _ in _leaves(cone)),
+               np.zeros(X.shape[0], dtype=np.int64))
+
+
+def norms_block(cone, X, Z=None):
     """Squared projection / residual norms for a block of points.
 
     The points are given in the sampled coordinates of
     sampled_layout(cone), as map_chunks draws them: X, of shape (B, W),
     the Gaussian columns and Z, of shape (B, L), the chi-square columns,
     which a cone without chi-square columns (generator leaves, Psd(1)) may
-    leave out.  faces is what chi_square_dofs gave for X, found again if
-    not given.
+    leave out.
 
-    Returns (s, t, face_dims) where s[i] is ||proj_C(x_i)||^2, t[i] =
-    ||x_i||^2 - s[i] is the squared distance to the cone, and face_dims
-    is an int array or None when the variant has no face structure.  A
-    generator cone solves the whole block with one nnls_solve call; every
-    row gets the bits it would get alone, whatever block it comes in.
+    Returns (s, t) where s[i] is ||proj_C(x_i)||^2 and t[i] = ||x_i||^2 -
+    s[i] is the squared distance to the cone.  A generator cone solves the
+    whole block with one nnls_solve call; every row gets the bits it would
+    get alone, whatever block it comes in.
     """
     X = np.asarray(X, dtype=float)
     Z = np.empty(X.shape[:1] + (0,)) if Z is None else np.asarray(Z, dtype=float)
@@ -479,17 +484,9 @@ def norms_block(cone, X, Z=None, faces=None):
         raise DimensionMismatchError(
             f"blocks of shape {X.shape} and {Z.shape} do not fit {width} Gaussian "
             f"and {columns} chi-square columns")
-    if faces is None:
-        faces = chi_square_dofs(cone, X)[1]
-    parts = iter([kind.norms(leaf, X[:, g], Z[:, c], face)
-                  for (leaf, kind, g, c), face in zip(leaves, faces)])
+    parts = iter([kind.norms(leaf, X[:, g], Z[:, c]) for leaf, kind, g, c in leaves])
     return _fold(cone, lambda kind, leaf: next(parts),
-                 lambda a, b: (a[0] + b[0], a[1] + b[1], _add_faces(a[2], b[2])),
-                 lambda inner: (inner[1], inner[0], None))
-
-
-def _add_faces(left, right):
-    return left + right if (left is not None and right is not None) else None
+                 lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda inner: inner[::-1])
 
 
 # ---------------------------------------------------------------------------

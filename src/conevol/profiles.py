@@ -56,17 +56,6 @@ class IntrinsicVolumeProfile:
             raise ValueError(f"profile must have length d+1 = {self.d+1}, got {v.shape}")
         object.__setattr__(self, "v", v)
 
-    @property
-    def statistical_dimension(self):
-        """Mean of the profile distribution, sum k * v_k."""
-        return float(np.dot(np.arange(self.d + 1), self.v))
-
-    @property
-    def variance(self):
-        k = np.arange(self.d + 1)
-        mu = self.statistical_dimension
-        return float(np.dot((k - mu) ** 2, self.v))
-
 
 def profile_from_raw(d, raw, stderr, provenance):
     raw = np.asarray(raw, dtype=float)
@@ -212,11 +201,12 @@ def estimate_profile_face(cone, config, workers=None):
 
     v_k is the share of samples whose projection lies in the relative
     interior of a k-dimensional face.  The face dimensions are streamed
-    alone (sampling.map_chunks with faces_only) and counted chunk by
-    chunk: an orthant's or subspace's take no chi-square draws and no
-    projection, and no cone's take theta moments or a reservoir.  They
-    come from the same Gaussian stream as run_summary's, so they are the
-    face dimensions of the rows run_summary projects.  Any other cone
+    alone (sampling.map_chunks with faces_only, cones.face_dims of the
+    Gaussian columns) and counted chunk by chunk: no cone's take a
+    chi-square draw, a norms_block call, theta moments or a reservoir, and
+    only a generator leaf projects, for its count of weighted generators.
+    They come from the same Gaussian stream as run_summary's, so they are
+    the face dimensions of the rows run_summary projects.  Any other cone
     raises UnsupportedConeError from map_chunks, before a row is drawn.
     """
     d, n = ambient_dim(cone), config.total_samples

@@ -96,8 +96,8 @@ class CriterionResult:
     detail: str
 
 
-def _config(seed, n, cap=100_000):
-    return MonteCarloConfig(seed=seed, total_samples=n, reservoir_cap=cap)
+def _config(seed, n):
+    return MonteCarloConfig(seed=seed, total_samples=n)
 
 
 def abs_z(diff, se):
@@ -229,7 +229,7 @@ def _c08_biorthogonal(base, ns, workers, cache):
             for k in range(d + 1):
                 val = sum(c * moments[n][k] for n, c in enumerate(coef))
                 worst_pair = max(worst_pair, float(abs(val - (j == k))))
-    config = _config(base + 808, ns["c8"], cap=ns["c8"])
+    config = MonteCarloConfig(seed=base + 808, total_samples=ns["c8"], reservoir_cap=ns["c8"])
     prof = estimate_profile_biorthogonal(Orthant(8), config, workers=workers)
     truth = exact_profile(Orthant(8)).v
     z = float(np.max(abs_z(prof.raw_v - truth, prof.stderr)))

@@ -33,16 +33,17 @@ stream: a unit's third key (u, 1) would be another unit's Gaussian key,
 and a binomial draw followed by the chi-square draws on one stream would
 make the values depend on how a unit is split into blocks.  A cone
 without Gaussian columns builds no Gaussian stream, and one without
-chi-square columns no chi-square stream.  A face estimate builds no
-chi-square stream: an orthant's K and a subspace's k are its face
-dimensions, so estimate_profile_face reads them off the Gaussian columns
-alone (map_chunks with faces_only), unless a generator leaf needs its
-projection for them.  The draws are a function of (seed, global row):
-chunk_size, which divides UNIT_ROWS, only decides how a unit's rows are
-grouped for reduction, and neither it nor the order in which units run,
-the worker thread that runs them or how a unit's streams are split into
-reads changes a value.  At the default chunk_size, UNIT_ROWS, every chunk
-is one unit.
+chi-square columns no chi-square stream.  No face estimate builds a
+chi-square stream or draws a chi-square value: face dimensions are a
+function of the Gaussian columns alone (cones.face_dims: an orthant's K,
+a subspace's k, a generator leaf's count of weighted generators), so
+estimate_profile_face reads them off those (map_chunks with faces_only),
+and only generator leaves project.  The draws are a function of (seed,
+global row): chunk_size, which divides UNIT_ROWS, only decides how a
+unit's rows are grouped for reduction, and neither it nor the order in
+which units run, the worker thread that runs them or how a unit's streams
+are split into reads changes a value.  At the default chunk_size,
+UNIT_ROWS, every chunk is one unit.
 
 Every Monte Carlo path (run_summary here; phi_mc, wills_mc,
 empirical_steiner_cdf and the Monte Carlo subspace_moment in steiner;
@@ -72,8 +73,8 @@ from functools import reduce
 
 import numpy as np
 
-from .cones import (ambient_dim, chi_square_dofs, faces_from_dofs, norms_block,
-                    sampled_layout, supports_face_dim)
+from .cones import (ambient_dim, chi_square_dofs, face_dims, norms_block, sampled_layout,
+                    supports_face_dim)
 from .exceptions import UnsupportedConeError
 
 _BLOCK_VALUES = 1 << 17         # values drawn per map_chunks row block: 1 MB of float64
@@ -264,33 +265,28 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     read in several blocks gives the same values as one read.  That call
     gives the bits of chisquare(dofs), and it also takes zero degrees of
     freedom (K = 0 or K = d, Subspace(0, d), Subspace(d, d), Trivial(d)),
-    which it draws as 0.  What chi_square_dofs found on the way (an
-    orthant's K) goes on to norms_block with the draws, so it is found
-    once.  The s and t fn sees are sums over the leaves: an orthant's two
-    chi-square draws, a subspace's two draws, a circular leaf's norms from
-    x_1 and ||z||^2, a psd leaf's from the eigenvalues of its tridiagonal
-    matrix, whose diagonal is n Gaussian columns and whose subdiagonal is
-    sqrt(z / 2) for n - 1 chi-square columns with degrees of freedom
+    which it draws as 0.  The s and t fn sees, from cones.norms_block,
+    are sums over the leaves: an orthant's two chi-square draws, a
+    subspace's two draws, a circular leaf's norms from x_1 and ||z||^2, a
+    psd leaf's from the eigenvalues of its tridiagonal matrix, whose
+    diagonal is n Gaussian columns and whose subdiagonal is sqrt(z / 2)
+    for n - 1 chi-square columns with degrees of freedom
     n - 1, ..., 1, and the norms of full generator rows.
 
     faces_only is for a cone with face dimensions (cones.supports_face_dim),
     and fn sees them alone, never with s and t; any other cone raises
-    UnsupportedConeError before a row is drawn.  When every leaf is an
-    orthant, a subspace or a trivial cone (cones.faces_from_dofs), they are
-    the sums of the leaves' entries of chi_square_dofs, an orthant's K
-    and a subspace's k, found without filling its degrees of freedom: the
-    Gaussian columns are drawn as above, and no chi-square stream,
-    chi-square draw or norms_block call is made.  A generator leaf finds
-    its face dimensions by projection, so such a cone takes the full path.
-    They depend on the Gaussian stream only, which is read as it is
-    without faces_only, so they belong to the rows whose s and t fn sees
-    without it.
+    UnsupportedConeError before a row is drawn.  They are cones.face_dims
+    of the Gaussian columns, drawn as above: no chi-square stream,
+    chi-square draw or norms_block call is made, and only a generator leaf
+    projects, for its count of weighted generators.  They depend on the
+    Gaussian stream only, which is read as it is without faces_only, so
+    they belong to the rows whose s and t fn sees without it.
 
     Each stream unit is one pool task, since its streams must be read in
     order.  A task reads them in near-equal row blocks of at most about
-    _BLOCK_VALUES drawn values, one norms_block call each, joins the
-    blocks' rows and calls fn on each chunk_size slice of them, with
-    chunk index unit * UNIT_ROWS // chunk_size + j for its j-th slice.
+    _BLOCK_VALUES drawn values, one norms_block or face_dims call each,
+    joins the blocks' rows and calls fn on each chunk_size slice of them,
+    with chunk index unit * UNIT_ROWS // chunk_size + j for its j-th slice.
     chunk_size divides UNIT_ROWS, so every chunk lies inside one unit.  A
     row's values depend on (seed, global row) only, never on chunk_size or
     the block size.  The results come back as a list in chunk-index
@@ -309,8 +305,6 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
     units, size = config.units(), config.chunk_size
     buffer_values = min(block_rows, units[0][1]) * width
     local = threading.local()
-    # face dimensions read off chi_square_dofs: no chi-square columns drawn
-    direct = faces_only and faces_from_dofs(cone)
 
     def block(gauss, chi, out, count):
         # (s, t), or (face dims,) for faces_only, of the next count rows of
@@ -319,29 +313,27 @@ def map_chunks(cone, config, fn, workers=None, faces_only=False):
         X = out[:count * width].reshape(count, width)
         if width:
             gaussian_block(gauss, out, count, width)
-        if direct:
-            return (sum(chi_square_dofs(cone, X, fill=False)[1],
-                        np.zeros(count, dtype=np.int64)),)
-        Z, faces = chi_square_dofs(cone, X)
+        if faces_only:
+            return (face_dims(cone, X),)
+        Z = chi_square_dofs(cone, X)
         if columns:
             # one array: the halved degrees of freedom are the gamma shapes,
             # and each draw overwrites the shape it was drawn with
             Z *= 0.5
             chi.standard_gamma(Z, out=Z)
             Z *= 2.0
-        norms = norms_block(cone, X, Z, faces)
-        return norms[2:] if faces_only else norms[:2]
+        return norms_block(cone, X, Z)
 
     def work(task):
         # fn's result for each chunk of one unit, in chunk order.  One block
         # buffer per worker thread, reused by each of its tasks; norms_block
-        # returns new arrays, so what fn sees never aliases it
+        # and face_dims return new arrays, so what fn sees never aliases it
         unit, count = task
         buffer = getattr(local, "buffer", None)
         if buffer is None:
             buffer = local.buffer = np.empty(buffer_values)
         gauss = unit_rng(config.seed, unit) if width else None
-        chi = unit_chi_square_rng(config.seed, unit) if columns and not direct else None
+        chi = unit_chi_square_rng(config.seed, unit) if columns and not faces_only else None
         step = -(-count // -(-count // block_rows))   # near-equal blocks of <= block_rows
         arrays = _join([block(gauss, chi, buffer, min(step, count - r0))
                         for r0 in range(0, count, step)])

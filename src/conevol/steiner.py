@@ -21,8 +21,6 @@ from .exceptions import NumericalGuardError
 from .sampling import MomentAccumulator, MonteCarloConfig, map_chunks, unit_rng
 from .special import beta_cdf_family, chi_square_cdf_family, gauss_laguerre
 
-GROWTH_TAGS = ("bounded", "poly", "exp")
-
 _DEFAULT_MC = MonteCarloConfig(seed=101, total_samples=10 ** 6)
 
 _PROBE = np.array([0.0, 0.25, 1.0, 4.0, 16.0, 60.0])
@@ -30,29 +28,21 @@ _PROBE = np.array([0.0, 0.25, 1.0, 4.0, 16.0, 60.0])
 
 @dataclass(frozen=True)
 class BivariateFunctional:
-    """A functional f(a, b) on the nonnegative quadrant with a growth tag.
+    """A functional f(a, b) on the nonnegative quadrant.
 
-    growth is one of "bounded", "poly", "exp"; the exponential tag
-    carries the rate xi with f(a,b) = O(exp(xi*(a+b))), and xi must stay
-    below 1/2 or the subspace moments diverge.  smooth declares that f is
-    regular enough for Gauss-Laguerre quadrature; set it False to force
-    the Monte Carlo fallback (kinks, plateaus, indicator-like shapes).
+    xi is its exponential rate, f(a,b) = O(exp(xi*(a+b))): 0 for bounded
+    and polynomial functionals, negative for decaying ones, and below 1/2,
+    or the subspace moments diverge.  smooth declares that f is regular
+    enough for Gauss-Laguerre quadrature; set it False to force the Monte
+    Carlo fallback (kinks, plateaus, indicator-like shapes).
     """
     fn: object
-    growth: str = "poly"
     xi: float = 0.0
     smooth: bool = True
-    name: str = ""
 
     def __post_init__(self):
-        if self.growth not in GROWTH_TAGS:
-            raise ValueError(f"growth must be one of {GROWTH_TAGS}, got {self.growth!r}")
-        if self.growth == "exp":
-            if not self.xi < 0.5:
-                raise ValueError(
-                    f"exponential rate xi={self.xi} >= 1/2: subspace moments diverge")
-        elif self.xi:
-            raise ValueError("xi is only meaningful for the exp growth tag")
+        if not self.xi < 0.5:
+            raise ValueError(f"exponential rate xi={self.xi} >= 1/2: subspace moments diverge")
         a, b = np.meshgrid(_PROBE, _PROBE)
         vals = np.asarray(self.fn(a.ravel(), b.ravel()), dtype=float)
         if vals.shape != a.ravel().shape:
@@ -67,14 +57,11 @@ class BivariateFunctional:
 def preset_functionals():
     """The named functionals exercised by the regression battery."""
     return {
-        "a": BivariateFunctional(lambda a, b: a, growth="poly", name="a"),
-        "b": BivariateFunctional(lambda a, b: b, growth="poly", name="b"),
-        "a2": BivariateFunctional(lambda a, b: a * a, growth="poly", name="a2"),
-        "min_a_10": BivariateFunctional(lambda a, b: np.minimum(a, 10.0),
-                                        growth="bounded", smooth=False,
-                                        name="min_a_10"),
-        "exp_a4": BivariateFunctional(lambda a, b: np.exp(0.25 * a),
-                                      growth="exp", xi=0.25, name="exp_a4"),
+        "a": BivariateFunctional(lambda a, b: a),
+        "b": BivariateFunctional(lambda a, b: b),
+        "a2": BivariateFunctional(lambda a, b: a * a),
+        "min_a_10": BivariateFunctional(lambda a, b: np.minimum(a, 10.0), smooth=False),
+        "exp_a4": BivariateFunctional(lambda a, b: np.exp(0.25 * a), xi=0.25),
     }
 
 
@@ -84,8 +71,8 @@ def _scaled_chi_rule(dof, xi, n=96):
 
     Exponential tilting: substituting y = (1 - 2 xi) s / 2 into the
     chi-square density makes the rule exact for g(s) = exp(xi*s) * poly(s),
-    which is what the exponential growth tag promises.  dof = 0 is the
-    point mass at the origin.  Memoized per (dof, xi, n), as gauss_laguerre
+    which is what a functional's exponential rate xi promises.  dof = 0 is
+    the point mass at the origin.  Memoized per (dof, xi, n), as gauss_laguerre
     is; the arrays are read-only.
     """
     if dof == 0:
@@ -110,11 +97,11 @@ def subspace_moment(f, k, d, config=None, workers=None):
     """
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    xi = f.xi if f.growth == "exp" else 0.0
+    xi = f.xi
     if f.smooth:
-        # A growing tag (xi > 0) needs the exact tilt or the grid corners
-        # blow up.  A decaying tag must NOT be tilted all the way: sigma
-        # = 1 - 2 xi >= 2 pushes any axis where f is flat outside the
+        # A growing functional (xi > 0) needs the exact tilt or the grid
+        # corners blow up.  A decaying one must NOT be tilted all the way:
+        # sigma = 1 - 2 xi >= 2 pushes any axis where f is flat outside the
         # weighted L2 space of the rule and the quadrature falls apart.
         # Cap the tilt at sigma = 1.8 and buy accuracy with nodes instead;
         # the residual decay rate c gives a Laguerre coefficient ratio
@@ -129,7 +116,7 @@ def subspace_moment(f, k, d, config=None, workers=None):
         A, B = np.meshgrid(sa, sb, indexing="ij")
         W = np.outer(wa, wb)
         if xi > 0.0:
-            # far grid corners would overflow exp-tagged functionals; their
+            # far grid corners would overflow growing functionals; their
             # true contribution is below the untilted Laguerre weight there,
             # which is already ~1e-90 of the total, so zero them out
             safe = xi * (A + B) <= 600.0

@@ -22,13 +22,14 @@ from conevol.cones import (
     ambient_dim,
     chi_square_dofs,
     cone_to_spec,
+    face_dims,
     load_generators,
     norms_block,
     sampled_layout,
     second_order_cone,
     supports_face_dim,
 )
-from conevol.exceptions import ConeSpecError, DimensionMismatchError
+from conevol.exceptions import ConeSpecError, DimensionMismatchError, UnsupportedConeError
 from conevol.linalg import nnls_solve
 from nnls_oracle import active_ranks, pointed_wide_generators, reference_norms
 from projection_oracle import project, sampled, sym_to_vec, vec_to_sym
@@ -265,7 +266,7 @@ def test_generator_face_dims_are_active_ranks(seed):
         X = rng.standard_normal((400, g.shape[1]))
         tau = nnls_solve(g, X)
         assert np.count_nonzero(tau > 0.0, axis=1).max() <= g.shape[1]
-        assert np.array_equal(norms_block(Generators(g), X)[2], active_ranks(g, X, tau))
+        assert np.array_equal(face_dims(Generators(g), X), active_ranks(g, X, tau))
 
 
 def _rotated_orthant(lengths, seed):
@@ -277,8 +278,8 @@ def _rotated_orthant(lengths, seed):
 def test_generator_face_dims_ignore_generator_lengths(lengths):
     # rescaling a generator moves neither the projection nor its face
     X = np.random.default_rng(5).standard_normal((400, len(lengths)))
-    unit = norms_block(Generators(_rotated_orthant(np.ones(len(lengths)), 9)), X)[2]
-    scaled = norms_block(Generators(_rotated_orthant(lengths, 9)), X)[2]
+    unit = face_dims(Generators(_rotated_orthant(np.ones(len(lengths)), 9)), X)
+    scaled = face_dims(Generators(_rotated_orthant(lengths, 9)), X)
     assert np.array_equal(scaled, unit)
     assert set(unit.tolist()) >= set(range(1, len(lengths)))
 
@@ -288,18 +289,23 @@ def test_generator_face_dims_ignore_generator_lengths(lengths):
 # ---------------------------------------------------------------------------
 
 def _check_against_oracle(cone, rows, seed):
-    # norms_block on the sampled statistics of full rows against the
-    # oracle's projections of those rows, which share no code with it
+    # norms_block, and face_dims on the Gaussian columns alone, on the
+    # sampled statistics of full rows against the oracle's projections of
+    # those rows, which share no code with them
     X = np.random.default_rng(seed).standard_normal((rows, ambient_dim(cone)))
     gauss, chi = sampled(cone, X)
     assert sampled_layout(cone) == (gauss.shape[1], chi.shape[1])
-    s, t, faces = norms_block(cone, gauss, chi)
+    s, t = norms_block(cone, gauss, chi)
     p, ref_faces = project(cone, X)
     tol = 1e-12 * (1.0 + np.einsum("ij,ij->i", X, X))
     assert np.all(np.abs(s - np.einsum("ij,ij->i", p, p)) <= tol)
     assert np.all(np.abs(t - np.einsum("ij,ij->i", X - p, X - p)) <= tol)
-    assert (faces is not None) == (ref_faces is not None) == supports_face_dim(cone)
-    assert faces is None or np.array_equal(faces, ref_faces)
+    assert (ref_faces is not None) == supports_face_dim(cone)
+    if ref_faces is None:
+        with pytest.raises(UnsupportedConeError, match="no face dimensions"):
+            face_dims(cone, gauss)
+    else:
+        assert np.array_equal(face_dims(cone, gauss), ref_faces)
     # norms_block takes sampled rows only: full rows are the sampled rows
     # of a cone without chi-square columns, and of no other
     with pytest.raises(DimensionMismatchError):
@@ -338,18 +344,20 @@ def test_sampled_layout_lists_circular_leaves_left_to_right():
     cone = Product(Polar(Circular(4, 0.3)), Product(Psd(2), Circular(6, 0.5)))
     assert sampled_layout(cone) == (1 + 2 + 1, 1 + 1 + 1)
     X = np.zeros((2, 4))
-    assert np.array_equal(chi_square_dofs(cone, X)[0], [[3.0, 1.0, 5.0]] * 2)
+    assert np.array_equal(chi_square_dofs(cone, X), [[3.0, 1.0, 5.0]] * 2)
     # orthant and subspace leaves, left to right, each orthant's normal
-    # standing for its face dimension, which X keeps and faces hands on
+    # standing for its face dimension, which X keeps
     cone = Product(Orthant(3), Product(Subspace(1, 4), Polar(Orthant(2))))
     assert sampled_layout(cone) == (2, 6)
     X = np.array([[-40.0, 40.0], [40.0, -40.0]])
-    dofs, faces = chi_square_dofs(cone, X)
+    dofs = chi_square_dofs(cone, X)
     assert np.array_equal(dofs, [[0.0, 3.0, 1.0, 3.0, 2.0, 0.0], [3.0, 0.0, 1.0, 3.0, 0.0, 2.0]])
-    assert np.array_equal(faces[0], [0, 3]) and faces[1] == 1 and np.array_equal(faces[2], [2, 0])
+    # the face dimension is the sum of the leaves' K and k, read off X alone
+    unpolar = Product(Orthant(3), Product(Subspace(1, 4), Orthant(2)))
+    assert np.array_equal(face_dims(unpolar, X), [0 + 1 + 2, 3 + 1 + 0])
     assert np.array_equal(X, [[-40.0, 40.0], [40.0, -40.0]])
     assert sampled_layout(Product(Psd(2), Trivial(2))) == (2, 1 + 2)
-    assert np.array_equal(chi_square_dofs(Psd(5), np.zeros((1, 5)))[0], [[4.0, 3.0, 2.0, 1.0]])
+    assert np.array_equal(chi_square_dofs(Psd(5), np.zeros((1, 5))), [[4.0, 3.0, 2.0, 1.0]])
     assert sampled_layout(Psd(1)) == (1, 0)
 
 
@@ -358,11 +366,11 @@ def test_psd_norms_do_not_depend_on_matrix_slices(monkeypatch):
     # entries, and eigvalsh works matrix by matrix
     cone = Product(Psd(4), Polar(Psd(3)))
     gauss = np.random.default_rng(35).standard_normal((300, ambient_dim(cone)))[:, :7]
-    chi = 2.0 * np.random.default_rng(36).standard_gamma(0.5 * chi_square_dofs(cone, gauss)[0])
-    s0, t0, _ = norms_block(cone, gauss, chi)
+    chi = 2.0 * np.random.default_rng(36).standard_gamma(0.5 * chi_square_dofs(cone, gauss))
+    s0, t0 = norms_block(cone, gauss, chi)
     for entries in (1, 37, 1 << 24):
         monkeypatch.setattr(cones, "_STACK_VALUES", entries)
-        s, t, _ = norms_block(cone, gauss, chi)
+        s, t = norms_block(cone, gauss, chi)
         assert np.array_equal(s, s0) and np.array_equal(t, t0)
 
 
@@ -375,7 +383,8 @@ def test_generator_norms_block_memory_is_bounded():
     X = rng.standard_normal((1024, 40))
     tracemalloc.start()
     try:
-        s, t, faces = norms_block(cone, X)
+        s, t = norms_block(cone, X)
+        faces = face_dims(cone, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -395,7 +404,8 @@ def test_pointed_generator_norms_block_memory_is_bounded():
     X = np.random.default_rng(33).standard_normal((10922, 12))
     tracemalloc.start()
     try:
-        s, t, faces = norms_block(cone, X)
+        s, t = norms_block(cone, X)
+        faces = face_dims(cone, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

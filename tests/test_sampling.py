@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conevol import sampling
+from conevol import cones, sampling
 from conevol.cones import (
     Circular,
     Generators,
@@ -24,11 +24,13 @@ from conevol.cones import (
     Trivial,
     ambient_dim,
     chi_square_dofs,
+    face_dims,
     norms_block,
     sampled_layout,
     supports_face_dim,
 )
 from conevol.exceptions import UnsupportedConeError
+from conevol.linalg import nnls_solve
 from conevol.profiles import (
     estimate_profile_face,
     exact_profile,
@@ -334,17 +336,20 @@ def _unit_draws(cone, seed, unit, count):
     X = _unit_gaussians(seed, unit, count, width)
     if not columns:
         return (X,)
-    dofs, faces = chi_square_dofs(cone, X)
-    return X, 2.0 * unit_chi_square_rng(seed, unit).standard_gamma(0.5 * dofs), faces
+    return X, 2.0 * unit_chi_square_rng(seed, unit).standard_gamma(0.5 * chi_square_dofs(cone, X))
 
 
 def _reference_rows(cone, config):
     """(s, t, face dims) of every row of a run: one read of each unit's
-    streams and one norms_block per whole unit.  Face dims are None for a
-    cone without them."""
-    norms = [norms_block(cone, *_unit_draws(cone, config.seed, unit, count))
-             for unit, count in config.units()]
-    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*norms))
+    streams, one norms_block and, for a cone with face dims, one face_dims
+    of its Gaussian columns per whole unit.  Face dims are None for a cone
+    without them."""
+    rows = []
+    for unit, count in config.units():
+        draws = _unit_draws(cone, config.seed, unit, count)
+        faces = face_dims(cone, draws[0]) if supports_face_dim(cone) else None
+        rows.append((*norms_block(cone, *draws), faces))
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*rows))
 
 
 def _reference_map_chunks(cone, config, fn, faces_only=False):
@@ -563,10 +568,11 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block_values):
 
 # face estimates stream face dimensions alone: an orthant's K, a subspace's
 # constant k (subspace:3:9 has no Gaussian column), a trivial cone's 0, and
-# a generator cone on the full path, whose faces come from NNLS
+# a generator leaf's count of weighted generators, which comes from NNLS
 _FACE_CONES = [Orthant(7), Subspace(3, 9), Trivial(4), Product(Orthant(3), Subspace(2, 5)),
-               Generators(np.eye(4))]
-_FACE_IDS = ["orthant:7", "subspace:3:9", "trivial:4", "prod(orthant:3,subspace:2:5)", "gens:I_4"]
+               Generators(np.eye(4)), Product(Orthant(3), Generators(np.eye(4)))]
+_FACE_IDS = ["orthant:7", "subspace:3:9", "trivial:4", "prod(orthant:3,subspace:2:5)", "gens:I_4",
+             "prod(orthant:3,gens:I_4)"]
 
 
 def _face_configs():
@@ -596,21 +602,68 @@ def test_face_estimate_equals_the_estimate_from_a_summary(monkeypatch, cone):
             assert np.array_equal(got.stderr, np.sqrt(ref * (1.0 - ref) / cfg.total_samples))
 
 
-def test_face_estimate_draws_no_chi_square_and_projects_nothing(monkeypatch):
-    # for a cone without a generator leaf, K and k come with the Gaussian
-    # columns: the face path builds no chi-square stream and calls no
-    # norms_block
+def _face_estimate_projections(monkeypatch, cone):
+    """The number of rows nnls_solve projects for face estimates of the
+    cone at chunk sizes 8 and 512, on 1 and 3 threads, none of which may
+    build a chi-square stream or call norms_block."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("a face estimate drew chi-square values or projected")
+        raise AssertionError("a face estimate drew chi-square values or called norms_block")
+
+    rows = []
+
+    def counted(g, x):
+        rows.append(x.shape[0])
+        return nnls_solve(g, x)
 
     monkeypatch.setattr(sampling, "unit_chi_square_rng", forbidden)
     monkeypatch.setattr(sampling, "norms_block", forbidden)
+    monkeypatch.setattr(cones, "nnls_solve", counted)
+    for cfg, workers in itertools.product(_face_configs()[1:], (1, 3)):
+        assert estimate_profile_face(cone, cfg, workers=workers).d == ambient_dim(cone)
+    return sum(rows)
+
+
+def test_face_estimate_draws_no_chi_square_and_projects_nothing(monkeypatch):
+    # for a cone without a generator leaf, K and k come with the Gaussian
+    # columns: the face path builds no chi-square stream, calls no
+    # norms_block and projects nothing
     for cone in _FACE_CONES[:4]:
-        for cfg, workers in itertools.product(_face_configs()[1:], (1, 3)):
-            assert estimate_profile_face(cone, cfg, workers=workers).d == ambient_dim(cone)
-    # a generator cone's faces still come from its projection
-    with pytest.raises(AssertionError, match="projected"):
-        estimate_profile_face(_FACE_CONES[4], _face_configs()[1])
+        assert _face_estimate_projections(monkeypatch, cone) == 0, cone
+
+
+def test_generator_face_estimate_draws_no_chi_square(monkeypatch):
+    # a generator leaf's faces come from its Gaussian columns alone, with
+    # or without an orthant beside it: only the generator leaf projects,
+    # each row once, and no chi-square stream is built or norms_block called
+    for cone in _FACE_CONES[4:]:
+        assert _face_estimate_projections(monkeypatch, cone) == 2 * (300 + 1_000), cone
+
+
+# face estimates of generator cones and of products with a generator leaf:
+# the identity, a rotated orthant, the full-space and pointed cones above, an
+# orthant times the pointed cone and the identity times a subspace, at chunk
+# sizes 2**14, 1024 and 256, each run ending in a partial chunk
+_ROTATED_ORTHANT_5 = Generators(
+    np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0])
+_FACE_DIGEST_CONES = [Generators(np.eye(4)), _ROTATED_ORTHANT_5, _FULL_SPACE_8X4,
+                      _POINTED_24X6, Product(Orthant(3), _POINTED_24X6),
+                      Product(Generators(np.eye(4)), Subspace(1, 3))]
+_FACE_DIGEST_LAYOUTS = [(UNIT_ROWS, UNIT_ROWS + 611), (1024, UNIT_ROWS + 3 * 1024 + 611),
+                        (256, 5 * 256 + 611)]
+# SHA-256 of raw_v and stderr of every case above, at 1 and 3 workers
+_FACE_SHA256 = "dd93abaf678a7512bfb25f1affb9278f4d2b18182212212abf8fed6fd5051d6e"
+
+
+def test_face_estimate_digest_is_pinned():
+    digest = hashlib.sha256()
+    for i, (cone, (chunk, total)) in enumerate(
+            itertools.product(_FACE_DIGEST_CONES, _FACE_DIGEST_LAYOUTS)):
+        cfg = MonteCarloConfig(seed=3500 + i, total_samples=total, chunk_size=chunk)
+        for workers in (1, 3):
+            prof = estimate_profile_face(cone, cfg, workers=workers)
+            digest.update(prof.raw_v.tobytes())
+            digest.update(prof.stderr.tobytes())
+    assert digest.hexdigest() == _FACE_SHA256
 
 
 def test_run_summary_contents():
@@ -710,10 +763,11 @@ def test_moments_match_exact_profiles_over_seeds():
     zs = {}
     for (label, cone), seed in itertools.product(_LAW_CONES, (1, 2, 3)):
         summary = run_summary(cone, MonteCarloConfig(seed=seed, total_samples=20_000))
-        exact = exact_profile(cone)
+        k, v = np.arange(ambient_dim(cone) + 1), exact_profile(cone).v
+        delta = float(np.dot(k, v))
         for name, (est, se), truth in (
-                ("delta", statistical_dimension(summary), exact.statistical_dimension),
-                ("var", intrinsic_variance(summary), exact.variance)):
+                ("delta", statistical_dimension(summary), delta),
+                ("var", intrinsic_variance(summary), float(np.dot((k - delta) ** 2, v)))):
             zs[label, seed, name] = abs(est - truth) / se
     assert max(zs.values()) <= 4.0, {key: round(z, 2) for key, z in zs.items()}
 

@@ -37,24 +37,21 @@ from chi_square_oracle import chi_expectation_quadrature, chi_square_cdf
 # ---------------------------------------------------------------------------
 
 def test_functional_growth_validation():
-    with pytest.raises(ValueError):
-        BivariateFunctional(lambda a, b: a, growth="wild")
     # exponential rate at or past 1/2 diverges against the chi-square tail
+    with pytest.raises(ValueError, match="diverge"):
+        BivariateFunctional(lambda a, b: np.exp(0.5 * a), xi=0.5)
+    with pytest.raises(ValueError, match="diverge"):
+        BivariateFunctional(lambda a, b: np.exp(a), xi=1.0)
     with pytest.raises(ValueError):
-        BivariateFunctional(lambda a, b: np.exp(0.5 * a), growth="exp", xi=0.5)
-    with pytest.raises(ValueError):
-        BivariateFunctional(lambda a, b: a, growth="poly", xi=0.1)
-    with pytest.raises(ValueError):
-        BivariateFunctional(lambda a, b: np.float64(1.0), growth="bounded")
+        BivariateFunctional(lambda a, b: np.float64(1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            BivariateFunctional(lambda a, b: a / (b - b), growth="poly")
+        with pytest.raises(ValueError, match="non-finite"):
+            BivariateFunctional(lambda a, b: a / (b - b))
 
 
 def test_preset_functionals_catalog():
     presets = preset_functionals()
     assert set(presets) == {"a", "b", "a2", "min_a_10", "exp_a4"}
-    assert presets["exp_a4"].growth == "exp"
     assert presets["exp_a4"].xi == 0.25
     assert not presets["min_a_10"].smooth
 
@@ -102,8 +99,7 @@ def test_scaled_chi_rule_is_memoized_and_read_only():
 
 
 def test_subspace_moment_decaying_exponential():
-    f = BivariateFunctional(lambda a, b: np.exp(-2.0 * (a + b)),
-                            growth="exp", xi=-2.0)
+    f = BivariateFunctional(lambda a, b: np.exp(-2.0 * (a + b)), xi=-2.0)
     value, _ = subspace_moment(f, 2, 5)
     # product of chi-square Laplace transforms: 5^(-(2+3)/2)
     assert value == pytest.approx(5.0 ** -2.5, rel=1e-10)
@@ -371,7 +367,7 @@ def test_wills_identity_polynomial_vs_master_quadrature(lam):
     d = 8
     prof = exact_profile(Orthant(d))
     xi = 0.5 * (1.0 - lam * lam)
-    f = BivariateFunctional(lambda a, b: np.exp(xi * b), growth="exp", xi=xi)
+    f = BivariateFunctional(lambda a, b: np.exp(xi * b), xi=xi)
     phi, se = master_phi(f, prof)
     assert se == 0.0
     target = wills_functional(prof, lam)
